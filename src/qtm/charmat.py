@@ -101,11 +101,14 @@ def refine(p: SimplePolytope, lam: CharMatrix, v) -> CharMatrix:
     """Row basis change making the columns of vertex v the identity.
 
     The transformation is the exact inverse of the vertex submatrix, so
-    the result represents the same pair with refined_at = v.
+    the result represents the same pair with refined_at = v.  A matrix
+    already refined at v is returned as it is.
     """
     v = tuple(sorted(v))
     if not p.is_vertex(v):
         raise CharMatrixError(f"{v} is not a vertex")
+    if lam.refined_at == v:
+        return lam
     try:
         u = intlin.inverse_unimodular(lam.submatrix(v))
     except ValueError:

@@ -14,6 +14,7 @@ cap.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -33,12 +34,12 @@ from .stringcheck import (
     cube_closed_form,
     cube_normal_form,
     is_spin,
-    is_string,
     polygon_closed_form,
     prism_basis,
     prism_closed_form,
     prism_normal_form,
     refined_pair,
+    string_verdict,
 )
 from .structure import decompose_cube_connsum, decompose_prism
 
@@ -157,13 +158,14 @@ def _closed_form_coefficients(p: SimplePolytope, lam: CharMatrix):
 def _cmd_check_string(args) -> int:
     p = _load_polytope(args.polytope)
     lam = _load_matrix(args.matrix)
-    rl = refined_pair(p, lam)
-    string = is_string(p, rl)
+    verdict = string_verdict(p, lam)
     closed = _closed_form_coefficients(p, lam)
     if closed is not None:
         method, coefficients = "closed-form", closed
     else:
-        pres = presentation_deg4(p, rl)
+        rl, pres = verdict.refined, verdict.presentation
+        if pres is None:
+            pres = presentation_deg4(p, rl)
         basis = greedy_basis(pres)
         coeffs = reduce_to_basis(pres, p1_vector(p, rl), basis)
         method = "general"
@@ -171,13 +173,13 @@ def _cmd_check_string(args) -> int:
             {"monomial": list(b), "coeff": c} for b, c in zip(basis, coeffs)
         ]
     out = {
-        "spin": is_spin(p, rl),
-        "string": string,
+        "spin": verdict.spin,
+        "string": verdict.string,
         "method": method,
         "coefficients": coefficients,
     }
     _emit(out, args.out)
-    return 0 if string else 1
+    return 0 if verdict.string else 1
 
 
 def _cmd_enumerate(args) -> int:
@@ -248,6 +250,7 @@ def _cmd_verify(args) -> int:
 # --- parser -----------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="qtm",

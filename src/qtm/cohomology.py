@@ -10,7 +10,9 @@ Every presentation carries a certificate: the relation matrix has full
 row rank and all Smith invariant factors 1, and the quotient rank
 equals h_2 of the polytope.  Both facts are consequences of the theory
 this package implements, so a violation is a hard error rather than a
-soft result.
+soft result.  The factors are read off the relation HNF when its
+pivots are all 1, with the Smith form as the fallback; the same HNF
+then decides membership in the relation lattice.
 
 Degree-4 classes are sparse dicts {(i, j): coefficient} with i <= j
 both free; degree-2 classes are dicts {i: coefficient}.
@@ -106,7 +108,8 @@ def presentation_deg4(p: SimplePolytope, lam: CharMatrix) -> DegreeFourPresentat
                 key = (i, j) if i <= j else (j, i)
                 row[gen_index[key]] += ci * cj
         relations.append(row)
-    factors = intlin.smith_invariant_factors(relations)
+    hnf = intlin.hermite_form(relations)
+    factors = intlin.certified_invariant_factors(relations, hnf)
     if len(factors) != len(relations) or any(f != 1 for f in factors):
         raise CohomologyError(
             f"relation matrix is not a rank-{len(relations)} direct summand: "
@@ -124,6 +127,7 @@ def presentation_deg4(p: SimplePolytope, lam: CharMatrix) -> DegreeFourPresentat
         invariant_factors=factors,
         quotient_rank=qrank,
         _gen_index=gen_index,
+        _hnf=hnf,
     )
 
 
@@ -169,11 +173,16 @@ def p1_vector(p: SimplePolytope, lam: CharMatrix) -> dict[tuple, int]:
 def is_zero_in_h4(pres: DegreeFourPresentation, expr: dict) -> bool:
     """Is the class zero in the degree-4 quotient?"""
     vec = pres.to_vector(expr)
-    ans = intlin.in_row_lattice(pres.hnf(), vec)
+    h = pres.hnf()
+    ans = intlin.in_row_lattice(h, vec)
     # the quotient is free (all invariant factors 1), so rational and
     # integral membership must agree; a mismatch would mean the
     # certificate above was wrong
-    assert ans == intlin.in_row_span_q(pres.hnf(), vec)
+    if ans != intlin.in_row_span_q(h, vec):
+        raise CohomologyError(
+            "integral and rational membership disagree: the degree-4 "
+            "quotient is not free"
+        )
     return ans
 
 
@@ -191,12 +200,12 @@ def reduce_to_basis(pres: DegreeFourPresentation, expr: dict, basis) -> list[int
             raise CohomologyError(f"{b} is not a generator monomial")
         row[pres._gen_index[b]] = 1
         stack.append(row)
-    factors = intlin.smith_invariant_factors(stack)
+    h, u = intlin.hermite_form_with_transform(stack)
+    factors = intlin.certified_invariant_factors(stack, h)
     if len(factors) != len(stack) or any(f != 1 for f in factors):
         raise CohomologyError(
             f"basis {basis} is not independent and primitive over the relations"
         )
-    h, u = intlin.hermite_form_with_transform(stack)
     vec = pres.to_vector(expr)
     mult = [0] * h.rank
     v = list(vec)
@@ -234,12 +243,8 @@ def greedy_basis(pres: DegreeFourPresentation) -> tuple:
         h = intlin.hermite_form(cand)
         if h.rank != len(cand):
             continue
-        if any(v != 1 for v in h.pivot_values):
-            # unit pivots certify unit invariant factors; otherwise decide
-            # by the full Smith computation
-            factors = intlin.smith_invariant_factors(cand)
-            if len(factors) != len(cand) or any(f != 1 for f in factors):
-                continue
+        if any(f != 1 for f in intlin.certified_invariant_factors(cand, h)):
+            continue
         rows = cand
         chosen.append(g)
     if len(chosen) != pres.quotient_rank:

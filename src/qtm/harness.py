@@ -10,6 +10,28 @@ column sum comes out even.  Survivors are deduplicated by canonical
 key, so the output carries one representative per equivalence class,
 in first-encounter order, which is deterministic.
 
+Over the integers each free column only takes values whose first
+nonzero entry is negative: one member of each column sign orbit.
+This drops no class and changes no representative.  Both dedup groups
+contain every column sign flip, and a flip changes neither |det| at a
+vertex nor the parity of a column sum, so it maps a leaf to a leaf
+that passes the same filters and lies in the same class.  Take the
+first leaf of a class in the unrestricted walk.  If one of its free
+columns had a positive first nonzero entry, flipping that column
+would give a leaf of the same class that is lexicographically
+smaller, because every column's values run lexicographically upward
+from (-B, ..., -B); that leaf would have been met first.  So the first
+leaf of every class lies in the restricted walk, which visits a
+subsequence of the old leaves in the same order: the survivors, their
+order and their rows are those of the unrestricted walk.  The zero
+column is left out too; it makes every vertex on its facet singular.
+
+At each leaf the canonical key is computed before the string test,
+and every key is remembered whether its leaf passes or not: being
+string is an invariant of the class, so no class is tested twice.
+The mod-2 walk is not restricted (over GF(2) a sign flip is trivial)
+and tests before it dedups.
+
 Entry bounds are part of every verdict: matrices exist at every bound,
 so a negative campaign only ever says "none with entries up to B".
 
@@ -116,9 +138,12 @@ def _completion_schedule(p: SimplePolytope, base, free):
 def enumerate_matrices(spec: SearchSpec):
     """All matrices matching ``spec``, one per dedup class.
 
-    Returns (survivors, stats); stats counts visited nodes, pruned
-    assignments, complete candidates, and emitted survivors.  Raises
-    ResourceCapExceeded rather than returning a truncated list.
+    Returns (survivors, stats).  stats counts visited nodes, pruned
+    assignments (determinant prunes plus string rejections), complete
+    candidates and emitted survivors; string_rejects and dedup_hits
+    split out the leaves the string test and the dedup dropped, and
+    elapsed is the wall time in seconds.  Raises ResourceCapExceeded
+    rather than returning a truncated list.
     """
     p = spec.polytope
     n, m = p.dim, p.num_facets
@@ -127,10 +152,15 @@ def enumerate_matrices(spec: SearchSpec):
     schedule = _completion_schedule(p, base, free)
     parity_prune = spec.filter in ("spin", "string")
     if spec.mod2_only:
-        values = [v for v in itertools.product((0, 1), repeat=n)]
+        values = list(itertools.product((0, 1), repeat=n))
     else:
         rng_vals = range(-spec.bound, spec.bound + 1)
-        values = [v for v in itertools.product(rng_vals, repeat=n)]
+        # one member per column sign orbit: first nonzero entry negative
+        values = [
+            v
+            for v in itertools.product(rng_vals, repeat=n)
+            if next((x for x in v if x), 0) < 0
+        ]
     if parity_prune:
         values = [v for v in values if sum(v) % 2 == 1]
 
@@ -138,10 +168,22 @@ def enumerate_matrices(spec: SearchSpec):
     for k, f in enumerate(base):
         rows[k][f - 1] = 1
 
-    stats = {"nodes": 0, "pruned": 0, "candidates": 0, "survivors": 0}
+    stats = {
+        "nodes": 0,
+        "pruned": 0,
+        "candidates": 0,
+        "survivors": 0,
+        "string_rejects": 0,
+        "dedup_hits": 0,
+        "elapsed": 0.0,
+    }
     survivors = []
     seen = set()
     started = time.monotonic()
+
+    def capped(reason: str) -> ResourceCapExceeded:
+        stats["elapsed"] = time.monotonic() - started
+        return ResourceCapExceeded(f"{reason} budget exhausted", dict(stats))
 
     def vertex_ok(v) -> bool:
         sub = [[rows[i][f - 1] for f in v] for i in range(n)]
@@ -149,28 +191,33 @@ def enumerate_matrices(spec: SearchSpec):
             return intlin.f2_det_one([intlin.f2_mask(r) for r in sub], n)
         return abs(intlin.det(sub)) == 1
 
+    def reject() -> None:
+        stats["pruned"] += 1
+        stats["string_rejects"] += 1
+
     def emit() -> None:
         stats["candidates"] += 1
         if spec.mod2_only:
-            lam2 = Mod2CharMatrix([r[:] for r in rows], refined_at=base)
-            if spec.filter == "string" and not is_string_smallcover(p, lam2):
-                stats["pruned"] += 1
+            lam = Mod2CharMatrix([r[:] for r in rows], refined_at=base)
+            if spec.filter == "string" and not is_string_smallcover(p, lam):
+                reject()
                 return
-            key = lam2.rows
+            key = lam.rows
             if key in seen:
+                stats["dedup_hits"] += 1
                 return
             seen.add(key)
-            survivors.append(lam2)
         else:
             lam = CharMatrix([r[:] for r in rows], refined_at=base)
-            if spec.filter == "string" and not is_string(p, lam):
-                stats["pruned"] += 1
-                return
             key = canonical_key(p, lam, group=spec.dedup)
             if key in seen:
+                stats["dedup_hits"] += 1
                 return
             seen.add(key)
-            survivors.append(lam)
+            if spec.filter == "string" and not is_string(p, lam):
+                reject()
+                return
+        survivors.append(lam)
         stats["survivors"] += 1
 
     def walk(t: int) -> None:
@@ -181,10 +228,10 @@ def enumerate_matrices(spec: SearchSpec):
         for val in values:
             stats["nodes"] += 1
             if stats["nodes"] > spec.max_nodes:
-                raise ResourceCapExceeded("node budget exhausted", dict(stats))
+                raise capped("node")
             if stats["nodes"] % 4096 == 0:
                 if time.monotonic() - started > spec.max_seconds:
-                    raise ResourceCapExceeded("time budget exhausted", dict(stats))
+                    raise capped("time")
             for i in range(n):
                 rows[i][f - 1] = val[i]
             if all(vertex_ok(v) for v in schedule[t]):
@@ -195,6 +242,7 @@ def enumerate_matrices(spec: SearchSpec):
             rows[i][f - 1] = 0
 
     walk(0)
+    stats["elapsed"] = time.monotonic() - started
     return survivors, stats
 
 

@@ -2,8 +2,9 @@
 
 Everything here is exact: determinants by fraction-free (Bareiss)
 elimination, row Hermite normal form by xgcd row operations, Smith
-invariant factors, unimodular solves.  Python integers never overflow,
-so there is no precision story to worry about.
+invariant factors (read off a unit-pivot HNF when possible), unimodular
+solves.  Python integers never overflow, so there is no precision
+story to worry about.
 
 Matrices are plain lists of row lists.  Nothing here mutates its
 arguments unless the docstring says so.
@@ -112,10 +113,6 @@ class HermiteForm:
     @property
     def rank(self) -> int:
         return len(self.rows)
-
-    @property
-    def pivot_values(self) -> list[int]:
-        return [p for _, p in self.pivots]
 
 
 def hermite_form(rows: list[list[int]]) -> HermiteForm:
@@ -298,6 +295,19 @@ def smith_invariant_factors(rows: list[list[int]]) -> list[int]:
         top += 1
         left += 1
     return factors
+
+
+def certified_invariant_factors(rows: list[list[int]], h: HermiteForm) -> list[int]:
+    """Nonzero invariant factors of rows, read off their HNF `h` when it can.
+
+    A full-row-rank HNF whose pivots are all 1 is a unit-pivot echelon
+    basis of the row lattice; such a basis extends to a basis of Z^N,
+    so every invariant factor is 1 (Kannan-Bachem).  Otherwise fall
+    back to the Smith computation.
+    """
+    if h.rank == len(rows) and all(p == 1 for _, p in h.pivots):
+        return [1] * len(rows)
+    return smith_invariant_factors(rows)
 
 
 def solve_unimodular(a: list[list[int]], b: list[int]) -> list[int]:

@@ -16,8 +16,16 @@ suite pins every family against it.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 from .charmat import CharMatrix, ColumnSignFlip, refine, transform, validate
-from .cohomology import is_zero_in_h4, p1_vector, presentation_deg4, w2_vector
+from .cohomology import (
+    DegreeFourPresentation,
+    is_zero_in_h4,
+    p1_vector,
+    presentation_deg4,
+    w2_vector,
+)
 from .polytope import SimplePolytope, cube, polygon, prism, product, q_polytope
 
 # facets adjacent to facets 1, 2, 3 of Q, in cyclic order around each
@@ -42,17 +50,38 @@ def refined_pair(p: SimplePolytope, lam: CharMatrix) -> CharMatrix:
     return refine(p, lam, p.vertices[0])
 
 
-def is_spin(p: SimplePolytope, lam: CharMatrix) -> bool:
-    rl = refined_pair(p, lam)
+class StringVerdict(NamedTuple):
+    """Spin and string verdicts from one validation and one refinement.
+
+    presentation is the certified degree-4 presentation of `refined`
+    when the string test needed it (the pair is spin), else None.
+    """
+
+    refined: CharMatrix
+    spin: bool
+    string: bool
+    presentation: DegreeFourPresentation | None
+
+
+def _spin(p: SimplePolytope, rl: CharMatrix) -> bool:
     return all(c % 2 == 0 for c in w2_vector(p, rl).values())
 
 
-def is_string(p: SimplePolytope, lam: CharMatrix) -> bool:
+def string_verdict(p: SimplePolytope, lam: CharMatrix) -> StringVerdict:
+    """Validate and refine once, then decide spin and string."""
     rl = refined_pair(p, lam)
-    if any(c % 2 for c in w2_vector(p, rl).values()):
-        return False
+    if not _spin(p, rl):
+        return StringVerdict(rl, False, False, None)
     pres = presentation_deg4(p, rl)
-    return is_zero_in_h4(pres, p1_vector(p, rl))
+    return StringVerdict(rl, True, is_zero_in_h4(pres, p1_vector(p, rl)), pres)
+
+
+def is_spin(p: SimplePolytope, lam: CharMatrix) -> bool:
+    return _spin(p, refined_pair(p, lam))
+
+
+def is_string(p: SimplePolytope, lam: CharMatrix) -> bool:
+    return string_verdict(p, lam).string
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import random
 
 import pytest
 
+from qtm import intlin
 from qtm.charmat import CharMatrix, RowBasisChange, transform, refine
 from qtm.cohomology import (
     CohomologyError,
@@ -131,3 +132,20 @@ def test_presentation_requires_refined():
     lam = CharMatrix([[1, 0, 1], [0, 1, 1]])
     with pytest.raises(CohomologyError):
         presentation_deg4(TRIANGLE, lam)
+
+
+def test_zero_test_raises_when_integral_and_rational_disagree(monkeypatch):
+    # an explicit error, not an assert, so it also holds under python -O
+    pres = presentation_deg4(SQUARE, SQUARE_LAM)
+    p1 = p1_vector(SQUARE, SQUARE_LAM)
+    assert is_zero_in_h4(pres, p1)
+    monkeypatch.setattr(intlin, "in_row_span_q", lambda h, vec: False)
+    with pytest.raises(CohomologyError):
+        is_zero_in_h4(pres, p1)
+
+
+def test_presentation_keeps_its_certifying_hnf():
+    pres = presentation_deg4(SQUARE, SQUARE_LAM)
+    assert pres._hnf is not None
+    assert pres.hnf() is pres._hnf
+    assert pres.hnf().rows == intlin.hermite_form(pres.relations).rows

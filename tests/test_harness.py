@@ -14,6 +14,7 @@ import json
 
 import pytest
 
+from qtm import intlin
 from qtm.charmat import CharMatrix, canonical_key, validate
 from qtm.harness import (
     CLAIM_IDS,
@@ -23,7 +24,7 @@ from qtm.harness import (
     enumerate_matrices,
     verify_claim,
 )
-from qtm.polytope import cube, polygon, product
+from qtm.polytope import cube, polygon, prism, product
 from qtm.smallcover import validate_mod2
 from qtm.stringcheck import is_spin, is_string
 
@@ -122,7 +123,92 @@ def test_enumeration_is_deterministic():
     first, stats_first = enumerate_matrices(spec)
     second, stats_second = enumerate_matrices(spec)
     assert [lam.rows for lam in first] == [lam.rows for lam in second]
+    # every counter repeats; elapsed is a wall-clock reading
+    assert set(stats_first) == set(stats_second)
+    assert stats_first.pop("elapsed") >= 0.0
+    assert stats_second.pop("elapsed") >= 0.0
     assert stats_first == stats_second
+
+
+def unbroken_walk(p, bound, filt, dedup="signs"):
+    """The search before symmetry breaking: every free column runs over
+    all of [-B, B]^n, the string test runs before the dedup, and only
+    string-passing keys are remembered.  Returns the survivor rows."""
+    n, m = p.dim, p.num_facets
+    base = p.vertices[0]
+    free = [f for f in range(1, m + 1) if f not in base]
+    values = list(itertools.product(range(-bound, bound + 1), repeat=n))
+    if filt in ("spin", "string"):
+        values = [v for v in values if sum(v) % 2 == 1]
+    rows = [[0] * m for _ in range(n)]
+    for k, f in enumerate(base):
+        rows[k][f - 1] = 1
+    done = {}
+    for t, f in enumerate(free):
+        done[f] = [
+            v for v in p.vertices
+            if f in v and all(g in base or free.index(g) <= t for g in v)
+        ]
+    out, seen = [], set()
+
+    def walk(t):
+        if t == len(free):
+            lam = CharMatrix([r[:] for r in rows], refined_at=base)
+            if filt == "string" and not is_string(p, lam):
+                return
+            key = canonical_key(p, lam, group=dedup)
+            if key not in seen:
+                seen.add(key)
+                out.append(lam.rows)
+            return
+        f = free[t]
+        for val in values:
+            for i in range(n):
+                rows[i][f - 1] = val[i]
+            if all(
+                abs(intlin.det([[rows[i][g - 1] for g in v] for i in range(n)])) == 1
+                for v in done[f]
+            ):
+                walk(t + 1)
+        for i in range(n):
+            rows[i][f - 1] = 0
+
+    walk(0)
+    return out
+
+
+@pytest.mark.parametrize(
+    "poly, bound, filt, dedup",
+    [
+        (polygon(4), 2, "valid", "signs"),
+        (polygon(4), 2, "spin", "signs"),
+        (polygon(5), 2, "valid", "signs"),
+        (polygon(5), 2, "spin", "signs"),
+        (cube(3), 1, "string", "signs"),
+        (prism(4), 1, "string", "signs"),
+        (polygon(5), 2, "valid", "signs+automorphisms"),
+    ],
+    ids=[
+        "square-valid", "square-spin", "pentagon-valid", "pentagon-spin",
+        "cube-string", "square-prism-string", "pentagon-automorphisms",
+    ],
+)
+def test_sign_broken_walk_matches_unbroken_walk(poly, bound, filt, dedup):
+    survivors, stats = enumerate_matrices(SearchSpec(poly, bound, dedup, filt))
+    assert [lam.rows for lam in survivors] == unbroken_walk(poly, bound, filt, dedup)
+    assert stats["survivors"] == len(survivors)
+
+
+def test_search_stats_split_prunes_and_dedup_hits():
+    _survivors, stats = enumerate_matrices(SearchSpec(cube(3), 2, "signs", "string"))
+    spin, _ = enumerate_matrices(SearchSpec(cube(3), 2, "signs", "spin"))
+    assert stats["candidates"] == (
+        stats["survivors"] + stats["string_rejects"] + stats["dedup_hits"]
+    )
+    # the string test runs once per spin class, never on a dedup hit
+    assert stats["string_rejects"] == len(spin) - stats["survivors"] > 0
+    assert stats["string_rejects"] <= stats["pruned"]
+    assert stats["elapsed"] >= 0.0
 
 
 def test_mod2_square_valid_count_and_soundness():

@@ -168,3 +168,70 @@ def test_hermite_form_with_transform():
         assert prod[: h.rank] == h.rows
         assert all(not any(r) for r in prod[h.rank :])
         assert h.rows == intlin.hermite_form(a).rows
+
+
+def _count_smith_calls(monkeypatch):
+    calls = []
+    smith = intlin.smith_invariant_factors
+
+    def counted(rows):
+        calls.append(rows)
+        return smith(rows)
+
+    monkeypatch.setattr(intlin, "smith_invariant_factors", counted)
+    return calls
+
+
+def certified(rows):
+    return intlin.certified_invariant_factors(rows, intlin.hermite_form(rows))
+
+
+def test_certified_factors_from_unit_pivots(monkeypatch):
+    calls = _count_smith_calls(monkeypatch)
+    assert certified([[1, 4, 0], [0, 1, 7]]) == [1, 1]
+    assert certified([]) == []
+    assert calls == []
+
+
+def test_certified_factors_fall_back_to_smith(monkeypatch):
+    calls = _count_smith_calls(monkeypatch)
+    # [2, 3] has HNF pivot 2, yet its single factor is gcd(2, 3) = 1
+    assert intlin.hermite_form([[2, 3]]).pivots == [(0, 2)]
+    assert certified([[2, 3]]) == [1]
+    assert certified([[2, 0]]) == [2]
+    # rank-deficient input: the zero row has no factor
+    assert certified([[1, 0], [2, 0]]) == [1]
+    assert len(calls) == 3
+
+
+def test_certified_factors_agree_with_smith_on_random_pairs():
+    from qtm.charmat import RowBasisChange, refine, transform
+    from qtm.cohomology import presentation_deg4
+    from qtm.harness import SearchSpec, enumerate_matrices
+    from qtm.polytope import cube, polygon, prism
+
+    rng = random.Random(12)
+    checked = 0
+    for p in (polygon(5), cube(3), prism(6)):
+        survivors, _ = enumerate_matrices(SearchSpec(p, 1, "signs", "valid"))
+        for lam in rng.sample(survivors, min(6, len(survivors))):
+            u = intlin.identity(p.dim)
+            for _ in range(2 * p.dim):
+                i, j = rng.sample(range(p.dim), 2)
+                q = rng.randint(-2, 2)
+                u[i] = [x + q * y for x, y in zip(u[i], u[j])]
+            moved = transform(p, lam, RowBasisChange(tuple(map(tuple, u))))
+            rl = refine(p, moved, rng.choice(p.vertices))
+            pres = presentation_deg4(p, rl)
+            # the relations alone, and the relations plus each unit row,
+            # as greedy_basis stacks them: full rank or not, unit or not
+            stacks = [pres.relations]
+            for k in range(len(pres.generators)):
+                unit = [0] * len(pres.generators)
+                unit[k] = 1
+                stacks.append(pres.relations + [unit])
+                stacks.append(pres.relations + [[2 * x for x in unit]])
+            for rows in stacks:
+                assert certified(rows) == intlin.smith_invariant_factors(rows)
+                checked += 1
+    assert checked > 100
