@@ -29,8 +29,14 @@ column is left out too; it makes every vertex on its facet singular.
 At each leaf the canonical key is computed before the string test,
 and every key is remembered whether its leaf passes or not: being
 string is an invariant of the class, so no class is tested twice.
-The mod-2 walk is not restricted (over GF(2) a sign flip is trivial)
-and tests before it dedups.
+The string test at a leaf is the core that takes a valid refined
+pair: the walk has already checked every vertex.
+
+The mod-2 walk is not restricted (over GF(2) a sign flip is trivial).
+It keeps one bitmask per column, bit i for row i, set when the column
+is assigned, and a vertex passes iff its column masks have GF(2) rank
+n.  It does not dedup: two leaves differ in some free column, so every
+leaf has its own rows and dedup_hits is 0 by construction.
 
 Entry bounds are part of every verdict: matrices exist at every bound,
 so a negative campaign only ever says "none with entries up to B".
@@ -53,12 +59,13 @@ from .charmat import CharMatrix, canonical_key
 from .polytope import SimplePolytope, connected_sum, cube, polygon, prism, product
 from .smallcover import (
     Mod2CharMatrix,
-    is_string_smallcover,
+    _refined_is_string,
     simplex_product,
     verify_simplex_product_criterion,
     SmallCoverError,
 )
 from .stringcheck import (
+    _refined_verdict,
     cyclic_identities,
     is_spin,
     is_string,
@@ -117,7 +124,7 @@ class SearchSpec:
         if self.dedup not in ("signs", "signs+automorphisms"):
             raise HarnessError(f"unknown dedup group {self.dedup!r}")
         if self.mod2_only and self.dedup != "signs":
-            raise HarnessError("mod-2 enumeration dedups by rows only")
+            raise HarnessError("mod-2 enumeration takes dedup 'signs' only")
 
 
 def _completion_schedule(p: SimplePolytope, base, free):
@@ -141,9 +148,9 @@ def enumerate_matrices(spec: SearchSpec):
     Returns (survivors, stats).  stats counts visited nodes, pruned
     assignments (determinant prunes plus string rejections), complete
     candidates and emitted survivors; string_rejects and dedup_hits
-    split out the leaves the string test and the dedup dropped, and
-    elapsed is the wall time in seconds.  Raises ResourceCapExceeded
-    rather than returning a truncated list.
+    split out the leaves the string test and the dedup dropped (the
+    mod-2 walk never dedups), and elapsed is the wall time in seconds.
+    Raises ResourceCapExceeded rather than returning a truncated list.
     """
     p = spec.polytope
     n, m = p.dim, p.num_facets
@@ -151,7 +158,8 @@ def enumerate_matrices(spec: SearchSpec):
     free = tuple(f for f in range(1, m + 1) if f not in set(base))
     schedule = _completion_schedule(p, base, free)
     parity_prune = spec.filter in ("spin", "string")
-    if spec.mod2_only:
+    mod2 = spec.mod2_only
+    if mod2:
         values = list(itertools.product((0, 1), repeat=n))
     else:
         rng_vals = range(-spec.bound, spec.bound + 1)
@@ -163,10 +171,15 @@ def enumerate_matrices(spec: SearchSpec):
         ]
     if parity_prune:
         values = [v for v in values if sum(v) % 2 == 1]
+    if mod2:
+        # a column value is its bitmask, bit i for row i
+        values = [intlin.f2_mask(v) for v in values]
 
     rows = [[0] * m for _ in range(n)]
+    colmask = [0] * (m + 1)
     for k, f in enumerate(base):
         rows[k][f - 1] = 1
+        colmask[f] = 1 << k
 
     stats = {
         "nodes": 0,
@@ -185,11 +198,13 @@ def enumerate_matrices(spec: SearchSpec):
         stats["elapsed"] = time.monotonic() - started
         return ResourceCapExceeded(f"{reason} budget exhausted", dict(stats))
 
-    def vertex_ok(v) -> bool:
-        sub = [[rows[i][f - 1] for f in v] for i in range(n)]
-        if spec.mod2_only:
-            return intlin.f2_det_one([intlin.f2_mask(r) for r in sub], n)
-        return abs(intlin.det(sub)) == 1
+    if mod2:
+        def vertex_ok(v) -> bool:
+            return intlin.f2_rank([colmask[f] for f in v]) == n
+    else:
+        def vertex_ok(v) -> bool:
+            sub = [[rows[i][f - 1] for f in v] for i in range(n)]
+            return abs(intlin.det(sub)) == 1
 
     def reject() -> None:
         stats["pruned"] += 1
@@ -197,16 +212,14 @@ def enumerate_matrices(spec: SearchSpec):
 
     def emit() -> None:
         stats["candidates"] += 1
-        if spec.mod2_only:
-            lam = Mod2CharMatrix([r[:] for r in rows], refined_at=base)
-            if spec.filter == "string" and not is_string_smallcover(p, lam):
+        if mod2:
+            lam = Mod2CharMatrix(
+                [[colmask[f] >> i & 1 for f in range(1, m + 1)] for i in range(n)],
+                refined_at=base,
+            )
+            if spec.filter == "string" and not _refined_is_string(p, lam):
                 reject()
                 return
-            key = lam.rows
-            if key in seen:
-                stats["dedup_hits"] += 1
-                return
-            seen.add(key)
         else:
             lam = CharMatrix([r[:] for r in rows], refined_at=base)
             key = canonical_key(p, lam, group=spec.dedup)
@@ -214,7 +227,7 @@ def enumerate_matrices(spec: SearchSpec):
                 stats["dedup_hits"] += 1
                 return
             seen.add(key)
-            if spec.filter == "string" and not is_string(p, lam):
+            if spec.filter == "string" and not _refined_verdict(p, lam).string:
                 reject()
                 return
         survivors.append(lam)
@@ -232,16 +245,22 @@ def enumerate_matrices(spec: SearchSpec):
             if stats["nodes"] % 4096 == 0:
                 if time.monotonic() - started > spec.max_seconds:
                     raise capped("time")
-            for i in range(n):
-                rows[i][f - 1] = val[i]
+            if mod2:
+                colmask[f] = val
+            else:
+                for i in range(n):
+                    rows[i][f - 1] = val[i]
             if all(vertex_ok(v) for v in schedule[t]):
                 walk(t + 1)
             else:
                 stats["pruned"] += 1
-        for i in range(n):
-            rows[i][f - 1] = 0
 
-    walk(0)
+    try:
+        walk(0)
+    finally:
+        # walk's closure refers to walk: break that cycle, or the
+        # search's working set lives on until the cycle collector runs
+        del walk
     stats["elapsed"] = time.monotonic() - started
     return survivors, stats
 

@@ -350,34 +350,31 @@ def f2_mask(row: list[int]) -> int:
 
 
 def f2_rank(masks: list[int]) -> int:
-    basis: list[int] = []
+    """Rank over GF(2) of vectors packed as bitmasks.
+
+    The one elimination kernel of the mod-2 path.  The basis maps each
+    pivot's bit_length() to its vector; a new vector is XORed with the
+    basis vector sharing its top bit until it is zero or its top bit is
+    new, and then joins the basis under that bit.
+    """
+    basis: dict[int, int] = {}
     for v in masks:
-        for b in basis:
-            low = b & -b
-            if v & low:
-                v ^= b
-        if v:
-            basis.append(v)
-            basis.sort(key=lambda x: x & -x)
+        while v:
+            top = v.bit_length()
+            b = basis.get(top)
+            if b is None:
+                basis[top] = v
+                break
+            v ^= b
     return len(basis)
 
 
 def f2_in_span(masks: list[int], target: int) -> bool:
-    basis: list[int] = []
-    for v in masks:
-        for b in basis:
-            if v & (b & -b):
-                v ^= b
-        if v:
-            basis.append(v)
-            basis.sort(key=lambda x: x & -x)
-    v = target
-    for b in basis:
-        if v & (b & -b):
-            v ^= b
-    return v == 0
+    """Is target a GF(2) combination of masks?"""
+    return f2_rank([*masks, target]) == f2_rank(masks)
 
 
 def f2_det_one(masks: list[int], n: int) -> bool:
-    """Is an n x n mod-2 matrix (rows as masks) invertible?"""
-    return f2_rank(list(masks)) == n
+    """Is an n x n mod-2 matrix invertible?  masks are its rows or its
+    columns: either way the test is rank n."""
+    return f2_rank(masks) == n

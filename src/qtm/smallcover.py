@@ -16,11 +16,16 @@ v_i v_j over free facets i <= j, and each nonface facet pair
 contributes one relation after substituting the vertex-column classes
 linearly.  A consistency certificate (generator count minus relation
 rank equals h_2) is enforced on every call.
+
+Vertex tests work on columns packed as bitmasks: a vertex is fine iff
+its n column masks have GF(2) rank n.  The public tests validate and
+refine their input; their private cores take a pair that is already
+valid and refined, which is what the mod-2 search hands them.  The
+simplex-product criterion is decided by that search, string filter
+on, and then checked against its closed form.
 """
 
 from __future__ import annotations
-
-import itertools
 
 from . import intlin
 from .polytope import SimplePolytope, product, simplex
@@ -93,13 +98,10 @@ def _shape_check(p: SimplePolytope, lam: Mod2CharMatrix) -> None:
 def validate_mod2(p: SimplePolytope, lam: Mod2CharMatrix) -> bool:
     """Is every vertex's column submatrix invertible over GF(2)?"""
     _shape_check(p, lam)
-    for v in p.vertices:
-        masks = [
-            intlin.f2_mask([lam.rows[i][j - 1] for j in v]) for i in range(lam.n)
-        ]
-        if not intlin.f2_det_one(masks, lam.n):
-            return False
-    return True
+    cols = [intlin.f2_mask(c) for c in zip(*lam.rows)]
+    return all(
+        intlin.f2_det_one([cols[j - 1] for j in v], lam.n) for v in p.vertices
+    )
 
 
 def refine_mod2(p: SimplePolytope, lam: Mod2CharMatrix, v) -> Mod2CharMatrix:
@@ -128,18 +130,23 @@ def _refined(p: SimplePolytope, lam: Mod2CharMatrix) -> Mod2CharMatrix:
     return refine_mod2(p, lam, p.vertices[0])
 
 
+def _checked_refined(p: SimplePolytope, lam: Mod2CharMatrix) -> Mod2CharMatrix:
+    """Validate lam, raising if it is singular anywhere, then refine it."""
+    if not validate_mod2(p, lam):
+        raise SmallCoverError("matrix is singular at some vertex over GF(2)")
+    return _refined(p, lam)
+
+
+def _orientable(rl: Mod2CharMatrix) -> bool:
+    return all(sum(col) % 2 == 1 for col in zip(*rl.rows))
+
+
 def is_orientable(p: SimplePolytope, lam: Mod2CharMatrix) -> bool:
     """Orientability: the sum of all facet classes vanishes in degree 1.
 
     In refined form that is exactly: every column sum is odd.
     """
-    _shape_check(p, lam)
-    if not validate_mod2(p, lam):
-        raise SmallCoverError("matrix is singular at some vertex over GF(2)")
-    rl = _refined(p, lam)
-    return all(
-        sum(rl.rows[i][j] for i in range(rl.n)) % 2 == 1 for j in range(rl.m)
-    )
+    return _orientable(_checked_refined(p, lam))
 
 
 def _substituted_mod2(lam: Mod2CharMatrix) -> dict[int, dict[int, int]]:
@@ -176,7 +183,7 @@ def degree2_presentation(p: SimplePolytope, lam: Mod2CharMatrix):
                 key = (i, j) if i <= j else (j, i)
                 mask ^= 1 << gen_index[key]
         masks.append(mask)
-    rank = intlin.f2_rank(list(masks))
+    rank = intlin.f2_rank(masks)
     expected = p.h_vector()[2] if p.dim >= 2 else 0
     if len(gens) - rank != expected:
         raise SmallCoverError(
@@ -191,9 +198,13 @@ def is_string_smallcover(p: SimplePolytope, lam: Mod2CharMatrix) -> bool:
     For small covers this coincides with the spin condition, so there
     is no separate test.
     """
-    if not is_orientable(p, lam):
+    return _refined_is_string(p, _checked_refined(p, lam))
+
+
+def _refined_is_string(p: SimplePolytope, rl: Mod2CharMatrix) -> bool:
+    """is_string_smallcover for a pair already valid and refined."""
+    if not _orientable(rl):
         return False
-    rl = _refined(p, lam)
     gens, masks, _free = degree2_presentation(p, rl)
     gen_index = {g: k for k, g in enumerate(gens)}
     sub = _substituted_mod2(rl)
@@ -206,7 +217,7 @@ def is_string_smallcover(p: SimplePolytope, lam: Mod2CharMatrix) -> bool:
                     w2 ^= 1 << gen_index[key]
     if w2 == 0:
         return True
-    return intlin.f2_in_span(list(masks), w2)
+    return intlin.f2_in_span(masks, w2)
 
 
 # ---------------------------------------------------------------------------
@@ -236,15 +247,20 @@ def simplex_product(ns) -> tuple[SimplePolytope, tuple]:
 def verify_simplex_product_criterion(ns, cap: int = 7) -> bool:
     """Does a string small cover exist over the product of these simplices?
 
-    All factor dimensions must be at least 2.  The answer is computed
-    by exhaustive enumeration over GF(2): in refined form the free
-    column of each factor is all-ones on the factor's own rows (forced
-    by validity at the single-factor vertices), and the remaining
-    cross-factor bits are enumerated.  The outcome is checked against
-    the closed form -- existence iff every dimension is odd and some
-    dimension is 3 mod 4 -- and a disagreement raises, since it would
-    falsify that criterion rather than being a soft result.
+    All factor dimensions must be at least 2.  The answer comes from
+    the pruned mod-2 search with the string filter: it walks every
+    GF(2) matrix refined at the product's first vertex, cutting a
+    branch at the first singular vertex or even column sum.  That is
+    exhaustive: every small cover can be row-reduced to the identity
+    at that vertex, row operations leave the string verdict unchanged,
+    and an even column sum means non-orientable, hence not string.
+    The outcome is checked against the closed form -- existence iff
+    every dimension is odd and some dimension is 3 mod 4 -- and a
+    disagreement raises, since it would falsify that criterion rather
+    than being a soft result.
     """
+    from .harness import SearchSpec, enumerate_matrices
+
     ns = tuple(int(n) for n in ns)
     if not ns or any(n < 2 for n in ns):
         raise SmallCoverError("criterion needs every factor dimension >= 2")
@@ -253,41 +269,11 @@ def verify_simplex_product_criterion(ns, cap: int = 7) -> bool:
         raise SmallCoverError(
             f"sum of dimensions {total} exceeds the enumeration cap {cap}"
         )
-    poly, blocks = simplex_product(ns)
-    n, m = poly.dim, poly.num_facets
-    k = len(ns)
-    # refined at the vertex that omits the last facet of every block
-    row_of = {}
-    r = 0
-    for blk in blocks:
-        for f in blk[:-1]:
-            row_of[f] = r
-            r += 1
-    free_cols = tuple(blk[-1] for blk in blocks)
-    own_rows = []
-    for blk in blocks:
-        own_rows.append(tuple(row_of[f] for f in blk[:-1]))
-    cross = [
-        (t, i) for t, blk in enumerate(blocks) for i in range(n)
-        if i not in set(own_rows[t])
-    ]
-    base = [[0] * m for _ in range(n)]
-    for f, i in row_of.items():
-        base[i][f - 1] = 1
-    for t, blk in enumerate(blocks):
-        for i in own_rows[t]:
-            base[i][free_cols[t] - 1] = 1
-    found = False
-    for bits in itertools.product((0, 1), repeat=len(cross)):
-        rows = [r[:] for r in base]
-        for (t, i), bit in zip(cross, bits):
-            rows[i][free_cols[t] - 1] = bit
-        lam = Mod2CharMatrix(rows)
-        if not validate_mod2(poly, lam):
-            continue
-        if is_string_smallcover(poly, lam):
-            found = True
-            break
+    poly, _blocks = simplex_product(ns)
+    survivors, _stats = enumerate_matrices(
+        SearchSpec(poly, 1, "signs", "string", mod2_only=True)
+    )
+    found = bool(survivors)
     expected = all(x % 2 == 1 for x in ns) and any(x % 4 == 3 for x in ns)
     if found != expected:
         raise SmallCoverError(

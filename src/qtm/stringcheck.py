@@ -69,7 +69,11 @@ def _spin(p: SimplePolytope, rl: CharMatrix) -> bool:
 
 def string_verdict(p: SimplePolytope, lam: CharMatrix) -> StringVerdict:
     """Validate and refine once, then decide spin and string."""
-    rl = refined_pair(p, lam)
+    return _refined_verdict(p, refined_pair(p, lam))
+
+
+def _refined_verdict(p: SimplePolytope, rl: CharMatrix) -> StringVerdict:
+    """string_verdict for a pair already valid and refined."""
     if not _spin(p, rl):
         return StringVerdict(rl, False, False, None)
     pres = presentation_deg4(p, rl)

@@ -25,7 +25,12 @@ from qtm.harness import (
     verify_claim,
 )
 from qtm.polytope import cube, polygon, prism, product
-from qtm.smallcover import validate_mod2
+from qtm.smallcover import (
+    Mod2CharMatrix,
+    is_string_smallcover,
+    simplex_product,
+    validate_mod2,
+)
 from qtm.stringcheck import is_spin, is_string
 
 
@@ -238,6 +243,48 @@ def test_mod2_polygon_product_string_counts():
         SearchSpec(tri_tri, 1, "signs", "string", mod2_only=True)
     )
     assert len(survivors) == MOD2_TRI_TRI_STRING
+
+
+def brute_force_mod2(p, filt):
+    """Every GF(2) matrix refined at the first vertex, in the walk's
+    order (free columns ascending, each over {0,1}^n
+    lexicographically), filtered through the public tests only."""
+    n, m = p.dim, p.num_facets
+    base = p.vertices[0]
+    free = [f for f in range(1, m + 1) if f not in base]
+    out = []
+    for cols in itertools.product(itertools.product((0, 1), repeat=n), repeat=len(free)):
+        rows = [[0] * m for _ in range(n)]
+        for k, f in enumerate(base):
+            rows[k][f - 1] = 1
+        for f, col in zip(free, cols):
+            for i in range(n):
+                rows[i][f - 1] = col[i]
+        lam = Mod2CharMatrix(rows)
+        if not validate_mod2(p, lam):
+            continue
+        if filt == "string" and not is_string_smallcover(p, lam):
+            continue
+        out.append(lam.rows)
+    return out
+
+
+@pytest.mark.parametrize("filt", ["valid", "string"])
+@pytest.mark.parametrize(
+    "poly",
+    # the simplex product is there for its string rejects: 4 orientable
+    # leaves, none string
+    [polygon(5), prism(3), simplex_product((2, 3))[0]],
+    ids=["pentagon", "triangle-prism", "simplex2xsimplex3"],
+)
+def test_mod2_walk_matches_brute_force(poly, filt):
+    survivors, stats = enumerate_matrices(
+        SearchSpec(poly, 1, "signs", filt, mod2_only=True)
+    )
+    assert [lam.rows for lam in survivors] == brute_force_mod2(poly, filt)
+    # every leaf has its own rows: the mod-2 walk never dedups
+    assert stats["dedup_hits"] == 0
+    assert stats["candidates"] == stats["survivors"] + stats["string_rejects"]
 
 
 def test_node_budget_raises_with_partial_stats():

@@ -7,6 +7,7 @@ implementations keep each other honest.
 
 import random
 
+from hypothesis import given, strategies as st
 from sympy import Matrix
 
 from qtm import intlin
@@ -137,6 +138,26 @@ def test_f2_ops():
             if rng.random() < 0.5:
                 combo ^= m
         assert intlin.f2_in_span(masks, combo)
+
+
+@given(
+    st.integers(1, 10).flatmap(
+        lambda width: st.tuples(
+            st.just(width),
+            st.lists(st.integers(0, 2**width - 1), min_size=1, max_size=12),
+            st.integers(0, 2**width - 1),
+        )
+    )
+)
+def test_f2_kernel_matches_oracle(case):
+    width, masks, target = case
+    rows = [[mask >> j & 1 for j in range(width)] for mask in masks]
+    rank = _f2_rank_oracle(rows)
+    assert intlin.f2_rank(masks) == rank
+    target_row = [target >> j & 1 for j in range(width)]
+    assert intlin.f2_in_span(masks, target) == (_f2_rank_oracle(rows + [target_row]) == rank)
+    if len(masks) == width:
+        assert intlin.f2_det_one(masks, width) == (rank == width)
 
 
 def _f2_rank_oracle(rows):

@@ -5,7 +5,8 @@ interval x triangle-of-dimension-2, interval x 3-simplex x 4-simplex)
 are pinned as string.  Exhaustive GF(2) enumerations over small
 polygons and polygon products serve as the oracle for the counting
 and existence assertions, and the simplex-product criterion is checked
-against its closed form on every partition that fits the cap.
+against its closed form on every partition that fits the cap, and
+against the cross-bit enumeration it used before the mod-2 walk.
 """
 
 import itertools
@@ -107,6 +108,17 @@ def test_validate_mod2():
     assert not validate_mod2(polygon(3), bad)
     with pytest.raises(SmallCoverError):
         validate_mod2(polygon(4), bad)
+
+
+def test_public_mod2_tests_validate_their_input():
+    # columns 1 and 3 coincide, so vertex (1, 3) of the triangle is
+    # singular; the search's string core skips this check, these keep it
+    bad = Mod2CharMatrix([[1, 0, 1], [0, 1, 0]])
+    for test in (is_orientable, is_string_smallcover):
+        with pytest.raises(SmallCoverError):
+            test(polygon(3), bad)
+        with pytest.raises(SmallCoverError):
+            test(polygon(4), bad)
 
 
 def test_refine_mod2_moves_the_identity():
@@ -267,3 +279,45 @@ def test_simplex_product_criterion_input_checks():
         verify_simplex_product_criterion((3, 5))
     with pytest.raises(SmallCoverError):
         verify_simplex_product_criterion(())
+
+
+def old_cross_bit_criterion(ns):
+    """The criterion's search before it used the mod-2 walk: refined at
+    the vertex omitting the last facet of every block, each factor's
+    free column all-ones on its own rows, every cross-factor bit
+    enumerated, each matrix validated and string-tested outright."""
+    poly, blocks = simplex_product(ns)
+    n, m = poly.dim, poly.num_facets
+    row_of = {}
+    for blk in blocks:
+        for f in blk[:-1]:
+            row_of[f] = len(row_of)
+    base = [[0] * m for _ in range(n)]
+    for f, i in row_of.items():
+        base[i][f - 1] = 1
+    cross = []
+    for blk in blocks:
+        own = {row_of[f] for f in blk[:-1]}
+        for i in range(n):
+            if i in own:
+                base[i][blk[-1] - 1] = 1
+            else:
+                cross.append((i, blk[-1]))
+    for bits in itertools.product((0, 1), repeat=len(cross)):
+        rows = [r[:] for r in base]
+        for (i, f), bit in zip(cross, bits):
+            rows[i][f - 1] = bit
+        lam = Mod2CharMatrix(rows)
+        if validate_mod2(poly, lam) and is_string_smallcover(poly, lam):
+            return True
+    return False
+
+
+@pytest.mark.parametrize(
+    "ns",
+    [(2,), (3,), (4,), (5,), (6,), (7,), (2, 2), (2, 3), (2, 4), (2, 5),
+     (3, 3), (3, 4), (2, 2, 2)],
+    ids=lambda ns: "x".join(map(str, ns)),
+)
+def test_simplex_product_criterion_matches_cross_bit_enumeration(ns):
+    assert verify_simplex_product_criterion(ns) is old_cross_bit_criterion(ns)

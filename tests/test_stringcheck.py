@@ -13,6 +13,7 @@ import pytest
 
 from qtm.charmat import (
     CharMatrix,
+    CharMatrixError,
     ColumnSignFlip,
     FacetPermutation,
     RowBasisChange,
@@ -43,6 +44,7 @@ from qtm.stringcheck import (
     q_prism_normal_form,
     q_prism_polytope,
     random_cyclic_instance,
+    string_verdict,
 )
 
 # hexagonal prism with a string structure; facet 1 top, 2..7 sides, 8 bottom
@@ -135,6 +137,17 @@ def assert_matches_engine(p, lam, closed, basis):
 
 def all_column_sums_odd(lam):
     return all(sum(lam.column(j)) % 2 == 1 for j in range(1, lam.m + 1))
+
+
+def test_public_string_tests_validate_their_input():
+    # vertex (3, 4) has determinant 2; the search hands its leaves to a
+    # core that skips this check, the public entry points keep it
+    singular = CharMatrix([[1, 0, 1, 0], [0, 1, 0, 2]])
+    for test in (is_spin, is_string, string_verdict):
+        with pytest.raises(StringCheckError):
+            test(polygon(4), singular)
+        with pytest.raises(CharMatrixError):
+            test(polygon(5), singular)
 
 
 # ---------------------------------------------------------------------------
