@@ -30,14 +30,14 @@ from .smallcover import (
     validate_mod2,
 )
 from .stringcheck import (
+    _cube_closed_form,
+    _cube_normal_form,
+    _polygon_closed_form,
+    _prism_closed_form,
+    _prism_normal_form,
     cube_basis,
-    cube_closed_form,
-    cube_normal_form,
     is_spin,
-    polygon_closed_form,
     prism_basis,
-    prism_closed_form,
-    prism_normal_form,
     refined_pair,
     string_verdict,
 )
@@ -138,19 +138,23 @@ def _cmd_classes(args) -> int:
     return 0
 
 
-def _closed_form_coefficients(p: SimplePolytope, lam: CharMatrix):
+def _closed_form_coefficients(p: SimplePolytope, lam: CharMatrix, rl: CharMatrix):
     """Family-specific p_1 coefficients when the labeling matches one of
-    the shapes with a closed form; None otherwise."""
+    the shapes with a closed form; None otherwise.
+
+    lam is the matrix as read and rl the same pair refined; string_verdict
+    has validated both, so the closed-form cores do not validate again.
+    """
     n, m = p.dim, p.num_facets
     if n == 2 and p.vertices == polygon(m).vertices:
-        _ls, total = polygon_closed_form(lam)
+        _ls, total = _polygon_closed_form(lam)
         return [{"monomial": [1, 2], "coeff": total}]
     if n >= 2 and m == 2 * n and p.vertices == cube(n).vertices:
-        c = cube_closed_form(n, cube_normal_form(n, lam))
+        c = _cube_closed_form(n, _cube_normal_form(p, n, rl))
         return [{"monomial": list(b), "coeff": c[b]} for b in cube_basis(n)]
     if n == 3 and m >= 6 and m % 2 == 0 and p.vertices == prism(m - 2).vertices:
         k = (m - 2) // 2
-        c = prism_closed_form(k, prism_normal_form(k, lam))
+        c = _prism_closed_form(k, _prism_normal_form(p, k, rl))
         return [{"monomial": list(b), "coeff": c[b]} for b in prism_basis(k)]
     return None
 
@@ -159,7 +163,7 @@ def _cmd_check_string(args) -> int:
     p = _load_polytope(args.polytope)
     lam = _load_matrix(args.matrix)
     verdict = string_verdict(p, lam)
-    closed = _closed_form_coefficients(p, lam)
+    closed = _closed_form_coefficients(p, lam, verdict.refined)
     if closed is not None:
         method, coefficients = "closed-form", closed
     else:

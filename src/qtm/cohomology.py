@@ -14,6 +14,18 @@ soft result.  The factors are read off the relation HNF when its
 pivots are all 1, with the Smith form as the fallback; the same HNF
 then decides membership in the relation lattice.
 
+Coefficients in a monomial basis go through the quotient map
+q: Z^N -> Z^h2 (N generators), built once per presentation on first use
+by `quotient_map`.  The HNF with transform U of the transposed N x |R|
+relation matrix is certified to have rank |R| and unit pivots; for a
+full-column-rank matrix the product of the HNF pivots is the gcd of its
+maximal minors, so this holds exactly when every invariant factor is 1,
+with no Smith fallback.  Rows |R|..N-1 of U then define q: it is onto
+and its kernel is exactly the relation lattice, so
+Z^N / (relations + span e_S) = Z^h2 / span q(e_S) for any monomial set
+S, and `greedy_basis` and `reduce_to_basis` work on the small images
+q(e_g) instead of the relation stack.
+
 Degree-4 classes are sparse dicts {(i, j): coefficient} with i <= j
 both free; degree-2 classes are dicts {i: coefficient}.
 """
@@ -60,6 +72,7 @@ class DegreeFourPresentation:
     quotient_rank: int
     _gen_index: dict = field(repr=False)
     _hnf: intlin.HermiteForm | None = field(default=None, repr=False)
+    _qmap: tuple | None = field(default=None, repr=False)
 
     def hnf(self) -> intlin.HermiteForm:
         if self._hnf is None:
@@ -186,43 +199,79 @@ def is_zero_in_h4(pres: DegreeFourPresentation, expr: dict) -> bool:
     return ans
 
 
+def quotient_map(pres: DegreeFourPresentation) -> tuple:
+    """Images q(e_g) in Z^h2 of the generators, in generator order.
+
+    q is onto and its kernel is exactly the relation lattice.  Computed
+    on first use and cached on the presentation; raises unless the
+    transposed relation matrix has full rank with unit HNF pivots.
+    """
+    if pres._qmap is None:
+        nrel = len(pres.relations)
+        h, u = intlin.hermite_form_with_transform(
+            _as_columns(pres.relations, len(pres.generators))
+        )
+        if not _full_unit_pivots(h, nrel):
+            raise CohomologyError(
+                f"relation lattice is not a rank-{nrel} direct summand: "
+                f"transposed HNF pivots {[p for _, p in h.pivots]}"
+            )
+        # row g of the transposed bottom block of U is q(e_g)
+        images = _as_columns(u[nrel:], len(pres.generators))
+        pres._qmap = tuple(tuple(img) for img in images)
+    return pres._qmap
+
+
+def _full_unit_pivots(h: intlin.HermiteForm, k: int) -> bool:
+    """For an HNF of a matrix with k columns: rank k and every pivot 1,
+    i.e. the columns span a rank-k direct summand."""
+    return h.rank == k and all(p == 1 for _, p in h.pivots)
+
+
+def _as_columns(vectors: list, d: int) -> list[list[int]]:
+    """The d x k matrix whose columns are the k vectors of length d;
+    it keeps its d rows when k is 0."""
+    return [[v[i] for v in vectors] for i in range(d)]
+
+
 def reduce_to_basis(pres: DegreeFourPresentation, expr: dict, basis) -> list[int]:
     """Integer coefficients of expr on basis monomials, modulo relations.
 
     basis may be partial; it must be independent of the relations and
     span a direct summand (checked), and expr must lie in its span.
+    Both are decided in the quotient: the images Q_S of the basis under
+    `quotient_map` must have a transposed HNF of full rank with unit
+    pivots, and then the transform of that HNF carries q(expr) to its
+    coefficients c, the solution of c . Q_S = q(expr).
     """
     basis = [tuple(b) for b in basis]
-    stack = [list(r) for r in pres.relations]
     for b in basis:
-        row = [0] * len(pres.generators)
         if b not in pres._gen_index:
             raise CohomologyError(f"{b} is not a generator monomial")
-        row[pres._gen_index[b]] = 1
-        stack.append(row)
-    h, u = intlin.hermite_form_with_transform(stack)
-    factors = intlin.certified_invariant_factors(stack, h)
-    if len(factors) != len(stack) or any(f != 1 for f in factors):
+    q = quotient_map(pres)
+    d = pres.quotient_rank
+    k = len(basis)
+    h, u = intlin.hermite_form_with_transform(
+        _as_columns([q[pres._gen_index[b]] for b in basis], d)
+    )
+    if not _full_unit_pivots(h, k):
         raise CohomologyError(
             f"basis {basis} is not independent and primitive over the relations"
         )
     vec = pres.to_vector(expr)
-    mult = [0] * h.rank
-    v = list(vec)
-    for t, (row, (c, piv)) in enumerate(zip(h.rows, h.pivots)):
-        if v[c] % piv:
-            raise CohomologyError("expression is not integral over the basis")
-        q = v[c] // piv
-        mult[t] = q
-        if q:
-            v = [x - q * y for x, y in zip(v, row)]
-    if any(v):
+    if any(x % 1 for x in vec):
+        raise CohomologyError("expression is not integral over the basis")
+    target = [0] * d
+    for x, img in zip(vec, q):
+        if x:
+            target = [t + x * y for t, y in zip(target, img)]
+    # unit pivots leave nothing above them, so U @ Q_S^T = [I_k; 0]: the
+    # target lies in the span exactly when U @ target vanishes below
+    # row k, and its first k entries are the coefficients
+    y = intlin.mat_vec(u, target)
+    if any(y[k:]):
         raise CohomologyError("expression is outside the span of the basis")
-    nrel = len(pres.relations)
-    coeffs = []
-    for k in range(len(basis)):
-        coeffs.append(sum(mult[t] * u[t][nrel + k] for t in range(h.rank)))
-    return coeffs
+    return y[:k]
 
 
 def greedy_basis(pres: DegreeFourPresentation) -> tuple:
@@ -230,23 +279,22 @@ def greedy_basis(pres: DegreeFourPresentation) -> tuple:
 
     Walks the generators in order, keeping a monomial whenever the
     relations plus the kept unit rows still form a direct summand with
-    all invariant factors 1.
+    all invariant factors 1.  That is decided in the quotient: the kept
+    images under `quotient_map` plus the new one must have a transposed
+    HNF of full rank with unit pivots.
     """
+    q = quotient_map(pres)
+    d = pres.quotient_rank
     chosen: list[tuple] = []
-    rows = [list(r) for r in pres.relations]
-    for g in pres.generators:
-        if len(chosen) == pres.quotient_rank:
+    images: list[tuple] = []
+    for g, img in zip(pres.generators, q):
+        if len(chosen) == d:
             break
-        row = [0] * len(pres.generators)
-        row[pres._gen_index[g]] = 1
-        cand = rows + [row]
-        h = intlin.hermite_form(cand)
-        if h.rank != len(cand):
+        cand = images + [img]
+        if not _full_unit_pivots(intlin.hermite_form(_as_columns(cand, d)), len(cand)):
             continue
-        if any(f != 1 for f in intlin.certified_invariant_factors(cand, h)):
-            continue
-        rows = cand
+        images = cand
         chosen.append(g)
-    if len(chosen) != pres.quotient_rank:
+    if len(chosen) != d:
         raise CohomologyError("no monomial basis extends the relations")
     return tuple(chosen)

@@ -43,10 +43,6 @@ def mat_vec(a: list[list[int]], v: list[int]) -> list[int]:
     return [sum(x * y for x, y in zip(row, v)) for row in a]
 
 
-def transpose(rows: list[list[int]]) -> list[list[int]]:
-    return [list(col) for col in zip(*rows)]
-
-
 def det(rows: list[list[int]]) -> int:
     """Determinant of a square integer matrix (Bareiss algorithm)."""
     n = len(rows)

@@ -39,7 +39,7 @@ class SimplePolytope:
 
     __slots__ = ("dim", "num_facets", "vertices", "name", "_vmasks", "_vmask_set",
                  "_face_cache", "_edges", "_nonface_pairs", "_auts", "_degrees",
-                 "_face_counts")
+                 "_face_counts", "_h_vector")
 
     def __init__(self, dim: int, num_facets: int, vertices, name: str = ""):
         n, m = dim, num_facets
@@ -80,6 +80,7 @@ class SimplePolytope:
         self._auts = None
         self._degrees = None
         self._face_counts = None
+        self._h_vector = None
 
     # -- basic queries ------------------------------------------------------
 
@@ -169,7 +170,12 @@ class SimplePolytope:
         return tuple(c[self.dim - i] for i in range(self.dim))
 
     def h_vector(self) -> tuple[int, ...]:
-        """(h_0, ..., h_n) from expanding sum_j c_j (s-1)^(n-j)."""
+        """(h_0, ..., h_n) from expanding sum_j c_j (s-1)^(n-j).
+
+        Cached once known to be palindromic; otherwise every call raises.
+        """
+        if self._h_vector is not None:
+            return self._h_vector
         n = self.dim
         c = self.face_counts()
         poly = [0] * (n + 1)  # coefficients of s^0..s^n
@@ -184,6 +190,7 @@ class SimplePolytope:
         h = tuple(poly[n - k] for k in range(n + 1))
         if any(x != h[len(h) - 1 - i] for i, x in enumerate(h)):
             raise PolytopeError(f"h-vector {h} is not palindromic")
+        self._h_vector = h
         return h
 
     # -- automorphisms and isomorphisms --------------------------------------

@@ -11,14 +11,16 @@ coefficients in a fixed monomial basis are explicit polynomials in the
 matrix entries.  Each closed form validates the expected labeling and
 normalization up front so it cannot be applied to a mislabeled
 polytope; the general engine stays the source of truth and the test
-suite pins every family against it.
+suite pins every family against it.  The polygon, prism and cube forms
+have private cores that skip the validation, for pairs the caller has
+already validated (check-string, after string_verdict).
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from .charmat import CharMatrix, ColumnSignFlip, refine, transform, validate
+from .charmat import CharMatrix, refine, validate
 from .cohomology import (
     DegreeFourPresentation,
     is_zero_in_h4,
@@ -103,10 +105,9 @@ class ClosedFormContext:
         the three minors of it and its two neighbors
     """
 
-    __slots__ = ("family", "lam", "minor_rows", "_rho", "_rho_pair", "_d2", "_d3")
+    __slots__ = ("lam", "minor_rows", "_rho", "_rho_pair", "_d2", "_d3")
 
-    def __init__(self, family: str, lam: CharMatrix, minor_rows=(1, 2)):
-        self.family = family
+    def __init__(self, lam: CharMatrix, minor_rows=(1, 2)):
         self.lam = lam
         self.minor_rows = minor_rows
         self._rho: dict = {}
@@ -171,13 +172,20 @@ def _require_units(lam: CharMatrix, units, family: str) -> None:
             )
 
 
-def _flip_units(p: SimplePolytope, lam: CharMatrix, units) -> CharMatrix:
+def _flip_units(lam: CharMatrix, units) -> CharMatrix:
+    """Sign-flip columns so each listed unit entry is +1.
+
+    A column sign flip keeps every vertex determinant a unit, so the
+    result is not validated again.  The unit columns are free columns of
+    the refinement vertex, so refined_at carries over.
+    """
     for r, c in units:
         e = lam.entry(r, c)
         if abs(e) != 1:
             raise StringCheckError(f"entry ({r},{c}) = {e} should be a unit")
         if e == -1:
-            lam = transform(p, lam, ColumnSignFlip(c))
+            rows = [[-x if j == c - 1 else x for j, x in enumerate(row)] for row in lam.rows]
+            lam = CharMatrix(rows, refined_at=lam.refined_at)
     return lam
 
 
@@ -194,10 +202,14 @@ def polygon_closed_form(lam: CharMatrix):
     """
     if lam.n != 2:
         raise StringCheckError("polygon closed form needs a 2-row matrix")
+    _checked(polygon(lam.m), lam)
+    return _polygon_closed_form(lam)
+
+
+def _polygon_closed_form(lam: CharMatrix):
+    """polygon_closed_form for a pair already valid over the m-gon."""
     m = lam.m
-    _checked(polygon(m), lam)
-    ctx = ClosedFormContext("polygon", lam)
-    l = ctx.cycle_l(tuple(range(1, m + 1)))
+    l = ClosedFormContext(lam).cycle_l(tuple(range(1, m + 1)))
     ls = [l[i] for i in range(1, m + 1)]
     return ls, sum(ls)
 
@@ -215,8 +227,13 @@ def prism_normal_form(k: int, lam: CharMatrix) -> CharMatrix:
     """Refine at the top vertex {1,2,3} and sign-normalize the units."""
     p = prism(2 * k)
     _checked(p, lam)
+    return _prism_normal_form(p, k, lam)
+
+
+def _prism_normal_form(p: SimplePolytope, k: int, lam: CharMatrix) -> CharMatrix:
+    """prism_normal_form for a pair already valid over p = prism(2k)."""
     rl = refine(p, lam, (1, 2, 3))
-    return _flip_units(p, rl, ((2, 4), (3, 2 * k + 1), (1, 2 * k + 2)))
+    return _flip_units(rl, ((2, 4), (3, 2 * k + 1), (1, 2 * k + 2)))
 
 
 def prism_closed_form(k: int, lam: CharMatrix) -> dict:
@@ -235,8 +252,13 @@ def prism_closed_form(k: int, lam: CharMatrix) -> dict:
     _checked(prism(2 * k), lam)
     _require_refined_at(lam, (1, 2, 3), "prism")
     _require_units(lam, ((2, 4), (3, m - 1), (1, m)), "prism")
+    return _prism_closed_form(k, lam)
 
-    ctx = ClosedFormContext("prism", lam, minor_rows=(2, 3))
+
+def _prism_closed_form(k: int, lam: CharMatrix) -> dict:
+    """prism_closed_form for a pair already valid and in prism normal form."""
+    m = 2 * k + 2
+    ctx = ClosedFormContext(lam, minor_rows=(2, 3))
     sides = tuple(range(2, m))
 
     def w(x):  # wrap a side subscript into 2..2k+1
@@ -287,6 +309,11 @@ def prism_basis(k: int) -> tuple:
 def cube_normal_form(n: int, lam: CharMatrix) -> CharMatrix:
     p = cube(n)
     _checked(p, lam)
+    return _cube_normal_form(p, n, lam)
+
+
+def _cube_normal_form(p: SimplePolytope, n: int, lam: CharMatrix) -> CharMatrix:
+    """cube_normal_form for a pair already valid over p = cube(n)."""
     return refine(p, lam, tuple(range(1, n + 1)))
 
 
@@ -297,7 +324,12 @@ def cube_closed_form(n: int, lam: CharMatrix) -> dict:
         raise StringCheckError(f"expected an {n}x{2 * n} matrix, got {lam.n}x{lam.m}")
     _checked(cube(n), lam)
     _require_refined_at(lam, tuple(range(1, n + 1)), "cube")
-    ctx = ClosedFormContext("cube", lam)
+    return _cube_closed_form(n, lam)
+
+
+def _cube_closed_form(n: int, lam: CharMatrix) -> dict:
+    """cube_closed_form for a pair already valid and refined at {1..n}."""
+    ctx = ClosedFormContext(lam)
     e = lam.entry
     c = {}
     for i in range(n + 1, 2 * n + 1):
@@ -338,7 +370,7 @@ def pent_prism_normal_form(n: int, lam: CharMatrix) -> CharMatrix:
     _checked(p, lam)
     vertex = tuple(sorted((1, 2) + tuple(range(6, n + 4))))
     rl = refine(p, lam, vertex)
-    return _flip_units(p, rl, pent_prism_units(n))
+    return _flip_units(rl, pent_prism_units(n))
 
 
 def pent_prism_closed_form(n: int, lam: CharMatrix) -> dict:
@@ -357,7 +389,7 @@ def pent_prism_closed_form(n: int, lam: CharMatrix) -> dict:
     _require_refined_at(lam, vertex, "pentagon prism")
     _require_units(lam, pent_prism_units(n), "pentagon prism")
 
-    ctx = ClosedFormContext("pent_prism", lam)
+    ctx = ClosedFormContext(lam)
     pent = (1, 2, 3, 4, 5)
     l = ctx.cycle_l(pent)
 
@@ -421,7 +453,7 @@ def q_prism_normal_form(n: int, lam: CharMatrix) -> CharMatrix:
     _checked(p, lam)
     vertex = tuple(sorted((1, 2, 3) + tuple(range(9, n + 6))))
     rl = refine(p, lam, vertex)
-    return _flip_units(p, rl, q_prism_units(n))
+    return _flip_units(rl, q_prism_units(n))
 
 
 def q_prism_closed_form(n: int, lam: CharMatrix) -> dict:
@@ -441,7 +473,7 @@ def q_prism_closed_form(n: int, lam: CharMatrix) -> dict:
     _require_refined_at(lam, vertex, "Q prism")
     _require_units(lam, q_prism_units(n), "Q prism")
 
-    ctx = ClosedFormContext("q_prism", lam)
+    ctx = ClosedFormContext(lam)
     g = Q_ADJACENCY_CYCLES
 
     def gv(i, t):  # cycle position t (1-based, wrapped) around facet i

@@ -10,8 +10,10 @@ import json
 
 import pytest
 
+from qtm import charmat, polytope, stringcheck
+from qtm.charmat import CharMatrix
 from qtm.cli import main
-from qtm.polytope import connected_sum, cube, polygon, product
+from qtm.polytope import connected_sum, cube, polygon, prism, product
 
 
 def _write(tmp_path, name, obj):
@@ -163,6 +165,62 @@ def test_check_string_general_method_off_family(tmp_path, capsys):
         {"monomial": [3, 6], "coeff": 0},
         {"monomial": [6, 6], "coeff": 3},
     ]
+
+
+# scrambled (unrefined, sign-flipped) inputs to the three closed forms
+CLOSED_FORM_REQUESTS = {
+    "polygon": (polygon(5), [[1, 0, -1, -1, 0], [0, 1, 1, 0, -1]]),
+    "cube": (cube(3), [[1, 1, 0, -1, 1, 0], [0, 1, 0, 0, -1, 0], [0, 0, 1, 0, 0, 1]]),
+    # the hexagonal-prism string pair with columns 2, 4 and 8 negated
+    # and row 2 added to row 1: its normal form flips column 8 back
+    "prism": (prism(6), [
+        [1, -1, 0, -2, 0, 1, 0, -1],
+        [0, -1, 0, -1, 0, 1, 0, 0],
+        [0, 0, 1, -1, 1, 0, 1, -2],
+    ]),
+}
+
+
+def _closed_form_reference(family, p, rows):
+    lam = CharMatrix(rows)
+    if family == "polygon":
+        return [{"monomial": [1, 2], "coeff": stringcheck.polygon_closed_form(lam)[1]}]
+    if family == "cube":
+        c = stringcheck.cube_closed_form(3, stringcheck.cube_normal_form(3, lam))
+        return [{"monomial": list(b), "coeff": c[b]} for b in stringcheck.cube_basis(3)]
+    c = stringcheck.prism_closed_form(3, stringcheck.prism_normal_form(3, lam))
+    return [{"monomial": list(b), "coeff": c[b]} for b in stringcheck.prism_basis(3)]
+
+
+@pytest.mark.parametrize("family", sorted(CLOSED_FORM_REQUESTS))
+def test_check_string_closed_form_validates_once(tmp_path, capsys, monkeypatch, family):
+    p, rows = CLOSED_FORM_REQUESTS[family]
+    expected = _closed_form_reference(family, p, rows)
+    pf = _write(tmp_path, "p.json", p.to_dict())
+    mf = _write(tmp_path, "m.json", {"rows": rows})
+    calls = {"validate": 0, "polytope": 0}
+    validate = charmat.validate
+
+    def counting_validate(*args):
+        calls["validate"] += 1
+        return validate(*args)
+
+    init = polytope.SimplePolytope.__init__
+
+    def counting_init(self, *args, **kwargs):
+        calls["polytope"] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(stringcheck, "validate", counting_validate)
+    monkeypatch.setattr(charmat, "validate", counting_validate)
+    monkeypatch.setattr(polytope.SimplePolytope, "__init__", counting_init)
+    code, d = _run(capsys, ["check-string", "-p", pf, "-m", mf])
+    assert code in (0, 1)
+    assert d["method"] == "closed-form"
+    assert d["coefficients"] == expected
+    # one validation in string_verdict; one polytope read from the file
+    # and one built to compare its labeling with the family's
+    assert calls == {"validate": 1, "polytope": 2}
 
 
 def test_enumerate_square_string(tmp_path, capsys):

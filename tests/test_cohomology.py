@@ -4,23 +4,30 @@ Hand-worked expectations are spelled out next to each assertion; the
 2x3 and 2x4 cases are small enough to expand on paper.
 """
 
+import functools
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qtm import intlin
-from qtm.charmat import CharMatrix, RowBasisChange, transform, refine
+from qtm.charmat import CharMatrix, ColumnSignFlip, RowBasisChange, transform, refine
 from qtm.cohomology import (
     CohomologyError,
+    DegreeFourPresentation,
     face_summary,
     greedy_basis,
     is_zero_in_h4,
     p1_vector,
     presentation_deg4,
+    quotient_map,
     reduce_to_basis,
     w2_vector,
 )
-from qtm.polytope import cube, polygon, q_polytope, simplex
+from qtm.harness import SearchSpec, enumerate_matrices
+from qtm.polytope import SimplePolytope, cube, polygon, prism, product, q_polytope, simplex
+from qtm.stringcheck import q_prism_polytope, refined_pair
 
 TRIANGLE = simplex(2)
 SQUARE = polygon(4)
@@ -149,3 +156,250 @@ def test_presentation_keeps_its_certifying_hnf():
     assert pres._hnf is not None
     assert pres.hnf() is pres._hnf
     assert pres.hnf().rows == intlin.hermite_form(pres.relations).rows
+
+
+# ---------------------------------------------------------------------------
+# the quotient map and the coefficient path built on it
+
+
+def _hand_presentation(relations):
+    gens = ((1, 1), (1, 2))
+    return DegreeFourPresentation(
+        free=(1, 2),
+        generators=gens,
+        relations=relations,
+        relation_pairs=((1, 2),) * len(relations),
+        invariant_factors=[1] * len(relations),
+        quotient_rank=len(gens) - len(relations),
+        _gen_index={g: k for k, g in enumerate(gens)},
+    )
+
+
+def test_quotient_map_certificate():
+    # 2 v1^2 = 0 leaves 2-torsion: the transposed HNF pivot is 2
+    with pytest.raises(CohomologyError):
+        quotient_map(_hand_presentation([[2, 0]]))
+    # (2, 3) is primitive although its row HNF pivot is 2: the
+    # transposed HNF has pivot gcd(2, 3) = 1
+    pres = _hand_presentation([[2, 3]])
+    (a,), (b,) = quotient_map(pres)
+    assert 2 * a + 3 * b == 0 and abs(a) == 3 and abs(b) == 2
+    assert quotient_map(pres) is quotient_map(pres)
+
+
+def test_quotient_map_kernel_is_the_relation_lattice():
+    for lam in (cube_family(0, 0), cube_family(1, 1), cube_family(-2, 3)):
+        pres = presentation_deg4(CUBE3, lam)
+        assert pres._qmap is None
+        q = quotient_map(pres)
+        assert pres._qmap is q
+        assert len(q) == len(pres.generators)
+        for rel in pres.relations:
+            assert all(sum(x * img[i] for x, img in zip(rel, q)) == 0 for i in range(3))
+        # onto Z^h2: the images have a unit-pivot HNF of full rank
+        h = intlin.hermite_form([list(img) for img in q])
+        assert h.rank == 3 and all(p == 1 for _, p in h.pivots)
+
+
+def test_reduce_on_the_triangle_identity_quotient():
+    lam = CharMatrix([[1, 0, 1], [0, 1, 1]], refined_at=(1, 2))
+    pres = presentation_deg4(TRIANGLE, lam)
+    assert quotient_map(pres) == ((1,),)
+    assert greedy_basis(pres) == ((3, 3),)
+    assert reduce_to_basis(pres, {(3, 3): -5}, [(3, 3)]) == [-5]
+    assert reduce_to_basis(pres, {}, []) == []
+    with pytest.raises(CohomologyError):
+        reduce_to_basis(pres, {(3, 3): 1}, [])
+
+
+def test_reduce_partial_and_empty_basis():
+    pres = presentation_deg4(CUBE3, cube_family(0, 0))
+    assert pres.quotient_rank == 3
+    assert reduce_to_basis(pres, {(4, 5): 2}, [(4, 5)]) == [2]
+    assert reduce_to_basis(pres, {(4, 5): 2, (5, 6): -1}, [(5, 6), (4, 5)]) == [-1, 2]
+    with pytest.raises(CohomologyError):
+        reduce_to_basis(pres, {(4, 6): 1}, [(4, 5)])
+    # relations reduce to nothing over the empty basis; anything else
+    # is outside its span
+    rel = dict(zip(pres.generators, pres.relations[0]))
+    assert reduce_to_basis(pres, rel, []) == []
+    assert reduce_to_basis(pres, p1_vector(CUBE3, cube_family(0, 0)), []) == []
+    with pytest.raises(CohomologyError):
+        reduce_to_basis(pres, {(4, 5): 1}, [])
+
+
+def test_reduce_keeps_its_errors():
+    pres = presentation_deg4(CUBE3, cube_family(0, 0))
+    with pytest.raises(CohomologyError, match="not a generator"):
+        reduce_to_basis(pres, {(4, 5): 1}, [(1, 1)])
+    with pytest.raises(CohomologyError, match="not independent"):
+        reduce_to_basis(pres, {(4, 5): 1}, [(4, 5), (4, 5)])
+    with pytest.raises(CohomologyError, match="not integral"):
+        reduce_to_basis(pres, {(4, 5): Fraction(1, 2)}, [(4, 5)])
+    with pytest.raises(CohomologyError, match="outside the span"):
+        reduce_to_basis(pres, {(5, 6): 1}, [(4, 5)])
+    with pytest.raises(CohomologyError, match="non-free"):
+        reduce_to_basis(pres, {(1, 4): 1}, [(4, 5)])
+
+
+# The stack-HNF versions the quotient map replaced: each stacks the
+# relations with unit rows and reduces the whole stack.
+
+
+def _stack_greedy_basis(pres):
+    chosen = []
+    rows = [list(r) for r in pres.relations]
+    for g in pres.generators:
+        if len(chosen) == pres.quotient_rank:
+            break
+        row = [0] * len(pres.generators)
+        row[pres._gen_index[g]] = 1
+        cand = rows + [row]
+        h = intlin.hermite_form(cand)
+        if h.rank != len(cand):
+            continue
+        if any(f != 1 for f in intlin.certified_invariant_factors(cand, h)):
+            continue
+        rows = cand
+        chosen.append(g)
+    if len(chosen) != pres.quotient_rank:
+        raise CohomologyError("no monomial basis extends the relations")
+    return tuple(chosen)
+
+
+def _stack_reduce_to_basis(pres, expr, basis):
+    basis = [tuple(b) for b in basis]
+    stack = [list(r) for r in pres.relations]
+    for b in basis:
+        row = [0] * len(pres.generators)
+        if b not in pres._gen_index:
+            raise CohomologyError(f"{b} is not a generator monomial")
+        row[pres._gen_index[b]] = 1
+        stack.append(row)
+    h, u = intlin.hermite_form_with_transform(stack)
+    factors = intlin.certified_invariant_factors(stack, h)
+    if len(factors) != len(stack) or any(f != 1 for f in factors):
+        raise CohomologyError("basis is not independent and primitive")
+    v = pres.to_vector(expr)
+    mult = [0] * h.rank
+    for t, (row, (c, piv)) in enumerate(zip(h.rows, h.pivots)):
+        if v[c] % piv:
+            raise CohomologyError("expression is not integral over the basis")
+        q = v[c] // piv
+        mult[t] = q
+        if q:
+            v = [x - q * y for x, y in zip(v, row)]
+    if any(v):
+        raise CohomologyError("expression is outside the span of the basis")
+    nrel = len(pres.relations)
+    return [sum(mult[t] * u[t][nrel + k] for t in range(h.rank)) for k in range(len(basis))]
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except CohomologyError:
+        return CohomologyError
+
+
+def _c45_pair():
+    base = product(polygon(4), polygon(5))
+    relabel = {1: 1, 2: 2, 3: 5, 4: 6, 5: 3, 6: 4, 7: 7, 8: 8, 9: 9}
+    p = SimplePolytope(4, 9, [tuple(sorted(relabel[f] for f in v)) for v in base.vertices])
+    lam = CharMatrix([
+        [1, 0, 0, 0, 1, 0, 0, 1, 0],
+        [0, 1, 0, 0, 0, 1, 2, 2, 2],
+        [0, 0, 1, 0, 0, 0, 1, 1, 0],
+        [0, 0, 0, 1, 0, 0, 0, 1, 1],
+    ])
+    return p, lam
+
+
+def _q_times_square_pair():
+    return q_prism_polytope(5), CharMatrix([
+        [1, 0, 0, 0, 0, 1, 1, 1, 0, 0, 0, 0],
+        [0, 1, 0, 1, 0, 0, 1, 0, 0, 0, 0, 0],
+        [0, 0, 1, 0, 1, 0, 0, 1, 0, 0, 0, 0],
+        [0, 0, 0, 2, 0, 2, 2, 0, 1, 0, 1, 0],
+        [0, 0, 0, 0, 2, 2, 1, 3, 0, 1, 0, 1],
+    ])
+
+
+@functools.lru_cache(maxsize=None)
+def _search_pairs(searches):
+    pairs = []
+    for p, bound, filt in searches:
+        survivors, _stats = enumerate_matrices(SearchSpec(p, bound, "signs", filt))
+        pairs.extend((p, lam) for lam in survivors)
+    return tuple(pairs)
+
+
+DIFFERENTIAL_SEARCHES = (
+    (polygon(5), 2, "valid"),
+    (polygon(6), 2, "valid"),
+    (cube(3), 2, "valid"),
+    (prism(4), 1, "valid"),
+    (polygon(7), 1, "valid"),
+    (prism(6), 1, "spin"),
+)
+
+
+def _random_basis_and_expr(pres, rng):
+    """A generator subset (repeats allowed) and a combination of some
+    generators and relations, for comparing partial-basis outcomes."""
+    gens = pres.generators
+    basis = [rng.choice(gens) for _ in range(rng.randint(0, pres.quotient_rank + 1))]
+    expr: dict = {}
+    for b in rng.sample(gens, rng.randint(0, min(3, len(gens)))):
+        expr[b] = expr.get(b, 0) + rng.randint(-3, 3)
+    for rel in pres.relations:
+        c = rng.randint(-1, 1)
+        for g, x in zip(gens, rel):
+            if c and x:
+                expr[g] = expr.get(g, 0) + c * x
+    return basis, expr
+
+
+def test_coefficients_match_the_stack_hnf_versions():
+    pairs = list(_search_pairs(DIFFERENTIAL_SEARCHES)) + [_q_times_square_pair(), _c45_pair()]
+    assert len(pairs) == 578
+    rng = random.Random(404)
+    for p, lam in pairs:
+        rl = refined_pair(p, lam)
+        pres = presentation_deg4(p, rl)
+        basis = greedy_basis(pres)
+        assert basis == _stack_greedy_basis(pres)
+        p1 = p1_vector(p, rl)
+        assert reduce_to_basis(pres, p1, basis) == _stack_reduce_to_basis(pres, p1, basis)
+        partial, expr = _random_basis_and_expr(pres, rng)
+        assert _outcome(reduce_to_basis, pres, expr, partial) == _outcome(
+            _stack_reduce_to_basis, pres, expr, partial
+        )
+
+
+HYPOTHESIS_SEARCHES = (
+    (polygon(5), 2, "valid"),
+    (cube(3), 1, "valid"),
+    (prism(4), 1, "valid"),
+    (product(polygon(3), polygon(4)), 1, "valid"),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_coefficients_match_the_stack_hnf_versions_on_random_pairs(data):
+    pairs = _search_pairs(HYPOTHESIS_SEARCHES)
+    p, lam = data.draw(st.sampled_from(pairs))
+    for j in data.draw(st.sets(st.integers(1, p.num_facets))):
+        lam = transform(p, lam, ColumnSignFlip(j))
+    rl = refine(p, lam, data.draw(st.sampled_from(p.vertices)))
+    pres = presentation_deg4(p, rl)
+    assert greedy_basis(pres) == _stack_greedy_basis(pres)
+    p1 = p1_vector(p, rl)
+    basis = greedy_basis(pres)
+    assert reduce_to_basis(pres, p1, basis) == _stack_reduce_to_basis(pres, p1, basis)
+    rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
+    partial, expr = _random_basis_and_expr(pres, rng)
+    assert _outcome(reduce_to_basis, pres, expr, partial) == _outcome(
+        _stack_reduce_to_basis, pres, expr, partial
+    )

@@ -126,6 +126,20 @@ def test_euler_and_h_sum():
         assert p.h_vector()[1] == p.num_facets - p.dim
 
 
+def test_h_vector_is_cached_only_when_palindromic():
+    p = prism(5)
+    assert p.h_vector() is p.h_vector()
+    # the 7-vertex torus passes the ridge check, but its h-vector
+    # (1, 4, 10, -1) is not palindromic: every call raises
+    torus = SimplePolytope(3, 7, [
+        tuple(sorted((i + d) % 7 + 1 for d in shape))
+        for i in range(7) for shape in ((0, 1, 3), (0, 2, 3))
+    ])
+    for _ in range(2):
+        with pytest.raises(PolytopeError, match="palindromic"):
+            torus.h_vector()
+
+
 def test_q_polytope():
     q = q_polytope()
     assert q.facet_degrees == (4, 5, 5, 5, 4, 4, 4, 5)

@@ -150,6 +150,35 @@ def test_public_string_tests_validate_their_input():
             test(polygon(5), singular)
 
 
+def test_public_closed_forms_validate_their_input():
+    # check-string hands these pairs, already validated, to private
+    # cores; the public entry points keep their own check
+    def broken(lam, j, column):
+        rows = [list(r) for r in lam.rows]
+        for i, x in enumerate(column):
+            rows[i][j - 1] = x
+        return CharMatrix(rows, refined_at=lam.refined_at)
+
+    pent = CharMatrix([[1, 0, -1, -1, 1], [0, 1, 1, 0, 2]])
+    assert not validate(polygon(5), pent)[0]
+    with pytest.raises(StringCheckError):
+        polygon_closed_form(pent)
+
+    bad_prism = broken(HEX_PRISM_LAM, 6, (0, 2, 0))
+    assert not validate(prism(6), bad_prism)[0]
+    with pytest.raises(StringCheckError):
+        prism_normal_form(3, bad_prism)
+    with pytest.raises(StringCheckError, match="not characteristic"):
+        prism_closed_form(3, bad_prism)
+
+    bad_cube = broken(cube_seed(3), 4, (2, 0, 0))
+    assert not validate(cube(3), bad_cube)[0]
+    with pytest.raises(StringCheckError):
+        cube_normal_form(3, bad_cube)
+    with pytest.raises(StringCheckError, match="not characteristic"):
+        cube_closed_form(3, bad_cube)
+
+
 # ---------------------------------------------------------------------------
 # cyclic window identities
 
