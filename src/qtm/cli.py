@@ -19,12 +19,13 @@ import json
 import sys
 from pathlib import Path
 
-from .charmat import CharMatrix, validate
+from .charmat import CharMatrix, CharMatrixError, validate
 from .cohomology import greedy_basis, p1_vector, presentation_deg4, reduce_to_basis
 from .harness import ResourceCapExceeded, SearchSpec, enumerate_matrices, verify_claim
-from .polytope import SimplePolytope, cube, polygon, prism, product, q_polytope, simplex
+from .polytope import PolytopeError, SimplePolytope, cube, polygon, prism, product, q_polytope, simplex
 from .smallcover import (
     Mod2CharMatrix,
+    SmallCoverError,
     is_orientable,
     is_string_smallcover,
     validate_mod2,
@@ -50,32 +51,38 @@ class UsageError(ValueError):
 
 def _load_json(path: str) -> dict:
     try:
-        return json.loads(Path(path).read_text())
+        d = json.loads(Path(path).read_text())
     except FileNotFoundError:
         raise UsageError(f"no such file: {path}")
     except json.JSONDecodeError as exc:
         raise UsageError(f"{path} is not valid JSON: {exc}")
+    if not isinstance(d, dict):
+        raise UsageError(f"{path} does not hold a JSON object")
+    return d
+
+
+def _load(path: str, key: str, what: str, from_dict, error):
+    """from_dict of the JSON object in path, which must have `key`; its
+    schema and content errors become usage errors."""
+    d = _load_json(path)
+    if key not in d:
+        raise UsageError(f"{path} is not a {what} file (no \"{key}\")")
+    try:
+        return from_dict(d)
+    except error as exc:
+        raise UsageError(f"{path}: {exc}") from None
 
 
 def _load_polytope(path: str) -> SimplePolytope:
-    d = _load_json(path)
-    if "vertices" not in d:
-        raise UsageError(f"{path} is not a polytope file (no \"vertices\")")
-    return SimplePolytope.from_dict(d)
+    return _load(path, "vertices", "polytope", SimplePolytope.from_dict, PolytopeError)
 
 
 def _load_matrix(path: str) -> CharMatrix:
-    d = _load_json(path)
-    if "rows" not in d:
-        raise UsageError(f"{path} is not a matrix file (no \"rows\")")
-    return CharMatrix.from_dict(d)
+    return _load(path, "rows", "matrix", CharMatrix.from_dict, CharMatrixError)
 
 
 def _load_matrix_mod2(path: str) -> Mod2CharMatrix:
-    d = _load_json(path)
-    if "rows_mod2" not in d:
-        raise UsageError(f"{path} is not a mod-2 matrix file (no \"rows_mod2\")")
-    return Mod2CharMatrix.from_dict(d)
+    return _load(path, "rows_mod2", "mod-2 matrix", Mod2CharMatrix.from_dict, SmallCoverError)
 
 
 def _emit(obj: dict, out: str | None) -> None:

@@ -14,17 +14,22 @@ soft result.  The factors are read off the relation HNF when its
 pivots are all 1, with the Smith form as the fallback; the same HNF
 then decides membership in the relation lattice.
 
-Coefficients in a monomial basis go through the quotient map
-q: Z^N -> Z^h2 (N generators), built once per presentation on first use
-by `quotient_map`.  The HNF with transform U of the transposed N x |R|
-relation matrix is certified to have rank |R| and unit pivots; for a
-full-column-rank matrix the product of the HNF pivots is the gcd of its
-maximal minors, so this holds exactly when every invariant factor is 1,
-with no Smith fallback.  Rows |R|..N-1 of U then define q: it is onto
-and its kernel is exactly the relation lattice, so
-Z^N / (relations + span e_S) = Z^h2 / span q(e_S) for any monomial set
-S, and `greedy_basis` and `reduce_to_basis` work on the small images
-q(e_g) instead of the relation stack.
+Coefficients in a monomial basis go through a quotient map
+q: Z^N -> Z^h2 (N generators) that is onto with kernel exactly the
+relation lattice, built once per presentation on first use by
+`quotient_map`.  Most certifying HNFs have full rank with every pivot 1;
+such an HNF is reduced echelon, so q is read off it: q(e_j) = e_j for
+the non-pivot columns j and q(e_p) = -(row of pivot p) on them.  When
+the row HNF has a larger pivot the lattice may still be a direct
+summand, so q comes from the HNF with transform U of the transposed
+N x |R| relation matrix instead, certified to have rank |R| and unit
+pivots; for a full-column-rank matrix the product of the HNF pivots is
+the gcd of its maximal minors, so this holds exactly when every
+invariant factor is 1, with no Smith fallback.  Rows |R|..N-1 of U then
+define q.  Either way Z^N / (relations + span e_S) = Z^h2 / span q(e_S)
+for any monomial set S, and `greedy_basis` and `reduce_to_basis` work
+on the small images q(e_g) instead of the relation stack; their
+outputs do not depend on which q was built.
 
 Degree-4 classes are sparse dicts {(i, j): coefficient} with i <= j
 both free; degree-2 classes are dicts {i: coefficient}.
@@ -33,6 +38,7 @@ both free; degree-2 classes are dicts {i: coefficient}.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import gcd
 
 from . import intlin
 from .charmat import CharMatrix
@@ -203,28 +209,60 @@ def quotient_map(pres: DegreeFourPresentation) -> tuple:
     """Images q(e_g) in Z^h2 of the generators, in generator order.
 
     q is onto and its kernel is exactly the relation lattice.  Computed
-    on first use and cached on the presentation; raises unless the
-    transposed relation matrix has full rank with unit HNF pivots.
+    on first use and cached on the presentation: read off the
+    certifying row HNF when it has full rank and unit pivots, else from
+    the transposed HNF with transform, raising unless that one has full
+    rank with unit pivots.
     """
     if pres._qmap is None:
-        nrel = len(pres.relations)
-        h, u = intlin.hermite_form_with_transform(
-            _as_columns(pres.relations, len(pres.generators))
-        )
-        if not _full_unit_pivots(h, nrel):
-            raise CohomologyError(
-                f"relation lattice is not a rank-{nrel} direct summand: "
-                f"transposed HNF pivots {[p for _, p in h.pivots]}"
-            )
-        # row g of the transposed bottom block of U is q(e_g)
-        images = _as_columns(u[nrel:], len(pres.generators))
-        pres._qmap = tuple(tuple(img) for img in images)
+        ngen = len(pres.generators)
+        h = pres.hnf()
+        if _full_unit_pivots(h, len(pres.relations)):
+            pres._qmap = _read_off_quotient_map(h, ngen)
+        else:
+            pres._qmap = _transposed_quotient_map(pres.relations, ngen)
     return pres._qmap
 
 
+def _transposed_quotient_map(relations: list, ngen: int) -> tuple:
+    """q from the HNF with transform U of the transposed relations,
+    certified to have full rank with unit pivots."""
+    nrel = len(relations)
+    h, u = intlin.hermite_form_with_transform(_as_columns(relations, ngen))
+    if not _full_unit_pivots(h, nrel):
+        raise CohomologyError(
+            f"relation lattice is not a rank-{nrel} direct summand: "
+            f"transposed HNF pivots {[p for _, p in h.pivots]}"
+        )
+    # row g of the transposed bottom block of U is q(e_g)
+    return tuple(tuple(img) for img in _as_columns(u[nrel:], ngen))
+
+
+def _read_off_quotient_map(h: intlin.HermiteForm, ngen: int) -> tuple:
+    """q from a unit-pivot row HNF h of the relations, reduced echelon
+    since nothing is left above a pivot 1: identity on the non-pivot
+    columns, and each pivot column goes to minus its row there, so
+    every HNF row maps to 0 and q(x) is what is left of x after
+    subtracting x_p times the row of each pivot p."""
+    pivot_row = {c: row for row, (c, _) in zip(h.rows, h.pivots)}
+    rest = [j for j in range(ngen) if j not in pivot_row]
+    unit = {j: t for t, j in enumerate(rest)}
+    images = []
+    for j in range(ngen):
+        row = pivot_row.get(j)
+        if row is None:
+            img = [0] * len(rest)
+            img[unit[j]] = 1
+            images.append(tuple(img))
+        else:
+            images.append(tuple(-row[c] for c in rest))
+    return tuple(images)
+
+
 def _full_unit_pivots(h: intlin.HermiteForm, k: int) -> bool:
-    """For an HNF of a matrix with k columns: rank k and every pivot 1,
-    i.e. the columns span a rank-k direct summand."""
+    """For an HNF of k vectors (the rows, or the columns when they are
+    given as columns): rank k and every pivot 1.  For columns that means
+    exactly that they span a rank-k direct summand."""
     return h.rank == k and all(p == 1 for _, p in h.pivots)
 
 
@@ -279,21 +317,38 @@ def greedy_basis(pres: DegreeFourPresentation) -> tuple:
 
     Walks the generators in order, keeping a monomial whenever the
     relations plus the kept unit rows still form a direct summand with
-    all invariant factors 1.  That is decided in the quotient: the kept
-    images under `quotient_map` plus the new one must have a transposed
-    HNF of full rank with unit pivots.
+    all invariant factors 1.  That is decided in the quotient, where it
+    says the kept images under `quotient_map` plus the new one span a
+    direct summand.  A unimodular u with u @ [kept images] = [I_k; 0]
+    is kept up to date: the new image x qualifies exactly when
+    (u x)[k:] is primitive, i.e. has gcd 1, and then xgcd row steps
+    turn u x into e_k and extend the identity block by one.
     """
     q = quotient_map(pres)
     d = pres.quotient_rank
+    u = intlin.identity(d)
     chosen: list[tuple] = []
-    images: list[tuple] = []
     for g, img in zip(pres.generators, q):
-        if len(chosen) == d:
+        k = len(chosen)
+        if k == d:
             break
-        cand = images + [img]
-        if not _full_unit_pivots(intlin.hermite_form(_as_columns(cand, d)), len(cand)):
+        y = intlin.mat_vec(u, img)
+        if gcd(*y[k:]) != 1:
             continue
-        images = cand
+        # column 0 of work is u x; row steps on work keep u unimodular
+        work = [[yi] + row for yi, row in zip(y, u)]
+        piv = next(i for i in range(k, d) if work[i][0])
+        work[k], work[piv] = work[piv], work[k]
+        for i in range(k + 1, d):
+            if work[i][0]:
+                work[k], work[i] = intlin.xgcd_rows(work[k], work[i], work[k][0], work[i][0])
+        if work[k][0] < 0:
+            work[k] = [-x for x in work[k]]
+        for i in range(k):
+            c = work[i][0]
+            if c:
+                work[i] = [x - c * z for x, z in zip(work[i], work[k])]
+        u = [row[1:] for row in work]
         chosen.append(g)
     if len(chosen) != d:
         raise CohomologyError("no monomial basis extends the relations")

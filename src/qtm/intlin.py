@@ -3,7 +3,8 @@
 Everything here is exact: determinants by fraction-free (Bareiss)
 elimination, row Hermite normal form by xgcd row operations, Smith
 invariant factors (read off a unit-pivot HNF when possible), unimodular
-solves.  Python integers never overflow, so there is no precision
+inverses.  Every elimination over Z takes the same xgcd two-row step,
+`xgcd_rows`.  Python integers never overflow, so there is no precision
 story to worry about.
 
 Matrices are plain lists of row lists.  Nothing here mutates its
@@ -14,6 +15,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
+
+
+def is_int_rows(obj) -> bool:
+    """Is obj a list of lists of ints, bools excluded, as JSON gives a
+    matrix or a vertex list?"""
+    return isinstance(obj, list) and all(
+        isinstance(r, list) and all(type(x) is int for x in r) for r in obj
+    )
 
 
 def copy_rows(rows: list[list[int]]) -> list[list[int]]:
@@ -94,6 +103,26 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
+def xgcd_rows(ra: list[int], rb: list[int], a: int, b: int) -> tuple[list[int], list[int]]:
+    """One unimodular two-row step clearing b against a != 0.
+
+    a and b are the entries of rows ra and rb in the column being
+    cleared.  Returns new rows (ra', rb') spanning the same lattice, with
+    rb' zero in that column and ra' holding +-gcd(a, b) there: ra is kept
+    as it is when a divides b, else ra' = x ra + y rb with a x + b y =
+    gcd(a, b) >= 0.  The one xgcd update of every elimination here.
+    """
+    if b % a == 0:
+        q = b // a
+        return ra, [x - q * y for x, y in zip(rb, ra)]
+    g, x, y = _xgcd(a, b)
+    u, v = a // g, b // g
+    return (
+        [x * p + y * q for p, q in zip(ra, rb)],
+        [-v * p + u * q for p, q in zip(ra, rb)],
+    )
+
+
 @dataclass
 class HermiteForm:
     """Row Hermite normal form of an integer matrix.
@@ -155,20 +184,8 @@ def _hnf_core(work: list[list[int]], ncols: int) -> tuple[int, list[tuple[int, i
         work[r], work[piv] = work[piv], work[r]
         # clear column c below row r with xgcd combinations
         for i in range(r + 1, len(work)):
-            if not work[i][c]:
-                continue
-            a, b = work[r][c], work[i][c]
-            if b % a == 0:
-                q = b // a
-                work[i] = [x - q * y for x, y in zip(work[i], work[r])]
-            else:
-                g, x, y = _xgcd(a, b)
-                u, v = a // g, b // g
-                rr = work[r]
-                ri = work[i]
-                new_r = [x * p + y * q for p, q in zip(rr, ri)]
-                new_i = [-v * p + u * q for p, q in zip(rr, ri)]
-                work[r], work[i] = new_r, new_i
+            if work[i][c]:
+                work[r], work[i] = xgcd_rows(work[r], work[i], work[r][c], work[i][c])
         if work[r][c] < 0:
             work[r] = [-x for x in work[r]]
         # reduce entries above the pivot
@@ -242,36 +259,20 @@ def smith_invariant_factors(rows: list[list[int]]) -> list[int]:
         while True:
             # clear column `left` with row xgcd ops
             for i in range(top + 1, len(m)):
-                if not m[i][left]:
-                    continue
-                a, b = m[top][left], m[i][left]
-                if b % a == 0:
-                    q = b // a
-                    m[i] = [x - q * y for x, y in zip(m[i], m[top])]
-                else:
-                    g, x, y = _xgcd(a, b)
-                    u, v = a // g, b // g
-                    rt, ri = m[top], m[i]
-                    m[top] = [x * p + y * q for p, q in zip(rt, ri)]
-                    m[i] = [-v * p + u * q for p, q in zip(rt, ri)]
-            # clear row `top` with column xgcd ops
+                if m[i][left]:
+                    m[top], m[i] = xgcd_rows(m[top], m[i], m[top][left], m[i][left])
+            # clear row `top` with column xgcd ops: the same step on the
+            # columns; only a step that changes column `left` (b not a
+            # multiple of a) can refill column `left` below row `top`
             row_clear = True
             for j in range(left + 1, ncols):
-                if not m[top][j]:
-                    continue
                 a, b = m[top][left], m[top][j]
-                if b % a == 0:
-                    q = b // a
-                    for r in m:
-                        r[j] -= q * r[left]
-                else:
-                    g, x, y = _xgcd(a, b)
-                    u, v = a // g, b // g
-                    for r in m:
-                        pl, pj = r[left], r[j]
-                        r[left] = x * pl + y * pj
-                        r[j] = -v * pl + u * pj
-                    row_clear = False
+                if not b:
+                    continue
+                row_clear = row_clear and b % a == 0
+                cl, cj = xgcd_rows([r[left] for r in m], [r[j] for r in m], a, b)
+                for r, xl, xj in zip(m, cl, cj):
+                    r[left], r[j] = xl, xj
             if row_clear and all(not m[i][left] for i in range(top + 1, len(m))):
                 break
         piv = abs(m[top][left])
@@ -304,23 +305,6 @@ def certified_invariant_factors(rows: list[list[int]], h: HermiteForm) -> list[i
     if h.rank == len(rows) and all(p == 1 for _, p in h.pivots):
         return [1] * len(rows)
     return smith_invariant_factors(rows)
-
-
-def solve_unimodular(a: list[list[int]], b: list[int]) -> list[int]:
-    """Solve a @ x = b exactly for square a with det a = +-1.
-
-    Raises ValueError if a is not square-unimodular.  Uses xgcd row
-    reduction of the augmented matrix, which stays integral throughout.
-    """
-    n = len(a)
-    if any(len(r) != n for r in a) or len(b) != n:
-        raise ValueError("solve_unimodular needs a square system")
-    aug = [list(r) + [bv] for r, bv in zip(a, b)]
-    h = hermite_form(aug[:])
-    # HNF of [a | b] for unimodular a is [I | x]
-    if h.rank != n or any(c != i or p != 1 for i, (c, p) in enumerate(h.pivots)):
-        raise ValueError("matrix is not unimodular")
-    return [h.rows[i][n] for i in range(n)]
 
 
 def inverse_unimodular(a: list[list[int]]) -> list[list[int]]:

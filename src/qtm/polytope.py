@@ -14,7 +14,10 @@ kept as a bitmask (bit f-1 for facet f) for fast face queries.
 
 from __future__ import annotations
 
+import functools
 from itertools import combinations
+
+from . import intlin
 
 
 class PolytopeError(ValueError):
@@ -233,7 +236,19 @@ class SimplePolytope:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SimplePolytope":
-        return cls(d["dim"], d["num_facets"], d["vertices"], name=d.get("name", ""))
+        """Inverse of to_dict; raises PolytopeError on data outside that
+        schema as well as on a complex that is not a simple polytope."""
+        if not isinstance(d, dict):
+            raise PolytopeError("a polytope must be a JSON object")
+        for key in ("dim", "num_facets"):
+            if type(d.get(key)) is not int:
+                raise PolytopeError(f"{key!r} must be an integer")
+        if not intlin.is_int_rows(d.get("vertices")):
+            raise PolytopeError("'vertices' must be a list of integer lists")
+        name = d.get("name", "")
+        if not isinstance(name, str):
+            raise PolytopeError("'name' must be a string")
+        return cls(d["dim"], d["num_facets"], d["vertices"], name=name)
 
 
 def find_isomorphisms(p: SimplePolytope, q: SimplePolytope, first_only: bool = False):
@@ -300,32 +315,53 @@ def isomorphic(p: SimplePolytope, q: SimplePolytope) -> bool:
 
 # ---------------------------------------------------------------------------
 # constructors
+#
+# The family constructors are memoized: each shape is built once per
+# process and every caller gets the same instance, with its cached
+# faces, h-vector and automorphisms.  A shared instance must not be
+# mutated; nothing in the package assigns to a polytope after __init__.
 
 
+@functools.lru_cache(maxsize=None)
 def simplex(n: int) -> SimplePolytope:
-    """The n-simplex: n+1 facets, every n-subset a vertex."""
+    """The n-simplex: n+1 facets, every n-subset a vertex.
+
+    Shared per n like the other family constructors: do not mutate it.
+    """
     vs = list(combinations(range(1, n + 2), n))
     return SimplePolytope(n, n + 1, vs, name=f"simplex-{n}")
 
 
+@functools.lru_cache(maxsize=None)
 def polygon(m: int) -> SimplePolytope:
-    """The m-gon with edges labeled cyclically 1..m."""
+    """The m-gon with edges labeled cyclically 1..m.
+
+    Shared per m like the other family constructors: do not mutate it.
+    """
     if m < 3:
         raise PolytopeError("polygon needs at least 3 edges")
     vs = [(i, i + 1) for i in range(1, m)] + [(1, m)]
     return SimplePolytope(2, m, vs, name=f"polygon-{m}")
 
 
+@functools.lru_cache(maxsize=None)
 def cube(n: int) -> SimplePolytope:
-    """The n-cube: facet i opposite facet n+i."""
+    """The n-cube: facet i opposite facet n+i.
+
+    Shared per n like the other family constructors: do not mutate it.
+    """
     vs = []
     for bits in range(1 << n):
         vs.append(tuple(sorted((i + 1) + (n if bits >> i & 1 else 0) for i in range(n))))
     return SimplePolytope(n, 2 * n, vs, name=f"cube-{n}")
 
 
+@functools.lru_cache(maxsize=None)
 def prism(s: int) -> SimplePolytope:
-    """Prism over an s-gon: facet 1 top, 2..s+1 sides (cyclic), s+2 bottom."""
+    """Prism over an s-gon: facet 1 top, 2..s+1 sides (cyclic), s+2 bottom.
+
+    Shared per s like the other family constructors: do not mutate it.
+    """
     if s < 3:
         raise PolytopeError("prism needs an s-gon with s >= 3")
     vs = []

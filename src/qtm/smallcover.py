@@ -84,6 +84,8 @@ class Mod2CharMatrix:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Mod2CharMatrix":
+        if not isinstance(d, dict) or not intlin.is_int_rows(d.get("rows_mod2")):
+            raise SmallCoverError("'rows_mod2' must be a list of integer lists")
         return cls(d["rows_mod2"])
 
 
@@ -171,7 +173,13 @@ def degree2_presentation(p: SimplePolytope, lam: Mod2CharMatrix):
     """
     _shape_check(p, lam)
     rl = _refined(p, lam)
-    sub = _substituted_mod2(rl)
+    gens, _index, masks, free = _degree2_core(p, rl, _substituted_mod2(rl))
+    return gens, masks, free
+
+
+def _degree2_core(p: SimplePolytope, rl: Mod2CharMatrix, sub):
+    """degree2_presentation of a refined pair of the right shape, given
+    its substitution; also returns the generator index."""
     free = tuple(j for j in range(1, rl.m + 1) if j not in set(rl.refined_at))
     gens = tuple((i, j) for a, i in enumerate(free) for j in free[a:])
     gen_index = {g: k for k, g in enumerate(gens)}
@@ -189,7 +197,7 @@ def degree2_presentation(p: SimplePolytope, lam: Mod2CharMatrix):
         raise SmallCoverError(
             f"degree-2 quotient dimension {len(gens) - rank} != h_2 = {expected}"
         )
-    return gens, masks, free
+    return gens, gen_index, masks, free
 
 
 def is_string_smallcover(p: SimplePolytope, lam: Mod2CharMatrix) -> bool:
@@ -202,12 +210,12 @@ def is_string_smallcover(p: SimplePolytope, lam: Mod2CharMatrix) -> bool:
 
 
 def _refined_is_string(p: SimplePolytope, rl: Mod2CharMatrix) -> bool:
-    """is_string_smallcover for a pair already valid and refined."""
+    """is_string_smallcover for a pair already valid and refined: one
+    substitution feeds both the presentation and the class."""
     if not _orientable(rl):
         return False
-    gens, masks, _free = degree2_presentation(p, rl)
-    gen_index = {g: k for k, g in enumerate(gens)}
     sub = _substituted_mod2(rl)
+    _gens, gen_index, masks, _free = _degree2_core(p, rl, sub)
     w2 = 0
     for a in range(1, rl.m + 1):
         for b in range(a + 1, rl.m + 1):

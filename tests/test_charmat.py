@@ -17,7 +17,8 @@ from qtm.charmat import (
     validate,
     weights_at_vertex,
 )
-from qtm.polytope import cube, polygon, simplex
+from qtm.harness import SearchSpec, enumerate_matrices
+from qtm.polytope import cube, polygon, prism, simplex
 
 # standard valid pairs used throughout
 TRIANGLE = simplex(2)
@@ -151,3 +152,89 @@ def test_weights_at_vertex():
 def test_serialization():
     lam = cp2_matrix(1, -1)
     assert CharMatrix.from_dict(lam.to_dict()).rows == lam.rows
+
+
+# ---------------------------------------------------------------------------
+# the key as it was computed before: refine once per automorphism and try
+# all 2^n row sign patterns; the current key must give the same bytes
+
+
+def _reference_sign_normalized(rows, skip_cols):
+    n, m = len(rows), len(rows[0])
+    out = [list(r) for r in rows]
+    for c in range(m):
+        if c in skip_cols:
+            continue
+        for i in range(n):
+            if out[i][c]:
+                if out[i][c] < 0:
+                    for k in range(n):
+                        out[k][c] = -out[k][c]
+                break
+    return tuple(tuple(r) for r in out)
+
+
+def _reference_key(p, lam, group):
+    v0 = p.vertices[0]
+    skip = {j - 1 for j in v0}
+    perms = [None]
+    if group == "signs+automorphisms":
+        perms = p.automorphisms()
+    best = None
+    for perm in perms:
+        if perm is None:
+            cand = lam
+        else:
+            rows = [[0] * lam.m for _ in range(lam.n)]
+            for j in range(1, lam.m + 1):
+                for i in range(lam.n):
+                    rows[i][perm[j] - 1] = lam.rows[i][j - 1]
+            cand = CharMatrix(rows)
+        base = refine(p, cand, v0).rows
+        for pattern in range(1 << lam.n):
+            flipped = [
+                [-x if (pattern >> i & 1) and c not in skip else x for c, x in enumerate(base[i])]
+                for i in range(lam.n)
+            ]
+            key = _reference_sign_normalized(flipped, skip)
+            if best is None or key < best:
+                best = key
+    return repr((p.dim, p.num_facets, best)).encode()
+
+
+KEY_SEARCHES = (
+    (polygon(5), 2),
+    (polygon(6), 1),
+    (cube(3), 1),
+    (prism(4), 1),
+    (prism(6), 1),
+)
+
+
+def test_canonical_key_matches_the_reference_on_survivors():
+    for p, bound in KEY_SEARCHES:
+        survivors, _stats = enumerate_matrices(SearchSpec(p, bound, "signs", "valid"))
+        assert survivors
+        for group in ("signs", "signs+automorphisms"):
+            for lam in survivors:
+                assert canonical_key(p, lam, group) == _reference_key(p, lam, group)
+
+
+def test_canonical_key_matches_the_reference_after_random_moves():
+    rng = random.Random(11)
+    for p, bound in KEY_SEARCHES:
+        survivors, _stats = enumerate_matrices(SearchSpec(p, bound, "signs", "valid"))
+        for lam in rng.sample(survivors, min(6, len(survivors))):
+            cur = lam
+            for _ in range(5):
+                kind = rng.randint(0, 2)
+                if kind == 0:
+                    cur = transform(p, cur, ColumnSignFlip(rng.randint(1, p.num_facets)))
+                elif kind == 1:
+                    cur = transform(p, cur, RowBasisChange(random_unimodular(rng, p.dim)))
+                else:
+                    cur = transform(p, cur, FacetPermutation(rng.choice(p.automorphisms())))
+                if rng.random() < 0.5:
+                    cur = refine(p, cur, rng.choice(p.vertices))
+                for group in ("signs", "signs+automorphisms"):
+                    assert canonical_key(p, cur, group) == _reference_key(p, cur, group)

@@ -198,6 +198,10 @@ def test_check_string_closed_form_validates_once(tmp_path, capsys, monkeypatch, 
     expected = _closed_form_reference(family, p, rows)
     pf = _write(tmp_path, "p.json", p.to_dict())
     mf = _write(tmp_path, "m.json", {"rows": rows})
+    # the family constructors are memoized: empty their caches so the
+    # request builds its family polytope whatever ran before
+    for make in (polytope.simplex, polytope.polygon, polytope.cube, polytope.prism):
+        make.cache_clear()
     calls = {"validate": 0, "polytope": 0}
     validate = charmat.validate
 
@@ -374,6 +378,53 @@ def test_malformed_input_files_exit_2(tmp_path, capsys):
     assert main(["validate", "-p", p, "-m", wrong]) == 2
     assert main(["validate", "-p", str(tmp_path / "missing.json"), "-m", wrong]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "kind, bad",
+    [
+        # the two reproductions: no "dim" (was a KeyError), and "rows"
+        # that is not a list (was a TypeError)
+        ("polytope", {"num_facets": 4, "vertices": [[1, 2], [2, 3], [3, 4], [1, 4]]}),
+        ("matrix", {"rows": 5}),
+        ("polytope", {"dim": "2", "num_facets": 4, "vertices": [[1, 2]]}),
+        ("polytope", {"dim": 2, "num_facets": 4, "vertices": [[1, 2], 3]}),
+        ("polytope", {"dim": 2, "num_facets": 4, "vertices": [[1, 2]], "name": 7}),
+        ("polytope", [1, 2]),
+        ("matrix", {"rows": [[1, 0, "1"], [0, 1, 1]]}),
+        ("matrix", {"rows": [[1, 0, True], [0, 1, 1]]}),
+        ("mod2", {"rows_mod2": [1, 0, 1]}),
+    ],
+)
+def test_malformed_schema_exits_2(tmp_path, capsys, kind, bad):
+    good_p = _write(tmp_path, "good_p.json", polygon(3).to_dict())
+    good_m = _write(tmp_path, "good_m.json", {"rows": CP2})
+    bad_f = _write(tmp_path, "bad.json", bad)
+    if kind == "polytope":
+        argv = ["validate", "-p", bad_f, "-m", good_m]
+    elif kind == "matrix":
+        argv = ["validate", "-p", good_p, "-m", bad_f]
+    else:
+        argv = ["validate", "--mod2", "-p", good_p, "-m", bad_f]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and bad_f in err
+    assert "Traceback" not in err
+
+
+def test_from_dict_checks_the_schema():
+    from qtm.charmat import CharMatrixError
+    from qtm.polytope import PolytopeError, SimplePolytope
+    from qtm.smallcover import Mod2CharMatrix, SmallCoverError
+
+    with pytest.raises(PolytopeError):
+        SimplePolytope.from_dict({"num_facets": 3, "vertices": [[1, 2], [2, 3], [1, 3]]})
+    with pytest.raises(CharMatrixError):
+        CharMatrix.from_dict({"rows": 5})
+    with pytest.raises(SmallCoverError):
+        Mod2CharMatrix.from_dict({"rows": [[1]]})
+    tri = polygon(3)
+    assert SimplePolytope.from_dict(tri.to_dict()).vertices == tri.vertices
 
 
 def test_argparse_usage_exits_2():

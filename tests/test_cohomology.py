@@ -21,6 +21,8 @@ from qtm.cohomology import (
     is_zero_in_h4,
     p1_vector,
     presentation_deg4,
+    _read_off_quotient_map,
+    _transposed_quotient_map,
     quotient_map,
     reduce_to_basis,
     w2_vector,
@@ -403,3 +405,82 @@ def test_coefficients_match_the_stack_hnf_versions_on_random_pairs(data):
     assert _outcome(reduce_to_basis, pres, expr, partial) == _outcome(
         _stack_reduce_to_basis, pres, expr, partial
     )
+
+
+# ---------------------------------------------------------------------------
+# the quotient map read off the certifying HNF against the transposed one
+
+
+def _kernel_lattice_hnf(q):
+    """HNF rows of the lattice {x : sum_g x_g q(e_g) = 0}."""
+    h, u = intlin.hermite_form_with_transform([list(img) for img in q])
+    return intlin.hermite_form(u[h.rank:]).rows
+
+
+def _both_paths(pres):
+    """(path the presentation takes, read-off map or None, transposed map)."""
+    h = pres.hnf()
+    unit = h.rank == len(pres.relations) and all(p == 1 for _, p in h.pivots)
+    read_off = _read_off_quotient_map(h, len(pres.generators)) if unit else None
+    return unit, read_off, _transposed_quotient_map(pres.relations, len(pres.generators))
+
+
+def _with_map(pres, q):
+    return DegreeFourPresentation(
+        free=pres.free,
+        generators=pres.generators,
+        relations=pres.relations,
+        relation_pairs=pres.relation_pairs,
+        invariant_factors=pres.invariant_factors,
+        quotient_rank=pres.quotient_rank,
+        _gen_index=pres._gen_index,
+        _hnf=pres._hnf,
+        _qmap=q,
+    )
+
+
+def test_read_off_quotient_map_kernel_is_the_relation_lattice():
+    pairs = _search_pairs(((polygon(6), 3, "valid"), (cube(3), 1, "valid")))
+    paths = {True: 0, False: 0}
+    rng = random.Random(505)
+    for p, lam in pairs:
+        pres = presentation_deg4(p, lam)
+        unit, read_off, transposed = _both_paths(pres)
+        paths[unit] += 1
+        q = quotient_map(pres)
+        assert q == (read_off if unit else transposed)
+        assert len(q) == len(pres.generators)
+        assert all(len(img) == pres.quotient_rank for img in q)
+        relation_lattice = intlin.hermite_form(pres.relations).rows
+        assert _kernel_lattice_hnf(q) == relation_lattice
+        assert _kernel_lattice_hnf(transposed) == relation_lattice
+        # both maps give the same basis and coefficients, whichever
+        # path the presentation took
+        by_transposed = _with_map(pres, transposed)
+        basis = greedy_basis(pres)
+        assert greedy_basis(by_transposed) == basis
+        p1 = p1_vector(p, lam)
+        assert reduce_to_basis(pres, p1, basis) == reduce_to_basis(by_transposed, p1, basis)
+        partial, expr = _random_basis_and_expr(pres, rng)
+        assert _outcome(reduce_to_basis, pres, expr, partial) == _outcome(
+            reduce_to_basis, by_transposed, expr, partial
+        )
+    # polygon(6) at bound 3 has 45 presentations whose row HNF has a
+    # non-unit pivot, so both paths are exercised
+    assert paths[False] >= 45 and paths[True] > 0
+
+
+def test_quotient_map_paths_on_hand_presentations():
+    # (2, 3): row HNF pivot 2, yet a direct summand; the map comes from
+    # the transposed HNF
+    pres = _hand_presentation([[2, 3]])
+    unit, read_off, transposed = _both_paths(pres)
+    assert not unit and read_off is None
+    assert quotient_map(pres) == transposed
+    # (1, 3): unit pivot, read off as q(e_1) = -3, q(e_2) = 1
+    pres = _hand_presentation([[1, 3]])
+    unit, read_off, transposed = _both_paths(pres)
+    assert unit and quotient_map(pres) == read_off == ((-3,), (1,))
+    assert _kernel_lattice_hnf(read_off) == _kernel_lattice_hnf(transposed) == [[1, 3]]
+    assert greedy_basis(pres) == greedy_basis(_with_map(pres, transposed)) == ((1, 2),)
+    assert reduce_to_basis(pres, {(1, 1): 2}, [(1, 2)]) == [-6]

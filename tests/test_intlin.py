@@ -6,6 +6,7 @@ implementations keep each other honest.
 """
 
 import random
+from math import gcd
 
 from hypothesis import given, strategies as st
 from sympy import Matrix
@@ -98,7 +99,7 @@ def test_smith_matches_sympy():
         assert ours == theirs
 
 
-def test_solve_and_inverse_unimodular():
+def test_inverse_unimodular():
     rng = random.Random(6)
     for _ in range(100):
         n = rng.randint(1, 5)
@@ -113,16 +114,30 @@ def test_solve_and_inverse_unimodular():
         assert abs(intlin.det(a)) == 1
         inv = intlin.inverse_unimodular(a)
         assert intlin.mat_mul(a, inv) == intlin.identity(n)
-        b = [rng.randint(-9, 9) for _ in range(n)]
-        x = intlin.solve_unimodular(a, b)
-        assert intlin.mat_vec(a, x) == b
 
 
-def test_solve_rejects_non_unimodular():
+def test_inverse_rejects_non_unimodular():
     import pytest
 
     with pytest.raises(ValueError):
-        intlin.solve_unimodular([[2, 0], [0, 1]], [1, 1])
+        intlin.inverse_unimodular([[2, 0], [0, 1]])
+
+
+def test_xgcd_rows():
+    rng = random.Random(8)
+    for _ in range(300):
+        a = rng.choice([x for x in range(-12, 13) if x])
+        b = rng.randint(-30, 30)
+        ra = [a] + [rng.randint(-5, 5) for _ in range(3)]
+        rb = [b] + [rng.randint(-5, 5) for _ in range(3)]
+        na, nb = intlin.xgcd_rows(ra, rb, a, b)
+        assert nb[0] == 0 and abs(na[0]) == gcd(a, b)
+        if b % a == 0:
+            assert na is ra
+        else:
+            assert na[0] == gcd(a, b)
+        # a unimodular step: same lattice, so the HNFs agree
+        assert intlin.hermite_form([na, nb]).rows == intlin.hermite_form([ra, rb]).rows
 
 
 def test_f2_ops():

@@ -207,6 +207,26 @@ def test_degree2_presentation_consistency():
     assert len(masks) == 2
 
 
+def test_degree2_presentation_keeps_its_checks(monkeypatch):
+    from qtm import smallcover
+
+    p = product(polygon(4), polygon(3))
+    with pytest.raises(SmallCoverError):
+        degree2_presentation(polygon(4), QUAD_TRI)
+    # an unrefined matrix is refined at the first vertex first
+    unrefined = Mod2CharMatrix(QUAD_TRI.rows)
+    at_first = refine_mod2(p, QUAD_TRI, p.vertices[0])
+    assert degree2_presentation(p, unrefined) == degree2_presentation(p, at_first)
+    # a walk leaf substitutes once for the presentation and the class
+    calls = []
+    substituted = smallcover._substituted_mod2
+    monkeypatch.setattr(
+        smallcover, "_substituted_mod2", lambda rl: calls.append(rl) or substituted(rl)
+    )
+    assert smallcover._refined_is_string(p, QUAD_TRI)
+    assert calls == [QUAD_TRI]
+
+
 # ---------------------------------------------------------------------------
 # exhaustive polygon counts (oracle: full GF(2) enumeration)
 
