@@ -6,30 +6,32 @@ relation per nonface facet pair: substitute each identity-column
 generator by minus its row of the matrix, expand the product, and read
 off coefficients on monomials v_i v_j over free i <= j.
 
-Every presentation carries a certificate: the relation matrix has full
-row rank and all Smith invariant factors 1, and the quotient rank
-equals h_2 of the polytope.  Both facts are consequences of the theory
-this package implements, so a violation is a hard error rather than a
-soft result.  The factors are read off the relation HNF when its
-pivots are all 1, with the Smith form as the fallback; the same HNF
-then decides membership in the relation lattice.
+The certificate of a presentation is its quotient map
+q: Z^N -> Z^h2 (N generators), onto with kernel exactly the relation
+lattice; `presentation_deg4` builds it and stores it on the
+presentation.  It exists exactly when the relation rows are
+independent and span a direct summand, and the quotient rank
+N - |R| must equal h_2 of the polytope.  Both facts are consequences of
+the theory this package implements, so a violation is a hard error
+rather than a soft result.
 
-Coefficients in a monomial basis go through a quotient map
-q: Z^N -> Z^h2 (N generators) that is onto with kernel exactly the
-relation lattice, built once per presentation on first use by
-`quotient_map`.  Most certifying HNFs have full rank with every pivot 1;
-such an HNF is reduced echelon, so q is read off it: q(e_j) = e_j for
-the non-pivot columns j and q(e_p) = -(row of pivot p) on them.  When
-the row HNF has a larger pivot the lattice may still be a direct
-summand, so q comes from the HNF with transform U of the transposed
-N x |R| relation matrix instead, certified to have rank |R| and unit
-pivots; for a full-column-rank matrix the product of the HNF pivots is
-the gcd of its maximal minors, so this holds exactly when every
-invariant factor is 1, with no Smith fallback.  Rows |R|..N-1 of U then
-define q.  Either way Z^N / (relations + span e_S) = Z^h2 / span q(e_S)
-for any monomial set S, and `greedy_basis` and `reduce_to_basis` work
-on the small images q(e_g) instead of the relation stack; their
-outputs do not depend on which q was built.
+q comes from `intlin.unit_pivot_reduce`, which pivots only on +-1
+entries and keeps every row fully reduced.  When it succeeds the pivot
+columns hold an identity block, so the rows are a basis of a rank-|R|
+direct summand and q is read off them: q(e_j) = e_j for the non-pivot
+columns j and q(e_p) = -(row of pivot p) on them.  When it gets stuck
+(no unit entry left) the lattice may still be a direct summand, so q
+comes from the HNF with transform U of the transposed N x |R| relation
+matrix instead, certified to have rank |R| and unit pivots; for a
+full-column-rank matrix the product of the HNF pivots is the gcd of its
+maximal minors, so this holds exactly when the relations span a rank-|R|
+direct summand.  Rows |R|..N-1 of U then define q.
+
+A class is zero in the quotient exactly when q maps it to 0.  For any
+monomial set S, Z^N / (relations + span e_S) = Z^h2 / span q(e_S), so
+`greedy_basis` and `reduce_to_basis` work on the small images q(e_g)
+instead of the relation stack; their outputs do not depend on which
+valid q was built.
 
 Degree-4 classes are sparse dicts {(i, j): coefficient} with i <= j
 both free; degree-2 classes are dicts {i: coefficient}.
@@ -68,22 +70,15 @@ def face_summary(p: SimplePolytope) -> FaceSummary:
 
 @dataclass
 class DegreeFourPresentation:
-    """Generators, relation rows, and exactness certificates."""
+    """Generators, relation rows, and the quotient map certifying them."""
 
     free: tuple  # free facet indices, ascending
     generators: tuple  # monomials (i, j), i <= j free, lex order
     relations: list  # one dense row per nonface pair, generator order
     relation_pairs: tuple  # the nonface pairs, aligned with relations
-    invariant_factors: list
     quotient_rank: int
+    quotient_map: tuple = field(repr=False)  # q(e_g) in Z^quotient_rank, generator order
     _gen_index: dict = field(repr=False)
-    _hnf: intlin.HermiteForm | None = field(default=None, repr=False)
-    _qmap: tuple | None = field(default=None, repr=False)
-
-    def hnf(self) -> intlin.HermiteForm:
-        if self._hnf is None:
-            self._hnf = intlin.hermite_form(self.relations)
-        return self._hnf
 
     def to_vector(self, expr: dict) -> list[int]:
         vec = [0] * len(self.generators)
@@ -127,14 +122,8 @@ def presentation_deg4(p: SimplePolytope, lam: CharMatrix) -> DegreeFourPresentat
                 key = (i, j) if i <= j else (j, i)
                 row[gen_index[key]] += ci * cj
         relations.append(row)
-    hnf = intlin.hermite_form(relations)
-    factors = intlin.certified_invariant_factors(relations, hnf)
-    if len(factors) != len(relations) or any(f != 1 for f in factors):
-        raise CohomologyError(
-            f"relation matrix is not a rank-{len(relations)} direct summand: "
-            f"invariant factors {factors}"
-        )
-    qrank = len(gens) - len(factors)
+    q = _certified_quotient_map(relations, len(gens))
+    qrank = len(gens) - len(relations)
     expected = p.h_vector()[2] if p.dim >= 2 else 0
     if qrank != expected:
         raise CohomologyError(f"quotient rank {qrank} != h_2 = {expected}")
@@ -143,11 +132,24 @@ def presentation_deg4(p: SimplePolytope, lam: CharMatrix) -> DegreeFourPresentat
         generators=gens,
         relations=relations,
         relation_pairs=pairs,
-        invariant_factors=factors,
         quotient_rank=qrank,
+        quotient_map=q,
         _gen_index=gen_index,
-        _hnf=hnf,
     )
+
+
+def _certified_quotient_map(relations: list, ngen: int) -> tuple:
+    """Images q(e_g) in Z^(ngen - |R|) of the ngen generators: q is onto
+    with kernel exactly the lattice of the relation rows.
+
+    Read off the unit-pivot reduction of the relations when it succeeds,
+    else from the transposed HNF with transform, which raises unless the
+    relations span a rank-|R| direct summand.
+    """
+    pivots = intlin.unit_pivot_reduce(relations)
+    if pivots is None:
+        return _transposed_quotient_map(relations, ngen)
+    return _read_off_quotient_map(pivots, ngen)
 
 
 # ---------------------------------------------------------------------------
@@ -190,38 +192,17 @@ def p1_vector(p: SimplePolytope, lam: CharMatrix) -> dict[tuple, int]:
 
 
 def is_zero_in_h4(pres: DegreeFourPresentation, expr: dict) -> bool:
-    """Is the class zero in the degree-4 quotient?"""
-    vec = pres.to_vector(expr)
-    h = pres.hnf()
-    ans = intlin.in_row_lattice(h, vec)
-    # the quotient is free (all invariant factors 1), so rational and
-    # integral membership must agree; a mismatch would mean the
-    # certificate above was wrong
-    if ans != intlin.in_row_span_q(h, vec):
-        raise CohomologyError(
-            "integral and rational membership disagree: the degree-4 "
-            "quotient is not free"
-        )
-    return ans
+    """Is the class zero in the degree-4 quotient, i.e. q(expr) = 0?"""
+    return not any(_image(pres, pres.to_vector(expr)))
 
 
-def quotient_map(pres: DegreeFourPresentation) -> tuple:
-    """Images q(e_g) in Z^h2 of the generators, in generator order.
-
-    q is onto and its kernel is exactly the relation lattice.  Computed
-    on first use and cached on the presentation: read off the
-    certifying row HNF when it has full rank and unit pivots, else from
-    the transposed HNF with transform, raising unless that one has full
-    rank with unit pivots.
-    """
-    if pres._qmap is None:
-        ngen = len(pres.generators)
-        h = pres.hnf()
-        if _full_unit_pivots(h, len(pres.relations)):
-            pres._qmap = _read_off_quotient_map(h, ngen)
-        else:
-            pres._qmap = _transposed_quotient_map(pres.relations, ngen)
-    return pres._qmap
+def _image(pres: DegreeFourPresentation, vec: list) -> list:
+    """q(vec) in Z^quotient_rank for a vector over the generators."""
+    target = [0] * pres.quotient_rank
+    for x, img in zip(vec, pres.quotient_map):
+        if x:
+            target = [t + x * y for t, y in zip(target, img)]
+    return target
 
 
 def _transposed_quotient_map(relations: list, ngen: int) -> tuple:
@@ -238,13 +219,12 @@ def _transposed_quotient_map(relations: list, ngen: int) -> tuple:
     return tuple(tuple(img) for img in _as_columns(u[nrel:], ngen))
 
 
-def _read_off_quotient_map(h: intlin.HermiteForm, ngen: int) -> tuple:
-    """q from a unit-pivot row HNF h of the relations, reduced echelon
-    since nothing is left above a pivot 1: identity on the non-pivot
-    columns, and each pivot column goes to minus its row there, so
-    every HNF row maps to 0 and q(x) is what is left of x after
+def _read_off_quotient_map(pivot_row: dict, ngen: int) -> tuple:
+    """q from the rows {pivot column: row} of `intlin.unit_pivot_reduce`,
+    each 1 at its own pivot and 0 at the others: identity on the
+    non-pivot columns, and each pivot column goes to minus its row
+    there, so every row maps to 0 and q(x) is what is left of x after
     subtracting x_p times the row of each pivot p."""
-    pivot_row = {c: row for row, (c, _) in zip(h.rows, h.pivots)}
     rest = [j for j in range(ngen) if j not in pivot_row]
     unit = {j: t for t, j in enumerate(rest)}
     images = []
@@ -278,7 +258,7 @@ def reduce_to_basis(pres: DegreeFourPresentation, expr: dict, basis) -> list[int
     basis may be partial; it must be independent of the relations and
     span a direct summand (checked), and expr must lie in its span.
     Both are decided in the quotient: the images Q_S of the basis under
-    `quotient_map` must have a transposed HNF of full rank with unit
+    the quotient map must have a transposed HNF of full rank with unit
     pivots, and then the transform of that HNF carries q(expr) to its
     coefficients c, the solution of c . Q_S = q(expr).
     """
@@ -286,7 +266,7 @@ def reduce_to_basis(pres: DegreeFourPresentation, expr: dict, basis) -> list[int
     for b in basis:
         if b not in pres._gen_index:
             raise CohomologyError(f"{b} is not a generator monomial")
-    q = quotient_map(pres)
+    q = pres.quotient_map
     d = pres.quotient_rank
     k = len(basis)
     h, u = intlin.hermite_form_with_transform(
@@ -299,10 +279,7 @@ def reduce_to_basis(pres: DegreeFourPresentation, expr: dict, basis) -> list[int
     vec = pres.to_vector(expr)
     if any(x % 1 for x in vec):
         raise CohomologyError("expression is not integral over the basis")
-    target = [0] * d
-    for x, img in zip(vec, q):
-        if x:
-            target = [t + x * y for t, y in zip(target, img)]
+    target = _image(pres, vec)
     # unit pivots leave nothing above them, so U @ Q_S^T = [I_k; 0]: the
     # target lies in the span exactly when U @ target vanishes below
     # row k, and its first k entries are the coefficients
@@ -316,19 +293,18 @@ def greedy_basis(pres: DegreeFourPresentation) -> tuple:
     """Lexicographically first monomial basis of the degree-4 quotient.
 
     Walks the generators in order, keeping a monomial whenever the
-    relations plus the kept unit rows still form a direct summand with
-    all invariant factors 1.  That is decided in the quotient, where it
-    says the kept images under `quotient_map` plus the new one span a
-    direct summand.  A unimodular u with u @ [kept images] = [I_k; 0]
+    relations plus the kept unit rows still span a direct summand of
+    full rank.  That is decided in the quotient, where it says the kept
+    images under the quotient map plus the new one span a direct
+    summand.  A unimodular u with u @ [kept images] = [I_k; 0]
     is kept up to date: the new image x qualifies exactly when
     (u x)[k:] is primitive, i.e. has gcd 1, and then xgcd row steps
     turn u x into e_k and extend the identity block by one.
     """
-    q = quotient_map(pres)
     d = pres.quotient_rank
     u = intlin.identity(d)
     chosen: list[tuple] = []
-    for g, img in zip(pres.generators, q):
+    for g, img in zip(pres.generators, pres.quotient_map):
         k = len(chosen)
         if k == d:
             break

@@ -1,11 +1,11 @@
 """Exact integer linear algebra over Python ints.
 
 Everything here is exact: determinants by fraction-free (Bareiss)
-elimination, row Hermite normal form by xgcd row operations, Smith
-invariant factors (read off a unit-pivot HNF when possible), unimodular
-inverses.  Every elimination over Z takes the same xgcd two-row step,
-`xgcd_rows`.  Python integers never overflow, so there is no precision
-story to worry about.
+elimination, row Hermite normal form by xgcd row operations, the
+unit-pivot Gauss-Jordan reduction that certifies a relation lattice as
+a direct summand, unimodular inverses.  Every elimination over Z takes
+the same xgcd two-row step, `xgcd_rows`.  Python integers never
+overflow, so there is no precision story to worry about.
 
 Matrices are plain lists of row lists.  Nothing here mutates its
 arguments unless the docstring says so.
@@ -14,7 +14,6 @@ arguments unless the docstring says so.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 
 
 def is_int_rows(obj) -> bool:
@@ -201,110 +200,40 @@ def _hnf_core(work: list[list[int]], ncols: int) -> tuple[int, list[tuple[int, i
     return r, pivots
 
 
-def rank(rows: list[list[int]]) -> int:
-    return hermite_form(rows).rank
+def unit_pivot_reduce(rows: list[list[int]]) -> dict[int, list[int]] | None:
+    """Gauss-Jordan reduction over Z that pivots only on +-1 entries.
 
-
-def in_row_lattice(h: HermiteForm, vec: list[int]) -> bool:
-    """Is vec an integer combination of the HNF rows?"""
-    v = list(vec)
-    for row, (c, p) in zip(h.rows, h.pivots):
-        if v[c] % p:
-            return False
-        q = v[c] // p
-        if q:
-            v = [x - q * y for x, y in zip(v, row)]
-    return not any(v)
-
-
-def in_row_span_q(h: HermiteForm, vec: list[int]) -> bool:
-    """Is vec a rational combination of the HNF rows?"""
-    v = list(vec)
-    for row, (c, p) in zip(h.rows, h.pivots):
-        if v[c]:
-            # eliminate over Q: scale v by p, subtract v[c] * row
-            coef = v[c]
-            v = [p * x - coef * y for x, y in zip(v, row)]
-    if not any(v):
-        return True
-    return False
-
-
-def smith_invariant_factors(rows: list[list[int]]) -> list[int]:
-    """Nonzero invariant factors d_1 | d_2 | ... of an integer matrix."""
-    m = [r for r in copy_rows(rows) if any(r)]
-    if not m:
-        return []
-    ncols = len(m[0])
-    factors: list[int] = []
-    top = 0
-    left = 0
-    while top < len(m) and left < ncols:
-        # find a nonzero entry, move it to (top, left)
-        found = None
-        for i in range(top, len(m)):
-            for j in range(left, ncols):
-                if m[i][j]:
-                    found = (i, j)
-                    break
-            if found:
-                break
-        if not found:
-            break
-        i, j = found
-        m[top], m[i] = m[i], m[top]
-        if j != left:
-            for r in m:
-                r[left], r[j] = r[j], r[left]
-        while True:
-            # clear column `left` with row xgcd ops
-            for i in range(top + 1, len(m)):
-                if m[i][left]:
-                    m[top], m[i] = xgcd_rows(m[top], m[i], m[top][left], m[i][left])
-            # clear row `top` with column xgcd ops: the same step on the
-            # columns; only a step that changes column `left` (b not a
-            # multiple of a) can refill column `left` below row `top`
-            row_clear = True
-            for j in range(left + 1, ncols):
-                a, b = m[top][left], m[top][j]
-                if not b:
-                    continue
-                row_clear = row_clear and b % a == 0
-                cl, cj = xgcd_rows([r[left] for r in m], [r[j] for r in m], a, b)
-                for r, xl, xj in zip(m, cl, cj):
-                    r[left], r[j] = xl, xj
-            if row_clear and all(not m[i][left] for i in range(top + 1, len(m))):
-                break
-        piv = abs(m[top][left])
-        # enforce divisibility: pivot must divide every remaining entry
-        bad = None
-        for i in range(top + 1, len(m)):
-            for j in range(left + 1, ncols):
-                if m[i][j] % piv:
-                    bad = i
-                    break
-            if bad is not None:
-                break
-        if bad is not None:
-            m[top] = [x + y for x, y in zip(m[top], m[bad])]
-            continue
-        factors.append(piv)
-        top += 1
-        left += 1
-    return factors
-
-
-def certified_invariant_factors(rows: list[list[int]], h: HermiteForm) -> list[int]:
-    """Nonzero invariant factors of rows, read off their HNF `h` when it can.
-
-    A full-row-rank HNF whose pivots are all 1 is a unit-pivot echelon
-    basis of the row lattice; such a basis extends to a basis of Z^N,
-    so every invariant factor is 1 (Kannan-Bachem).  Otherwise fall
-    back to the Smith computation.
+    Returns {pivot column: row}: rows spanning the same lattice as the
+    input, one per input row, each 1 at its own pivot column and 0 at
+    every other pivot column, so the pivot columns hold an identity
+    block.  Rows with such a block are a basis of a rank-len(rows)
+    direct summand of Z^N.  A row is taken as the next pivot row once it
+    has a unit entry, in any column; every other row, pivot or not, is
+    then cleared in that column by the divisible branch of `xgcd_rows`,
+    so all rows stay fully reduced.  Returns None when no row left has a
+    unit entry, which includes a row that vanished; the lattice may
+    still be a direct summand then.
     """
-    if h.rank == len(rows) and all(p == 1 for _, p in h.pivots):
-        return [1] * len(rows)
-    return smith_invariant_factors(rows)
+    pending = copy_rows(rows)
+    pivots: dict[int, list[int]] = {}
+    while pending:
+        for i, row in enumerate(pending):
+            c = next((j for j, x in enumerate(row) if x == 1 or x == -1), None)
+            if c is not None:
+                break
+        else:
+            return None
+        row = pending.pop(i)
+        if row[c] < 0:
+            row = [-x for x in row]
+        for p, other in pivots.items():
+            if other[c]:
+                pivots[p] = xgcd_rows(row, other, 1, other[c])[1]
+        for k, other in enumerate(pending):
+            if other[c]:
+                pending[k] = xgcd_rows(row, other, 1, other[c])[1]
+        pivots[c] = row
+    return pivots
 
 
 def inverse_unimodular(a: list[list[int]]) -> list[list[int]]:

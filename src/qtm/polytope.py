@@ -24,6 +24,16 @@ class PolytopeError(ValueError):
     pass
 
 
+# size limit of the brute-force searches: isomorphisms, product splits
+# and principal minors; every polytope this package constructs is within it
+BRUTE_FORCE_FACETS = 16
+
+
+def brute_force_refusal(search: str, size: int) -> str:
+    """The message of every brute-force guard refusing `size`."""
+    return f"{search} is brute force, refusing size {size} > {BRUTE_FORCE_FACETS}"
+
+
 def _mask(facets) -> int:
     m = 0
     for f in facets:
@@ -51,6 +61,9 @@ class SimplePolytope:
         vs = sorted(tuple(sorted(v)) for v in vertices)
         if len(set(vs)) != len(vs):
             raise PolytopeError("duplicate vertices")
+        # checked first, so no later step costs more than the vertex list
+        if m > n * len(vs):
+            raise PolytopeError(f"{m} facets cannot all occur on {len(vs)} vertices")
         for v in vs:
             if len(v) != n:
                 raise PolytopeError(f"vertex {v} does not have {n} facets")
@@ -59,8 +72,10 @@ class SimplePolytope:
         used = set()
         for v in vs:
             used.update(v)
-        if used != set(range(1, m + 1)):
-            raise PolytopeError(f"facets {sorted(set(range(1, m + 1)) - used)} unused")
+        if len(used) != m:
+            unused = [f for f in range(1, m + 1) if f not in used]
+            more = f" and {len(unused) - 10} more" if len(unused) > 10 else ""
+            raise PolytopeError(f"facets {unused[:10]}{more} unused")
         # every ridge (an (n-1)-subset of a vertex) must be shared by exactly
         # two vertices; this is what makes the dual complex a closed sphere-like
         # pseudomanifold and rules out boundaries and branching
@@ -213,7 +228,7 @@ class SimplePolytope:
 
         Each permutation is a tuple p of length m+1 with p[0] = 0 and
         p[f] = image of facet f.  Brute-force backtracking; guarded to
-        m <= 16 which covers every polytope this package constructs.
+        m <= BRUTE_FORCE_FACETS.
         """
         if self._auts is None:
             self._auts = find_isomorphisms(self, self)
@@ -260,8 +275,8 @@ def find_isomorphisms(p: SimplePolytope, q: SimplePolytope, first_only: bool = F
     if p.dim != q.dim or p.num_facets != q.num_facets or len(p.vertices) != len(q.vertices):
         return []
     m = p.num_facets
-    if m > 16:
-        raise PolytopeError("isomorphism search is brute force, refusing m > 16")
+    if m > BRUTE_FORCE_FACETS:
+        raise PolytopeError(brute_force_refusal("isomorphism search", m))
     if sorted(p.facet_degrees) != sorted(q.facet_degrees):
         return []
     adj_p = p._adjacency()
@@ -411,8 +426,8 @@ def product_splits(p: SimplePolytope) -> list[tuple[tuple[int, ...], tuple[int, 
     Returned with min(A) = 1 to fix the orientation of each pair.
     """
     m = p.num_facets
-    if m > 16:
-        raise PolytopeError("product split search is exponential, refusing m > 16")
+    if m > BRUTE_FORCE_FACETS:
+        raise PolytopeError(brute_force_refusal("product split search", m))
     full = (1 << m) - 1
     out = []
     for amask in range(1, full):

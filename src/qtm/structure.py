@@ -40,8 +40,10 @@ from .charmat import (
     weights_at_vertex,
 )
 from .polytope import (
+    BRUTE_FORCE_FACETS,
     PolytopeError,
     SimplePolytope,
+    brute_force_refusal,
     connected_sum,
     cube,
     edge_connected_sum,
@@ -159,8 +161,8 @@ def dobrinskaya_normalize(a) -> DobrinskayaForm:
     k = len(rows)
     if k == 0 or any(len(r) != k for r in rows):
         raise StructureError("a square matrix is required")
-    if k > 16:
-        raise StructureError("principal minor check is exponential; refusing k > 16")
+    if k > BRUTE_FORCE_FACETS:
+        raise StructureError(brute_force_refusal("principal minor check", k))
     for i in range(k):
         if abs(rows[i][i]) != 1:
             return DobrinskayaForm(
@@ -807,12 +809,11 @@ def decompose_cube_connsum(p: SimplePolytope, lam: CharMatrix) -> DecompositionR
     cert_cube = bundle_certificate(cube_p, lam_cube)
     if cert_cube is None:
         raise StructureContradiction("string cube summand lacks a bundle certificate")
-    cert_r = (
-        bundle_certificate(p_r, lam_r) if p_r.num_facets <= 16 else None
-    )
+    # past the brute-force limit the far piece's bundle type is unknown
+    searchable = p_r.num_facets <= BRUTE_FORCE_FACETS
+    cert_r = bundle_certificate(p_r, lam_r) if searchable else None
     piece_cube = Piece(cube_p, lam_cube, True, True, cert_cube)
-    piece_r = Piece(p_r, lam_r, cert_r is not None if p_r.num_facets <= 16 else None,
-                    True, cert_r)
+    piece_r = Piece(p_r, lam_r, cert_r is not None if searchable else None, True, cert_r)
 
     re_poly, re_lam = equivariant_connected_sum(
         cube_p, lam_cube, initial, p_r, lam_r, initial

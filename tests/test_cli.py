@@ -431,3 +431,17 @@ def test_argparse_usage_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["enumerate", "-p", "x.json", "--filter", "bogus"])
     assert exc.value.code == 2
+
+
+def test_huge_declared_facet_count_exits_2_quickly(tmp_path, capsys):
+    # a triangle declaring 10^6 facets: rejected before anything is
+    # sized by the declared count, with one short line
+    bad = _write(tmp_path, "tri.json", {
+        "dim": 2, "num_facets": 10**6, "vertices": [[1, 2], [2, 3], [1, 3]],
+    })
+    good_m = _write(tmp_path, "m.json", {"rows": CP2})
+    assert main(["validate", "-p", bad, "-m", good_m]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "1000000 facets cannot all occur on 3 vertices" in err
+    assert len(err) < 200 + len(bad) and "Traceback" not in err

@@ -21,15 +21,16 @@ from qtm.cohomology import (
     is_zero_in_h4,
     p1_vector,
     presentation_deg4,
+    _certified_quotient_map,
     _read_off_quotient_map,
     _transposed_quotient_map,
-    quotient_map,
     reduce_to_basis,
     w2_vector,
 )
 from qtm.harness import SearchSpec, enumerate_matrices
 from qtm.polytope import SimplePolytope, cube, polygon, prism, product, q_polytope, simplex
 from qtm.stringcheck import q_prism_polytope, refined_pair
+from smith_oracle import spans_unit_summand
 
 TRIANGLE = simplex(2)
 SQUARE = polygon(4)
@@ -143,21 +144,12 @@ def test_presentation_requires_refined():
         presentation_deg4(TRIANGLE, lam)
 
 
-def test_zero_test_raises_when_integral_and_rational_disagree(monkeypatch):
-    # an explicit error, not an assert, so it also holds under python -O
+def test_presentation_keeps_its_quotient_map():
+    # the certificate is the quotient map itself, built once
     pres = presentation_deg4(SQUARE, SQUARE_LAM)
-    p1 = p1_vector(SQUARE, SQUARE_LAM)
-    assert is_zero_in_h4(pres, p1)
-    monkeypatch.setattr(intlin, "in_row_span_q", lambda h, vec: False)
-    with pytest.raises(CohomologyError):
-        is_zero_in_h4(pres, p1)
-
-
-def test_presentation_keeps_its_certifying_hnf():
-    pres = presentation_deg4(SQUARE, SQUARE_LAM)
-    assert pres._hnf is not None
-    assert pres.hnf() is pres._hnf
-    assert pres.hnf().rows == intlin.hermite_form(pres.relations).rows
+    assert pres.quotient_map == _certified_quotient_map(pres.relations, len(pres.generators))
+    # v3^2 and v2*v4's relation map to 0; v3*v4 = v4^2 spans the quotient
+    assert pres.quotient_map == ((0,), (1,), (1,))
 
 
 # ---------------------------------------------------------------------------
@@ -171,42 +163,55 @@ def _hand_presentation(relations):
         generators=gens,
         relations=relations,
         relation_pairs=((1, 2),) * len(relations),
-        invariant_factors=[1] * len(relations),
         quotient_rank=len(gens) - len(relations),
+        quotient_map=_certified_quotient_map(relations, len(gens)),
         _gen_index={g: k for k, g in enumerate(gens)},
     )
 
 
 def test_quotient_map_certificate():
     # 2 v1^2 = 0 leaves 2-torsion: the transposed HNF pivot is 2
-    with pytest.raises(CohomologyError):
-        quotient_map(_hand_presentation([[2, 0]]))
-    # (2, 3) is primitive although its row HNF pivot is 2: the
-    # transposed HNF has pivot gcd(2, 3) = 1
+    with pytest.raises(CohomologyError, match="direct summand"):
+        _hand_presentation([[2, 0]])
+    # dependent relations span no rank-2 summand
+    with pytest.raises(CohomologyError, match="direct summand"):
+        _hand_presentation([[1, 0], [1, 0]])
+    # (2, 3) is primitive although it has no unit entry: the transposed
+    # HNF has pivot gcd(2, 3) = 1
     pres = _hand_presentation([[2, 3]])
-    (a,), (b,) = quotient_map(pres)
+    (a,), (b,) = pres.quotient_map
     assert 2 * a + 3 * b == 0 and abs(a) == 3 and abs(b) == 2
-    assert quotient_map(pres) is quotient_map(pres)
+
+
+def _assert_onto_with_relation_kernel(pres):
+    """q maps Z^N onto Z^h2 with kernel exactly the relation lattice."""
+    q = pres.quotient_map
+    assert len(q) == len(pres.generators)
+    assert all(len(img) == pres.quotient_rank for img in q)
+    if pres.relations:
+        assert _kernel_lattice_hnf(q) == intlin.hermite_form(pres.relations).rows
+    else:
+        assert _kernel_lattice_hnf(q) == []
+    # onto Z^h2: the images have a unit-pivot HNF of full rank
+    h = intlin.hermite_form([list(img) for img in q])
+    assert h.rank == pres.quotient_rank and all(p == 1 for _, p in h.pivots)
 
 
 def test_quotient_map_kernel_is_the_relation_lattice():
     for lam in (cube_family(0, 0), cube_family(1, 1), cube_family(-2, 3)):
         pres = presentation_deg4(CUBE3, lam)
-        assert pres._qmap is None
-        q = quotient_map(pres)
-        assert pres._qmap is q
-        assert len(q) == len(pres.generators)
         for rel in pres.relations:
-            assert all(sum(x * img[i] for x, img in zip(rel, q)) == 0 for i in range(3))
-        # onto Z^h2: the images have a unit-pivot HNF of full rank
-        h = intlin.hermite_form([list(img) for img in q])
-        assert h.rank == 3 and all(p == 1 for _, p in h.pivots)
+            assert all(
+                sum(x * img[i] for x, img in zip(rel, pres.quotient_map)) == 0
+                for i in range(3)
+            )
+        _assert_onto_with_relation_kernel(pres)
 
 
 def test_reduce_on_the_triangle_identity_quotient():
     lam = CharMatrix([[1, 0, 1], [0, 1, 1]], refined_at=(1, 2))
     pres = presentation_deg4(TRIANGLE, lam)
-    assert quotient_map(pres) == ((1,),)
+    assert pres.quotient_map == ((1,),)
     assert greedy_basis(pres) == ((3, 3),)
     assert reduce_to_basis(pres, {(3, 3): -5}, [(3, 3)]) == [-5]
     assert reduce_to_basis(pres, {}, []) == []
@@ -245,7 +250,8 @@ def test_reduce_keeps_its_errors():
 
 
 # The stack-HNF versions the quotient map replaced: each stacks the
-# relations with unit rows and reduces the whole stack.
+# relations with unit rows and reduces the whole stack, with the Smith
+# form of the test oracle deciding the direct-summand test.
 
 
 def _stack_greedy_basis(pres):
@@ -257,10 +263,7 @@ def _stack_greedy_basis(pres):
         row = [0] * len(pres.generators)
         row[pres._gen_index[g]] = 1
         cand = rows + [row]
-        h = intlin.hermite_form(cand)
-        if h.rank != len(cand):
-            continue
-        if any(f != 1 for f in intlin.certified_invariant_factors(cand, h)):
+        if not spans_unit_summand(cand):
             continue
         rows = cand
         chosen.append(g)
@@ -278,10 +281,9 @@ def _stack_reduce_to_basis(pres, expr, basis):
             raise CohomologyError(f"{b} is not a generator monomial")
         row[pres._gen_index[b]] = 1
         stack.append(row)
-    h, u = intlin.hermite_form_with_transform(stack)
-    factors = intlin.certified_invariant_factors(stack, h)
-    if len(factors) != len(stack) or any(f != 1 for f in factors):
+    if not spans_unit_summand(stack):
         raise CohomologyError("basis is not independent and primitive")
+    h, u = intlin.hermite_form_with_transform(stack)
     v = pres.to_vector(expr)
     mult = [0] * h.rank
     for t, (row, (c, piv)) in enumerate(zip(h.rows, h.pivots)):
@@ -408,7 +410,8 @@ def test_coefficients_match_the_stack_hnf_versions_on_random_pairs(data):
 
 
 # ---------------------------------------------------------------------------
-# the quotient map read off the certifying HNF against the transposed one
+# the quotient map read off the unit-pivot reduction against the
+# transposed one
 
 
 def _kernel_lattice_hnf(q):
@@ -418,11 +421,11 @@ def _kernel_lattice_hnf(q):
 
 
 def _both_paths(pres):
-    """(path the presentation takes, read-off map or None, transposed map)."""
-    h = pres.hnf()
-    unit = h.rank == len(pres.relations) and all(p == 1 for _, p in h.pivots)
-    read_off = _read_off_quotient_map(h, len(pres.generators)) if unit else None
-    return unit, read_off, _transposed_quotient_map(pres.relations, len(pres.generators))
+    """(unit path taken, read-off map or None, transposed map)."""
+    ngen = len(pres.generators)
+    pivots = intlin.unit_pivot_reduce(pres.relations)
+    read_off = None if pivots is None else _read_off_quotient_map(pivots, ngen)
+    return pivots is not None, read_off, _transposed_quotient_map(pres.relations, ngen)
 
 
 def _with_map(pres, q):
@@ -431,56 +434,92 @@ def _with_map(pres, q):
         generators=pres.generators,
         relations=pres.relations,
         relation_pairs=pres.relation_pairs,
-        invariant_factors=pres.invariant_factors,
         quotient_rank=pres.quotient_rank,
+        quotient_map=q,
         _gen_index=pres._gen_index,
-        _hnf=pres._hnf,
-        _qmap=q,
     )
 
 
+CERTIFICATE_SEARCHES = (
+    (prism(6), 1, "spin"),
+    (prism(4), 2, "spin"),
+    (cube(3), 2, "spin"),
+    (polygon(6), 3, "valid"),
+)
+
+
+def _stuck_polygon7_pairs():
+    """The valid polygon(7) classes at bound 3, refined at every vertex,
+    whose relations leave the unit-pivot reduction without a unit entry."""
+    p = polygon(7)
+    out = []
+    for _p, lam in _search_pairs(((p, 3, "valid"),)):
+        for v in p.vertices:
+            rl = refine(p, lam, v)
+            if intlin.unit_pivot_reduce(presentation_deg4(p, rl).relations) is None:
+                out.append((p, rl))
+    return out
+
+
 def test_read_off_quotient_map_kernel_is_the_relation_lattice():
-    pairs = _search_pairs(((polygon(6), 3, "valid"), (cube(3), 1, "valid")))
+    pairs = list(_search_pairs(CERTIFICATE_SEARCHES)) + _stuck_polygon7_pairs()
     paths = {True: 0, False: 0}
     rng = random.Random(505)
     for p, lam in pairs:
         pres = presentation_deg4(p, lam)
         unit, read_off, transposed = _both_paths(pres)
         paths[unit] += 1
-        q = quotient_map(pres)
-        assert q == (read_off if unit else transposed)
-        assert len(q) == len(pres.generators)
-        assert all(len(img) == pres.quotient_rank for img in q)
-        relation_lattice = intlin.hermite_form(pres.relations).rows
-        assert _kernel_lattice_hnf(q) == relation_lattice
-        assert _kernel_lattice_hnf(transposed) == relation_lattice
+        assert pres.quotient_map == (read_off if unit else transposed)
+        _assert_onto_with_relation_kernel(pres)
         # both maps give the same basis and coefficients, whichever
         # path the presentation took
         by_transposed = _with_map(pres, transposed)
+        _assert_onto_with_relation_kernel(by_transposed)
         basis = greedy_basis(pres)
         assert greedy_basis(by_transposed) == basis
         p1 = p1_vector(p, lam)
         assert reduce_to_basis(pres, p1, basis) == reduce_to_basis(by_transposed, p1, basis)
+        assert is_zero_in_h4(pres, p1) == is_zero_in_h4(by_transposed, p1)
         partial, expr = _random_basis_and_expr(pres, rng)
         assert _outcome(reduce_to_basis, pres, expr, partial) == _outcome(
             reduce_to_basis, by_transposed, expr, partial
         )
-    # polygon(6) at bound 3 has 45 presentations whose row HNF has a
-    # non-unit pivot, so both paths are exercised
-    assert paths[False] >= 45 and paths[True] > 0
+    # the search corpora never get stuck; the polygon(7) refinements
+    # exercise the transposed fallback
+    assert paths == {True: 335, False: 84}
 
 
-def test_quotient_map_paths_on_hand_presentations():
-    # (2, 3): row HNF pivot 2, yet a direct summand; the map comes from
+def test_quotient_map_paths_on_hand_presentations(monkeypatch):
+    import qtm.cohomology as cohomology
+
+    fallbacks = []
+    transposed_map = cohomology._transposed_quotient_map
+
+    def counted(relations, ngen):
+        fallbacks.append(relations)
+        return transposed_map(relations, ngen)
+
+    monkeypatch.setattr(cohomology, "_transposed_quotient_map", counted)
+    # (1, 3): a unit entry, read off as q(e_1) = -3, q(e_2) = 1
+    pres = _hand_presentation([[1, 3]])
+    assert fallbacks == []
+    assert pres.quotient_map == ((-3,), (1,))
+    assert _kernel_lattice_hnf(pres.quotient_map) == [[1, 3]]
+    assert greedy_basis(pres) == ((1, 2),)
+    assert reduce_to_basis(pres, {(1, 1): 2}, [(1, 2)]) == [-6]
+    assert is_zero_in_h4(pres, {(1, 1): 1, (1, 2): 3})
+    assert not is_zero_in_h4(pres, {(1, 1): 1})
+    # (2, 3): no unit entry, yet a direct summand; the map comes from
     # the transposed HNF
     pres = _hand_presentation([[2, 3]])
-    unit, read_off, transposed = _both_paths(pres)
-    assert not unit and read_off is None
-    assert quotient_map(pres) == transposed
-    # (1, 3): unit pivot, read off as q(e_1) = -3, q(e_2) = 1
-    pres = _hand_presentation([[1, 3]])
-    unit, read_off, transposed = _both_paths(pres)
-    assert unit and quotient_map(pres) == read_off == ((-3,), (1,))
-    assert _kernel_lattice_hnf(read_off) == _kernel_lattice_hnf(transposed) == [[1, 3]]
-    assert greedy_basis(pres) == greedy_basis(_with_map(pres, transposed)) == ((1, 2),)
-    assert reduce_to_basis(pres, {(1, 1): 2}, [(1, 2)]) == [-6]
+    assert fallbacks == [[[2, 3]]]
+    assert _kernel_lattice_hnf(pres.quotient_map) == [[2, 3]]
+    assert is_zero_in_h4(pres, {(1, 1): -2, (1, 2): -3})
+    # q(e_1) = +-3 and q(e_2) = -+2: neither monomial generates the quotient
+    with pytest.raises(CohomologyError, match="no monomial basis"):
+        greedy_basis(pres)
+    # (2, 0) and a repeated (1, 0) get stuck, and the fallback raises
+    for relations in ([[2, 0]], [[1, 0], [1, 0]]):
+        with pytest.raises(CohomologyError):
+            _hand_presentation(relations)
+        assert fallbacks[-1] == relations

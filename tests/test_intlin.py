@@ -12,6 +12,7 @@ from hypothesis import given, strategies as st
 from sympy import Matrix
 
 from qtm import intlin
+from smith_oracle import smith_invariant_factors
 
 
 def random_matrix(rng, nrows, ncols, bound=6):
@@ -66,23 +67,26 @@ def test_hermite_pivots_positive_and_reduced():
                 assert 0 <= h.rows[k][c] < p
 
 
-def test_row_lattice_membership():
-    rng = random.Random(4)
-    for _ in range(200):
-        nr = rng.randint(1, 4)
-        nc = rng.randint(2, 6)
-        a = random_matrix(rng, nr, nc, bound=4)
-        h = intlin.hermite_form(a)
-        coeffs = [rng.randint(-3, 3) for _ in range(nr)]
-        v = [sum(c * a[i][j] for i, c in enumerate(coeffs)) for j in range(nc)]
-        assert intlin.in_row_lattice(h, v)
-        assert intlin.in_row_span_q(h, v)
-        # perturb off-lattice: a vector with a fresh unit coordinate not in span
-        if h.rank < nc:
-            free = [j for j in range(nc) if j not in [c for c, _ in h.pivots]][0]
-            w = list(v)
-            w[free] += 1
-            assert not intlin.in_row_lattice(h, w)
+@given(
+    st.integers(1, 6).flatmap(
+        lambda ncols: st.lists(
+            st.lists(st.integers(-2, 2), min_size=ncols, max_size=ncols), max_size=5
+        )
+    )
+)
+def test_unit_pivot_reduce_spans_the_row_lattice(rows):
+    before = [list(r) for r in rows]
+    pivots = intlin.unit_pivot_reduce(rows)
+    assert rows == before
+    if pivots is None:
+        return
+    # one row per input row, with an identity block in the pivot columns
+    assert len(pivots) == len(rows)
+    for c, row in pivots.items():
+        assert all(row[p] == (1 if p == c else 0) for p in pivots)
+    # the same lattice: the row HNF is canonical per lattice
+    if rows:
+        assert intlin.hermite_form(list(pivots.values())).rows == intlin.hermite_form(rows).rows
 
 
 def test_smith_matches_sympy():
@@ -93,7 +97,7 @@ def test_smith_matches_sympy():
         nr = rng.randint(1, 5)
         nc = rng.randint(1, 5)
         a = random_matrix(rng, nr, nc, bound=5)
-        ours = intlin.smith_invariant_factors(a)
+        ours = smith_invariant_factors(a)
         snf = smith_normal_form(Matrix(a))
         theirs = [abs(snf[i, i]) for i in range(min(nr, nc)) if snf[i, i] != 0]
         assert ours == theirs
@@ -206,45 +210,39 @@ def test_hermite_form_with_transform():
         assert h.rows == intlin.hermite_form(a).rows
 
 
-def _count_smith_calls(monkeypatch):
-    calls = []
-    smith = intlin.smith_invariant_factors
-
-    def counted(rows):
-        calls.append(rows)
-        return smith(rows)
-
-    monkeypatch.setattr(intlin, "smith_invariant_factors", counted)
-    return calls
-
-
-def certified(rows):
-    return intlin.certified_invariant_factors(rows, intlin.hermite_form(rows))
+def test_certified_factors_from_unit_pivots():
+    # a unit in every row: Gauss-Jordan leaves an identity block, so
+    # every invariant factor is 1
+    assert intlin.unit_pivot_reduce([[1, 4, 0], [0, 1, 7]]) == {0: [1, 0, -28], 1: [0, 1, 7]}
+    # a pivot on -1, then on (1, 1, 2) - 2 (-3, 0, 1) = (7, 1, 0)
+    assert intlin.unit_pivot_reduce([[3, 0, -1], [1, 1, 2]]) == {2: [-3, 0, 1], 1: [7, 1, 0]}
+    assert intlin.unit_pivot_reduce([]) == {}
+    # (2, 3) has no unit, yet (1, 1) unlocks it: (2, 3) - 2 (1, 1) = (0, 1)
+    assert intlin.unit_pivot_reduce([[2, 3], [1, 1]]) == {0: [1, 0], 1: [0, 1]}
 
 
-def test_certified_factors_from_unit_pivots(monkeypatch):
-    calls = _count_smith_calls(monkeypatch)
-    assert certified([[1, 4, 0], [0, 1, 7]]) == [1, 1]
-    assert certified([]) == []
-    assert calls == []
-
-
-def test_certified_factors_fall_back_to_smith(monkeypatch):
-    calls = _count_smith_calls(monkeypatch)
-    # [2, 3] has HNF pivot 2, yet its single factor is gcd(2, 3) = 1
-    assert intlin.hermite_form([[2, 3]]).pivots == [(0, 2)]
-    assert certified([[2, 3]]) == [1]
-    assert certified([[2, 0]]) == [2]
-    # rank-deficient input: the zero row has no factor
-    assert certified([[1, 0], [2, 0]]) == [1]
-    assert len(calls) == 3
+def test_unit_pivot_reduce_gets_stuck_without_a_unit():
+    # a primitive row with no unit entry: a direct summand, but stuck
+    assert intlin.unit_pivot_reduce([[2, 3]]) is None
+    # torsion, and rows that vanish once reduced
+    assert intlin.unit_pivot_reduce([[2, 0]]) is None
+    assert intlin.unit_pivot_reduce([[1, 0], [1, 0]]) is None
+    assert intlin.unit_pivot_reduce([[1, 0], [2, 0]]) is None
+    assert intlin.unit_pivot_reduce([[0, 0]]) is None
 
 
 def test_certified_factors_agree_with_smith_on_random_pairs():
     from qtm.charmat import RowBasisChange, refine, transform
-    from qtm.cohomology import presentation_deg4
+    from qtm.cohomology import CohomologyError, _certified_quotient_map, presentation_deg4
     from qtm.harness import SearchSpec, enumerate_matrices
     from qtm.polytope import cube, polygon, prism
+
+    def certified(rows, ngen):
+        try:
+            _certified_quotient_map(rows, ngen)
+        except CohomologyError:
+            return False
+        return True
 
     rng = random.Random(12)
     checked = 0
@@ -261,13 +259,15 @@ def test_certified_factors_agree_with_smith_on_random_pairs():
             pres = presentation_deg4(p, rl)
             # the relations alone, and the relations plus each unit row,
             # as greedy_basis stacks them: full rank or not, unit or not
+            ngen = len(pres.generators)
             stacks = [pres.relations]
-            for k in range(len(pres.generators)):
-                unit = [0] * len(pres.generators)
+            for k in range(ngen):
+                unit = [0] * ngen
                 unit[k] = 1
                 stacks.append(pres.relations + [unit])
                 stacks.append(pres.relations + [[2 * x for x in unit]])
             for rows in stacks:
-                assert certified(rows) == intlin.smith_invariant_factors(rows)
+                unit_factors = smith_invariant_factors(rows) == [1] * len(rows)
+                assert certified(rows, ngen) == unit_factors
                 checked += 1
     assert checked > 100

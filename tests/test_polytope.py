@@ -287,3 +287,12 @@ def test_serialization():
         d = p.to_dict()
         back = SimplePolytope.from_dict(d)
         assert back == p and back.name == p.name
+
+
+def test_unused_facets_message_is_capped():
+    # twelve unused facets: the message names the first ten
+    with pytest.raises(PolytopeError, match=r"^facets \[13, 14, .*, 22\] and 2 more unused$"):
+        SimplePolytope(2, 24, polygon(12).vertices)
+    # more facets than vertex slots is rejected before anything else
+    with pytest.raises(PolytopeError, match="^25 facets cannot all occur on 12 vertices$"):
+        SimplePolytope(2, 25, polygon(12).vertices)

@@ -1,6 +1,9 @@
 """Source-level checks on the qtm package."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import qtm
@@ -20,3 +23,23 @@ def test_package_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_certificate_raises_under_python_O():
+    # the AST scan above finds no assert; this shows the certificate's
+    # raise survives -O: 2 v1^2 = 0 leaves 2-torsion in the quotient
+    script = (
+        "from qtm.cohomology import CohomologyError, _certified_quotient_map\n"
+        "assert False, 'asserts must be stripped under -O'\n"
+        "try:\n"
+        "    _certified_quotient_map([[2, 0]], 2)\n"
+        "except CohomologyError as exc:\n"
+        "    print('raised:', exc)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.startswith("raised: relation lattice is not a rank-1 direct summand")

@@ -21,13 +21,16 @@ from qtm.charmat import (
     transform,
     validate,
 )
+import qtm.structure as structure
 from qtm.polytope import (
+    PolytopeError,
     SimplePolytope,
     connected_sum,
     cube,
     find_isomorphisms,
     polygon,
     prism,
+    product_splits,
 )
 from qtm.stringcheck import is_spin, is_string
 from qtm.structure import (
@@ -828,3 +831,27 @@ def test_decompose_cube_connsum_rejects_wrong_labeling():
     assert ok
     with pytest.raises(StructureError):
         decompose_cube_connsum(bad_poly, badlam)
+
+
+def test_brute_force_guards_share_one_limit(monkeypatch):
+    # every brute-force search refuses size 17 with the same message
+    big = polygon(17)
+    with pytest.raises(PolytopeError, match="^isomorphism search is brute force, refusing size 17 > 16$"):
+        find_isomorphisms(big, big)
+    with pytest.raises(PolytopeError, match="^product split search is brute force, refusing size 17 > 16$"):
+        product_splits(big)
+    with pytest.raises(StructureError, match="^principal minor check is brute force, refusing size 17 > 16$"):
+        dobrinskaya_normalize([[int(i == j) for j in range(17)] for i in range(17)])
+    # the bundle certificate the cube connected sum guards
+    lam = CharMatrix([[1, 0] * 8 + [1], [0, 1] * 8 + [1]])
+    with pytest.raises(PolytopeError, match="^product split search is brute force, refusing size 17 > 16$"):
+        bundle_certificate(big, lam)
+    # that guard reads the same limit: lowered below the far cube's six
+    # facets, the far piece is left without a bundle search
+    c3 = cube(3)
+    pair = equivariant_connected_sum(c3, CUBE_SUMMAND_A, (4, 5, 6), c3, CUBE_SUMMAND_B, (1, 2, 3))
+    far = decompose_cube_connsum(*pair).pieces[1]
+    assert far.bundle_type is True and far.certificate is not None
+    monkeypatch.setattr(structure, "BRUTE_FORCE_FACETS", 5)
+    far = decompose_cube_connsum(*pair).pieces[1]
+    assert far.bundle_type is None and far.certificate is None
