@@ -188,10 +188,7 @@ def _assert_onto_with_relation_kernel(pres):
     q = pres.quotient_map
     assert len(q) == len(pres.generators)
     assert all(len(img) == pres.quotient_rank for img in q)
-    if pres.relations:
-        assert _kernel_lattice_hnf(q) == intlin.hermite_form(pres.relations).rows
-    else:
-        assert _kernel_lattice_hnf(q) == []
+    assert _kernel_lattice_hnf(q) == intlin.hermite_form(pres.relations).rows
     # onto Z^h2: the images have a unit-pivot HNF of full rank
     h = intlin.hermite_form([list(img) for img in q])
     assert h.rank == pres.quotient_rank and all(p == 1 for _, p in h.pivots)
