@@ -4,11 +4,12 @@ verification campaigns.
 The enumerator fixes the refined form at the polytope's first vertex
 and assigns the remaining columns in ascending facet order, depth
 first, each column running through its value range lexicographically.
-A branch dies the moment a fully-assigned vertex has a non-unit
-determinant, or, under the spin and string filters, the moment a
-column sum comes out even.  Survivors are deduplicated by canonical
-key, so the output carries one representative per equivalence class,
-in first-encounter order, which is deterministic.
+So the walk meets its leaves in lexicographic order of their free
+column sequences.  A branch dies the moment a fully-assigned vertex
+has a non-unit determinant, or, under the spin and string filters, the
+moment a column sum comes out even.  The output carries one
+representative per equivalence class, the first leaf of the class in
+walk order, which is deterministic.
 
 Over the integers each free column only takes values whose first
 nonzero entry is negative: one member of each column sign orbit.
@@ -26,17 +27,34 @@ subsequence of the old leaves in the same order: the survivors, their
 order and their rows are those of the unrestricted walk.  The zero
 column is left out too; it makes every vertex on its facet singular.
 
-At each leaf the canonical key is computed before the string test,
-and every key is remembered whether its leaf passes or not: being
+What is left of the `signs` group on these leaves are the row sign
+patterns s with s_0 = +1 (negating every row fixes every normalized
+column), each followed by flipping the identity columns back: a free
+column x whose first nonzero entry sits in row f maps to s_f * (s o x).
+The action is column by column, so the walk compares each prefix with
+its image under every pattern still tied with it (tables built once
+per search: for each value, the patterns that map it below itself and
+those that fix it).  A value whose image under a tied pattern is
+smaller is skipped, with its whole subtree (a lex prune); a pattern
+whose image is larger is satisfied for good.  Every leaf that is
+reached is thus the lex-least member of its sign orbit (a lex leader),
+and the first leaf of a class in walk order is exactly that member, so
+it is never pruned: the survivors, their order and their rows stay
+those of the unrestricted walk.  Under `signs` every leaf reached is
+its own class, so no canonical key is computed and nothing is
+remembered.  Under `signs+automorphisms` the leaves are deduplicated
+by canonical key, in first-encounter order, and every key is
+remembered whether its leaf passes the string test or not: being
 string is an invariant of the class, so no class is tested twice.
 The string test at a leaf is the core that takes a valid refined
 pair: the walk has already checked every vertex.
 
-The mod-2 walk is not restricted (over GF(2) a sign flip is trivial).
-It keeps one bitmask per column, bit i for row i, set when the column
-is assigned, and a vertex passes iff its column masks have GF(2) rank
-n.  It does not dedup: two leaves differ in some free column, so every
-leaf has its own rows and dedup_hits is 0 by construction.
+The mod-2 walk has no residual symmetry to break (over GF(2) a sign
+flip is trivial), so its table marks no pattern.  It keeps one bitmask
+per column, bit i for row i, and a vertex passes iff its column masks
+have GF(2) rank n.  It does not dedup: two leaves differ in some free
+column, so every leaf has its own rows and dedup_hits is 0 by
+construction.
 
 Entry bounds are part of every verdict: matrices exist at every bound,
 so a negative campaign only ever says "none with entries up to B".
@@ -142,22 +160,53 @@ def _completion_schedule(p: SimplePolytope, base, free):
     return schedule
 
 
+def _lex_table(values, n: int):
+    """The mask of every pattern, and (value, below, equal) for each
+    integer column value.
+
+    Bit k of a mask stands for the k-th nontrivial row sign pattern s
+    with s_0 = +1.  Under s a column x whose first nonzero entry sits in
+    row f maps to s_f * (s o x), which again has its first nonzero entry
+    negative; `below` marks the patterns whose image of x is
+    lexicographically smaller than x, `equal` those that fix x.
+    """
+    patterns = [
+        [-1 if pattern >> i & 1 else 1 for i in range(n)]
+        for pattern in range(2, 1 << n, 2)
+    ]
+    table = []
+    for x in values:
+        f = next(i for i, t in enumerate(x) if t)
+        below = equal = 0
+        for k, s in enumerate(patterns):
+            image = tuple(s[f] * si * t for si, t in zip(s, x))
+            if image < x:
+                below |= 1 << k
+            elif image == x:
+                equal |= 1 << k
+        table.append((x, below, equal))
+    return (1 << len(patterns)) - 1, table
+
+
 def enumerate_matrices(spec: SearchSpec):
     """All matrices matching ``spec``, one per dedup class.
 
     Returns (survivors, stats).  stats counts visited nodes, pruned
     assignments (determinant prunes plus string rejections), complete
     candidates and emitted survivors; string_rejects and dedup_hits
-    split out the leaves the string test and the dedup dropped (the
-    mod-2 walk never dedups), and elapsed is the wall time in seconds.
-    Raises ResourceCapExceeded rather than returning a truncated list.
+    split out the leaves the string test and the automorphism dedup
+    dropped.  lex_prunes counts the column values skipped because a row
+    sign pattern maps the prefix below itself (always 0 on the mod-2
+    walk), and parity_prunes the column values the spin/string parity
+    filter removes, once per expanded interior node.  elapsed is the
+    wall time in seconds.  Raises ResourceCapExceeded rather than
+    returning a truncated list.
     """
     p = spec.polytope
     n, m = p.dim, p.num_facets
     base = p.vertices[0]
     free = tuple(f for f in range(1, m + 1) if f not in set(base))
     schedule = _completion_schedule(p, base, free)
-    parity_prune = spec.filter in ("spin", "string")
     mod2 = spec.mod2_only
     if mod2:
         values = list(itertools.product((0, 1), repeat=n))
@@ -169,17 +218,25 @@ def enumerate_matrices(spec: SearchSpec):
             for v in itertools.product(rng_vals, repeat=n)
             if next((x for x in v if x), 0) < 0
         ]
-    if parity_prune:
+    unfiltered = len(values)
+    if spec.filter in ("spin", "string"):
         values = [v for v in values if sum(v) % 2 == 1]
+    parity_cut = unfiltered - len(values)
     if mod2:
-        # a column value is its bitmask, bit i for row i
+        # a column value is its bitmask, bit i for row i; no sign
+        # pattern is left to break, so every value is always open
         values = [intlin.f2_mask(v) for v in values]
+        every_pattern, table = 0, [(v, 0, 0) for v in values]
+    else:
+        every_pattern, table = _lex_table(values, n)
+    # tied mask -> the (value, child's tied mask) pairs it does not prune;
+    # a tied mask is the stabilizer of the prefix, a subgroup, so few occur
+    options: dict[int, list] = {}
 
-    rows = [[0] * m for _ in range(n)]
-    colmask = [0] * (m + 1)
+    # col[f] is column f: a bitmask over GF(2), an n-tuple over Z
+    col = [0] * (m + 1)
     for k, f in enumerate(base):
-        rows[k][f - 1] = 1
-        colmask[f] = 1 << k
+        col[f] = 1 << k if mod2 else tuple(int(i == k) for i in range(n))
 
     stats = {
         "nodes": 0,
@@ -188,6 +245,8 @@ def enumerate_matrices(spec: SearchSpec):
         "survivors": 0,
         "string_rejects": 0,
         "dedup_hits": 0,
+        "lex_prunes": 0,
+        "parity_prunes": 0,
         "elapsed": 0.0,
     }
     survivors = []
@@ -200,11 +259,11 @@ def enumerate_matrices(spec: SearchSpec):
 
     if mod2:
         def vertex_ok(v) -> bool:
-            return intlin.f2_rank([colmask[f] for f in v]) == n
+            return intlin.f2_rank([col[f] for f in v]) == n
     else:
         def vertex_ok(v) -> bool:
-            sub = [[rows[i][f - 1] for f in v] for i in range(n)]
-            return abs(intlin.det(sub)) == 1
+            # the columns of v as rows: the transpose has the same det
+            return abs(intlin.det([col[f] for f in v])) == 1
 
     def reject() -> None:
         stats["pruned"] += 1
@@ -214,49 +273,53 @@ def enumerate_matrices(spec: SearchSpec):
         stats["candidates"] += 1
         if mod2:
             lam = Mod2CharMatrix(
-                [[colmask[f] >> i & 1 for f in range(1, m + 1)] for i in range(n)],
+                [[col[f] >> i & 1 for f in range(1, m + 1)] for i in range(n)],
                 refined_at=base,
             )
             if spec.filter == "string" and not _refined_is_string(p, lam):
                 reject()
                 return
         else:
-            lam = CharMatrix([r[:] for r in rows], refined_at=base)
-            key = canonical_key(p, lam, group=spec.dedup)
-            if key in seen:
-                stats["dedup_hits"] += 1
-                return
-            seen.add(key)
+            lam = CharMatrix(list(zip(*col[1:])), refined_at=base)
+            if spec.dedup == "signs+automorphisms":
+                key = canonical_key(p, lam, group=spec.dedup)
+                if key in seen:
+                    stats["dedup_hits"] += 1
+                    return
+                seen.add(key)
             if spec.filter == "string" and not _refined_verdict(p, lam).string:
                 reject()
                 return
         survivors.append(lam)
         stats["survivors"] += 1
 
-    def walk(t: int) -> None:
+    def walk(t: int, tied: int) -> None:
         if t == len(free):
             emit()
             return
+        opts = options.get(tied)
+        if opts is None:
+            opts = options[tied] = [
+                (val, tied & equal) for val, below, equal in table if not tied & below
+            ]
+        stats["lex_prunes"] += len(table) - len(opts)
+        stats["parity_prunes"] += parity_cut
         f = free[t]
-        for val in values:
+        for val, still_tied in opts:
             stats["nodes"] += 1
             if stats["nodes"] > spec.max_nodes:
                 raise capped("node")
             if stats["nodes"] % 4096 == 0:
                 if time.monotonic() - started > spec.max_seconds:
                     raise capped("time")
-            if mod2:
-                colmask[f] = val
-            else:
-                for i in range(n):
-                    rows[i][f - 1] = val[i]
+            col[f] = val
             if all(vertex_ok(v) for v in schedule[t]):
-                walk(t + 1)
+                walk(t + 1, still_tied)
             else:
                 stats["pruned"] += 1
 
     try:
-        walk(0)
+        walk(0, every_pattern)
     finally:
         # walk's closure refers to walk: break that cycle, or the
         # search's working set lives on until the cycle collector runs

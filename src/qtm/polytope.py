@@ -52,7 +52,7 @@ class SimplePolytope:
 
     __slots__ = ("dim", "num_facets", "vertices", "name", "_vmasks", "_vmask_set",
                  "_face_cache", "_edges", "_nonface_pairs", "_auts", "_degrees",
-                 "_face_counts", "_h_vector")
+                 "_face_counts", "_h_vector", "_splits")
 
     def __init__(self, dim: int, num_facets: int, vertices, name: str = ""):
         n, m = dim, num_facets
@@ -99,6 +99,7 @@ class SimplePolytope:
         self._degrees = None
         self._face_counts = None
         self._h_vector = None
+        self._splits = None
 
     # -- basic queries ------------------------------------------------------
 
@@ -424,10 +425,13 @@ def product_splits(p: SimplePolytope) -> list[tuple[tuple[int, ...], tuple[int, 
     A bipartition works when every vertex splits as (vertex of the
     A-part) + (vertex of the B-part) and all combinations occur.
     Returned with min(A) = 1 to fix the orientation of each pair.
+    The scan runs once per polytope; every call gets a fresh list.
     """
     m = p.num_facets
     if m > BRUTE_FORCE_FACETS:
         raise PolytopeError(brute_force_refusal("product split search", m))
+    if p._splits is not None:
+        return list(p._splits)
     full = (1 << m) - 1
     out = []
     for amask in range(1, full):
@@ -460,6 +464,7 @@ def product_splits(p: SimplePolytope) -> list[tuple[tuple[int, ...], tuple[int, 
         afacets = tuple(f for f in range(1, m + 1) if amask >> (f - 1) & 1)
         bfacets = tuple(f for f in range(1, m + 1) if bmask >> (f - 1) & 1)
         out.append((afacets, bfacets))
+    p._splits = tuple(out)
     return out
 
 

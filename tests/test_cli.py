@@ -235,6 +235,7 @@ def test_enumerate_square_string(tmp_path, capsys):
     assert code == 0
     assert d["survivors"] == [{"rows": SQUARE_TWIST}]
     assert d["statistics"]["survivors"] == 1
+    assert {"lex_prunes", "parity_prunes"} <= set(d["statistics"])
 
 
 def test_enumerate_mod2(tmp_path, capsys):
@@ -362,6 +363,7 @@ def test_verify_resource_cap_exits_3(tmp_path, capsys):
     )
     assert code == 3
     assert d["verdict"] == "resource-capped"
+    assert {"lex_prunes", "parity_prunes"} <= set(d["statistics"])
 
 
 def test_verify_unknown_claim_exits_2(capsys):

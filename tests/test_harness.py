@@ -14,7 +14,7 @@ import json
 
 import pytest
 
-from qtm import intlin
+from qtm import harness, intlin
 from qtm.charmat import CharMatrix, canonical_key, validate
 from qtm.harness import (
     CLAIM_IDS,
@@ -191,11 +191,15 @@ def unbroken_walk(p, bound, filt, dedup="signs"):
         (polygon(5), 2, "spin", "signs"),
         (cube(3), 1, "string", "signs"),
         (prism(4), 1, "string", "signs"),
+        # three row sign patterns to break, so lex prunes happen
+        (cube(3), 2, "spin", "signs"),
+        (prism(6), 1, "string", "signs"),
         (polygon(5), 2, "valid", "signs+automorphisms"),
     ],
     ids=[
         "square-valid", "square-spin", "pentagon-valid", "pentagon-spin",
-        "cube-string", "square-prism-string", "pentagon-automorphisms",
+        "cube-string", "square-prism-string", "cube-b2-spin",
+        "hexagonal-prism-string", "pentagon-automorphisms",
     ],
 )
 def test_sign_broken_walk_matches_unbroken_walk(poly, bound, filt, dedup):
@@ -207,13 +211,57 @@ def test_sign_broken_walk_matches_unbroken_walk(poly, bound, filt, dedup):
 def test_search_stats_split_prunes_and_dedup_hits():
     _survivors, stats = enumerate_matrices(SearchSpec(cube(3), 2, "signs", "string"))
     spin, _ = enumerate_matrices(SearchSpec(cube(3), 2, "signs", "spin"))
-    assert stats["candidates"] == (
-        stats["survivors"] + stats["string_rejects"] + stats["dedup_hits"]
-    )
-    # the string test runs once per spin class, never on a dedup hit
+    # under signs every leaf is its own class: no dedup, and the string
+    # test runs once per spin class
+    assert stats["dedup_hits"] == 0
+    assert stats["candidates"] == stats["survivors"] + stats["string_rejects"]
     assert stats["string_rejects"] == len(spin) - stats["survivors"] > 0
     assert stats["string_rejects"] <= stats["pruned"]
+    assert stats["lex_prunes"] > 0
     assert stats["elapsed"] >= 0.0
+    # automorphisms merge sign classes, so dedup hits appear only here;
+    # the walk is the same, and still no class is string-tested twice
+    _survivors, full = enumerate_matrices(
+        SearchSpec(cube(3), 2, "signs+automorphisms", "string")
+    )
+    spin_full, _ = enumerate_matrices(
+        SearchSpec(cube(3), 2, "signs+automorphisms", "spin")
+    )
+    assert full["candidates"] == stats["candidates"]
+    assert full["dedup_hits"] > 0
+    assert full["candidates"] == (
+        full["survivors"] + full["string_rejects"] + full["dedup_hits"]
+    )
+    assert full["string_rejects"] == len(spin_full) - full["survivors"] > 0
+
+
+def test_parity_prunes_count_filtered_values_per_interior_node():
+    # square, bound 1: the 4 values with first entry negative lose
+    # (-1, -1) and (-1, 1) to parity; the root and the one node that
+    # passes at facet 3 are expanded, so 2 * 2 values are cut
+    _survivors, stats = enumerate_matrices(SearchSpec(polygon(4), 1, "signs", "spin"))
+    assert stats["parity_prunes"] == 4
+    _survivors, stats = enumerate_matrices(SearchSpec(polygon(4), 1, "signs", "valid"))
+    assert stats["parity_prunes"] == 0
+
+
+@pytest.mark.parametrize(
+    "poly, bound, filt",
+    [(prism(6), 2, "string"), (cube(4), 1, "valid")],
+    ids=["criterion-04", "tesseract-b1"],
+)
+def test_sign_walk_reaches_each_class_once(poly, bound, filt, monkeypatch):
+    def no_key(*args, **kwargs):
+        raise AssertionError("the signs walk computed a canonical key")
+
+    monkeypatch.setattr(harness, "canonical_key", no_key)
+    survivors, stats = enumerate_matrices(SearchSpec(poly, bound, "signs", filt))
+    monkeypatch.undo()
+    keys = [canonical_key(poly, lam, group="signs") for lam in survivors]
+    assert len(set(keys)) == len(keys) == stats["survivors"]
+    assert stats["dedup_hits"] == 0
+    assert stats["candidates"] == stats["survivors"] + stats["string_rejects"]
+    assert stats["lex_prunes"] > 0
 
 
 def test_mod2_square_valid_count_and_soundness():
@@ -282,8 +330,10 @@ def test_mod2_walk_matches_brute_force(poly, filt):
         SearchSpec(poly, 1, "signs", filt, mod2_only=True)
     )
     assert [lam.rows for lam in survivors] == brute_force_mod2(poly, filt)
-    # every leaf has its own rows: the mod-2 walk never dedups
+    # every leaf has its own rows: the mod-2 walk never dedups, and a
+    # refined GF(2) form has no sign symmetry left to break
     assert stats["dedup_hits"] == 0
+    assert stats["lex_prunes"] == 0
     assert stats["candidates"] == stats["survivors"] + stats["string_rejects"]
 
 
