@@ -6,9 +6,12 @@ pair is valid when every vertex's column submatrix has determinant +-1.
 Entries are Python ints, so nothing can overflow.
 
 The equivalence moves are integral row basis changes, column sign
-flips, and facet relabelings by automorphisms of the polytope.  A pair
-is *refined* at a vertex v when the columns of v form the identity in
-sorted-v order; `refine` produces that form for any vertex.
+flips, and facet relabelings by automorphisms of the polytope.  None of
+them changes a vertex |det|, so `transform` validates its result once
+and the private `_moved` and `_normalizing_moves`, for pairs already
+validated, do not validate at all.  A pair is *refined* at a vertex v
+when the columns of v form the identity in sorted-v order; `refine`
+produces that form for any vertex.
 """
 
 from __future__ import annotations
@@ -137,8 +140,18 @@ class FacetPermutation:
     perm: tuple  # perm[f] = image of facet f, perm[0] = 0
 
 
-def transform(p: SimplePolytope, lam: CharMatrix, move) -> CharMatrix:
-    """Apply an equivalence move; the result is validated."""
+def _moved(p: SimplePolytope, lam: CharMatrix, move) -> CharMatrix:
+    """Apply an equivalence move without validating the result.
+
+    No equivalence move changes a vertex |det|: a row basis change u
+    multiplies every vertex submatrix by u, and det(u) = +-1; a column
+    sign flip negates at most one column of it; an automorphism maps
+    vertices to vertices, so it only permutes the columns of each
+    vertex submatrix.  A valid input therefore gives a valid result, and
+    callers that have validated the input do not validate again.  The
+    move itself is still checked: u must be unimodular, the column must
+    exist, and the permutation must be an automorphism.
+    """
     if isinstance(move, RowBasisChange):
         u = [list(r) for r in move.u]
         if abs(intlin.det(u)) != 1:
@@ -164,11 +177,53 @@ def transform(p: SimplePolytope, lam: CharMatrix, move) -> CharMatrix:
     keep = lam.refined_at
     if isinstance(move, FacetPermutation) and keep is not None:
         keep = tuple(sorted(perm[f] for f in keep))
-    out = CharMatrix(rows, refined_at=keep if keep and _refined_vertex_ok(rows, keep) else None)
+    return CharMatrix(rows, refined_at=keep if keep and _refined_vertex_ok(rows, keep) else None)
+
+
+def transform(p: SimplePolytope, lam: CharMatrix, move) -> CharMatrix:
+    """Apply an equivalence move; the move is checked and the result is
+    validated.
+
+    This is `_moved` plus one `validate`.  Since no move changes a
+    vertex |det| (see `_moved`), the result is invalid exactly when the
+    input was, so an invalid input raises here.
+    """
+    out = _moved(p, lam, move)
     ok, bad = validate(p, out)
     if not ok:
         raise CharMatrixError(f"move breaks validity at vertex {bad}")
     return out
+
+
+def _normalizing_moves(p: SimplePolytope, lam: CharMatrix, vertex, units, error):
+    """Refine at the vertex, then flip columns until each listed unit
+    entry is +1; returns (moves, normalized matrix) with the moves in
+    the order applied.
+
+    The moves go through `_moved`, so nothing is validated again.  A
+    matrix already refined at the vertex takes no row move and no
+    inverse.  A listed entry that is not a unit raises ``error``; the
+    callers list entries that are units by validity.
+    """
+    v = tuple(sorted(vertex))
+    moves = []
+    cur = lam
+    if cur.refined_at != v:
+        u = weights_at_vertex(p, cur, v)
+        if u != intlin.identity(p.dim):
+            mv = RowBasisChange(tuple(tuple(r) for r in u))
+            cur = _moved(p, cur, mv)
+            moves.append(mv)
+        cur = CharMatrix(cur.rows, refined_at=v)
+    for r, c in units:
+        e = cur.entry(r, c)
+        if abs(e) != 1:
+            raise error(f"entry ({r},{c}) = {e} should be a unit")
+        if e == -1:
+            mv = ColumnSignFlip(c)
+            cur = _moved(p, cur, mv)
+            moves.append(mv)
+    return moves, cur
 
 
 # ---------------------------------------------------------------------------

@@ -92,9 +92,9 @@ from .stringcheck import (
     random_cyclic_instance,
 )
 from .structure import (
+    _decompose_cube_connsum,
+    _decompose_prism,
     bott_triangularize,
-    decompose_cube_connsum,
-    decompose_prism,
 )
 
 
@@ -455,7 +455,8 @@ def _claim_prism_decompose(params, caps):
     survivors, stats = enumerate_matrices(spec)
     witnesses = []
     for lam in survivors:
-        rep = decompose_prism(k, lam)
+        # a string-walk survivor is valid and string: hand both over
+        rep = _decompose_prism(p, k, lam, string=True)
         ok = (
             rep.verdict in ("decomposed", "irreducible")
             and all(piece.string for piece in rep.pieces)
@@ -477,7 +478,7 @@ def _claim_cube_connsum(params, caps):
     survivors, stats = enumerate_matrices(spec)
     witnesses = []
     for lam in survivors:
-        rep = decompose_cube_connsum(p, lam)
+        rep = _decompose_cube_connsum(p, lam, string=True)
         ok = rep.verdict == "decomposed" and all(
             piece.string for piece in rep.pieces
         )

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .charmat import CharMatrix, refine, validate
+from .charmat import CharMatrix, _normalizing_moves, refine, validate
 from .cohomology import (
     DegreeFourPresentation,
     is_zero_in_h4,
@@ -172,23 +172,6 @@ def _require_units(lam: CharMatrix, units, family: str) -> None:
             )
 
 
-def _flip_units(lam: CharMatrix, units) -> CharMatrix:
-    """Sign-flip columns so each listed unit entry is +1.
-
-    A column sign flip keeps every vertex determinant a unit, so the
-    result is not validated again.  The unit columns are free columns of
-    the refinement vertex, so refined_at carries over.
-    """
-    for r, c in units:
-        e = lam.entry(r, c)
-        if abs(e) != 1:
-            raise StringCheckError(f"entry ({r},{c}) = {e} should be a unit")
-        if e == -1:
-            rows = [[-x if j == c - 1 else x for j, x in enumerate(row)] for row in lam.rows]
-            lam = CharMatrix(rows, refined_at=lam.refined_at)
-    return lam
-
-
 # ---------------------------------------------------------------------------
 # polygon
 
@@ -232,8 +215,8 @@ def prism_normal_form(k: int, lam: CharMatrix) -> CharMatrix:
 
 def _prism_normal_form(p: SimplePolytope, k: int, lam: CharMatrix) -> CharMatrix:
     """prism_normal_form for a pair already valid over p = prism(2k)."""
-    rl = refine(p, lam, (1, 2, 3))
-    return _flip_units(rl, ((2, 4), (3, 2 * k + 1), (1, 2 * k + 2)))
+    units = ((2, 4), (3, 2 * k + 1), (1, 2 * k + 2))
+    return _normalizing_moves(p, lam, (1, 2, 3), units, StringCheckError)[1]
 
 
 def prism_closed_form(k: int, lam: CharMatrix) -> dict:
@@ -369,8 +352,7 @@ def pent_prism_normal_form(n: int, lam: CharMatrix) -> CharMatrix:
     p = pent_prism_polytope(n)
     _checked(p, lam)
     vertex = tuple(sorted((1, 2) + tuple(range(6, n + 4))))
-    rl = refine(p, lam, vertex)
-    return _flip_units(rl, pent_prism_units(n))
+    return _normalizing_moves(p, lam, vertex, pent_prism_units(n), StringCheckError)[1]
 
 
 def pent_prism_closed_form(n: int, lam: CharMatrix) -> dict:
@@ -452,8 +434,7 @@ def q_prism_normal_form(n: int, lam: CharMatrix) -> CharMatrix:
     p = q_prism_polytope(n)
     _checked(p, lam)
     vertex = tuple(sorted((1, 2, 3) + tuple(range(9, n + 6))))
-    rl = refine(p, lam, vertex)
-    return _flip_units(rl, q_prism_units(n))
+    return _normalizing_moves(p, lam, vertex, q_prism_units(n), StringCheckError)[1]
 
 
 def q_prism_closed_form(n: int, lam: CharMatrix) -> dict:

@@ -19,6 +19,20 @@ Four constructions live here:
   analysis on normalized matrix entries.  Every relation the case analysis
   relies on, and every reassembly, is re-verified numerically; a failure
   raises ``StructureContradiction`` instead of returning a wrong answer.
+
+Each public entry point validates its input pair once and hands it to a
+private core that does not validate it again.  The cores move pairs with
+``charmat._moved``, which skips validation: no equivalence move changes
+a vertex |det|, so a valid pair stays valid.  What is checked once:
+
+* every new pair -- each piece and each glued result -- is validated
+  once, right after it is built;
+* each string verdict is decided once, by ``_refined_verdict`` on a pair
+  already refined: the input on its normal form (unless the caller, such
+  as a string search, has decided it already), each split-off piece, and
+  a prism remainder inside its own recursive call.
+
+Every ``_forced`` relation and every reassembly comparison still runs.
 """
 
 from __future__ import annotations
@@ -34,8 +48,9 @@ from .charmat import (
     ColumnSignFlip,
     FacetPermutation,
     RowBasisChange,
+    _moved,
+    _normalizing_moves,
     refine,
-    transform,
     validate,
     weights_at_vertex,
 )
@@ -50,7 +65,7 @@ from .polytope import (
     prism,
     product_splits,
 )
-from .stringcheck import is_string
+from .stringcheck import _refined_verdict
 
 
 class StructureError(ValueError):
@@ -246,32 +261,6 @@ class BottForm:
     witness: dict | None
 
 
-def _normalizing_moves(p, lam, vertex, units):
-    """Refine at the vertex and flip columns until the unit entries are +1,
-    returning (moves, normalized matrix).  The entries named in ``units``
-    must be units already, which validity guarantees for the callers."""
-    v = tuple(sorted(vertex))
-    moves = []
-    cur = lam
-    u = weights_at_vertex(p, cur, v)
-    if u != intlin.identity(p.dim):
-        mv = RowBasisChange(tuple(tuple(r) for r in u))
-        cur = transform(p, cur, mv)
-        moves.append(mv)
-    cur = CharMatrix(cur.rows, refined_at=v)
-    for r, c in units:
-        e = cur.entry(r, c)
-        if abs(e) != 1:
-            raise StructureContradiction(
-                f"entry ({r},{c}) should be a unit by validity, got {e}"
-            )
-        if e == -1:
-            mv = ColumnSignFlip(c)
-            cur = transform(p, cur, mv)
-            moves.append(mv)
-    return moves, cur
-
-
 def bott_triangularize(n: int, lam: CharMatrix) -> BottForm:
     """Bring a cube pair to the form [I | unipotent upper triangular].
 
@@ -282,10 +271,10 @@ def bott_triangularize(n: int, lam: CharMatrix) -> BottForm:
     """
     p = cube(n)
     _checked_pair(p, lam)
-    string_input = is_string(p, lam)
     initial = tuple(range(1, n + 1))
     diag = tuple((i, n + i) for i in range(1, n + 1))
-    moves, cur = _normalizing_moves(p, lam, initial, diag)
+    moves, cur = _normalizing_moves(p, lam, initial, diag, StructureContradiction)
+    string_input = _refined_verdict(p, cur).string
     a = [[cur.entry(i, n + j) for j in range(1, n + 1)] for i in range(1, n + 1)]
     form = dobrinskaya_normalize(a)
     if form.verdict == "cycle":
@@ -319,11 +308,11 @@ def bott_triangularize(n: int, lam: CharMatrix) -> BottForm:
             perm[i] = t
             perm[n + i] = n + t
         mv = FacetPermutation(tuple(perm))
-        cur = transform(p, cur, mv)
+        cur = _moved(p, cur, mv)
         moves.append(mv)
         u = weights_at_vertex(p, cur, initial)
         mv2 = RowBasisChange(tuple(tuple(r) for r in u))
-        cur = transform(p, cur, mv2)
+        cur = _moved(p, cur, mv2)
         moves.append(mv2)
         cur = CharMatrix(cur.rows, refined_at=initial)
     final = tuple(
@@ -348,6 +337,12 @@ def equivariant_connected_sum(p_l, lam_l, w_l, p_r, lam_r, w_r):
     """
     _checked_pair(p_l, lam_l)
     _checked_pair(p_r, lam_r)
+    return _equivariant_connected_sum(p_l, lam_l, w_l, p_r, lam_r, w_r)
+
+
+def _equivariant_connected_sum(p_l, lam_l, w_l, p_r, lam_r, w_r):
+    """equivariant_connected_sum for two pairs already valid; the glued
+    matrix is still validated."""
     if p_l.dim != p_r.dim:
         raise StructureError("connected sum needs equal dimensions")
     rl = refine(p_l, lam_l, w_l)
@@ -383,6 +378,12 @@ def equivariant_edge_connected_sum(p1, lam1, edge1, ends1, p2, lam2, edge2, ends
     """
     _checked_pair(p1, lam1)
     _checked_pair(p2, lam2)
+    return _equivariant_edge_connected_sum(p1, lam1, edge1, ends1, p2, lam2, edge2, ends2)
+
+
+def _equivariant_edge_connected_sum(p1, lam1, edge1, ends1, p2, lam2, edge2, ends2):
+    """equivariant_edge_connected_sum for two pairs already valid; the
+    glued matrix is still validated."""
     if p1.dim != p2.dim:
         raise StructureError("edge connected sum needs equal dimensions")
     matched1 = tuple(edge1) + tuple(ends1)
@@ -465,6 +466,11 @@ def bundle_certificate(p: SimplePolytope, lam: CharMatrix) -> dict | None:
     answer means no refinement of the pair shows a literal zero block.
     """
     _checked_pair(p, lam)
+    return _bundle_certificate(p, lam)
+
+
+def _bundle_certificate(p: SimplePolytope, lam: CharMatrix) -> dict | None:
+    """bundle_certificate for a pair already valid."""
     splits = product_splits(p)
     if not splits:
         return None
@@ -573,9 +579,9 @@ def _prism_mirror(p, k, nf):
     for x in range(2, m):
         perm[x] = (3 - x) % (2 * k) + 2
     mv1 = FacetPermutation(tuple(perm))
-    cur = transform(p, nf, mv1)
+    cur = _moved(p, nf, mv1)
     mv2 = RowBasisChange(((1, 0, 0), (0, 0, 1), (0, 1, 0)))
-    cur = transform(p, cur, mv2)
+    cur = _moved(p, cur, mv2)
     cur = CharMatrix(cur.rows, refined_at=(1, 2, 3))
     for r, c in ((2, 4), (3, m - 1), (1, m)):
         _forced(cur.entry(r, c) == 1, "reflection keeps the unit normalization")
@@ -599,12 +605,31 @@ def decompose_prism(k: int, lam: CharMatrix) -> DecompositionReport:
         raise StructureError("bundle certificate search refuses prisms past k = 7")
     p = prism(2 * k)
     _checked_pair(p, lam)
-    if not is_string(p, lam):
-        raise StructureError("decompose_prism needs a string pair")
+    return _decompose_prism(p, k, lam)
+
+
+def _decompose_prism(
+    p: SimplePolytope, k: int, lam: CharMatrix, string: bool | None = None,
+    remainder: bool = False,
+) -> DecompositionReport:
+    """decompose_prism for a pair already valid over p = prism(2k).
+
+    string is the pair's string verdict when the caller has decided it,
+    as a string search has for its survivors; None decides it here, on
+    the normal form.  A remainder that is not string is a contradiction
+    rather than a bad input, so remainder=True raises the forced
+    relation instead.
+    """
     m = 2 * k + 2
     moves, nf = _normalizing_moves(
-        p, lam, (1, 2, 3), ((2, 4), (3, m - 1), (1, m))
+        p, lam, (1, 2, 3), ((2, 4), (3, m - 1), (1, m)), StructureContradiction
     )
+    if string is None:
+        string = _refined_verdict(p, nf).string
+        if remainder:
+            _forced(string, "remainder piece is string")
+    if not string:
+        raise StructureError("decompose_prism needs a string pair")
     e = nf.entry
     _forced(e(1, 4) * e(2, m) == 0, "la(1,4) la(2,2k+2) = 0")
     _forced(e(1, m - 1) * e(3, m) == 0, "la(1,2k+1) la(3,2k+2) = 0")
@@ -651,7 +676,7 @@ def decompose_prism(k: int, lam: CharMatrix) -> DecompositionReport:
             branch = "peel"
     detail = {"k": k, "branch": branch, "mirrored": mirrored}
     if branch != "peel" or k == 2:
-        cert = bundle_certificate(p, nf)
+        cert = _bundle_certificate(p, nf)
         if cert is None:
             raise StructureContradiction(
                 f"terminal prism case {branch!r} lacks a bundle certificate"
@@ -671,15 +696,17 @@ def decompose_prism(k: int, lam: CharMatrix) -> DecompositionReport:
     p_rest = prism(2 * k - 2)
     lam_rest = CharMatrix([[e(r, c) for c in rest_cols] for r in (1, 2, 3)])
     _checked_pair(p_rest, lam_rest)
-    _forced(is_string(p_small, lam_small), "split-off prism(4) piece is string")
-    _forced(is_string(p_rest, lam_rest), "remainder piece is string")
-    cert = bundle_certificate(p_small, lam_small)
+    _forced(
+        _refined_verdict(p_small, lam_small).string,
+        "split-off prism(4) piece is string",
+    )
+    cert = _bundle_certificate(p_small, lam_small)
     if cert is None:
         raise StructureContradiction("split-off piece lacks a bundle certificate")
     piece1 = Piece(p_small, lam_small, True, True, cert)
-    inner = decompose_prism(k - 1, lam_rest)
+    inner = _decompose_prism(p_rest, k - 1, lam_rest, remainder=True)
 
-    re_poly, re_lam = equivariant_edge_connected_sum(
+    re_poly, re_lam = _equivariant_edge_connected_sum(
         p_small, lam_small, (4, 5), (1, 6),
         p_rest, lam_rest, (2, 2 * k - 1), (1, 2 * k),
     )
@@ -745,6 +772,20 @@ def decompose_cube_connsum(p: SimplePolytope, lam: CharMatrix) -> DecompositionR
     if m_total < 2 * n + 1:
         raise StructureError("too few facets for a cube connected sum")
     _checked_pair(p, lam)
+    return _decompose_cube_connsum(p, lam)
+
+
+def _decompose_cube_connsum(
+    p: SimplePolytope, lam: CharMatrix, string: bool | None = None
+) -> DecompositionReport:
+    """decompose_cube_connsum for a pair already valid over p.
+
+    string is the pair's string verdict when the caller has decided it,
+    as a string search has for its survivors; None decides it here, on
+    the normalized matrix.
+    """
+    n = p.dim
+    m_total = p.num_facets
     seam = tuple(range(n + 1, 2 * n + 1))
     if seam in p.vertices:
         raise StructureError("the seam facets still form a vertex; not a sum")
@@ -768,11 +809,13 @@ def decompose_cube_connsum(p: SimplePolytope, lam: CharMatrix) -> DecompositionR
 
     initial = tuple(range(1, n + 1))
     diag = tuple((i, n + i) for i in range(1, n + 1))
-    moves, cur = _normalizing_moves(p, lam, initial, diag)
+    moves, cur = _normalizing_moves(p, lam, initial, diag, StructureContradiction)
     a = [[cur.entry(i, n + j) for j in range(1, n + 1)] for i in range(1, n + 1)]
     a_det = intlin.det(a)
     detail = {"seam_det": a_det}
-    if not is_string(p, lam):
+    if string is None:
+        string = _refined_verdict(p, cur).string
+    if not string:
         detail["reason"] = "input is not string"
         return DecompositionReport(
             "not-applicable", (), (), cur, tuple(moves), detail
@@ -804,18 +847,18 @@ def decompose_cube_connsum(p: SimplePolytope, lam: CharMatrix) -> DecompositionR
             rows_r[i][n + j - 1] = col[i]
     lam_r = CharMatrix(rows_r, refined_at=initial)
     _checked_pair(p_r, lam_r)
-    _forced(is_string(cube_p, lam_cube), "cube summand is string")
-    _forced(is_string(p_r, lam_r), "far summand is string")
-    cert_cube = bundle_certificate(cube_p, lam_cube)
+    _forced(_refined_verdict(cube_p, lam_cube).string, "cube summand is string")
+    _forced(_refined_verdict(p_r, lam_r).string, "far summand is string")
+    cert_cube = _bundle_certificate(cube_p, lam_cube)
     if cert_cube is None:
         raise StructureContradiction("string cube summand lacks a bundle certificate")
     # past the brute-force limit the far piece's bundle type is unknown
     searchable = p_r.num_facets <= BRUTE_FORCE_FACETS
-    cert_r = bundle_certificate(p_r, lam_r) if searchable else None
+    cert_r = _bundle_certificate(p_r, lam_r) if searchable else None
     piece_cube = Piece(cube_p, lam_cube, True, True, cert_cube)
     piece_r = Piece(p_r, lam_r, cert_r is not None if searchable else None, True, cert_r)
 
-    re_poly, re_lam = equivariant_connected_sum(
+    re_poly, re_lam = _equivariant_connected_sum(
         cube_p, lam_cube, initial, p_r, lam_r, initial
     )
     _forced(re_poly.vertices == p.vertices, "reassembled polytope matches the input")

@@ -9,9 +9,12 @@ normalized matrix).
 """
 
 import random
+import sys
 
 import pytest
 
+import qtm.charmat as charmat
+from qtm import harness
 from qtm.charmat import (
     CharMatrix,
     CharMatrixError,
@@ -672,7 +675,7 @@ def test_decompose_prism_rejects_non_string():
     ok, _ = validate(p4, NON_STRING_SQUARE_PRISM)
     assert ok
     assert not is_string(p4, NON_STRING_SQUARE_PRISM)
-    with pytest.raises(StructureError):
+    with pytest.raises(StructureError, match="^decompose_prism needs a string pair$"):
         decompose_prism(2, NON_STRING_SQUARE_PRISM)
 
 
@@ -855,3 +858,154 @@ def test_brute_force_guards_share_one_limit(monkeypatch):
     monkeypatch.setattr(structure, "BRUTE_FORCE_FACETS", 5)
     far = decompose_cube_connsum(*pair).pieces[1]
     assert far.bundle_type is None and far.certificate is None
+
+
+# ---------------------------------------------------------------------------
+# each pair validated once, each string verdict decided once
+
+
+def _patch_everywhere(monkeypatch, name, wrapper):
+    """Replace charmat.<name> under every qtm module binding of it."""
+    real = getattr(charmat, name)
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.startswith("qtm") and getattr(mod, name, None) is real:
+            monkeypatch.setattr(mod, name, wrapper(real))
+
+
+# HEX_PRISM_LAM with column 3 doubled: singular at the top corner {1,2,3}
+SINGULAR_HEX_PRISM = CharMatrix(
+    [
+        [1, 0, 0, 1, 0, 0, 0, 1],
+        [0, 1, 0, 1, 0, 1, 0, 0],
+        [0, 0, 2, 1, 1, 0, 1, 2],
+    ]
+)
+
+
+@pytest.fixture
+def validated(monkeypatch):
+    """The (vertices, rows) of every pair validate sees, in call order."""
+    calls = []
+
+    def wrapper(real):
+        def counting(p, lam):
+            calls.append((p.vertices, lam.rows))
+            return real(p, lam)
+        return counting
+
+    _patch_everywhere(monkeypatch, "validate", wrapper)
+    return calls
+
+
+def test_decompose_prism_validates_each_pair_once(validated):
+    p4, p6 = prism(4), prism(6)
+    perm = [0] * 9
+    perm[1], perm[8] = 1, 8
+    for x in range(2, 8):
+        perm[x] = (3 - x) % 6 + 2
+    mirrored = transform(p6, HEX_PRISM_LAM, FacetPermutation(tuple(perm)))
+    # the plain example, and its reflection, which takes the mirror moves
+    for lam in (HEX_PRISM_LAM, CharMatrix(mirrored.rows)):
+        del validated[:]
+        rep = decompose_prism(3, lam)
+        assert rep.verdict == "decomposed"
+        # the input, the split-off piece, the remainder, then the glued matrix
+        assert validated[:3] == [
+            (p6.vertices, lam.rows),
+            (p4.vertices, HEX_PIECE_1),
+            (p4.vertices, rep.reassembly[0]["right_matrix"].rows),
+        ]
+        assert len(validated) == 4
+    assert rep.detail["mirrored"] is True
+
+
+def test_decompose_cube_connsum_validates_each_pair_once(validated):
+    c3 = cube(3)
+    big, biglam = equivariant_connected_sum(
+        c3, CUBE_SUMMAND_A, (4, 5, 6), c3, CUBE_SUMMAND_B, (1, 2, 3)
+    )
+    del validated[:]
+    rep = decompose_cube_connsum(big, biglam)
+    assert rep.verdict == "decomposed"
+    # the input, the cube piece, the far piece, then the glued matrix
+    assert validated[:3] == [(big.vertices, biglam.rows)] + [
+        (piece.polytope.vertices, piece.matrix.rows) for piece in rep.pieces
+    ]
+    assert len(validated) == 4
+
+
+def test_decompositions_reject_invalid_input_before_any_move(monkeypatch):
+    moves = []
+
+    def wrapper(real):
+        def recording(p, lam, move):
+            moves.append(move)
+            return real(p, lam, move)
+        return recording
+
+    _patch_everywhere(monkeypatch, "_moved", wrapper)
+    singular = SINGULAR_HEX_PRISM
+    with pytest.raises(StructureError, match="singular"):
+        decompose_prism(3, singular)
+    c3 = cube(3)
+    big, biglam = equivariant_connected_sum(
+        c3, CUBE_SUMMAND_A, (4, 5, 6), c3, CUBE_SUMMAND_B, (1, 2, 3)
+    )
+    broken = CharMatrix([list(biglam.rows[0])] * 2 + [list(biglam.rows[2])])
+    with pytest.raises(StructureError, match="singular"):
+        decompose_cube_connsum(big, broken)
+    assert moves == []
+    # moving a valid pair does go through the unvalidated move
+    decompose_prism(3, transform(prism(6), HEX_PRISM_LAM, charmat.ColumnSignFlip(4)))
+    assert moves
+
+
+def test_public_entry_points_still_validate_their_inputs():
+    p6 = prism(6)
+    singular = SINGULAR_HEX_PRISM
+    with pytest.raises(CharMatrixError, match="breaks validity"):
+        transform(p6, singular, charmat.ColumnSignFlip(8))
+    with pytest.raises(StructureError, match="singular"):
+        bundle_certificate(p6, singular)
+    c3 = cube(3)
+    bad_cube = CharMatrix([[1, 0, 0, 1, 0, 0], [0, 1, 0, 0, 1, 0], [0, 0, 1, 0, 0, 2]])
+    with pytest.raises(StructureError, match="singular"):
+        equivariant_connected_sum(c3, CUBE_SUMMAND_A, (4, 5, 6), c3, bad_cube, (1, 2, 3))
+    p4 = prism(4)
+    bad_square = CharMatrix([[1, 0, 0, 1, 0, 2], [0, 1, 0, 1, 0, 0], [0, 0, 1, 1, 1, 2]])
+    with pytest.raises(StructureError, match="singular"):
+        equivariant_edge_connected_sum(
+            p4, CharMatrix(HEX_PIECE_1), (4, 5), (1, 6),
+            p4, bad_square, (4, 5), (1, 6),
+        )
+
+
+def test_campaign_core_matches_the_public_decomposition():
+    # the campaign hands each string-walk survivor to the private core
+    # with its verdict; the report is the one the public function gives
+    p = prism(6)
+    survivors, _stats = harness.enumerate_matrices(harness.SearchSpec(p, 1, "signs", "string"))
+    assert survivors
+    for lam in survivors:
+        core = structure._decompose_prism(p, 3, lam, string=True)
+        assert core.to_dict() == decompose_prism(3, lam).to_dict()
+
+
+def test_campaigns_decide_no_verdict_on_a_walk_survivor(monkeypatch):
+    # every verdict the decompositions decide is on a piece or a
+    # remainder, never on the searched polytope itself
+    decided = []
+    real = structure._refined_verdict
+
+    def recording(p, rl):
+        decided.append(p.num_facets)
+        return real(p, rl)
+
+    monkeypatch.setattr(structure, "_refined_verdict", recording)
+    rep = harness.verify_claim("prism-decompose", {"k": 3, "bound": 1})
+    assert rep.verdict == "verified" and rep.statistics["checked"] > 0
+    assert decided and set(decided) == {6}
+    del decided[:]
+    rep = harness.verify_claim("cube-connsum", {"bound": 1})
+    assert rep.verdict == "verified" and rep.statistics["checked"] > 0
+    assert decided and set(decided) == {6}
