@@ -11,6 +11,19 @@ moment a column sum comes out even.  The output carries one
 representative per equivalence class, the first leaf of the class in
 walk order, which is deterministic.
 
+The vertex test filters values by mask rather than one determinant per
+value.  When column f is assigned, every vertex it completes has its
+other n - 1 columns fixed, so the vertex's determinant is linear in
+the new column: det = +-c.x, with c the cofactor vector of those
+columns (`intlin.cofactors`; over GF(2) the normal mask
+`intlin.f2_normal`, and det = parity(c & x)).  Once per node the walk
+takes c for each such vertex, looks up the mask of column values x
+with |c.x| = 1 (memoized per search by c alone; a dependent set of
+columns gives c = 0 and the empty mask), ANDs the masks, and then
+tests one bit per value.  Values are still counted one by one, so
+the node and time caps and every counter read as with a determinant
+per value.
+
 Over the integers each free column only takes values whose first
 nonzero entry is negative: one member of each column sign orbit.
 This drops no class and changes no representative.  Both dedup groups
@@ -51,8 +64,10 @@ pair: the walk has already checked every vertex.
 
 The mod-2 walk has no residual symmetry to break (over GF(2) a sign
 flip is trivial), so its table marks no pattern.  It keeps one bitmask
-per column, bit i for row i, and a vertex passes iff its column masks
-have GF(2) rank n.  It does not dedup: two leaves differ in some free
+per column, bit i for row i, and also memoizes each vertex's value
+mask by the tuple of its other columns' masks, for the life of the
+search.  Its leaves are built from bits already 0/1 and refined, with
+no re-check.  It does not dedup: two leaves differ in some free
 column, so every leaf has its own rows and dedup_hits is 0 by
 construction.
 
@@ -147,7 +162,8 @@ class SearchSpec:
 
 def _completion_schedule(p: SimplePolytope, base, free):
     """For each free-column position, the vertices that become fully
-    assigned once that column gets its value."""
+    assigned once that column gets its value, each given by its other
+    n - 1 facets."""
     base_set = set(base)
     pos = {f: t for t, f in enumerate(free)}
     schedule = [[] for _ in free]
@@ -156,7 +172,7 @@ def _completion_schedule(p: SimplePolytope, base, free):
         if not outside:
             continue
         last = max(pos[f] for f in outside)
-        schedule[last].append(v)
+        schedule[last].append(tuple(g for g in v if g != free[last]))
     return schedule
 
 
@@ -229,8 +245,10 @@ def enumerate_matrices(spec: SearchSpec):
         every_pattern, table = 0, [(v, 0, 0) for v in values]
     else:
         every_pattern, table = _lex_table(values, n)
-    # tied mask -> the (value, child's tied mask) pairs it does not prune;
-    # a tied mask is the stabilizer of the prefix, a subgroup, so few occur
+    every_value = (1 << len(table)) - 1
+    # tied mask -> the (table index, value, child's tied mask) triples it
+    # does not prune; a tied mask is the stabilizer of the prefix, a
+    # subgroup, so few occur
     options: dict[int, list] = {}
 
     # col[f] is column f: a bitmask over GF(2), an n-tuple over Z
@@ -257,13 +275,40 @@ def enumerate_matrices(spec: SearchSpec):
         stats["elapsed"] = time.monotonic() - started
         return ResourceCapExceeded(f"{reason} budget exhausted", dict(stats))
 
+    # cofactor vector c -> the table indices of the values x with
+    # |c.x| = 1, an odd popcount of c & x over GF(2); one entry per
+    # distinct c, however many nodes share it
+    admissible: dict = {}
+
+    def admissible_values(c) -> int:
+        mask = admissible.get(c)
+        if mask is None:
+            mask = 0
+            for i, (x, _below, _equal) in enumerate(table):
+                if mod2:
+                    hit = (c & x).bit_count() & 1
+                else:
+                    hit = abs(sum(a * b for a, b in zip(c, x))) == 1
+                if hit:
+                    mask |= 1 << i
+            admissible[c] = mask
+        return mask
+
     if mod2:
-        def vertex_ok(v) -> bool:
-            return intlin.f2_rank([col[f] for f in v]) == n
+        # the other columns' masks -> their admissible values; lives
+        # as long as the search
+        by_columns: dict = {}
+
+        def vertex_values(gs) -> int:
+            cols = tuple(map(col.__getitem__, gs))
+            mask = by_columns.get(cols)
+            if mask is None:
+                mask = by_columns[cols] = admissible_values(intlin.f2_normal(cols, n))
+            return mask
     else:
-        def vertex_ok(v) -> bool:
-            # the columns of v as rows: the transpose has the same det
-            return abs(intlin.det([col[f] for f in v])) == 1
+        def vertex_values(gs) -> int:
+            # the columns of a vertex as rows: the transpose has the same det
+            return admissible_values(intlin.cofactors([col[g] for g in gs]))
 
     def reject() -> None:
         stats["pruned"] += 1
@@ -272,9 +317,11 @@ def enumerate_matrices(spec: SearchSpec):
     def emit() -> None:
         stats["candidates"] += 1
         if mod2:
-            lam = Mod2CharMatrix(
-                [[col[f] >> i & 1 for f in range(1, m + 1)] for i in range(n)],
-                refined_at=base,
+            lam = Mod2CharMatrix._from_refined_bits(
+                tuple(
+                    tuple(col[f] >> i & 1 for f in range(1, m + 1)) for i in range(n)
+                ),
+                base,
             )
             if spec.filter == "string" and not _refined_is_string(p, lam):
                 reject()
@@ -300,20 +347,30 @@ def enumerate_matrices(spec: SearchSpec):
         opts = options.get(tied)
         if opts is None:
             opts = options[tied] = [
-                (val, tied & equal) for val, below, equal in table if not tied & below
+                (i, val, tied & equal)
+                for i, (val, below, equal) in enumerate(table)
+                if not tied & below
             ]
         stats["lex_prunes"] += len(table) - len(opts)
         stats["parity_prunes"] += parity_cut
+        # every vertex this column completes has its other n - 1 columns
+        # fixed, so its determinant is linear in the column: one cofactor
+        # per vertex decides every value at once
+        ok = every_value
+        for gs in schedule[t]:
+            ok &= vertex_values(gs)
+            if not ok:
+                break
         f = free[t]
-        for val, still_tied in opts:
+        for i, val, still_tied in opts:
             stats["nodes"] += 1
             if stats["nodes"] > spec.max_nodes:
                 raise capped("node")
             if stats["nodes"] % 4096 == 0:
                 if time.monotonic() - started > spec.max_seconds:
                     raise capped("time")
-            col[f] = val
-            if all(vertex_ok(v) for v in schedule[t]):
+            if ok >> i & 1:
+                col[f] = val
                 walk(t + 1, still_tied)
             else:
                 stats["pruned"] += 1

@@ -1,9 +1,10 @@
 """Exact integer linear algebra over Python ints.
 
 Everything here is exact: determinants by fraction-free (Bareiss)
-elimination, row Hermite normal form by xgcd row operations, the
-unit-pivot Gauss-Jordan reduction that certifies a relation lattice as
-a direct summand, unimodular inverses.  Every elimination over Z takes
+elimination, cofactor vectors from their minors, row Hermite normal
+form by xgcd row operations, the unit-pivot Gauss-Jordan reduction
+that certifies a relation lattice as a direct summand, unimodular
+inverses.  Every elimination over Z takes
 the same xgcd two-row step, `xgcd_rows`.  Python integers never
 overflow, so there is no precision story to worry about.
 
@@ -85,6 +86,21 @@ def det(rows: list[list[int]]) -> int:
             ri[k] = 0
         prev = pivot
     return sign * m[n - 1][n - 1]
+
+
+def cofactors(rows: list[list[int]]) -> tuple[int, ...]:
+    """Cofactor vector c of n - 1 integer rows of length n.
+
+    c_j is (-1)^j times the minor of `rows` with column j deleted, so
+    det([x] + rows) = sum_j c_j x_j for every row x: the determinant is
+    linear in the one row left open, and putting x in another place
+    only flips its sign.  c is zero exactly when the rows are dependent.
+    """
+    out = []
+    for j in range(len(rows) + 1):
+        minor = det([r[:j] + r[j + 1:] for r in rows])
+        out.append(-minor if j & 1 else minor)
+    return tuple(out)
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -258,8 +274,8 @@ def f2_mask(row: list[int]) -> int:
     return m
 
 
-def f2_rank(masks: list[int]) -> int:
-    """Rank over GF(2) of vectors packed as bitmasks.
+def _f2_echelon(masks) -> dict[int, int]:
+    """Top-bit reduction of vectors packed as bitmasks.
 
     The one elimination kernel of the mod-2 path.  The basis maps each
     pivot's bit_length() to its vector; a new vector is XORed with the
@@ -275,7 +291,33 @@ def f2_rank(masks: list[int]) -> int:
                 basis[top] = v
                 break
             v ^= b
-    return len(basis)
+    return basis
+
+
+def f2_rank(masks: list[int]) -> int:
+    """Rank over GF(2) of vectors packed as bitmasks."""
+    return len(_f2_echelon(masks))
+
+
+def f2_normal(masks, n: int) -> int:
+    """The nonzero annihilator of masks in GF(2)^n, or 0.
+
+    When the masks span a hyperplane (n - 1 independent masks, say),
+    the vectors x with an even popcount of c & x form exactly that span
+    for one nonzero c, which is returned; it is their cofactor vector
+    mod 2, so x completes them to a basis iff c & x has odd popcount.
+    Any other span gives 0.  c gets the one bit no pivot holds, then
+    each pivot bit in ascending order as the parity its basis vector
+    needs to annihilate c.
+    """
+    basis = _f2_echelon(masks)
+    if len(basis) != n - 1:
+        return 0
+    c = 1 << next(b for b in range(n) if b + 1 not in basis)
+    for top in sorted(basis):
+        if (basis[top] & c).bit_count() & 1:
+            c |= 1 << (top - 1)
+    return c
 
 
 def f2_in_span(masks: list[int], target: int) -> bool:

@@ -18,7 +18,11 @@ linearly.  A consistency certificate (generator count minus relation
 rank equals h_2) is enforced on every call.
 
 Vertex tests work on columns packed as bitmasks: a vertex is fine iff
-its n column masks have GF(2) rank n.  The public tests validate and
+its n column masks have GF(2) rank n.  The mod-2 search does not rank
+them: the determinant is linear in the last-assigned column x, equal
+to the parity of c & x for the normal mask c of the other n - 1
+columns, so the walk filters the values of that column by mask, once
+per node.  The public tests validate and
 refine their input; their private cores take a pair that is already
 valid and refined, which is what the mod-2 search hands them.  The
 simplex-product criterion is decided by that search, string filter
@@ -63,6 +67,18 @@ class Mod2CharMatrix:
             if len(refined_at) != self.n or not _mod2_refined_ok(rows, refined_at):
                 raise SmallCoverError(f"columns {refined_at} are not the identity")
         self.refined_at = refined_at
+
+    @classmethod
+    def _from_refined_bits(cls, rows, refined_at) -> "Mod2CharMatrix":
+        """A matrix from rows that are already tuples of 0/1, refined at
+        the sorted vertex refined_at, with no check or normalization:
+        the mod-2 walk builds its leaves this way."""
+        lam = object.__new__(cls)
+        lam.rows = rows
+        lam.n = len(rows)
+        lam.m = len(rows[0])
+        lam.refined_at = refined_at
+        return lam
 
     def __repr__(self):
         return f"<Mod2CharMatrix {self.n}x{self.m} refined_at={self.refined_at}>"

@@ -9,6 +9,7 @@ completion schedule), so agreement checks the DFS end to end.  The
 frozen numbers below are the oracle's outputs.
 """
 
+import hashlib
 import itertools
 import json
 
@@ -335,6 +336,82 @@ def test_mod2_walk_matches_brute_force(poly, filt):
     assert stats["dedup_hits"] == 0
     assert stats["lex_prunes"] == 0
     assert stats["candidates"] == stats["survivors"] + stats["string_rejects"]
+
+
+def survivor_digest(survivors):
+    rows = [[list(r) for r in lam.rows] for lam in survivors]
+    return hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+
+
+# every counter and the survivor rows, in order, of three searches; the
+# figures are those of the walk that ran one determinant per value
+PINNED_SEARCHES = {
+    "criterion-04": (
+        SearchSpec(prism(6), 2, "signs", "string"),
+        {
+            "nodes": 70213, "pruned": 67354, "candidates": 2581,
+            "survivors": 579, "string_rejects": 2002, "dedup_hits": 0,
+            "lex_prunes": 498, "parity_prunes": 70711,
+        },
+        "aef6891fd46f86ce63f41ea08b643a826df49065929c63eb67e6108fbf7debb3",
+    ),
+    "tesseract-b1-valid": (
+        SearchSpec(cube(4), 1, "signs", "valid"),
+        {
+            "nodes": 17632, "pruned": 15908, "candidates": 1245,
+            "survivors": 1245, "string_rejects": 0, "dedup_hits": 0,
+            "lex_prunes": 1568, "parity_prunes": 0,
+        },
+        "ae5541b7dc7af1b94ed01c4fd2354d61c51b0627405893b9b8e1a3aedda7ddd6",
+    ),
+    "mod2-simplex-223-string": (
+        SearchSpec(
+            simplex_product((2, 2, 3))[0], 1, "signs", "string", mod2_only=True
+        ),
+        {
+            "nodes": 8256, "pruned": 8128, "candidates": 112,
+            "survivors": 0, "string_rejects": 112, "dedup_hits": 0,
+            "lex_prunes": 0, "parity_prunes": 8256,
+        },
+        "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_SEARCHES))
+def test_pinned_search_stats_and_survivors(name):
+    spec, pinned, digest = PINNED_SEARCHES[name]
+    survivors, stats = enumerate_matrices(spec)
+    assert stats.pop("elapsed") >= 0.0
+    assert stats == pinned
+    assert survivor_digest(survivors) == digest
+
+
+def test_vertex_test_takes_one_cofactor_per_vertex_per_node(monkeypatch):
+    calls = {"det": 0, "f2_rank": 0}
+    det, f2_rank = intlin.det, intlin.f2_rank
+
+    def counted_det(rows):
+        calls["det"] += 1
+        return det(rows)
+
+    def counted_f2_rank(masks):
+        calls["f2_rank"] += 1
+        return f2_rank(masks)
+
+    monkeypatch.setattr(intlin, "det", counted_det)
+    monkeypatch.setattr(intlin, "f2_rank", counted_f2_rank)
+    _survivors, stats = enumerate_matrices(SearchSpec(cube(4), 1, "signs", "valid"))
+    # n minors per scheduled vertex per expanded node, never one
+    # determinant per (value, vertex) pair
+    assert 0 < calls["det"] < stats["nodes"]
+    # without a string test at the leaves nothing ranks masks: the mod-2
+    # vertex test reads normals, not ranks
+    survivors, _stats = enumerate_matrices(
+        SearchSpec(product(polygon(4), polygon(3)), 1, "signs", "valid", mod2_only=True)
+    )
+    assert survivors
+    assert calls["f2_rank"] == 0
 
 
 def test_node_budget_raises_with_partial_stats():

@@ -179,6 +179,40 @@ def test_f2_kernel_matches_oracle(case):
         assert intlin.f2_det_one(masks, width) == (rank == width)
 
 
+def test_f2_normal_decides_completion_to_a_basis():
+    rng = random.Random(17)
+    for n in range(1, 7):
+        for _ in range(60):
+            masks = [rng.randrange(1 << n) for _ in range(n - 1)]
+            if n > 2 and rng.random() < 0.3:
+                # force a dependent set: one mask the sum of two others
+                masks[0] = masks[1] ^ masks[-1]
+            c = intlin.f2_normal(masks, n)
+            independent = intlin.f2_rank(masks) == n - 1
+            assert (c != 0) == independent
+            for x in range(1 << n):
+                odd = (c & x).bit_count() % 2 == 1
+                assert odd == (intlin.f2_rank(masks + [x]) == n)
+
+
+def test_cofactors_are_linear_in_the_open_row():
+    rng = random.Random(19)
+    for n in range(1, 7):
+        for _ in range(40):
+            rows = random_matrix(rng, n - 1, n, bound=3)
+            if n > 2 and rng.random() < 0.2:
+                rows[0] = [a - b for a, b in zip(rows[1], rows[-1])]
+            c = intlin.cofactors(rows)
+            assert len(c) == n
+            for _ in range(5):
+                x = [rng.randint(-3, 3) for _ in range(n)]
+                cx = sum(a * b for a, b in zip(c, x))
+                assert cx == intlin.det([x] + rows)
+                # x in any other place only changes the sign
+                k = rng.randrange(n)
+                assert abs(cx) == abs(intlin.det(rows[:k] + [x] + rows[k:]))
+
+
 def _f2_rank_oracle(rows):
     work = [list(r) for r in rows]
     ncols = len(work[0])
