@@ -110,14 +110,9 @@ def refine(p: SimplePolytope, lam: CharMatrix, v) -> CharMatrix:
     already refined at v is returned as it is.
     """
     v = tuple(sorted(v))
-    if not p.is_vertex(v):
-        raise CharMatrixError(f"{v} is not a vertex")
-    if lam.refined_at == v:
+    if lam.refined_at == v and p.is_vertex(v):
         return lam
-    try:
-        u = intlin.inverse_unimodular(lam.submatrix(v))
-    except ValueError:
-        raise CharMatrixError(f"vertex {v} has non-unit determinant") from None
+    u = weights_at_vertex(p, lam, v)
     return CharMatrix(intlin.mat_mul(u, [list(r) for r in lam.rows]), refined_at=v)
 
 

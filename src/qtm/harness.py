@@ -505,8 +505,8 @@ def _claim_cyclic_identities(params, caps):
 def _claim_prism_decompose(params, caps):
     k = int(params.get("k", 2))
     bound = int(params.get("bound", 2))
-    if not 2 <= k <= 7:
-        raise HarnessError("prism decomposition campaign needs 2 <= k <= 7")
+    if k < 2:
+        raise HarnessError("prism decomposition campaign needs k >= 2")
     p = prism(2 * k)
     spec = SearchSpec(p, bound, "signs", "string", **caps)
     survivors, stats = enumerate_matrices(spec)

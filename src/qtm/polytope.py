@@ -4,9 +4,10 @@ A combinatorial simple n-polytope with m facets is stored as the set of
 its vertices, each vertex being the n-subset of facet indices (1..m)
 whose facets meet there.  A subset of facet indices is a *face* when it
 is contained in some vertex.  Construction validates the simple-polytope
-invariants: every vertex has exactly n facets, every facet occurs, and
+invariants: every vertex has exactly n facets, every facet occurs,
 every (n-1)-subset of a vertex lies in exactly two vertices (the closed
-pseudomanifold condition), so malformed complexes fail fast.
+pseudomanifold condition), and those shared ridges connect all the
+vertices, so malformed complexes fail fast.
 
 Facet indices are 1-based everywhere.  Internally each vertex is also
 kept as a bitmask (bit f-1 for facet f) for fast face queries.
@@ -24,8 +25,8 @@ class PolytopeError(ValueError):
     pass
 
 
-# size limit of the brute-force searches: isomorphisms, product splits
-# and principal minors; every polytope this package constructs is within it
+# size limit of the brute-force searches: isomorphisms and principal
+# minors; every polytope this package constructs is within it
 BRUTE_FORCE_FACETS = 16
 
 
@@ -51,7 +52,7 @@ class SimplePolytope:
     """
 
     __slots__ = ("dim", "num_facets", "vertices", "name", "_vmasks", "_vmask_set",
-                 "_face_cache", "_edges", "_nonface_pairs", "_auts", "_degrees",
+                 "_faces", "_edges", "_nonface_pairs", "_auts", "_degrees",
                  "_face_counts", "_h_vector", "_splits")
 
     def __init__(self, dim: int, num_facets: int, vertices, name: str = ""):
@@ -78,21 +79,34 @@ class SimplePolytope:
             raise PolytopeError(f"facets {unused[:10]}{more} unused")
         # every ridge (an (n-1)-subset of a vertex) must be shared by exactly
         # two vertices; this is what makes the dual complex a closed sphere-like
-        # pseudomanifold and rules out boundaries and branching
-        ridge_count: dict[tuple, int] = {}
-        for v in vs:
+        # pseudomanifold and rules out boundaries and branching.  The two
+        # vertices of a ridge are the ends of an edge, and the edge graph
+        # of a polytope is connected.
+        ridge_owners: dict[tuple, list[int]] = {}
+        for i, v in enumerate(vs):
             for r in combinations(v, n - 1):
-                ridge_count[r] = ridge_count.get(r, 0) + 1
-        for r, c in ridge_count.items():
-            if c != 2:
-                raise PolytopeError(f"ridge {r} lies in {c} vertices, expected 2")
+                ridge_owners.setdefault(r, []).append(i)
+        parent = list(range(len(vs)))
+        for r, owners in ridge_owners.items():
+            if len(owners) != 2:
+                raise PolytopeError(f"ridge {r} lies in {len(owners)} vertices, expected 2")
+            # union-find with path halving, inline: it runs once per ridge
+            a, b = owners
+            while parent[a] != a:
+                parent[a] = a = parent[parent[a]]
+            while parent[b] != b:
+                parent[b] = b = parent[parent[b]]
+            parent[a] = b
+        parts = sum(parent[i] == i for i in range(len(vs)))
+        if parts != 1:
+            raise PolytopeError(f"the complex falls into {parts} disconnected parts")
         self.dim = n
         self.num_facets = m
         self.vertices = tuple(vs)
         self.name = name
         self._vmasks = tuple(_mask(v) for v in vs)
         self._vmask_set = frozenset(self._vmasks)
-        self._face_cache: dict[int, bool] = {}
+        self._faces = None
         self._edges = None
         self._nonface_pairs = None
         self._auts = None
@@ -119,15 +133,24 @@ class SimplePolytope:
     def is_vertex(self, facets) -> bool:
         return _mask(facets) in self._vmask_set
 
+    def _face_set(self) -> frozenset[int]:
+        """The bitmask of every face: every subset of every vertex.
+
+        Built on first use; it answers every face query of the polytope.
+        """
+        if self._faces is None:
+            faces = {0}
+            for vm in self._vmasks:
+                sub = vm
+                while sub:
+                    faces.add(sub)
+                    sub = (sub - 1) & vm
+            self._faces = frozenset(faces)
+        return self._faces
+
     def is_face(self, facets) -> bool:
         """Is this set of facet indices a face (contained in some vertex)?"""
-        sub = _mask(facets)
-        cached = self._face_cache.get(sub)
-        if cached is not None:
-            return cached
-        ans = any(vm & sub == sub for vm in self._vmasks)
-        self._face_cache[sub] = ans
-        return ans
+        return _mask(facets) in self._face_set()
 
     @property
     def facet_degrees(self) -> tuple[int, ...]:
@@ -174,12 +197,8 @@ class SimplePolytope:
         """c_j = number of j-subsets of facets that are faces, j = 0..n."""
         if self._face_counts is None:
             counts = [0] * (self.dim + 1)
-            counts[0] = 1
-            for j in range(1, self.dim + 1):
-                seen = set()
-                for v in self.vertices:
-                    seen.update(combinations(v, j))
-                counts[j] = len(seen)
+            for face in self._face_set():
+                counts[face.bit_count()] += 1
             self._face_counts = tuple(counts)
         return self._face_counts
 
@@ -423,62 +442,46 @@ def product_splits(p: SimplePolytope) -> list[tuple[tuple[int, ...], tuple[int, 
     """All facet bipartitions (A, B) realizing p as a product.
 
     A bipartition works when every vertex splits as (vertex of the
-    A-part) + (vertex of the B-part) and all combinations occur.
-    Returned with min(A) = 1 to fix the orientation of each pair.
-    The scan runs once per polytope; every call gets a fresh list.
+    A-part) + (vertex of the B-part) and all combinations occur, that is
+    when the nerve of p is the join of its restrictions to A and to B.
+    A simplicial complex is such a join exactly when each of its minimal
+    nonfaces lies in A or in B, since the Stanley-Reisner ideal of a
+    join is the sum of the factors' ideals (Buchstaber-Panov, Toric
+    Topology, ch. 2).  So the irreducible factors are the connected
+    components of the hypergraph of minimal nonfaces, and the splits
+    are the unions of components that hold facet 1 but not every facet,
+    in ascending order of the A-part's bitmask.  Computed once per
+    polytope; every call gets a fresh list.
     """
-    m = p.num_facets
-    if m > BRUTE_FORCE_FACETS:
-        raise PolytopeError(brute_force_refusal("product split search", m))
     if p._splits is not None:
         return list(p._splits)
-    full = (1 << m) - 1
-    out = []
-    for amask in range(1, full):
-        if not amask & 1:  # fix facet 1 in A so each split appears once
-            continue
-        bmask = full & ~amask
-        if not bmask:
-            continue
-        aparts = set()
-        bparts = set()
-        asize = None
-        ok = True
-        for vm in p._vmasks:
-            av = vm & amask
-            bv = vm & bmask
-            cnt = bin(av).count("1")
-            if asize is None:
-                asize = cnt
-            elif cnt != asize:
-                ok = False
-                break
-            aparts.add(av)
-            bparts.add(bv)
-        if not ok or asize == 0 or asize == p.dim:
-            continue
-        if len(aparts) * len(bparts) != len(p.vertices):
-            continue
-        if not all((a | b) in p._vmask_set for a in aparts for b in bparts):
-            continue
-        afacets = tuple(f for f in range(1, m + 1) if amask >> (f - 1) & 1)
-        bfacets = tuple(f for f in range(1, m + 1) if bmask >> (f - 1) & 1)
-        out.append((afacets, bfacets))
+    m = p.num_facets
+    faces = p._face_set()
+    components = [1 << f for f in range(m)]
+    # a minimal nonface S is found once, from the face S minus its top facet,
+    # and merges the components it meets (disjoint masks, so sum is union)
+    for face in faces:
+        for top in range(face.bit_length(), m):
+            s = face | (1 << top)
+            if s in faces:
+                continue
+            rest = face  # drop each other facet of S in turn
+            while rest and (s ^ (rest & -rest)) in faces:
+                rest &= rest - 1
+            if not rest:
+                meet = [c for c in components if c & s]
+                components = [c for c in components if not c & s] + [sum(meet)]
+    amasks = [c for c in components if c & 1]
+    for comp in components:
+        if not comp & 1:
+            amasks += [a | comp for a in amasks]
+    # the largest union is every facet, which splits nothing off
+    amasks = sorted(amasks)[:-1]
+    facets = range(1, m + 1)
+    out = [(tuple(f for f in facets if a >> (f - 1) & 1),
+            tuple(f for f in facets if not a >> (f - 1) & 1)) for a in amasks]
     p._splits = tuple(out)
     return out
-
-
-def restrict_to_factor(p: SimplePolytope, facets: tuple[int, ...]) -> tuple[SimplePolytope, dict[int, int]]:
-    """The factor polytope on a facet subset of a product split.
-
-    Returns (factor, old->new facet map); new labels follow the old order.
-    """
-    fset = set(facets)
-    relabel = {f: i + 1 for i, f in enumerate(facets)}
-    parts = {tuple(sorted(relabel[f] for f in v if f in fset)) for v in p.vertices}
-    dim = len(next(iter(parts)))
-    factor = SimplePolytope(dim, len(facets), sorted(parts))
-    return factor, relabel
 
 
 def connected_sum(p: SimplePolytope, vp, q: SimplePolytope, vq, matching: dict[int, int] | None = None):

@@ -32,20 +32,12 @@ on, and then checked against its closed form.
 from __future__ import annotations
 
 from . import intlin
+from .charmat import _refined_vertex_ok
 from .polytope import SimplePolytope, product, simplex
 
 
 class SmallCoverError(ValueError):
     pass
-
-
-def _mod2_refined_ok(rows, v) -> bool:
-    n = len(rows)
-    for k, j in enumerate(sorted(v)):
-        for i in range(n):
-            if rows[i][j - 1] != (1 if i == k else 0):
-                return False
-    return True
 
 
 class Mod2CharMatrix:
@@ -64,7 +56,7 @@ class Mod2CharMatrix:
         self.m = len(rows[0])
         if refined_at is not None:
             refined_at = tuple(sorted(refined_at))
-            if len(refined_at) != self.n or not _mod2_refined_ok(rows, refined_at):
+            if len(refined_at) != self.n or not _refined_vertex_ok(rows, refined_at):
                 raise SmallCoverError(f"columns {refined_at} are not the identity")
         self.refined_at = refined_at
 

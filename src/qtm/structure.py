@@ -494,7 +494,7 @@ class Piece:
 
     polytope: SimplePolytope
     matrix: CharMatrix
-    bundle_type: bool | None
+    bundle_type: bool
     string: bool
     certificate: dict | None = None
 
@@ -597,12 +597,12 @@ def decompose_prism(k: int, lam: CharMatrix) -> DecompositionReport:
     outright, or a prism(4) piece splits off along the edge between side
     facets 4 and 2k+1 and the prism(2k-2) remainder recurses.  Each split
     is re-verified by reassembling through the edge connected sum and
-    comparing with the normalized matrix entry for entry.
+    comparing with the normalized matrix entry for entry.  Every k >= 2
+    is accepted: the bundle certificates read the product splits from
+    minimal nonfaces, which no facet count bounds.
     """
     if k < 2:
         raise StructureError("prism decomposition needs k >= 2")
-    if k > 7:
-        raise StructureError("bundle certificate search refuses prisms past k = 7")
     p = prism(2 * k)
     _checked_pair(p, lam)
     return _decompose_prism(p, k, lam)
@@ -763,11 +763,11 @@ def decompose_cube_connsum(p: SimplePolytope, lam: CharMatrix) -> DecompositionR
     reproduces the input exactly after the recorded row basis change.
     Non-string pairs are reported not-applicable with the seam determinant
     (the obstruction: the seam columns must form a unimodular basis for
-    the P summand to exist).
+    the P summand to exist).  Both summands get a bundle certificate
+    search at every n: the cube summand must have a certificate, and the
+    P summand's bundle_type says whether it has one.
     """
     n = p.dim
-    if n > 8:
-        raise StructureError("bundle certificate search refuses cubes past n = 8")
     m_total = p.num_facets
     if m_total < 2 * n + 1:
         raise StructureError("too few facets for a cube connected sum")
@@ -852,11 +852,9 @@ def _decompose_cube_connsum(
     cert_cube = _bundle_certificate(cube_p, lam_cube)
     if cert_cube is None:
         raise StructureContradiction("string cube summand lacks a bundle certificate")
-    # past the brute-force limit the far piece's bundle type is unknown
-    searchable = p_r.num_facets <= BRUTE_FORCE_FACETS
-    cert_r = _bundle_certificate(p_r, lam_r) if searchable else None
+    cert_r = _bundle_certificate(p_r, lam_r)
     piece_cube = Piece(cube_p, lam_cube, True, True, cert_cube)
-    piece_r = Piece(p_r, lam_r, cert_r is not None if searchable else None, True, cert_r)
+    piece_r = Piece(p_r, lam_r, cert_r is not None, True, cert_r)
 
     re_poly, re_lam = _equivariant_connected_sum(
         cube_p, lam_cube, initial, p_r, lam_r, initial

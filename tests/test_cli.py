@@ -435,6 +435,20 @@ def test_argparse_usage_exits_2():
     assert exc.value.code == 2
 
 
+def test_disconnected_complex_exits_2(tmp_path, capsys):
+    # two disjoint triangles: every ridge lies in two vertices, but the
+    # complex is not a sphere
+    bad = _write(tmp_path, "two.json", {
+        "dim": 2, "num_facets": 6,
+        "vertices": [[1, 2], [2, 3], [1, 3], [4, 5], [4, 6], [5, 6]],
+    })
+    good_m = _write(tmp_path, "m.json", {"rows": CP2})
+    assert main(["validate", "-p", bad, "-m", good_m]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "2 disconnected parts" in err
+    assert "Traceback" not in err
+
+
 def test_huge_declared_facet_count_exits_2_quickly(tmp_path, capsys):
     # a triangle declaring 10^6 facets: rejected before anything is
     # sized by the declared count, with one short line

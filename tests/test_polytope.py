@@ -25,7 +25,6 @@ from qtm.polytope import (
     product,
     product_splits,
     q_polytope,
-    restrict_to_factor,
     simplex,
     three_belts,
     _Q_VERTICES,
@@ -41,6 +40,27 @@ def brute_isomorphisms(p, q):
         mapped = sorted(tuple(sorted(perm[f] for f in v)) for v in p.vertices)
         if mapped == sorted(qset):
             out.append(perm)
+    return out
+
+
+def splits_by_definition(p):
+    """Oracle: every bipartition (A, B) with facet 1 in A, in ascending
+    bitmask order of A, such that every vertex splits as a | b with a a
+    vertex of the A-part and b one of the B-part, and all combinations
+    occur."""
+    m = p.num_facets
+    verts = {frozenset(v) for v in p.vertices}
+    out = []
+    for amask in range(1, (1 << m) - 1, 2):
+        a = frozenset(f for f in range(1, m + 1) if amask >> (f - 1) & 1)
+        aparts = {v & a for v in verts}
+        bparts = {v - a for v in verts}
+        # the parts are disjoint, so the combinations are all distinct
+        if len(aparts) * len(bparts) != len(verts):
+            continue
+        if {x | y for x in aparts for y in bparts} == verts:
+            b = frozenset(range(1, m + 1)) - a
+            out.append((tuple(sorted(a)), tuple(sorted(b))))
     return out
 
 
@@ -192,9 +212,43 @@ def test_product_splits():
     pq = product(polygon(5), simplex(2))
     splits = product_splits(pq)
     assert splits == [((1, 2, 3, 4, 5), (6, 7, 8))]
-    factor, relabel = restrict_to_factor(pq, splits[0][0])
-    assert factor.vertices == polygon(5).vertices
-    assert relabel == {f: f for f in range(1, 6)}
+
+
+def test_product_splits_match_the_definition():
+    # the family polytopes, the products and the connected sums the
+    # suite builds, up to 12 facets, against the bipartition oracle
+    family = (
+        [simplex(n) for n in range(1, 6)]
+        + [polygon(m) for m in range(3, 13)]
+        + [cube(n) for n in range(1, 7)]
+        + [prism(s) for s in range(3, 11)]
+        + [q_polytope()]
+    )
+    factors = [simplex(1), simplex(2), simplex(3), polygon(4), polygon(5),
+               polygon(6), prism(3), q_polytope()]
+    products = [product(p, q) for p in factors for q in factors
+                if p.num_facets + q.num_facets <= 12]
+    products += [
+        product(product(simplex(2), simplex(2)), simplex(1)),
+        product(product(simplex(2), simplex(2)), simplex(3)),
+        product(product(simplex(1), simplex(3)), simplex(4)),
+    ]
+    sums = [
+        connected_sum(cube(3), (4, 5, 6), cube(3), (1, 2, 3))[0],
+        connected_sum(cube(3), (4, 5, 6), prism(5), (1, 2, 3))[0],
+        connected_sum(prism(4), (1, 2, 3), q_polytope(), (1, 2, 3))[0],
+    ]
+    for p in family + products + sums:
+        assert p.num_facets <= 12
+        # a fresh copy, so no cached split list is read back
+        fresh = SimplePolytope(p.dim, p.num_facets, p.vertices)
+        assert product_splits(fresh) == splits_by_definition(p), p
+
+
+def test_product_splits_past_sixteen_facets():
+    assert product_splits(prism(16)) == [((1, 18), tuple(range(2, 18)))]
+    assert len(product_splits(cube(9))) == 255
+    assert product_splits(polygon(17)) == []
 
 
 def test_connected_sum():
@@ -244,6 +298,9 @@ def test_validation_errors():
         SimplePolytope(2, 3, [(1, 2), (1, 2), (2, 3), (1, 3)])
     with pytest.raises(PolytopeError):
         SimplePolytope(3, 4, [(1, 2), (2, 3), (1, 3)])  # wrong vertex size
+    # two disjoint triangles pass the ridge check but are not a sphere
+    with pytest.raises(PolytopeError, match="^the complex falls into 2 disconnected parts$"):
+        SimplePolytope(2, 6, [(1, 2), (2, 3), (1, 3), (4, 5), (4, 6), (5, 6)])
     with pytest.raises(PolytopeError):
         simplex(3).edge_endpoints((1, 5))
 

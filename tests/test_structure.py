@@ -33,7 +33,6 @@ from qtm.polytope import (
     find_isomorphisms,
     polygon,
     prism,
-    product_splits,
 )
 from qtm.stringcheck import is_spin, is_string
 from qtm.structure import (
@@ -682,8 +681,27 @@ def test_decompose_prism_rejects_non_string():
 def test_decompose_prism_rejects_bad_sizes():
     with pytest.raises(StructureError):
         decompose_prism(1, CharMatrix([[1, 0, 1], [0, 1, 1]]))
-    with pytest.raises(StructureError):
-        decompose_prism(8, HEX_PRISM_LAM)
+
+
+def test_decompositions_have_no_size_limit():
+    # prism(16) = 16-gon x interval with the product matrix: one
+    # bundle-type string piece, certified by the product split
+    cyc = [(1, 0), (0, 1), (-1, 0), (0, -1)]
+    cols = [(0, 0, 1)] + [cyc[i % 4] + (0,) for i in range(16)] + [(0, 0, 1)]
+    rep = decompose_prism(8, CharMatrix([[c[r] for c in cols] for r in range(3)]))
+    assert rep.verdict == "irreducible"
+    (piece,) = rep.pieces
+    assert piece.polytope.num_facets == 18 and piece.bundle_type and piece.string
+    # cube(9) # cube(9) splits into two cube(9) pieces, each certified
+    n = 9
+    lam = CharMatrix([[int(i == j) for j in range(n)] * 2 for i in range(n)])
+    c9 = cube(n)
+    far, near = tuple(range(n + 1, 2 * n + 1)), tuple(range(1, n + 1))
+    pair = equivariant_connected_sum(c9, lam, far, c9, lam, near)
+    rep = decompose_cube_connsum(*pair)
+    assert rep.verdict == "decomposed"
+    assert [(pc.polytope.num_facets, pc.bundle_type) for pc in rep.pieces] == [(18, True), (18, True)]
+    assert all(pc.certificate is not None for pc in rep.pieces)
 
 
 def test_decompose_prism_random_string_walks():
@@ -836,28 +854,16 @@ def test_decompose_cube_connsum_rejects_wrong_labeling():
         decompose_cube_connsum(bad_poly, badlam)
 
 
-def test_brute_force_guards_share_one_limit(monkeypatch):
+def test_brute_force_guards_share_one_limit():
     # every brute-force search refuses size 17 with the same message
     big = polygon(17)
     with pytest.raises(PolytopeError, match="^isomorphism search is brute force, refusing size 17 > 16$"):
         find_isomorphisms(big, big)
-    with pytest.raises(PolytopeError, match="^product split search is brute force, refusing size 17 > 16$"):
-        product_splits(big)
     with pytest.raises(StructureError, match="^principal minor check is brute force, refusing size 17 > 16$"):
         dobrinskaya_normalize([[int(i == j) for j in range(17)] for i in range(17)])
-    # the bundle certificate the cube connected sum guards
+    # the bundle certificate search has no size limit: a 17-gon is no product
     lam = CharMatrix([[1, 0] * 8 + [1], [0, 1] * 8 + [1]])
-    with pytest.raises(PolytopeError, match="^product split search is brute force, refusing size 17 > 16$"):
-        bundle_certificate(big, lam)
-    # that guard reads the same limit: lowered below the far cube's six
-    # facets, the far piece is left without a bundle search
-    c3 = cube(3)
-    pair = equivariant_connected_sum(c3, CUBE_SUMMAND_A, (4, 5, 6), c3, CUBE_SUMMAND_B, (1, 2, 3))
-    far = decompose_cube_connsum(*pair).pieces[1]
-    assert far.bundle_type is True and far.certificate is not None
-    monkeypatch.setattr(structure, "BRUTE_FORCE_FACETS", 5)
-    far = decompose_cube_connsum(*pair).pieces[1]
-    assert far.bundle_type is None and far.certificate is None
+    assert bundle_certificate(big, lam) is None
 
 
 # ---------------------------------------------------------------------------
