@@ -175,9 +175,8 @@ def _cmd_check_string(args) -> int:
     if closed is not None:
         method, coefficients = "closed-form", closed
     else:
-        rl, pres = verdict.refined, verdict.presentation
-        if pres is None:
-            pres = presentation_deg4(p, rl)
+        rl = verdict.refined
+        pres = presentation_deg4(p, rl)
         basis = greedy_basis(pres)
         coeffs = reduce_to_basis(pres, p1_vector(p, rl), basis)
         method = "general"

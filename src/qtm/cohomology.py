@@ -1,19 +1,45 @@
 """Degree-4 integral cohomology of a characteristic pair, exactly.
 
-For a refined pair the degree-2 part is free on the generators of the
-non-identity (free) columns.  The degree-4 part is presented by one
-relation per nonface facet pair: substitute each identity-column
-generator by minus its row of the matrix, expand the product, and read
-off coefficients on monomials v_i v_j over free i <= j.
+For a pair refined at a base vertex B (columns B_1 < ... < B_n form the
+identity) the degree-2 part is free on the generators v_j of the free
+facets j, and each base generator is minus its row of the matrix:
+v_{B_k} = -sum_j lambda_kj v_j.  The degree-4 part is presented by one
+relation per nonface facet pair over the monomials v_i v_j, i <= j
+free.  Two base facets always share the vertex B, so every nonface
+pair is of one of two kinds, and the shape of its relation depends on
+the polytope alone (Davis-Januszkiewicz; Buchstaber-Panov, Toric
+Topology, ch. 7):
 
-The certificate of a presentation is its quotient map
+* a, b both free: the relation says v_a v_b = 0, a unit row.  Such a
+  monomial is dead; every other generator is live;
+* (B_k, b) with b free: the relation is -sum_j lambda_kj v_j v_b over
+  free j.  Its terms on live monomials are j = b and the free
+  neighbours j of b; for every other free j the monomial v_j v_b is
+  dead.
+
+A `RelationTemplate` holds this shape for one (polytope, base vertex):
+the generators, the live ones, the term list of each relation and the
+quotient rank, checked against h_2 once when it is built.  Templates
+are cached by (vertices, base), so an equal polytope built again
+reuses one.  A pair only fills the coefficients in from its columns.
+
+The dead relations are unit rows, so the full relation lattice is a
+direct summand exactly when the live parts of the (B_k, b) relations
+(the live rows) span one, with quotient Z^live / (live rows) of the same
+rank.  `p1_vanishes` decides the string condition there: it reduces
+the live rows by `intlin.unit_pivot_reduce` and then the live part of
+p_1 by the pivot rows; p_1 is zero exactly when nothing is left.  When
+the reduction gets stuck it falls back to the transposed-HNF quotient
+map of the live rows (below), which raises unless they span a direct
+summand.
+
+`presentation_deg4` fills the dense relation rows, in nonface-pair
+order, from the same template, and certifies them by the quotient map
 q: Z^N -> Z^h2 (N generators), onto with kernel exactly the relation
-lattice; `presentation_deg4` builds it and stores it on the
-presentation.  It exists exactly when the relation rows are
-independent and span a direct summand, and the quotient rank
-N - |R| must equal h_2 of the polytope.  Both facts are consequences of
-the theory this package implements, so a violation is a hard error
-rather than a soft result.
+lattice.  It exists exactly when the relation rows are independent and
+span a direct summand, and the quotient rank N - |R| must equal h_2 of
+the polytope.  Both facts are consequences of the theory this package
+implements, so a violation is a hard error rather than a soft result.
 
 q comes from `intlin.unit_pivot_reduce`, which pivots only on +-1
 entries and keeps every row fully reduced.  When it succeeds the pivot
@@ -41,6 +67,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import gcd
+from operator import mul
 
 from . import intlin
 from .charmat import CharMatrix
@@ -52,20 +79,130 @@ class CohomologyError(ValueError):
 
 
 @dataclass(frozen=True)
-class FaceSummary:
-    """Face counts in the shapes the rest of the package consumes."""
+class RelationTemplate:
+    """The shape of the degree-4 presentation of every pair over one
+    polytope refined at one base vertex; see the module docstring.
 
-    f_vector: tuple  # (f_0, ..., f_{n-1}, 1)
-    h_vector: tuple
-    nonface_pairs: tuple
+    Facet B_k of the base is row k of the matrix.  A relation's terms
+    are (j, index) pairs: its coefficient at that index is -lambda_kj
+    (dense rows) or lambda_kj (live rows, the same lattice).
+    """
+
+    free: tuple  # free facet indices, ascending
+    generators: tuple  # monomials (i, j), i <= j free, lex order
+    gen_index: dict = field(repr=False)
+    relation_pairs: tuple  # the nonface pairs
+    # per nonface pair: (None, generator index) for a dead monomial,
+    # else (k, ((j, generator index), ...)) over every free j
+    dense_terms: tuple = field(repr=False)
+    live: tuple  # live monomials, lex order
+    # per nonface pair (B_k, b), in nonface-pair order:
+    # (k, ((j, live index), ...)) over j = b and the free neighbours of b
+    live_terms: tuple = field(repr=False)
+    quotient_rank: int
 
 
-def face_summary(p: SimplePolytope) -> FaceSummary:
-    return FaceSummary(
-        f_vector=p.f_vector() + (1,),
-        h_vector=p.h_vector(),
-        nonface_pairs=tuple(p.nonface_pairs()),
+# (vertices, base) -> RelationTemplate.  A template depends on its key
+# alone and is never mutated, so every caller may share it; the cache is
+# cleared when it fills up
+_TEMPLATES: dict = {}
+_TEMPLATE_CACHE_SIZE = 1024
+
+
+def relation_template(p: SimplePolytope, base) -> RelationTemplate:
+    """The cached template of p at the base vertex (ascending)."""
+    key = (p.vertices, base)
+    t = _TEMPLATES.get(key)
+    if t is None:
+        t = _build_template(p, base)
+        if len(_TEMPLATES) >= _TEMPLATE_CACHE_SIZE:
+            _TEMPLATES.clear()
+        _TEMPLATES[key] = t
+    return t
+
+
+def _build_template(p: SimplePolytope, base) -> RelationTemplate:
+    if not p.is_vertex(base):
+        raise CohomologyError(f"the matrix is refined at {base}, not at a vertex")
+    row_of = {f: k for k, f in enumerate(base)}
+    free = tuple(j for j in range(1, p.num_facets + 1) if j not in row_of)
+    gens = tuple((i, j) for a, i in enumerate(free) for j in free[a:])
+    gen_index = {g: k for k, g in enumerate(gens)}
+    pairs = tuple(p.nonface_pairs())
+    dead = {ab for ab in pairs if ab[0] not in row_of and ab[1] not in row_of}
+    live = tuple(g for g in gens if g not in dead)
+    live_index = {g: k for k, g in enumerate(live)}
+
+    def mono(j, b):
+        return (j, b) if j <= b else (b, j)
+
+    dense_terms = []
+    live_terms = []
+    for a, b in pairs:
+        if (a, b) in dead:
+            dense_terms.append((None, gen_index[(a, b)]))
+            continue
+        if b in row_of:
+            a, b = b, a
+        k = row_of[a]
+        dense_terms.append((k, tuple((j, gen_index[mono(j, b)]) for j in free)))
+        live_terms.append((k, tuple(
+            (j, live_index[mono(j, b)]) for j in free if mono(j, b) in live_index
+        )))
+    qrank = len(live) - len(live_terms)
+    expected = p.h_vector()[2] if p.dim >= 2 else 0
+    if qrank != expected:
+        raise CohomologyError(f"quotient rank {qrank} != h_2 = {expected}")
+    return RelationTemplate(
+        free=free,
+        generators=gens,
+        gen_index=gen_index,
+        relation_pairs=pairs,
+        dense_terms=tuple(dense_terms),
+        live=live,
+        live_terms=tuple(live_terms),
+        quotient_rank=qrank,
     )
+
+
+def columns(lam: CharMatrix) -> tuple:
+    """The columns of lam indexed by facet: entry 0 is a placeholder."""
+    return (None,) + tuple(zip(*lam.rows))
+
+
+def p1_vanishes(t: RelationTemplate, cols) -> bool:
+    """Is p_1 zero in degree 4, for the pair over t's polytope refined at
+    t's base with these columns (cols[j] is column j; entry 0 unused)?
+
+    Exact: reduces the live rows and the live part of p_1, raising
+    `CohomologyError` unless the live rows span a direct summand.
+    """
+    nlive = len(t.live)
+    rows = []
+    for k, terms in t.live_terms:
+        row = [0] * nlive
+        for j, c in terms:
+            row[c] = cols[j][k]
+        rows.append(row)
+    # p_1 on the live monomials: |column|^2 + 1 on a square, twice the
+    # dot product elsewhere (as in `p1_vector`)
+    rest = [
+        sum(map(mul, cols[i], cols[i])) + 1
+        if i == j
+        else 2 * sum(map(mul, cols[i], cols[j]))
+        for i, j in t.live
+    ]
+    pivots = intlin.unit_pivot_reduce(rows)
+    if pivots is None:
+        q = _transposed_quotient_map(rows, nlive)
+        return not any(_image(q, nlive - len(rows), rest))
+    # each pivot row is 1 at its pivot and 0 at every other pivot, so one
+    # pass clears every pivot column; what is left is p_1 in the quotient
+    for c, row in pivots.items():
+        x = rest[c]
+        if x:
+            rest = [a - x * b for a, b in zip(rest, row)]
+    return not any(rest)
 
 
 @dataclass
@@ -91,50 +228,32 @@ class DegreeFourPresentation:
         return vec
 
 
-def _substituted(lam: CharMatrix) -> dict[int, dict[int, int]]:
-    """Each facet's degree-2 class as a dict over free facets."""
-    v0 = lam.refined_at
-    if v0 is None:
-        raise CohomologyError("presentation needs a refined matrix")
-    free = [j for j in range(1, lam.m + 1) if j not in set(v0)]
-    sub: dict[int, dict[int, int]] = {}
-    for k, t in enumerate(sorted(v0)):
-        sub[t] = {j: -lam.rows[k][j - 1] for j in free if lam.rows[k][j - 1]}
-    for j in free:
-        sub[j] = {j: 1}
-    return sub
-
-
 def presentation_deg4(p: SimplePolytope, lam: CharMatrix) -> DegreeFourPresentation:
     """Build and certify the degree-4 presentation of a refined pair."""
     if lam.n != p.dim or lam.m != p.num_facets:
         raise CohomologyError("matrix shape does not match the polytope")
-    sub = _substituted(lam)
-    free = tuple(j for j in range(1, lam.m + 1) if j not in set(lam.refined_at))
-    gens = tuple((i, j) for a, i in enumerate(free) for j in free[a:])
-    gen_index = {g: k for k, g in enumerate(gens)}
-    pairs = tuple(p.nonface_pairs())
+    if lam.refined_at is None:
+        raise CohomologyError("presentation needs a refined matrix")
+    t = relation_template(p, lam.refined_at)
+    cols = columns(lam)
+    ngen = len(t.generators)
     relations = []
-    for a, b in pairs:
-        row = [0] * len(gens)
-        for i, ci in sub[a].items():
-            for j, cj in sub[b].items():
-                key = (i, j) if i <= j else (j, i)
-                row[gen_index[key]] += ci * cj
+    for k, terms in t.dense_terms:
+        row = [0] * ngen
+        if k is None:
+            row[terms] = 1
+        else:
+            for j, g in terms:
+                row[g] = -cols[j][k]
         relations.append(row)
-    q = _certified_quotient_map(relations, len(gens))
-    qrank = len(gens) - len(relations)
-    expected = p.h_vector()[2] if p.dim >= 2 else 0
-    if qrank != expected:
-        raise CohomologyError(f"quotient rank {qrank} != h_2 = {expected}")
     return DegreeFourPresentation(
-        free=free,
-        generators=gens,
+        free=t.free,
+        generators=t.generators,
         relations=relations,
-        relation_pairs=pairs,
-        quotient_rank=qrank,
-        quotient_map=q,
-        _gen_index=gen_index,
+        relation_pairs=t.relation_pairs,
+        quotient_rank=t.quotient_rank,
+        quotient_map=_certified_quotient_map(relations, ngen),
+        _gen_index=t.gen_index,
     )
 
 
@@ -159,14 +278,14 @@ def _certified_quotient_map(relations: list, ngen: int) -> tuple:
 def w2_vector(p: SimplePolytope, lam: CharMatrix) -> dict[int, int]:
     """Degree-2 class: sum of all facet classes, over the free generators.
 
-    The manifold is spin exactly when every coefficient is even, i.e.
-    every free column sum of the matrix is odd.
+    Each base class is minus its row, so the coefficient of free v_j is
+    1 minus the sum of column j.  The manifold is spin exactly when every
+    coefficient is even, i.e. every free column sum of the matrix is odd.
     """
-    sub = _substituted(lam)
-    out: dict[int, int] = {}
-    for t in range(1, lam.m + 1):
-        for j, c in sub[t].items():
-            out[j] = out.get(j, 0) + c
+    if lam.refined_at is None:
+        raise CohomologyError("w2 needs a refined matrix")
+    base = set(lam.refined_at)
+    out = {j: 1 - sum(lam.column(j)) for j in range(1, lam.m + 1) if j not in base}
     return {j: c for j, c in out.items() if c}
 
 
@@ -193,13 +312,13 @@ def p1_vector(p: SimplePolytope, lam: CharMatrix) -> dict[tuple, int]:
 
 def is_zero_in_h4(pres: DegreeFourPresentation, expr: dict) -> bool:
     """Is the class zero in the degree-4 quotient, i.e. q(expr) = 0?"""
-    return not any(_image(pres, pres.to_vector(expr)))
+    return not any(_image(pres.quotient_map, pres.quotient_rank, pres.to_vector(expr)))
 
 
-def _image(pres: DegreeFourPresentation, vec: list) -> list:
-    """q(vec) in Z^quotient_rank for a vector over the generators."""
-    target = [0] * pres.quotient_rank
-    for x, img in zip(vec, pres.quotient_map):
+def _image(q: tuple, rank: int, vec: list) -> list:
+    """q(vec) in Z^rank for a vector over the generators."""
+    target = [0] * rank
+    for x, img in zip(vec, q):
         if x:
             target = [t + x * y for t, y in zip(target, img)]
     return target
@@ -279,7 +398,7 @@ def reduce_to_basis(pres: DegreeFourPresentation, expr: dict, basis) -> list[int
     vec = pres.to_vector(expr)
     if any(x % 1 for x in vec):
         raise CohomologyError("expression is not integral over the basis")
-    target = _image(pres, vec)
+    target = _image(q, d, vec)
     # unit pivots leave nothing above them, so U @ Q_S^T = [I_k; 0]: the
     # target lies in the span exactly when U @ target vanishes below
     # row k, and its first k entries are the coefficients

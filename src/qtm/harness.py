@@ -59,8 +59,12 @@ remembered.  Under `signs+automorphisms` the leaves are deduplicated
 by canonical key, in first-encounter order, and every key is
 remembered whether its leaf passes the string test or not: being
 string is an invariant of the class, so no class is tested twice.
-The string test at a leaf is the core that takes a valid refined
-pair: the walk has already checked every vertex.
+The string test at a leaf reads p_1 off the leaf's columns through the
+polytope's relation template at the base vertex
+(`cohomology.p1_vanishes`): the walk has already checked every vertex,
+and the parity filter has made every column sum odd, so the leaf is
+spin.  A `CharMatrix` is built only for a leaf that needs a canonical
+key or survives.
 
 The mod-2 walk has no residual symmetry to break (over GF(2) a sign
 flip is trivial), so its table marks no pattern.  It keeps one bitmask
@@ -83,12 +87,14 @@ reproducible statistics.
 from __future__ import annotations
 
 import itertools
+import platform
 import random
 import time
 from dataclasses import dataclass, field
 
-from . import intlin
+from . import __version__, intlin
 from .charmat import CharMatrix, canonical_key
+from .cohomology import p1_vanishes, relation_template
 from .polytope import SimplePolytope, connected_sum, cube, polygon, prism, product
 from .smallcover import (
     Mod2CharMatrix,
@@ -98,7 +104,6 @@ from .smallcover import (
     SmallCoverError,
 )
 from .stringcheck import (
-    _refined_verdict,
     cyclic_identities,
     is_spin,
     is_string,
@@ -269,6 +274,8 @@ def enumerate_matrices(spec: SearchSpec):
     }
     survivors = []
     seen = set()
+    if spec.filter == "string" and not mod2:
+        template = relation_template(p, base)
     started = time.monotonic()
 
     def capped(reason: str) -> ResourceCapExceeded:
@@ -327,16 +334,21 @@ def enumerate_matrices(spec: SearchSpec):
                 reject()
                 return
         else:
-            lam = CharMatrix(list(zip(*col[1:])), refined_at=base)
+            # the parity filter made every column sum odd, so a
+            # string-walk leaf is spin; only p_1 is left to decide
+            lam = None
             if spec.dedup == "signs+automorphisms":
+                lam = CharMatrix(list(zip(*col[1:])), refined_at=base)
                 key = canonical_key(p, lam, group=spec.dedup)
                 if key in seen:
                     stats["dedup_hits"] += 1
                     return
                 seen.add(key)
-            if spec.filter == "string" and not _refined_verdict(p, lam).string:
+            if spec.filter == "string" and not p1_vanishes(template, col):
                 reject()
                 return
+            if lam is None:
+                lam = CharMatrix(list(zip(*col[1:])), refined_at=base)
         survivors.append(lam)
         stats["survivors"] += 1
 
@@ -396,6 +408,9 @@ class ClaimReport:
     verdict: str  # "verified" | "counterexample" | "resource-capped"
     statistics: dict
     witnesses: list = field(default_factory=list)
+    # the versions that produced the report, so a rerun can match them
+    qtm_version: str = __version__
+    python_version: str = field(default_factory=platform.python_version)
 
     def to_dict(self) -> dict:
         return {
@@ -404,6 +419,8 @@ class ClaimReport:
             "verdict": self.verdict,
             "statistics": dict(self.statistics),
             "witnesses": list(self.witnesses),
+            "qtm_version": self.qtm_version,
+            "python_version": self.python_version,
         }
 
 

@@ -5,6 +5,17 @@ when the degree-2 class w = sum of all facet classes vanishes mod 2,
 and string when additionally p_1 = sum of squared facet classes is zero
 in integral degree-4 cohomology.
 
+A pair refined at a base vertex is spin exactly when every free column
+sum is odd.  Its string verdict comes from the relation template of
+the polytope at that vertex (`cohomology.relation_template`): the pair
+fills in only the live degree-4 rows, the relations with a base facet
+less their dead monomials (products of two free facets that do not
+meet, zero outright).  `cohomology.p1_vanishes` reduces the live rows
+by unit pivots, falling back to the certified transposed-HNF quotient
+map when that gets stuck, and reduces p_1 by the result.  A verdict
+builds no dense presentation; `presentation_deg4` builds one from the
+same template when coefficients are wanted.
+
 For the recurring families (polygon, prism over an even polygon, cube,
 pentagon prism C2(5) x I^(n-2), Q prism Q x I^(n-3)) the p_1
 coefficients in a fixed monomial basis are explicit polynomials in the
@@ -21,13 +32,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .charmat import CharMatrix, _normalizing_moves, refine, validate
-from .cohomology import (
-    DegreeFourPresentation,
-    is_zero_in_h4,
-    p1_vector,
-    presentation_deg4,
-    w2_vector,
-)
+from .cohomology import columns, p1_vanishes, relation_template, w2_vector
 from .polytope import SimplePolytope, cube, polygon, prism, product, q_polytope
 
 # facets adjacent to facets 1, 2, 3 of Q, in cyclic order around each
@@ -45,27 +50,24 @@ def _checked(p: SimplePolytope, lam: CharMatrix) -> None:
 
 
 def refined_pair(p: SimplePolytope, lam: CharMatrix) -> CharMatrix:
-    """The matrix refined at its recorded vertex, or at the first vertex."""
+    """The matrix as it is when refined at a vertex, else refined at the
+    first vertex."""
     _checked(p, lam)
-    if lam.refined_at is not None:
+    if lam.refined_at is not None and p.is_vertex(lam.refined_at):
         return lam
     return refine(p, lam, p.vertices[0])
 
 
 class StringVerdict(NamedTuple):
-    """Spin and string verdicts from one validation and one refinement.
-
-    presentation is the certified degree-4 presentation of `refined`
-    when the string test needed it (the pair is spin), else None.
-    """
+    """Spin and string verdicts from one validation and one refinement."""
 
     refined: CharMatrix
     spin: bool
     string: bool
-    presentation: DegreeFourPresentation | None
 
 
 def _spin(p: SimplePolytope, rl: CharMatrix) -> bool:
+    """Every free column sum is odd: w_2 has only even coefficients."""
     return all(c % 2 == 0 for c in w2_vector(p, rl).values())
 
 
@@ -75,11 +77,12 @@ def string_verdict(p: SimplePolytope, lam: CharMatrix) -> StringVerdict:
 
 
 def _refined_verdict(p: SimplePolytope, rl: CharMatrix) -> StringVerdict:
-    """string_verdict for a pair already valid and refined."""
+    """string_verdict for a pair already valid and refined: the relation
+    template of p at the base vertex decides p_1 from the columns."""
     if not _spin(p, rl):
-        return StringVerdict(rl, False, False, None)
-    pres = presentation_deg4(p, rl)
-    return StringVerdict(rl, True, is_zero_in_h4(pres, p1_vector(p, rl)), pres)
+        return StringVerdict(rl, False, False)
+    t = relation_template(p, rl.refined_at)
+    return StringVerdict(rl, True, p1_vanishes(t, columns(rl)))
 
 
 def is_spin(p: SimplePolytope, lam: CharMatrix) -> bool:

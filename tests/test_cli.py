@@ -7,9 +7,11 @@ tested here is the plumbing: file parsing, output shape, exit codes.
 """
 
 import json
+import platform
 
 import pytest
 
+import qtm
 from qtm import charmat, polytope, stringcheck
 from qtm.charmat import CharMatrix
 from qtm.cli import main
@@ -345,6 +347,23 @@ def test_verify_writes_report_and_exits_0(tmp_path, capsys):
     assert d["verdict"] == "verified"
     assert d["params"] == {"m": 3, "bound": 1}
     assert json.loads((tmp_path / "report.json").read_text()) == d
+
+
+def test_verify_report_carries_the_versions_that_made_it(capsys):
+    code, d = _run(capsys, ["verify", "polygon-parity", "--m", "3", "--bound", "1"])
+    assert code == 0
+    assert d["qtm_version"] == qtm.__version__
+    assert d["python_version"] == platform.python_version()
+    # a resource-capped report is stamped too
+    code, d = _run(
+        capsys,
+        ["verify", "cube-string-is-bott", "--n", "3", "--bound", "2",
+         "--max-nodes", "100"],
+    )
+    assert code == 3
+    assert (d["qtm_version"], d["python_version"]) == (
+        qtm.__version__, platform.python_version()
+    )
 
 
 def test_verify_ns_parameter(tmp_path, capsys):

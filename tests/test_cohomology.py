@@ -6,17 +6,17 @@ Hand-worked expectations are spelled out next to each assertion; the
 
 import functools
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qtm import intlin
+from qtm import cohomology, intlin
 from qtm.charmat import CharMatrix, ColumnSignFlip, RowBasisChange, transform, refine
 from qtm.cohomology import (
     CohomologyError,
     DegreeFourPresentation,
-    face_summary,
     greedy_basis,
     is_zero_in_h4,
     p1_vector,
@@ -24,7 +24,9 @@ from qtm.cohomology import (
     _certified_quotient_map,
     _read_off_quotient_map,
     _transposed_quotient_map,
+    p1_vanishes,
     reduce_to_basis,
+    relation_template,
     w2_vector,
 )
 from qtm.harness import SearchSpec, enumerate_matrices
@@ -42,6 +44,23 @@ def cube_family(x, y):
     return CharMatrix(
         [[1, 0, 0, 1, 0, x], [0, 1, 0, 0, 1, y], [0, 0, 1, 0, 0, 1]],
         refined_at=(1, 2, 3),
+    )
+
+
+@dataclass(frozen=True)
+class FaceSummary:
+    """Face counts of a polytope, read off its own queries."""
+
+    f_vector: tuple  # (f_0, ..., f_{n-1}, 1)
+    h_vector: tuple
+    nonface_pairs: tuple
+
+
+def face_summary(p: SimplePolytope) -> FaceSummary:
+    return FaceSummary(
+        f_vector=p.f_vector() + (1,),
+        h_vector=p.h_vector(),
+        nonface_pairs=tuple(p.nonface_pairs()),
     )
 
 
@@ -136,6 +155,72 @@ def test_zero_test_is_refinement_invariant():
             pres = presentation_deg4(pent, ref)
             verdicts.append(is_zero_in_h4(pres, p1_vector(pent, ref)))
         assert len(set(verdicts)) == 1
+
+
+def _substituted_relations(p, rl):
+    """The relation rows by substitution, with no template: each base
+    class is minus its row, a free class is itself, and each nonface
+    pair multiplies out over the monomials v_i v_j, i <= j free."""
+    base = rl.refined_at
+    free = [j for j in range(1, rl.m + 1) if j not in base]
+    gens = [(i, j) for a, i in enumerate(free) for j in free[a:]]
+    sub = {j: {j: 1} for j in free}
+    for k, t in enumerate(base):
+        sub[t] = {j: -rl.rows[k][j - 1] for j in free}
+    rows = []
+    for a, b in p.nonface_pairs():
+        row = dict.fromkeys(gens, 0)
+        for i, ci in sub[a].items():
+            for j, cj in sub[b].items():
+                row[(min(i, j), max(i, j))] += ci * cj
+        rows.append([row[g] for g in gens])
+    return gens, rows
+
+
+def test_template_rows_match_the_substitution():
+    rng = random.Random(31)
+    pairs = list(_search_pairs(DIFFERENTIAL_SEARCHES)) + [_q_times_square_pair(), _c45_pair()]
+    for p, lam in pairs:
+        rl = refine(p, lam, rng.choice(p.vertices))
+        pres = presentation_deg4(p, rl)
+        gens, rows = _substituted_relations(p, rl)
+        assert list(pres.generators) == gens
+        assert pres.relations == rows
+        assert pres.relation_pairs == tuple(p.nonface_pairs())
+
+
+def test_template_is_shared_by_equal_polytopes():
+    t = relation_template(prism(6), (1, 2, 3))
+    assert relation_template(prism(6), (1, 2, 3)) is t
+    assert relation_template(prism(6), (1, 2, 7)) is not t
+    # hexagonal prism at the top corner: the side pairs among the free
+    # sides 4..7 that do not touch are dead, and every top-or-side pair
+    # with a base facet leaves one live row
+    dead = {(4, 6), (4, 7), (5, 7)}
+    assert set(t.generators) - set(t.live) == dead
+    assert len(t.live_terms) == 10 - len(dead)
+    assert len(t.live) - len(t.live_terms) == t.quotient_rank == prism(6).h_vector()[2]
+
+
+def test_template_keeps_its_checks(monkeypatch):
+    # the base must be a vertex: then no nonface pair has two base facets
+    with pytest.raises(CohomologyError, match="not at a vertex"):
+        relation_template(SQUARE, (1, 3))
+    # live rows that span no direct summand raise, as presentation_deg4
+    # does: 2 v3^2 and 2 v4^2 leave torsion
+    t = relation_template(SQUARE, (1, 2))
+    with pytest.raises(CohomologyError, match="direct summand"):
+        p1_vanishes(t, (None, (1, 0), (0, 1), (2, 0), (0, 2)))
+    # a quotient rank off h_2 raises when the template is built
+    monkeypatch.setattr(cohomology, "_TEMPLATES", {})
+    # a fresh square with a cached h-vector whose h_2 is 2, not 1
+    fake = SimplePolytope(2, 4, SQUARE.vertices)
+    fake._h_vector = (1, 2, 2)
+    with pytest.raises(CohomologyError, match="h_2"):
+        relation_template(fake, (1, 2))
+    with pytest.raises(CohomologyError, match="h_2"):
+        presentation_deg4(fake, SQUARE_LAM)
+    assert cohomology._TEMPLATES == {}
 
 
 def test_presentation_requires_refined():

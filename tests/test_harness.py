@@ -528,6 +528,9 @@ def test_claim_resource_cap_gives_capped_verdict():
 def test_claim_report_serializes_to_json():
     rep = verify_claim("polygon-parity", {"m": 3, "bound": 1})
     d = rep.to_dict()
-    assert set(d) == {"claim", "params", "verdict", "statistics", "witnesses"}
+    assert set(d) == {
+        "claim", "params", "verdict", "statistics", "witnesses",
+        "qtm_version", "python_version",
+    }
     assert d["claim"] == "polygon-parity"
     json.dumps(d)

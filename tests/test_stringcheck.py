@@ -7,23 +7,44 @@ Frozen expectations are either worked out by hand on small cases or
 were produced once by the general engine and checked in.
 """
 
+import functools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from qtm import cohomology, harness
 from qtm.charmat import (
     CharMatrix,
     CharMatrixError,
     ColumnSignFlip,
     FacetPermutation,
     RowBasisChange,
+    _moved,
+    refine,
     transform,
     validate,
 )
-from qtm.cohomology import greedy_basis, p1_vector, presentation_deg4, reduce_to_basis
-from qtm.polytope import cube, key_obstruction, polygon, prism, q_polytope, simplex
+from qtm.cohomology import (
+    greedy_basis,
+    is_zero_in_h4,
+    p1_vector,
+    presentation_deg4,
+    reduce_to_basis,
+)
+from qtm.polytope import (
+    connected_sum,
+    cube,
+    key_obstruction,
+    polygon,
+    prism,
+    product,
+    q_polytope,
+    simplex,
+)
 from qtm.stringcheck import (
     StringCheckError,
+    _refined_verdict,
     cube_basis,
     cube_closed_form,
     cube_normal_form,
@@ -559,3 +580,118 @@ def test_simplex_structures_are_never_string():
     rng = random.Random(97)
     for lam in walk(p, seed, 30, rng):
         assert not is_string(p, lam)
+
+
+# ---------------------------------------------------------------------------
+# leaf verdicts from the relation template against the dense presentation
+
+
+def _dense_verdict(p, rl):
+    """p_1 zero in the dense presentation of the refined pair."""
+    return is_zero_in_h4(presentation_deg4(p, rl), p1_vector(p, rl))
+
+
+DOUBLE_CUBE = connected_sum(cube(3), (4, 5, 6), cube(3), (1, 2, 3))[0]
+
+# (label, polytope, bound, leaves, string leaves); the prism sweep is the
+# criterion-04 search with the spin filter, so its rejected leaves are in
+TEMPLATE_SWEEPS = (
+    ("prism(6) bound 2", prism(6), 2, 2581, 579),
+    ("cube(4) bound 1", cube(4), 1, 73, 43),
+    ("double cube bound 2", DOUBLE_CUBE, 2, 5717, 889),
+)
+
+
+def test_template_verdicts_match_the_dense_presentation_on_every_leaf(monkeypatch):
+    real = cohomology._transposed_quotient_map
+    stuck = []
+
+    def counting(rows, ngen):
+        stuck.append(len(rows))
+        return real(rows, ngen)
+
+    fallbacks = {}
+    for label, p, bound, count, strings in TEMPLATE_SWEEPS:
+        leaves, _stats = harness.enumerate_matrices(
+            harness.SearchSpec(p, bound, "signs", "spin")
+        )
+        assert len(leaves) == count, label
+        del stuck[:]
+        monkeypatch.setattr(cohomology, "_transposed_quotient_map", counting)
+        verdicts = [_refined_verdict(p, lam) for lam in leaves]
+        monkeypatch.setattr(cohomology, "_transposed_quotient_map", real)
+        fallbacks[label] = len(stuck)
+        assert sum(v.string for v in verdicts) == strings, label
+        for lam, v in zip(leaves, verdicts):
+            assert v.spin
+            assert v.string == _dense_verdict(p, lam), (label, lam.rows)
+    # the unit-pivot reduction of the live rows gets stuck on some double
+    # cube leaves, so the certified transposed-HNF fallback decides those
+    assert fallbacks["double cube bound 2"] >= 1
+
+
+def test_string_walk_keeps_exactly_the_string_leaves_in_order():
+    p = prism(6)
+    leaves, _ = harness.enumerate_matrices(harness.SearchSpec(p, 2, "signs", "spin"))
+    found, stats = harness.enumerate_matrices(harness.SearchSpec(p, 2, "signs", "string"))
+    expected = [lam for lam in leaves if _dense_verdict(p, lam)]
+    assert [lam.rows for lam in found] == [lam.rows for lam in expected]
+    assert all(lam.refined_at == p.vertices[0] for lam in found)
+    assert stats["string_rejects"] == len(leaves) - len(found)
+
+
+MOVE_POOLS = (
+    (prism(6), 1, "spin"),
+    (cube(3), 2, "spin"),
+    (cube(4), 1, "spin"),
+    (polygon(6), 2, "spin"),
+    (product(polygon(4), polygon(4)), 1, "spin"),
+    (q_polytope(), 1, "spin"),
+    (polygon(5), 2, "valid"),
+)
+
+
+@functools.lru_cache(maxsize=None)
+def _move_pool():
+    out = []
+    for p, bound, filt in MOVE_POOLS:
+        leaves, _ = harness.enumerate_matrices(harness.SearchSpec(p, bound, "signs", filt))
+        out.extend((p, lam) for lam in leaves)
+    return tuple(out)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_template_verdict_matches_the_engine_under_random_moves(data):
+    p, lam = data.draw(st.sampled_from(_move_pool()))
+    before = _refined_verdict(p, lam)
+    autos = p.automorphisms()
+    for _ in range(data.draw(st.integers(0, 6))):
+        kind = data.draw(st.sampled_from(("row", "sign", "relabel")))
+        if kind == "row":
+            i, j = data.draw(
+                st.lists(st.integers(0, p.dim - 1), min_size=2, max_size=2, unique=True)
+            )
+            u = [[int(a == b) for b in range(p.dim)] for a in range(p.dim)]
+            u[i][j] = data.draw(st.integers(-2, 2))
+            move = RowBasisChange(tuple(map(tuple, u)))
+        elif kind == "sign":
+            move = ColumnSignFlip(data.draw(st.integers(1, p.num_facets)))
+        else:
+            move = FacetPermutation(data.draw(st.sampled_from(autos)))
+        lam = _moved(p, lam, move)
+    rl = refine(p, lam, data.draw(st.sampled_from(p.vertices)))
+    after = _refined_verdict(p, rl)
+    assert after.string == (after.spin and _dense_verdict(p, rl))
+    # spin and string are invariants of the pair
+    assert (after.spin, after.string) == (before.spin, before.string)
+
+
+def test_identity_columns_off_a_vertex_are_refined_first():
+    # columns 1 and 3 of the square are the identity, but {1, 3} is no
+    # vertex; the verdict refines at the first vertex instead
+    lam = CharMatrix([[1, 1, 0, 1], [0, 1, 1, 1]], refined_at=(1, 3))
+    verdict = string_verdict(polygon(4), lam)
+    assert verdict.refined.refined_at == (1, 2)
+    assert verdict.spin == is_spin(polygon(4), CharMatrix(lam.rows))
+    assert verdict.string == is_string(polygon(4), CharMatrix(lam.rows))
