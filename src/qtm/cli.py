@@ -36,8 +36,8 @@ from .stringcheck import (
     _polygon_closed_form,
     _prism_closed_form,
     _prism_normal_form,
+    _spin,
     cube_basis,
-    is_spin,
     prism_basis,
     refined_pair,
     string_verdict,
@@ -134,7 +134,7 @@ def _cmd_classes(args) -> int:
     coeffs = reduce_to_basis(pres, p1_vector(p, rl), basis)
     h = p.h_vector()
     out = {
-        "spin": is_spin(p, rl),
+        "spin": _spin(p, rl),
         "p1_basis": [list(b) for b in basis],
         "p1_coeffs": list(coeffs),
         "h_vector": list(h),

@@ -18,46 +18,56 @@ Topology, ch. 7):
   dead.
 
 A `RelationTemplate` holds this shape for one (polytope, base vertex):
-the generators, the live ones, the term list of each relation and the
-quotient rank, checked against h_2 once when it is built.  Templates
-are cached by (vertices, base), so an equal polytope built again
-reuses one.  A pair only fills the coefficients in from its columns.
+the generators, the live ones (and each generator's live index), the
+term list of each relation and the quotient rank, checked against h_2
+once when it is built.  Templates are cached by (vertices, base), so an
+equal polytope built again reuses one.  A pair only fills the
+coefficients in from its columns.
 
-The dead relations are unit rows, so the full relation lattice is a
-direct summand exactly when the live parts of the (B_k, b) relations
-(the live rows) span one, with quotient Z^live / (live rows) of the same
-rank.  `p1_vanishes` decides the string condition there: it reduces
-the live rows by `intlin.unit_pivot_reduce` and then the live part of
-p_1 by the pivot rows; p_1 is zero exactly when nothing is left.  When
-the reduction gets stuck it falls back to the transposed-HNF quotient
-map of the live rows (below), which raises unless they span a direct
+Each dense (B_k, b) row is minus its live row plus terms on dead
+monomials, and every dead monomial is itself a unit relation.  So the
+relation lattice L is span(e_dead) plus the lattice of the live rows,
+and Z^N / L = Z^live / (live rows) (N generators): the same quotient,
+of rank N - |R| = |live| - |live rows|, and L is a direct summand
+exactly when the live rows span one.  Both consumers below therefore
+fill in and reduce the live rows alone (`_live_rows`).
+
+`p1_vanishes` decides the string condition: it reduces the live rows
+by `intlin.unit_pivot_reduce` and then the live part of p_1 by the
+pivot rows; p_1 is zero exactly when nothing is left.  When the
+reduction gets stuck it falls back to the transposed-HNF quotient map
+of the live rows (below), which raises unless they span a direct
 summand.
 
-`presentation_deg4` fills the dense relation rows, in nonface-pair
-order, from the same template, and certifies them by the quotient map
-q: Z^N -> Z^h2 (N generators), onto with kernel exactly the relation
-lattice.  It exists exactly when the relation rows are independent and
-span a direct summand, and the quotient rank N - |R| must equal h_2 of
-the polytope.  Both facts are consequences of the theory this package
-implements, so a violation is a hard error rather than a soft result.
+`presentation_deg4` also fills the dense relation rows, in nonface-pair
+order, for callers that read them, but certifies the presentation by
+the quotient map q: Z^N -> Z^h2 of the live rows: every dead generator
+goes to 0 and every live one to its image under the certified quotient
+map of the live rows.  By the above, q is onto with kernel exactly L.
+It exists exactly when the live rows are independent and span a direct
+summand, and the quotient rank must equal h_2 of the polytope.  Both
+facts are consequences of the theory this package implements, so a
+violation is a hard error rather than a soft result.
 
-q comes from `intlin.unit_pivot_reduce`, which pivots only on +-1
-entries and keeps every row fully reduced.  When it succeeds the pivot
-columns hold an identity block, so the rows are a basis of a rank-|R|
-direct summand and q is read off them: q(e_j) = e_j for the non-pivot
-columns j and q(e_p) = -(row of pivot p) on them.  When it gets stuck
-(no unit entry left) the lattice may still be a direct summand, so q
-comes from the HNF with transform U of the transposed N x |R| relation
-matrix instead, certified to have rank |R| and unit pivots; for a
+The certified quotient map of a set of rows comes from
+`intlin.unit_pivot_reduce`, which pivots only on +-1 entries and keeps
+every row fully reduced.  When it succeeds the pivot columns hold an
+identity block, so the rows are a basis of a direct summand of their
+rank and q is read off them: q(e_j) = e_j for the non-pivot columns j
+and q(e_p) = -(row of pivot p) on them.  When it gets stuck (no unit
+entry left) the lattice may still be a direct summand, so q comes from
+the HNF with transform U of the transposed matrix of the k rows
+instead, certified to have rank k and unit pivots; for a
 full-column-rank matrix the product of the HNF pivots is the gcd of its
-maximal minors, so this holds exactly when the relations span a rank-|R|
-direct summand.  Rows |R|..N-1 of U then define q.
+maximal minors, so this holds exactly when the rows span a rank-k
+direct summand.  The rows of U below k then define q.
 
 A class is zero in the quotient exactly when q maps it to 0.  For any
 monomial set S, Z^N / (relations + span e_S) = Z^h2 / span q(e_S), so
 `greedy_basis` and `reduce_to_basis` work on the small images q(e_g)
 instead of the relation stack; their outputs do not depend on which
-valid q was built.
+valid q was built.  A generator with q(e_g) = 0, a dead one among
+them, never enters a basis.
 
 Degree-4 classes are sparse dicts {(i, j): coefficient} with i <= j
 both free; degree-2 classes are dicts {i: coefficient}.
@@ -96,6 +106,7 @@ class RelationTemplate:
     # else (k, ((j, generator index), ...)) over every free j
     dense_terms: tuple = field(repr=False)
     live: tuple  # live monomials, lex order
+    gen_live: tuple  # per generator: its index in live, None when dead
     # per nonface pair (B_k, b), in nonface-pair order:
     # (k, ((j, live index), ...)) over j = b and the free neighbours of b
     live_terms: tuple = field(repr=False)
@@ -160,6 +171,7 @@ def _build_template(p: SimplePolytope, base) -> RelationTemplate:
         relation_pairs=pairs,
         dense_terms=tuple(dense_terms),
         live=live,
+        gen_live=tuple(live_index.get(g) for g in gens),
         live_terms=tuple(live_terms),
         quotient_rank=qrank,
     )
@@ -170,6 +182,19 @@ def columns(lam: CharMatrix) -> tuple:
     return (None,) + tuple(zip(*lam.rows))
 
 
+def _live_rows(t: RelationTemplate, cols) -> list:
+    """The live rows of the pair with these columns, in nonface-pair
+    order, over t.live."""
+    nlive = len(t.live)
+    rows = []
+    for k, terms in t.live_terms:
+        row = [0] * nlive
+        for j, c in terms:
+            row[c] = cols[j][k]
+        rows.append(row)
+    return rows
+
+
 def p1_vanishes(t: RelationTemplate, cols) -> bool:
     """Is p_1 zero in degree 4, for the pair over t's polytope refined at
     t's base with these columns (cols[j] is column j; entry 0 unused)?
@@ -178,12 +203,7 @@ def p1_vanishes(t: RelationTemplate, cols) -> bool:
     `CohomologyError` unless the live rows span a direct summand.
     """
     nlive = len(t.live)
-    rows = []
-    for k, terms in t.live_terms:
-        row = [0] * nlive
-        for j, c in terms:
-            row[c] = cols[j][k]
-        rows.append(row)
+    rows = _live_rows(t, cols)
     # p_1 on the live monomials: |column|^2 + 1 on a square, twice the
     # dot product elsewhere (as in `p1_vector`)
     rest = [
@@ -214,7 +234,7 @@ class DegreeFourPresentation:
     relations: list  # one dense row per nonface pair, generator order
     relation_pairs: tuple  # the nonface pairs, aligned with relations
     quotient_rank: int
-    quotient_map: tuple = field(repr=False)  # q(e_g) in Z^quotient_rank, generator order
+    quotient_map: tuple = field(repr=False)  # q(e_g) in Z^quotient_rank, generator order; 0 when dead
     _gen_index: dict = field(repr=False)
 
     def to_vector(self, expr: dict) -> list[int]:
@@ -229,7 +249,8 @@ class DegreeFourPresentation:
 
 
 def presentation_deg4(p: SimplePolytope, lam: CharMatrix) -> DegreeFourPresentation:
-    """Build and certify the degree-4 presentation of a refined pair."""
+    """Build the degree-4 presentation of a refined pair, certified by
+    the quotient map of its live rows (see the module docstring)."""
     if lam.n != p.dim or lam.m != p.num_facets:
         raise CohomologyError("matrix shape does not match the polytope")
     if lam.refined_at is None:
@@ -246,13 +267,15 @@ def presentation_deg4(p: SimplePolytope, lam: CharMatrix) -> DegreeFourPresentat
             for j, g in terms:
                 row[g] = -cols[j][k]
         relations.append(row)
+    live_q = _certified_quotient_map(_live_rows(t, cols), len(t.live))
+    dead = (0,) * t.quotient_rank
     return DegreeFourPresentation(
         free=t.free,
         generators=t.generators,
         relations=relations,
         relation_pairs=t.relation_pairs,
         quotient_rank=t.quotient_rank,
-        quotient_map=_certified_quotient_map(relations, ngen),
+        quotient_map=tuple(dead if c is None else live_q[c] for c in t.gen_live),
         _gen_index=t.gen_index,
     )
 
@@ -295,16 +318,12 @@ def p1_vector(p: SimplePolytope, lam: CharMatrix) -> dict[tuple, int]:
         raise CohomologyError("p1 needs a refined matrix")
     v0 = set(lam.refined_at)
     free = [j for j in range(1, lam.m + 1) if j not in v0]
-    out: dict[tuple, int] = {}
-    for j in free:
-        col = lam.column(j)
-        rho = sum(x * x for x in col) + 1
-        out[(j, j)] = rho
+    cols = columns(lam)
+    out: dict[tuple, int] = {(j, j): sum(map(mul, cols[j], cols[j])) + 1 for j in free}
     for a, i in enumerate(free):
-        ci = lam.column(i)
+        ci = cols[i]
         for j in free[a + 1:]:
-            cj = lam.column(j)
-            rho_ij = 2 * sum(x * y for x, y in zip(ci, cj))
+            rho_ij = 2 * sum(map(mul, ci, cols[j]))
             if rho_ij:
                 out[(i, j)] = rho_ij
     return out
@@ -427,6 +446,8 @@ def greedy_basis(pres: DegreeFourPresentation) -> tuple:
         k = len(chosen)
         if k == d:
             break
+        if not any(img):  # gcd 0: never primitive
+            continue
         y = intlin.mat_vec(u, img)
         if gcd(*y[k:]) != 1:
             continue

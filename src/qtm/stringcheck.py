@@ -13,8 +13,8 @@ less their dead monomials (products of two free facets that do not
 meet, zero outright).  `cohomology.p1_vanishes` reduces the live rows
 by unit pivots, falling back to the certified transposed-HNF quotient
 map when that gets stuck, and reduces p_1 by the result.  A verdict
-builds no dense presentation; `presentation_deg4` builds one from the
-same template when coefficients are wanted.
+builds no presentation; when coefficients are wanted,
+`presentation_deg4` certifies its quotient map on the same live rows.
 
 For the recurring families (polygon, prism over an even polygon, cube,
 pentagon prism C2(5) x I^(n-2), Q prism Q x I^(n-3)) the p_1
@@ -29,6 +29,7 @@ already validated (check-string, after string_verdict).
 
 from __future__ import annotations
 
+from operator import mul
 from typing import NamedTuple
 
 from .charmat import CharMatrix, _normalizing_moves, refine, validate
@@ -108,11 +109,11 @@ class ClosedFormContext:
         the three minors of it and its two neighbors
     """
 
-    __slots__ = ("lam", "minor_rows", "_rho", "_rho_pair", "_d2", "_d3")
+    __slots__ = ("cols", "minor_rows", "_rho", "_rho_pair", "_d2", "_d3")
 
     def __init__(self, lam: CharMatrix, minor_rows=(1, 2)):
-        self.lam = lam
-        self.minor_rows = minor_rows
+        self.cols = columns(lam)  # read once; cols[i][r - 1] is entry (r, i)
+        self.minor_rows = (minor_rows[0] - 1, minor_rows[1] - 1)  # 0-based
         self._rho: dict = {}
         self._rho_pair: dict = {}
         self._d2: dict = {}
@@ -120,29 +121,26 @@ class ClosedFormContext:
 
     def rho(self, i: int) -> int:
         if i not in self._rho:
-            self._rho[i] = sum(x * x for x in self.lam.column(i)) + 1
+            c = self.cols[i]
+            self._rho[i] = sum(map(mul, c, c)) + 1
         return self._rho[i]
 
     def rho_pair(self, i: int, j: int) -> int:
         key = (i, j) if i <= j else (j, i)
         if key not in self._rho_pair:
-            ci, cj = self.lam.column(key[0]), self.lam.column(key[1])
-            self._rho_pair[key] = 2 * sum(x * y for x, y in zip(ci, cj))
+            self._rho_pair[key] = 2 * sum(map(mul, self.cols[i], self.cols[j]))
         return self._rho_pair[key]
 
     def d2(self, i: int, j: int) -> int:
         if (i, j) not in self._d2:
             r1, r2 = self.minor_rows
-            e = self.lam.entry
-            self._d2[(i, j)] = e(r1, i) * e(r2, j) - e(r1, j) * e(r2, i)
+            ci, cj = self.cols[i], self.cols[j]
+            self._d2[(i, j)] = ci[r1] * cj[r2] - cj[r1] * ci[r2]
         return self._d2[(i, j)]
 
     def d3(self, i: int, j: int, k: int) -> int:
         if (i, j, k) not in self._d3:
-            e = self.lam.entry
-            a, b, c = e(1, i), e(1, j), e(1, k)
-            d, f, g = e(2, i), e(2, j), e(2, k)
-            h, s, t = e(3, i), e(3, j), e(3, k)
+            (a, d, h), (b, f, s), (c, g, t) = (self.cols[x][:3] for x in (i, j, k))
             self._d3[(i, j, k)] = (
                 a * (f * t - g * s) - b * (d * t - g * h) + c * (d * s - f * h)
             )

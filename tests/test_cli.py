@@ -109,6 +109,38 @@ def test_classes_projective_plane(tmp_path, capsys):
     }
 
 
+@pytest.mark.parametrize("poly, rows, expected", [
+    (prism(6), HEX_PRISM_LAM, {
+        "spin": True,
+        "p1_basis": [[4, 5], [4, 8], [5, 8], [6, 8], [7, 8]],
+        "p1_coeffs": [0, 0, 0, 0, 0],
+        "h_vector": [1, 5, 5, 1],
+        "snf_ok": True,
+    }),
+    (prism(4), NON_STRING_SQUARE_PRISM, {
+        "spin": False,
+        "p1_basis": [[4, 5], [4, 6], [5, 6]],
+        "p1_coeffs": [14, 0, 0],
+        "h_vector": [1, 3, 3, 1],
+        "snf_ok": True,
+    }),
+])
+def test_classes_validates_its_pair_once(tmp_path, capsys, monkeypatch, poly, rows, expected):
+    calls = []
+    checked = stringcheck.validate
+
+    def counted(p, lam):
+        calls.append(lam)
+        return checked(p, lam)
+
+    monkeypatch.setattr(stringcheck, "validate", counted)
+    p = _write(tmp_path, "p.json", poly.to_dict())
+    m = _write(tmp_path, "m.json", {"rows": rows})
+    code, d = _run(capsys, ["classes", "-p", p, "-m", m])
+    assert (code, d) == (0, expected)
+    assert len(calls) == 1
+
+
 def test_check_string_square_twist_is_string(tmp_path, capsys):
     p = _write(tmp_path, "p.json", polygon(4).to_dict())
     m = _write(tmp_path, "m.json", {"rows": SQUARE_TWIST})

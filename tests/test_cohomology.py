@@ -230,9 +230,12 @@ def test_presentation_requires_refined():
 
 
 def test_presentation_keeps_its_quotient_map():
-    # the certificate is the quotient map itself, built once
+    # the certificate is the quotient map of the live rows itself, built
+    # once; the square has no dead monomial, so it covers every generator
     pres = presentation_deg4(SQUARE, SQUARE_LAM)
-    assert pres.quotient_map == _certified_quotient_map(pres.relations, len(pres.generators))
+    t, rows = _live_rows_of(SQUARE, SQUARE_LAM)
+    assert t.live == pres.generators
+    assert pres.quotient_map == _certified_quotient_map(rows, len(t.live))
     # v3^2 and v2*v4's relation map to 0; v3*v4 = v4^2 spans the quotient
     assert pres.quotient_map == ((0,), (1,), (1,))
 
@@ -502,12 +505,26 @@ def _kernel_lattice_hnf(q):
     return intlin.hermite_form(u[h.rank:]).rows
 
 
-def _both_paths(pres):
-    """(unit path taken, read-off map or None, transposed map)."""
-    ngen = len(pres.generators)
-    pivots = intlin.unit_pivot_reduce(pres.relations)
-    read_off = None if pivots is None else _read_off_quotient_map(pivots, ngen)
-    return pivots is not None, read_off, _transposed_quotient_map(pres.relations, ngen)
+def _live_rows_of(p, lam):
+    t = relation_template(p, lam.refined_at)
+    return t, cohomology._live_rows(t, cohomology.columns(lam))
+
+
+def _live_path(p, lam):
+    """(unit path taken on the live rows, their read-off or transposed
+    map expanded with zeros on the dead generators)."""
+    t, rows = _live_rows_of(p, lam)
+    nlive = len(t.live)
+    pivots = intlin.unit_pivot_reduce(rows)
+    if pivots is None:
+        live_q = _transposed_quotient_map(rows, nlive)
+    else:
+        live_q = _read_off_quotient_map(pivots, nlive)
+    at = {g: c for c, g in enumerate(t.live)}
+    zero = (0,) * t.quotient_rank
+    return pivots is not None, tuple(
+        live_q[at[g]] if g in at else zero for g in t.generators
+    )
 
 
 def _with_map(pres, q):
@@ -532,13 +549,17 @@ CERTIFICATE_SEARCHES = (
 
 def _stuck_polygon7_pairs():
     """The valid polygon(7) classes at bound 3, refined at every vertex,
-    whose relations leave the unit-pivot reduction without a unit entry."""
+    whose live rows or dense relations leave the unit-pivot reduction
+    without a unit entry."""
     p = polygon(7)
     out = []
     for _p, lam in _search_pairs(((p, 3, "valid"),)):
         for v in p.vertices:
             rl = refine(p, lam, v)
-            if intlin.unit_pivot_reduce(presentation_deg4(p, rl).relations) is None:
+            if (
+                intlin.unit_pivot_reduce(_live_rows_of(p, rl)[1]) is None
+                or intlin.unit_pivot_reduce(presentation_deg4(p, rl).relations) is None
+            ):
                 out.append((p, rl))
     return out
 
@@ -549,12 +570,13 @@ def test_read_off_quotient_map_kernel_is_the_relation_lattice():
     rng = random.Random(505)
     for p, lam in pairs:
         pres = presentation_deg4(p, lam)
-        unit, read_off, transposed = _both_paths(pres)
+        unit, live_map = _live_path(p, lam)
         paths[unit] += 1
-        assert pres.quotient_map == (read_off if unit else transposed)
+        assert pres.quotient_map == live_map
         _assert_onto_with_relation_kernel(pres)
-        # both maps give the same basis and coefficients, whichever
-        # path the presentation took
+        # the transposed map of the dense relations gives the same basis
+        # and coefficients, whichever path the live rows took
+        transposed = _transposed_quotient_map(pres.relations, len(pres.generators))
         by_transposed = _with_map(pres, transposed)
         _assert_onto_with_relation_kernel(by_transposed)
         basis = greedy_basis(pres)
@@ -566,9 +588,48 @@ def test_read_off_quotient_map_kernel_is_the_relation_lattice():
         assert _outcome(reduce_to_basis, pres, expr, partial) == _outcome(
             reduce_to_basis, by_transposed, expr, partial
         )
-    # the search corpora never get stuck; the polygon(7) refinements
-    # exercise the transposed fallback
-    assert paths == {True: 335, False: 84}
+    # the search corpora never get stuck; 68 of the 124 polygon(7)
+    # refinements send their live rows to the transposed fallback
+    assert paths == {True: 391, False: 68}
+
+
+def _dead_generators(pres):
+    pairs = set(pres.relation_pairs)
+    return [g for g in pres.generators if g[0] != g[1] and g in pairs]
+
+
+def test_dead_generators_map_to_zero_and_stay_out_of_the_basis():
+    dead_seen = 0
+    for p, lam in _search_pairs(CERTIFICATE_SEARCHES):
+        pres = presentation_deg4(p, lam)
+        dead = _dead_generators(pres)
+        dead_seen += len(dead)
+        for g in dead:
+            assert not any(pres.quotient_map[pres._gen_index[g]])
+        assert not set(greedy_basis(pres)) & set(dead)
+    assert dead_seen > 0
+
+
+def _p1_by_columns(lam):
+    """p1_vector by the per-column formula, one lam.column call per use."""
+    v0 = set(lam.refined_at)
+    free = [j for j in range(1, lam.m + 1) if j not in v0]
+    out = {}
+    for j in free:
+        out[(j, j)] = sum(x * x for x in lam.column(j)) + 1
+    for a, i in enumerate(free):
+        for j in free[a + 1:]:
+            rho_ij = 2 * sum(x * y for x, y in zip(lam.column(i), lam.column(j)))
+            if rho_ij:
+                out[(i, j)] = rho_ij
+    return out
+
+
+def test_p1_vector_matches_the_per_column_formula():
+    pairs = _search_pairs(CERTIFICATE_SEARCHES)
+    assert len(pairs) == 335
+    for p, lam in pairs:
+        assert list(p1_vector(p, lam).items()) == list(_p1_by_columns(lam).items())
 
 
 def test_quotient_map_paths_on_hand_presentations(monkeypatch):
