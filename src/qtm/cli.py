@@ -8,7 +8,10 @@ when given.
 Exit codes: 0 for success or a verified claim, 1 for a negative answer
 (invalid matrix, not string, not decomposable, counterexample found),
 2 for usage and malformed input, 3 for a search that hit its resource
-cap.
+cap.  When stdout is closed before the result is written (`qtm verify
+... | head -5`), the command exits 141, the status a shell reports for
+a process that SIGPIPE ended, with no traceback: the answer was lost,
+so none of 0-3 would be true.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -139,7 +143,10 @@ def _cmd_classes(args) -> int:
         "p1_coeffs": list(coeffs),
         "h_vector": list(h),
         # the quotient map certifies that the degree-4 quotient is free
-        # of rank quotient_rank, i.e. every invariant factor is 1
+        # of rank quotient_rank, i.e. every invariant factor is 1, and
+        # presentation_deg4 raises when it cannot.  The rank itself is a
+        # count, |live| - |live rows|, equal to h_2 for every complex,
+        # so this field is true whenever the command gets this far
         "snf_ok": pres.quotient_rank == (h[2] if p.dim >= 2 else 0),
     }
     _emit(out, args.out)
@@ -353,10 +360,19 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        # flush here, so a closed pipe raises below and not at exit
+        sys.stdout.flush()
+        return code
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader is gone: point stdout at devnull, so the flush at
+        # interpreter exit does not raise again (Python's `signal` docs)
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":

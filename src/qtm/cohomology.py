@@ -19,10 +19,17 @@ Topology, ch. 7):
 
 A `RelationTemplate` holds this shape for one (polytope, base vertex):
 the generators, the live ones (and each generator's live index), the
-term list of each relation and the quotient rank, checked against h_2
-once when it is built.  Templates are cached by (vertices, base), so an
-equal polytope built again reuses one.  A pair only fills the
-coefficients in from its columns.
+term list of each relation and the quotient rank |live| - |live rows|,
+compared with h_2 once when it is built.  That comparison never fails:
+with f = m - n free facets and NF nonface pairs the count is
+C(f+1, 2) - NF, which equals h_2 = C(m, 2) - NF - (n-1)m + C(n, 2) for
+every complex whose h-vector computes, so it certifies nothing about
+the polytope.  The checks that can fire are made per pair on the live
+rows: over Z the quotient-map certificate below (the rows must span a
+direct summand), over GF(2) their independence (`smallcover`).
+Templates are cached by (vertices, base), so an equal polytope built
+again reuses one.  A pair only fills the coefficients in from its
+columns.
 
 Each dense (B_k, b) row is minus its live row plus terms on dead
 monomials, and every dead monomial is itself a unit relation.  So the
@@ -45,9 +52,9 @@ the quotient map q: Z^N -> Z^h2 of the live rows: every dead generator
 goes to 0 and every live one to its image under the certified quotient
 map of the live rows.  By the above, q is onto with kernel exactly L.
 It exists exactly when the live rows are independent and span a direct
-summand, and the quotient rank must equal h_2 of the polytope.  Both
-facts are consequences of the theory this package implements, so a
-violation is a hard error rather than a soft result.
+summand, a consequence of the theory this package implements, so a
+violation is a hard error rather than a soft result.  (The quotient
+rank equals h_2 by counting alone; see above.)
 
 The certified quotient map of a set of rows comes from
 `intlin.unit_pivot_reduce`, which pivots only on +-1 entries and keeps
@@ -92,6 +99,8 @@ class CohomologyError(ValueError):
 class RelationTemplate:
     """The shape of the degree-4 presentation of every pair over one
     polytope refined at one base vertex; see the module docstring.
+    Read mod 2 it is also the degree-2 presentation of every small
+    cover there (`smallcover`).
 
     Facet B_k of the base is row k of the matrix.  A relation's terms
     are (j, index) pairs: its coefficient at that index is -lambda_kj

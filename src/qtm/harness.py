@@ -70,10 +70,12 @@ The mod-2 walk has no residual symmetry to break (over GF(2) a sign
 flip is trivial), so its table marks no pattern.  It keeps one bitmask
 per column, bit i for row i, and also memoizes each vertex's value
 mask by the tuple of its other columns' masks, for the life of the
-search.  Its leaves are built from bits already 0/1 and refined, with
-no re-check.  It does not dedup: two leaves differ in some free
-column, so every leaf has its own rows and dedup_hits is 0 by
-construction.
+search.  Its string test reads the degree-2 class off those masks
+through the same relation template (`smallcover._w2_vanishes`, one
+GF(2) elimination per leaf), and a `Mod2CharMatrix` is built, from
+bits already 0/1 and refined with no re-check, only for a survivor.
+It does not dedup: two leaves differ in some free column, so every
+leaf has its own rows and dedup_hits is 0 by construction.
 
 Entry bounds are part of every verdict: matrices exist at every bound,
 so a negative campaign only ever says "none with entries up to B".
@@ -98,7 +100,7 @@ from .cohomology import p1_vanishes, relation_template
 from .polytope import SimplePolytope, connected_sum, cube, polygon, prism, product
 from .smallcover import (
     Mod2CharMatrix,
-    _refined_is_string,
+    _w2_vanishes,
     simplex_product,
     verify_simplex_product_criterion,
     SmallCoverError,
@@ -274,7 +276,7 @@ def enumerate_matrices(spec: SearchSpec):
     }
     survivors = []
     seen = set()
-    if spec.filter == "string" and not mod2:
+    if spec.filter == "string":
         template = relation_template(p, base)
     started = time.monotonic()
 
@@ -324,15 +326,17 @@ def enumerate_matrices(spec: SearchSpec):
     def emit() -> None:
         stats["candidates"] += 1
         if mod2:
+            # as over Z, the parity filter made the leaf orientable, so
+            # only the degree-2 class is left to decide
+            if spec.filter == "string" and not _w2_vanishes(template, col):
+                reject()
+                return
             lam = Mod2CharMatrix._from_refined_bits(
                 tuple(
                     tuple(col[f] >> i & 1 for f in range(1, m + 1)) for i in range(n)
                 ),
                 base,
             )
-            if spec.filter == "string" and not _refined_is_string(p, lam):
-                reject()
-                return
         else:
             # the parity filter made every column sum odd, so a
             # string-walk leaf is spin; only p_1 is left to decide

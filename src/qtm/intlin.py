@@ -320,11 +320,6 @@ def f2_normal(masks, n: int) -> int:
     return c
 
 
-def f2_in_span(masks: list[int], target: int) -> bool:
-    """Is target a GF(2) combination of masks?"""
-    return f2_rank([*masks, target]) == f2_rank(masks)
-
-
 def f2_det_one(masks: list[int], n: int) -> bool:
     """Is an n x n mod-2 matrix invertible?  masks are its rows or its
     columns: either way the test is rank n."""

@@ -9,13 +9,22 @@ vanish, which collapses the string condition: a small cover is string
 exactly when it is orientable (sum of all v_i zero in degree 1) and
 the degree-2 class sum_{i<j} v_i v_j vanishes.
 
-The degree-2 presentation mirrors the integral degree-4 one, with one
-difference: squares of free generators survive mod 2, so v_j^2 stays a
-generator instead of being rewritten.  Generators are the monomials
-v_i v_j over free facets i <= j, and each nonface facet pair
-contributes one relation after substituting the vertex-column classes
-linearly.  A consistency certificate (generator count minus relation
-rank equals h_2) is enforced on every call.
+The degree-2 presentation is the integral degree-4 one read mod 2, so
+it comes from the same relation template (`cohomology.relation_template`):
+generators are the monomials v_i v_j over free facets i <= j, squares
+included, and each nonface pair gives one relation.  A product of two
+free facets that form a nonface is dead (its relation is v_a v_b = 0),
+so the relations span e_dead plus the live rows, rank(relations) =
+#dead + rank(live rows), and the class sum_{i<j} v_i v_j vanishes
+exactly when its live part lies in the span of the live rows.  A
+string test packs the live rows from the column bitmasks, runs one
+`intlin._f2_echelon`, and reduces the class by it.  The certificate,
+checked on every call, is that the live rows are independent: that is
+#generators - rank(relations) = h_2, since the template's count
+|live| - |live rows| equals h_2.  The class needs no substitution: if
+S_i = 1 + popcount(column i) counts the facet classes that involve
+free v_i, it is C(S_i, 2) on v_i^2 (mod 2 that is bit 1 of S_i) and
+S_i S_j + popcount(column i & column j) on v_i v_j, mod 2.
 
 Vertex tests work on columns packed as bitmasks: a vertex is fine iff
 its n column masks have GF(2) rank n.  The mod-2 search does not rank
@@ -24,7 +33,8 @@ to the parity of c & x for the normal mask c of the other n - 1
 columns, so the walk filters the values of that column by mask, once
 per node.  The public tests validate and
 refine their input; their private cores take a pair that is already
-valid and refined, which is what the mod-2 search hands them.  The
+valid and refined, and the mod-2 search hands `_w2_vanishes` its
+column masks, building a matrix only for a survivor.  The
 simplex-product criterion is decided by that search, string filter
 on, and then checked against its closed form.
 """
@@ -33,6 +43,7 @@ from __future__ import annotations
 
 from . import intlin
 from .charmat import _refined_vertex_ok
+from .cohomology import RelationTemplate, relation_template
 from .polytope import SimplePolytope, product, simplex
 
 
@@ -135,7 +146,9 @@ def refine_mod2(p: SimplePolytope, lam: Mod2CharMatrix, v) -> Mod2CharMatrix:
 
 
 def _refined(p: SimplePolytope, lam: Mod2CharMatrix) -> Mod2CharMatrix:
-    if lam.refined_at is not None:
+    """lam when it is refined at a vertex, else lam refined at the first
+    vertex: a relation template is built at a vertex."""
+    if lam.refined_at is not None and p.is_vertex(lam.refined_at):
         return lam
     return refine_mod2(p, lam, p.vertices[0])
 
@@ -147,8 +160,9 @@ def _checked_refined(p: SimplePolytope, lam: Mod2CharMatrix) -> Mod2CharMatrix:
     return _refined(p, lam)
 
 
-def _orientable(rl: Mod2CharMatrix) -> bool:
-    return all(sum(col) % 2 == 1 for col in zip(*rl.rows))
+def _orientable(col) -> bool:
+    """Every column sum odd, for column masks indexed by facet."""
+    return all(c.bit_count() & 1 for c in col[1:])
 
 
 def is_orientable(p: SimplePolytope, lam: Mod2CharMatrix) -> bool:
@@ -156,19 +170,57 @@ def is_orientable(p: SimplePolytope, lam: Mod2CharMatrix) -> bool:
 
     In refined form that is exactly: every column sum is odd.
     """
-    return _orientable(_checked_refined(p, lam))
+    return _orientable(_column_masks(_checked_refined(p, lam)))
 
 
-def _substituted_mod2(lam: Mod2CharMatrix) -> dict[int, dict[int, int]]:
-    """Each facet class as a GF(2) combination of the free facet classes."""
-    v0 = lam.refined_at
-    free = [j for j in range(1, lam.m + 1) if j not in set(v0)]
-    sub: dict[int, dict[int, int]] = {}
-    for k, t in enumerate(sorted(v0)):
-        sub[t] = {j: 1 for j in free if lam.rows[k][j - 1]}
-    for j in free:
-        sub[j] = {j: 1}
-    return sub
+def _column_masks(rl: Mod2CharMatrix) -> list[int]:
+    """The columns of rl as bitmasks, bit i for row i, indexed by facet
+    as the mod-2 walk keeps them: entry 0 is a placeholder."""
+    return [0] + [intlin.f2_mask(c) for c in zip(*rl.rows)]
+
+
+def _live_echelon(t: RelationTemplate, col) -> dict[int, int]:
+    """The `intlin._f2_echelon` basis of the live rows of the pair over
+    t's polytope refined at t's base with column masks col (col[j] is
+    column j, bit k for row k), raising `SmallCoverError` unless they
+    are independent."""
+    rows = []
+    for k, terms in t.live_terms:
+        mask = 0
+        for j, c in terms:
+            if col[j] >> k & 1:
+                mask |= 1 << c
+        rows.append(mask)
+    basis = intlin._f2_echelon(rows)
+    if len(basis) != len(rows):
+        raise SmallCoverError(
+            f"degree-2 quotient dimension {len(t.live) - len(basis)} "
+            f"!= h_2 = {t.quotient_rank}"
+        )
+    return basis
+
+
+def _w2_vanishes(t: RelationTemplate, col) -> bool:
+    """Is sum_{i<j} v_i v_j zero in degree 2, for the pair over t's
+    polytope refined at t's base with column masks col?  Its live part,
+    in the closed form of the module docstring, is reduced by the live
+    rows, which must be independent (`_live_echelon`)."""
+    basis = _live_echelon(t, col)
+    s = [1 + c.bit_count() for c in col]
+    w2 = 0
+    for c, (i, j) in enumerate(t.live):
+        if i == j:
+            bit = s[i] >> 1
+        else:
+            bit = s[i] * s[j] + (col[i] & col[j]).bit_count()
+        if bit & 1:
+            w2 |= 1 << c
+    while w2:
+        b = basis.get(w2.bit_length())
+        if b is None:
+            return False
+        w2 ^= b
+    return True
 
 
 def degree2_presentation(p: SimplePolytope, lam: Mod2CharMatrix):
@@ -176,36 +228,25 @@ def degree2_presentation(p: SimplePolytope, lam: Mod2CharMatrix):
 
     Generators are v_i v_j for free i <= j, squares included; each
     nonface pair becomes one relation row, packed as a bitmask over the
-    generator list.  The certified identity
-    #generators - rank(relations) = h_2 is rechecked on every call.
+    generator list.  The live rows are checked independent on every
+    call, which is #generators - rank(relations) = h_2.
     """
     _shape_check(p, lam)
     rl = _refined(p, lam)
-    gens, _index, masks, free = _degree2_core(p, rl, _substituted_mod2(rl))
-    return gens, masks, free
-
-
-def _degree2_core(p: SimplePolytope, rl: Mod2CharMatrix, sub):
-    """degree2_presentation of a refined pair of the right shape, given
-    its substitution; also returns the generator index."""
-    free = tuple(j for j in range(1, rl.m + 1) if j not in set(rl.refined_at))
-    gens = tuple((i, j) for a, i in enumerate(free) for j in free[a:])
-    gen_index = {g: k for k, g in enumerate(gens)}
+    t = relation_template(p, rl.refined_at)
+    col = _column_masks(rl)
+    _live_echelon(t, col)
     masks = []
-    for a, b in p.nonface_pairs():
+    for k, terms in t.dense_terms:
+        if k is None:
+            masks.append(1 << terms)
+            continue
         mask = 0
-        for i in sub[a]:
-            for j in sub[b]:
-                key = (i, j) if i <= j else (j, i)
-                mask ^= 1 << gen_index[key]
+        for j, g in terms:
+            if col[j] >> k & 1:
+                mask |= 1 << g
         masks.append(mask)
-    rank = intlin.f2_rank(masks)
-    expected = p.h_vector()[2] if p.dim >= 2 else 0
-    if len(gens) - rank != expected:
-        raise SmallCoverError(
-            f"degree-2 quotient dimension {len(gens) - rank} != h_2 = {expected}"
-        )
-    return gens, gen_index, masks, free
+    return t.generators, masks, t.free
 
 
 def is_string_smallcover(p: SimplePolytope, lam: Mod2CharMatrix) -> bool:
@@ -218,22 +259,9 @@ def is_string_smallcover(p: SimplePolytope, lam: Mod2CharMatrix) -> bool:
 
 
 def _refined_is_string(p: SimplePolytope, rl: Mod2CharMatrix) -> bool:
-    """is_string_smallcover for a pair already valid and refined: one
-    substitution feeds both the presentation and the class."""
-    if not _orientable(rl):
-        return False
-    sub = _substituted_mod2(rl)
-    _gens, gen_index, masks, _free = _degree2_core(p, rl, sub)
-    w2 = 0
-    for a in range(1, rl.m + 1):
-        for b in range(a + 1, rl.m + 1):
-            for i in sub[a]:
-                for j in sub[b]:
-                    key = (i, j) if i <= j else (j, i)
-                    w2 ^= 1 << gen_index[key]
-    if w2 == 0:
-        return True
-    return intlin.f2_in_span(masks, w2)
+    """is_string_smallcover for a pair already valid and refined."""
+    col = _column_masks(rl)
+    return _orientable(col) and _w2_vanishes(relation_template(p, rl.refined_at), col)
 
 
 # ---------------------------------------------------------------------------

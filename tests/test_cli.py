@@ -1,13 +1,18 @@
 """End-to-end tests of the command line layer.
 
-Commands run in-process through main(argv); every test checks both the
-JSON payload and the exit code, since scripts branch on the latter.
+Commands run in-process through main(argv), except the closed-pipe
+test, which needs a real process; every test checks both the JSON
+payload and the exit code, since scripts branch on the latter.
 Expected verdict values are pinned by the library test suites; what is
 tested here is the plumbing: file parsing, output shape, exit codes.
 """
 
 import json
+import os
 import platform
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -512,3 +517,19 @@ def test_huge_declared_facet_count_exits_2_quickly(tmp_path, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "1000000 facets cannot all occur on 3 vertices" in err
     assert len(err) < 200 + len(bad) and "Traceback" not in err
+
+
+def test_closed_stdout_exits_141_without_a_traceback():
+    # `qtm verify c5xc5-not-spin | head -5` with the reader gone before
+    # the report is written: the write fails with EPIPE, the command
+    # says nothing on stderr and exits 141
+    env = dict(os.environ, PYTHONPATH=str(Path(qtm.__file__).parent.parent))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "qtm.cli", "verify", "c5xc5-not-spin"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141
+    assert err == ""

