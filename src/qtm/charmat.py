@@ -11,7 +11,10 @@ them changes a vertex |det|, so `transform` validates its result once
 and the private `_moved` and `_normalizing_moves`, for pairs already
 validated, do not validate at all.  A pair is *refined* at a vertex v
 when the columns of v form the identity in sorted-v order; `refine`
-produces that form for any vertex.
+produces that form for any vertex.  `validate` reads a refined matrix
+through that identity block: a vertex determinant there is, up to sign,
+a minor at most as wide as the number of facets the vertex does not
+share with the refining vertex.
 """
 
 from __future__ import annotations
@@ -90,14 +93,35 @@ class CharMatrix:
 # validation and refinement
 
 
-def validate(p: SimplePolytope, lam: CharMatrix):
-    """(True, None) if every vertex determinant is +-1, else (False, vertex)."""
+def _check_shape(p: SimplePolytope, lam: CharMatrix) -> None:
     if lam.n != p.dim or lam.m != p.num_facets:
         raise CharMatrixError(
             f"shape {lam.n}x{lam.m} does not match dim {p.dim}, facets {p.num_facets}"
         )
+
+
+def validate(p: SimplePolytope, lam: CharMatrix):
+    """(True, None) if every vertex determinant is +-1, else (False, the
+    first vertex of p.vertices whose determinant is not).
+
+    On a matrix refined at a vertex B of p, column B_k is e_k, so the
+    vertex submatrix of v holds e_k for every B_k in v, and its |det| is
+    the |det| of the minor on rows {k : B_k not in v} and columns v - B.
+    Those minors are small; the full n x n determinant is taken only
+    when the matrix is not refined at a vertex.
+    """
+    _check_shape(p, lam)
+    base = lam.refined_at
+    if base is None or not p.is_vertex(base):
+        for v in p.vertices:
+            if abs(intlin.det(lam.submatrix(v))) != 1:
+                return False, v
+        return True, None
+    rows = tuple(zip(base, lam.rows))  # (B_k, row k)
     for v in p.vertices:
-        if abs(intlin.det(lam.submatrix(v))) != 1:
+        js = [j - 1 for j in v if j not in base]
+        minor = [[r[j] for j in js] for f, r in rows if f not in v]
+        if abs(intlin.det(minor)) != 1:
             return False, v
     return True, None
 

@@ -24,14 +24,16 @@ import sys
 from pathlib import Path
 
 from .charmat import CharMatrix, CharMatrixError, validate
-from .cohomology import greedy_basis, p1_vector, presentation_deg4, reduce_to_basis
+from .cohomology import basis_coefficients, p1_vector, presentation_deg4
 from .harness import ResourceCapExceeded, SearchSpec, enumerate_matrices, verify_claim
 from .polytope import PolytopeError, SimplePolytope, cube, polygon, prism, product, q_polytope, simplex
 from .smallcover import (
     Mod2CharMatrix,
     SmallCoverError,
-    is_orientable,
-    is_string_smallcover,
+    _column_masks,
+    _orientable,
+    _refined,
+    _refined_is_string,
     validate_mod2,
 )
 from .stringcheck import (
@@ -40,11 +42,11 @@ from .stringcheck import (
     _polygon_closed_form,
     _prism_closed_form,
     _prism_normal_form,
+    _refined_verdict,
     _spin,
     cube_basis,
     prism_basis,
     refined_pair,
-    string_verdict,
 )
 from .structure import decompose_cube_connsum, decompose_prism
 
@@ -134,8 +136,7 @@ def _cmd_classes(args) -> int:
     p = _load_polytope(args.polytope)
     rl = refined_pair(p, _load_matrix(args.matrix))
     pres = presentation_deg4(p, rl)
-    basis = greedy_basis(pres)
-    coeffs = reduce_to_basis(pres, p1_vector(p, rl), basis)
+    basis, coeffs = basis_coefficients(pres, p1_vector(p, rl))
     h = p.h_vector()
     out = {
         "spin": _spin(p, rl),
@@ -157,8 +158,8 @@ def _closed_form_coefficients(p: SimplePolytope, lam: CharMatrix, rl: CharMatrix
     """Family-specific p_1 coefficients when the labeling matches one of
     the shapes with a closed form; None otherwise.
 
-    lam is the matrix as read and rl the same pair refined; string_verdict
-    has validated both, so the closed-form cores do not validate again.
+    lam is the matrix as read and rl the same pair refined; refined_pair
+    has validated it, so the closed-form cores do not validate again.
     """
     n, m = p.dim, p.num_facets
     if n == 2 and p.vertices == polygon(m).vertices:
@@ -175,29 +176,34 @@ def _closed_form_coefficients(p: SimplePolytope, lam: CharMatrix, rl: CharMatrix
 
 
 def _cmd_check_string(args) -> int:
+    """A closed-form family takes its verdict from `_refined_verdict`.
+    Any other pair is reduced once, by `presentation_deg4`, and its
+    verdict read off the coefficients: p_1 is zero in degree 4 exactly
+    when its coordinates in a basis of the free quotient all vanish."""
     p = _load_polytope(args.polytope)
     lam = _load_matrix(args.matrix)
-    verdict = string_verdict(p, lam)
-    closed = _closed_form_coefficients(p, lam, verdict.refined)
+    rl = refined_pair(p, lam)
+    closed = _closed_form_coefficients(p, lam, rl)
     if closed is not None:
+        _rl, spin, string = _refined_verdict(p, rl)
         method, coefficients = "closed-form", closed
     else:
-        rl = verdict.refined
+        spin = _spin(p, rl)
         pres = presentation_deg4(p, rl)
-        basis = greedy_basis(pres)
-        coeffs = reduce_to_basis(pres, p1_vector(p, rl), basis)
+        basis, coeffs = basis_coefficients(pres, p1_vector(p, rl))
+        string = spin and not any(coeffs)
         method = "general"
         coefficients = [
             {"monomial": list(b), "coeff": c} for b, c in zip(basis, coeffs)
         ]
     out = {
-        "spin": verdict.spin,
-        "string": verdict.string,
+        "spin": spin,
+        "string": string,
         "method": method,
         "coefficients": coefficients,
     }
     _emit(out, args.out)
-    return 0 if verdict.string else 1
+    return 0 if string else 1
 
 
 def _cmd_enumerate(args) -> int:
@@ -242,8 +248,9 @@ def _cmd_smallcover(args) -> int:
     lam = _load_matrix_mod2(args.matrix)
     if not validate_mod2(p, lam):
         raise UsageError("matrix is not characteristic over the polytope mod 2")
-    string = is_string_smallcover(p, lam)
-    _emit({"orientable": is_orientable(p, lam), "string": string}, args.out)
+    rl = _refined(p, lam)
+    string = _refined_is_string(p, rl)
+    _emit({"orientable": _orientable(_column_masks(rl)), "string": string}, args.out)
     return 0 if string else 1
 
 

@@ -74,7 +74,12 @@ monomial set S, Z^N / (relations + span e_S) = Z^h2 / span q(e_S), so
 `greedy_basis` and `reduce_to_basis` work on the small images q(e_g)
 instead of the relation stack; their outputs do not depend on which
 valid q was built.  A generator with q(e_g) = 0, a dead one among
-them, never enters a basis.
+them, never enters a basis.  The greedy walk keeps a unimodular u that
+inverts the images of the monomials it has kept, so when the basis is
+complete u carries any q(x) to its coefficients on the basis:
+`basis_coefficients` returns the basis and those coefficients from that
+one elimination, where `reduce_to_basis` (which also takes a partial
+basis) builds the inverse again by an HNF with transform.
 
 Degree-4 classes are sparse dicts {(i, j): coefficient} with i <= j
 both free; degree-2 classes are dicts {i: coefficient}.
@@ -448,6 +453,25 @@ def greedy_basis(pres: DegreeFourPresentation) -> tuple:
     (u x)[k:] is primitive, i.e. has gcd 1, and then xgcd row steps
     turn u x into e_k and extend the identity block by one.
     """
+    return _greedy(pres)[0]
+
+
+def basis_coefficients(pres: DegreeFourPresentation, expr: dict) -> tuple:
+    """(greedy_basis(pres), reduce_to_basis(pres, expr, that basis)) from
+    one elimination.
+
+    When `greedy_basis` ends, its u satisfies u @ Q_S^T = I for the
+    images Q_S of the full basis S, so u is the inverse that
+    `reduce_to_basis` rebuilds by a second HNF: the coefficients are
+    c = u q(expr), the unique solution of c . Q_S = q(expr).
+    """
+    basis, u = _greedy(pres)
+    target = _image(pres.quotient_map, pres.quotient_rank, pres.to_vector(expr))
+    return basis, intlin.mat_vec(u, target)
+
+
+def _greedy(pres: DegreeFourPresentation) -> tuple:
+    """greedy_basis and its final u, with u @ [basis images] = I."""
     d = pres.quotient_rank
     u = intlin.identity(d)
     chosen: list[tuple] = []
@@ -455,9 +479,12 @@ def greedy_basis(pres: DegreeFourPresentation) -> tuple:
         k = len(chosen)
         if k == d:
             break
-        if not any(img):  # gcd 0: never primitive
+        # images are unit vectors or short rows: multiply by their
+        # nonzero entries only
+        nz = [(i, x) for i, x in enumerate(img) if x]
+        if not nz:  # gcd 0: never primitive
             continue
-        y = intlin.mat_vec(u, img)
+        y = [sum(row[i] * x for i, x in nz) for row in u]
         if gcd(*y[k:]) != 1:
             continue
         # column 0 of work is u x; row steps on work keep u unimodular
@@ -477,4 +504,4 @@ def greedy_basis(pres: DegreeFourPresentation) -> tuple:
         chosen.append(g)
     if len(chosen) != d:
         raise CohomologyError("no monomial basis extends the relations")
-    return tuple(chosen)
+    return tuple(chosen), u

@@ -13,8 +13,13 @@ less their dead monomials (products of two free facets that do not
 meet, zero outright).  `cohomology.p1_vanishes` reduces the live rows
 by unit pivots, falling back to the certified transposed-HNF quotient
 map when that gets stuck, and reduces p_1 by the result.  A verdict
-builds no presentation; when coefficients are wanted,
-`presentation_deg4` certifies its quotient map on the same live rows.
+builds no presentation.  When coefficients are wanted,
+`presentation_deg4` certifies its quotient map on the same live rows,
+and the coefficients of p_1 in a basis of the free quotient decide the
+verdict as well: p_1 is zero exactly when they all vanish.  So
+`check-string` reduces the live rows once per request, either here for
+a family with a closed form or in `presentation_deg4` for any other
+pair.
 
 For the recurring families (polygon, prism over an even polygon, cube,
 pentagon prism C2(5) x I^(n-2), Q prism Q x I^(n-3)) the p_1
@@ -24,7 +29,7 @@ normalization up front so it cannot be applied to a mislabeled
 polytope; the general engine stays the source of truth and the test
 suite pins every family against it.  The polygon, prism and cube forms
 have private cores that skip the validation, for pairs the caller has
-already validated (check-string, after string_verdict).
+already validated (check-string, after refined_pair).
 """
 
 from __future__ import annotations
@@ -32,7 +37,14 @@ from __future__ import annotations
 from operator import mul
 from typing import NamedTuple
 
-from .charmat import CharMatrix, _normalizing_moves, refine, validate
+from .charmat import (
+    CharMatrix,
+    CharMatrixError,
+    _check_shape,
+    _normalizing_moves,
+    refine,
+    validate,
+)
 from .cohomology import columns, p1_vanishes, relation_template, w2_vector
 from .polytope import SimplePolytope, cube, polygon, prism, product, q_polytope
 
@@ -52,11 +64,23 @@ def _checked(p: SimplePolytope, lam: CharMatrix) -> None:
 
 def refined_pair(p: SimplePolytope, lam: CharMatrix) -> CharMatrix:
     """The matrix as it is when refined at a vertex, else refined at the
-    first vertex."""
+    first vertex v0; validated either way.
+
+    The refined matrix is validated, which is cheaper (see
+    `charmat.validate`) and gives the same verdict: refining does not
+    change a vertex |det|.  A v0 whose determinant is not +-1 cannot be
+    refined at; it is the first vertex `validate` would name, and it is
+    reported as such.
+    """
+    if lam.refined_at is None or not p.is_vertex(lam.refined_at):
+        _check_shape(p, lam)
+        v0 = p.vertices[0]
+        try:
+            lam = refine(p, lam, v0)
+        except CharMatrixError:  # v0 has a non-unit determinant
+            raise StringCheckError(f"matrix is not characteristic: vertex {v0}") from None
     _checked(p, lam)
-    if lam.refined_at is not None and p.is_vertex(lam.refined_at):
-        return lam
-    return refine(p, lam, p.vertices[0])
+    return lam
 
 
 class StringVerdict(NamedTuple):

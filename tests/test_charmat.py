@@ -1,8 +1,10 @@
 """Tests for characteristic matrix validation, refinement, and keys."""
 
+import functools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qtm import intlin
 from qtm.charmat import (
@@ -18,7 +20,7 @@ from qtm.charmat import (
     weights_at_vertex,
 )
 from qtm.harness import SearchSpec, enumerate_matrices
-from qtm.polytope import cube, polygon, prism, simplex
+from qtm.polytope import cube, polygon, prism, product, q_polytope, simplex
 
 # standard valid pairs used throughout
 TRIANGLE = simplex(2)
@@ -42,6 +44,69 @@ def test_validate():
     assert validate(PENTAGON, PENTAGON_LAM) == (True, None)
     with pytest.raises(CharMatrixError):
         validate(TRIANGLE, CharMatrix([[1, 0], [0, 1]]))
+
+
+# polytopes of dimension 2 to 4, so the minors a refined matrix is
+# validated on run from 0 x 0 up to the full n x n
+VALIDATE_POOL = (
+    simplex(2), polygon(5), cube(3), prism(5), q_polytope(), product(polygon(4), polygon(5)),
+)
+
+
+@functools.lru_cache(maxsize=None)
+def valid_pairs(p):
+    return enumerate_matrices(SearchSpec(p, 1, "signs", "valid"))[0]
+
+
+def draw_matrix(data, p):
+    """A random matrix over p with unit determinant at one vertex at least,
+    row-scrambled so it is not refined anywhere.  Half the draws start
+    from a valid class, with one entry off the identity block of the
+    first vertex maybe changed; the rest have random entries and the
+    identity at one random vertex, and most of those are invalid."""
+    n, m = p.dim, p.num_facets
+    if data.draw(st.booleans()):
+        rows = [list(r) for r in data.draw(st.sampled_from(valid_pairs(p))).rows]
+        if data.draw(st.booleans()):
+            j = data.draw(st.sampled_from([j for j in range(m) if j + 1 not in p.vertices[0]]))
+            rows[data.draw(st.integers(0, n - 1))][j] = data.draw(st.integers(-2, 2))
+    else:
+        flat = data.draw(st.lists(st.integers(-2, 2), min_size=n * m, max_size=n * m))
+        rows = [flat[i * m:(i + 1) * m] for i in range(n)]
+        for k, j in enumerate(data.draw(st.sampled_from(p.vertices))):
+            for i in range(n):
+                rows[i][j - 1] = int(i == k)
+    for _ in range(data.draw(st.integers(0, 4))):
+        i, j = data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        c = data.draw(st.integers(-2, 2))
+        rows[i] = [a + c * b for a, b in zip(rows[i], rows[j])]
+    return CharMatrix(rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_validate_agrees_on_a_refined_matrix(data):
+    """The minors read through a refined matrix's identity block give the
+    verdict and the first bad vertex that full determinants give."""
+    p = data.draw(st.sampled_from(VALIDATE_POOL))
+    lam = draw_matrix(data, p)
+    units = [v for v in p.vertices if abs(intlin.det(lam.submatrix(v))) == 1]
+    rl = refine(p, lam, data.draw(st.sampled_from(units)))
+    assert validate(p, rl) == validate(p, lam)
+
+
+def test_validate_names_the_first_bad_vertex_of_a_refined_matrix():
+    # refined at (1, 2, 3) of the cube; vertex (4, 5, 6) is the full
+    # 3 x 3 minor, and (1, 5, 6) the 2 x 2 one on rows 2, 3
+    p = CUBE3
+    good = CharMatrix(
+        [[1, 0, 0, 1, 0, 0], [0, 1, 0, 0, 1, 0], [0, 0, 1, 0, 0, 1]], refined_at=(1, 2, 3)
+    )
+    assert validate(p, good) == (True, None)
+    bad = CharMatrix(
+        [[1, 0, 0, 1, 0, 0], [0, 1, 0, 0, 1, 1], [0, 0, 1, 0, 1, 1]], refined_at=(1, 2, 3)
+    )
+    assert validate(p, bad) == validate(p, CharMatrix(bad.rows)) == (False, (1, 5, 6))
 
 
 def test_constructor_checks():

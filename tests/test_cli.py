@@ -206,6 +206,47 @@ def test_check_string_general_method_off_family(tmp_path, capsys):
     ]
 
 
+C4XC4_GENERAL = {
+    # not spin although p_1 = 0: the verdict needs spin
+    "not-spin": (
+        [
+            [1, 0, -1, 0, 0, 0, 0, 0],
+            [0, 1, -1, -1, 0, 0, 0, 0],
+            [0, 0, -1, 0, 1, 0, -1, 0],
+            [0, 0, -1, 0, 0, 1, 0, -1],
+        ],
+        False,
+        [[3, 4], [3, 7], [3, 8], [4, 7], [4, 8], [7, 8]],
+        [0, 0, 0, 0, 0, 0],
+    ),
+    # spin, and p_1 is 4 v_3^2 alone: the verdict needs every coefficient
+    "first-coefficient": (
+        [
+            [1, 0, -1, 0, 0, 0, 0, -1],
+            [0, 1, -1, -1, 0, 0, 0, 0],
+            [0, 0, -1, 0, 1, 0, -1, 1],
+            [0, 0, 0, 0, 0, 1, 0, -1],
+        ],
+        True,
+        [[3, 3], [3, 4], [3, 7], [4, 7], [4, 8], [7, 7]],
+        [4, 0, 0, 0, 0, 0],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(C4XC4_GENERAL))
+def test_check_string_general_verdict_is_spin_and_zero_coefficients(tmp_path, capsys, case):
+    rows, spin, basis, coeffs = C4XC4_GENERAL[case]
+    p = _write(tmp_path, "p.json", product(polygon(4), polygon(4)).to_dict())
+    m = _write(tmp_path, "m.json", {"rows": rows})
+    code, d = _run(capsys, ["check-string", "-p", p, "-m", m])
+    assert code == 1
+    assert (d["spin"], d["string"], d["method"]) == (spin, False, "general")
+    assert d["coefficients"] == [
+        {"monomial": b, "coeff": c} for b, c in zip(basis, coeffs)
+    ]
+
+
 # scrambled (unrefined, sign-flipped) inputs to the three closed forms
 CLOSED_FORM_REQUESTS = {
     "polygon": (polygon(5), [[1, 0, -1, -1, 0], [0, 1, 1, 0, -1]]),
@@ -261,7 +302,7 @@ def test_check_string_closed_form_validates_once(tmp_path, capsys, monkeypatch, 
     assert code in (0, 1)
     assert d["method"] == "closed-form"
     assert d["coefficients"] == expected
-    # one validation in string_verdict; one polytope read from the file
+    # one validation in refined_pair; one polytope read from the file
     # and one built to compare its labeling with the family's
     assert calls == {"validate": 1, "polytope": 2}
 
@@ -371,7 +412,37 @@ def test_smallcover_invalid_matrix_is_usage_error(tmp_path, capsys):
     p = _write(tmp_path, "p.json", polygon(3).to_dict())
     m = _write(tmp_path, "m.json", {"rows_mod2": [[1, 0, 0], [0, 1, 0]]})
     assert main(["smallcover", "-p", p, "-m", m]) == 2
-    capsys.readouterr()
+    err = capsys.readouterr().err
+    assert err == "error: matrix is not characteristic over the polytope mod 2\n"
+
+
+def test_smallcover_validates_and_refines_once(tmp_path, capsys, monkeypatch):
+    from qtm import cli, smallcover
+
+    calls = {"validate_mod2": 0, "refine_mod2": 0}
+
+    def counting(name):
+        fn = getattr(smallcover, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return counted
+
+    for name in calls:
+        wrapper = counting(name)
+        for module in (cli, smallcover):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, wrapper)
+    p = _write(tmp_path, "p.json", polygon(6).to_dict())
+    # the hexagon 3-colouring with row 1 added to row 2: not refined
+    m = _write(
+        tmp_path, "m.json", {"rows_mod2": [[1, 0, 1, 0, 1, 0], [1, 1, 1, 1, 1, 1]]}
+    )
+    code, d = _run(capsys, ["smallcover", "-p", p, "-m", m])
+    assert (code, d) == (0, {"orientable": True, "string": True})
+    assert calls == {"validate_mod2": 1, "refine_mod2": 1}
 
 
 def test_verify_writes_report_and_exits_0(tmp_path, capsys):

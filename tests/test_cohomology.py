@@ -17,6 +17,7 @@ from qtm.charmat import CharMatrix, ColumnSignFlip, RowBasisChange, transform, r
 from qtm.cohomology import (
     CohomologyError,
     DegreeFourPresentation,
+    basis_coefficients,
     greedy_basis,
     is_zero_in_h4,
     p1_vector,
@@ -492,6 +493,42 @@ def test_coefficients_match_the_stack_hnf_versions_on_random_pairs(data):
     assert _outcome(reduce_to_basis, pres, expr, partial) == _outcome(
         _stack_reduce_to_basis, pres, expr, partial
     )
+
+
+def test_basis_coefficients_match_greedy_basis_and_reduce_to_basis():
+    """One elimination gives what greedy_basis and then reduce_to_basis
+    give, on every class of polygon(6) bound 3 and prism(6) bound 1,
+    refined at the walk's vertex and at the last vertex; where no
+    monomial basis exists, both raise."""
+    searches = ((polygon(6), 3, "valid"), (prism(6), 1, "valid"))
+    pairs = _search_pairs(searches)
+    assert len(pairs) == 165 + 920
+    no_basis = 0
+    for p, lam in pairs:
+        for rl in (lam, refine(p, lam, p.vertices[-1])):
+            pres = presentation_deg4(p, rl)
+            p1 = p1_vector(p, rl)
+            try:
+                basis = greedy_basis(pres)
+            except CohomologyError:
+                no_basis += 1
+                with pytest.raises(CohomologyError, match="no monomial basis"):
+                    basis_coefficients(pres, p1)
+                continue
+            assert basis_coefficients(pres, p1) == (basis, reduce_to_basis(pres, p1, basis))
+    # prism(6) classes refined at the bottom corner (6, 7, 8), where
+    # the quotient has no monomial basis
+    assert no_basis == 34
+
+
+def test_basis_coefficients_keeps_the_greedy_basis_error():
+    # q(e_1) = +-3 and q(e_2) = -+2: no monomial generates the quotient
+    pres = _hand_presentation([[2, 3]])
+    with pytest.raises(CohomologyError, match="no monomial basis"):
+        basis_coefficients(pres, {(1, 1): 1})
+    # the empty quotient: no basis and no coefficients
+    pres = _hand_presentation([[1, 0], [0, 1]])
+    assert basis_coefficients(pres, {(1, 1): 5}) == ((), [])
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from test_charmat import VALIDATE_POOL, draw_matrix
 
 from qtm import cohomology, harness
 from qtm.charmat import (
@@ -45,6 +46,7 @@ from qtm.polytope import (
 from qtm.stringcheck import (
     StringCheckError,
     _refined_verdict,
+    refined_pair,
     cube_basis,
     cube_closed_form,
     cube_normal_form,
@@ -169,6 +171,23 @@ def test_public_string_tests_validate_their_input():
             test(polygon(4), singular)
         with pytest.raises(CharMatrixError):
             test(polygon(5), singular)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_refined_pair_names_the_vertex_validate_names(data):
+    """refined_pair refines before it validates: an invalid pair raises
+    naming the first bad vertex of full determinants, v0 included, and
+    a valid one comes back refined at v0."""
+    p = data.draw(st.sampled_from(VALIDATE_POOL))
+    lam = draw_matrix(data, p)
+    ok, bad = validate(p, lam)
+    if ok:
+        assert refined_pair(p, lam) == refine(p, lam, p.vertices[0])
+    else:
+        with pytest.raises(StringCheckError) as exc:
+            refined_pair(p, lam)
+        assert str(exc.value) == f"matrix is not characteristic: vertex {bad}"
 
 
 def test_public_closed_forms_validate_their_input():
