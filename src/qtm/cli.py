@@ -21,7 +21,6 @@ import functools
 import json
 import os
 import sys
-from pathlib import Path
 
 from .charmat import CharMatrix, CharMatrixError, validate
 from .cohomology import basis_coefficients, p1_vector, presentation_deg4
@@ -57,9 +56,16 @@ class UsageError(ValueError):
 
 def _load_json(path: str) -> dict:
     try:
-        d = json.loads(Path(path).read_text())
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
     except FileNotFoundError:
-        raise UsageError(f"no such file: {path}")
+        raise UsageError(f"no such file: {path}") from None
+    except OSError as exc:
+        raise UsageError(f"cannot read {path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"{path} is not UTF-8 text: {exc}") from None
+    try:
+        d = json.loads(text)
     except json.JSONDecodeError as exc:
         raise UsageError(f"{path} is not valid JSON: {exc}")
     if not isinstance(d, dict):
@@ -94,7 +100,11 @@ def _load_matrix_mod2(path: str) -> Mod2CharMatrix:
 def _emit(obj: dict, out: str | None) -> None:
     text = json.dumps(obj, indent=2)
     if out:
-        Path(out).write_text(text + "\n")
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise UsageError(f"cannot write {out}: {exc.strerror or exc}") from None
     print(text)
 
 

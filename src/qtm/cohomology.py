@@ -79,7 +79,14 @@ inverts the images of the monomials it has kept, so when the basis is
 complete u carries any q(x) to its coefficients on the basis:
 `basis_coefficients` returns the basis and those coefficients from that
 one elimination, where `reduce_to_basis` (which also takes a partial
-basis) builds the inverse again by an HNF with transform.
+basis) builds the inverse again by an HNF with transform.  The images
+are sparse: most are unit vectors, so y = u q(e_g) is usually a column
+of u.  An accepted y with a +-1 entry in y[k:] is cleared by pivoting
+on it (a row swap, a sign and one row operation per other nonzero
+y_i); only when y[k:] has no unit entry does the walk run the xgcd
+chain.  Whether y[k:] is primitive does not depend on which valid u is
+kept, and the final u is the unique inverse of the basis images, so
+the pivot choice changes neither the basis nor the coefficients.
 
 Degree-4 classes are sparse dicts {(i, j): coefficient} with i <= j
 both free; degree-2 classes are dicts {i: coefficient}.
@@ -450,7 +457,8 @@ def greedy_basis(pres: DegreeFourPresentation) -> tuple:
     images under the quotient map plus the new one span a direct
     summand.  A unimodular u with u @ [kept images] = [I_k; 0]
     is kept up to date: the new image x qualifies exactly when
-    (u x)[k:] is primitive, i.e. has gcd 1, and then xgcd row steps
+    (u x)[k:] is primitive, i.e. has gcd 1, and then row steps (a pivot
+    on a +-1 entry of (u x)[k:] when there is one, else the xgcd chain)
     turn u x into e_k and extend the identity block by one.
     """
     return _greedy(pres)[0]
@@ -479,28 +487,43 @@ def _greedy(pres: DegreeFourPresentation) -> tuple:
         k = len(chosen)
         if k == d:
             break
-        # images are unit vectors or short rows: multiply by their
-        # nonzero entries only
-        nz = [(i, x) for i, x in enumerate(img) if x]
+        nz = [i for i, x in enumerate(img) if x]
         if not nz:  # gcd 0: never primitive
             continue
-        y = [sum(row[i] * x for i, x in nz) for row in u]
+        if len(nz) == 1:  # a multiple of a unit vector: a column of u
+            i = nz[0]
+            x = img[i]
+            y = [row[i] for row in u] if x == 1 else [row[i] * x for row in u]
+        else:
+            y = [sum(map(mul, row, img)) for row in u]
         if gcd(*y[k:]) != 1:
             continue
-        # column 0 of work is u x; row steps on work keep u unimodular
-        work = [[yi] + row for yi, row in zip(y, u)]
-        piv = next(i for i in range(k, d) if work[i][0])
-        work[k], work[piv] = work[piv], work[k]
-        for i in range(k + 1, d):
-            if work[i][0]:
-                work[k], work[i] = intlin.xgcd_rows(work[k], work[i], work[k][0], work[i][0])
-        if work[k][0] < 0:
-            work[k] = [-x for x in work[k]]
-        for i in range(k):
-            c = work[i][0]
-            if c:
-                work[i] = [x - c * z for x, z in zip(work[i], work[k])]
-        u = [row[1:] for row in work]
+        piv = next((i for i in range(k, d) if y[i] == 1 or y[i] == -1), None)
+        if piv is not None:
+            # a unit entry: move it to row k, make it 1 and clear y from
+            # the rows where it is nonzero; u stays unimodular
+            u[k], u[piv] = u[piv], u[k]
+            y[k], y[piv] = y[piv], y[k]
+            uk = u[k] if y[k] == 1 else [-a for a in u[k]]
+            u[k] = uk
+            for i, c in enumerate(y):
+                if c and i != k:
+                    u[i] = [a - c * b for a, b in zip(u[i], uk)]
+        else:
+            # column 0 of work is u x; row steps on work keep u unimodular
+            work = [[yi] + row for yi, row in zip(y, u)]
+            piv = next(i for i in range(k, d) if work[i][0])
+            work[k], work[piv] = work[piv], work[k]
+            for i in range(k + 1, d):
+                if work[i][0]:
+                    work[k], work[i] = intlin.xgcd_rows(work[k], work[i], work[k][0], work[i][0])
+            if work[k][0] < 0:
+                work[k] = [-x for x in work[k]]
+            for i in range(k):
+                c = work[i][0]
+                if c:
+                    work[i] = [x - c * z for x, z in zip(work[i], work[k])]
+            u = [row[1:] for row in work]
         chosen.append(g)
     if len(chosen) != d:
         raise CohomologyError("no monomial basis extends the relations")

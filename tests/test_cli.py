@@ -278,10 +278,12 @@ def test_check_string_closed_form_validates_once(tmp_path, capsys, monkeypatch, 
     expected = _closed_form_reference(family, p, rows)
     pf = _write(tmp_path, "p.json", p.to_dict())
     mf = _write(tmp_path, "m.json", {"rows": rows})
-    # the family constructors are memoized: empty their caches so the
-    # request builds its family polytope whatever ran before
+    # the family constructors are memoized and parsed polytopes are
+    # interned: empty both so the request builds its family polytope and
+    # parses its file whatever ran before
     for make in (polytope.simplex, polytope.polygon, polytope.cube, polytope.prism):
         make.cache_clear()
+    polytope._PARSED.clear()
     calls = {"validate": 0, "polytope": 0}
     validate = charmat.validate
 
@@ -507,6 +509,28 @@ def test_malformed_input_files_exit_2(tmp_path, capsys):
     assert main(["validate", "-p", p, "-m", wrong]) == 2
     assert main(["validate", "-p", str(tmp_path / "missing.json"), "-m", wrong]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("case", ["dir-polytope", "dir-matrix", "not-utf8", "dir-out"])
+def test_unreadable_input_and_unwritable_out_exit_2(tmp_path, capsys, case):
+    # a directory where a file is wanted was an IsADirectoryError
+    # traceback (exit 1); a non-UTF-8 file exited 2 without its name
+    p = _write(tmp_path, "p.json", polygon(4).to_dict())
+    m = _write(tmp_path, "m.json", {"rows": SQUARE_TWIST})
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes(b'{"rows": "\xe9"}')
+    here = str(tmp_path)
+    argv, named = {
+        "dir-polytope": (["check-string", "-p", here, "-m", m], here),
+        "dir-matrix": (["check-string", "-p", p, "-m", here], here),
+        "not-utf8": (["check-string", "-p", p, "-m", str(latin1)], str(latin1)),
+        "dir-out": (["check-string", "-p", p, "-m", m, "--out", here], here),
+    }[case]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and named in captured.err
+    assert "Traceback" not in captured.err
 
 
 @pytest.mark.parametrize(

@@ -6,8 +6,12 @@ Hand-worked expectations are spelled out next to each assertion; the
 
 import functools
 import random
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
+from operator import mul
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -34,6 +38,9 @@ from qtm.harness import SearchSpec, enumerate_matrices
 from qtm.polytope import SimplePolytope, cube, polygon, prism, product, q_polytope, simplex
 from qtm.stringcheck import q_prism_polytope, refined_pair
 from smith_oracle import spans_unit_summand
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+import workloads  # noqa: E402  (bench/workloads.py, the pair-check pool)
 
 TRIANGLE = simplex(2)
 SQUARE = polygon(4)
@@ -519,6 +526,103 @@ def test_basis_coefficients_match_greedy_basis_and_reduce_to_basis():
     # prism(6) classes refined at the bottom corner (6, 7, 8), where
     # the quotient has no monomial basis
     assert no_basis == 34
+
+
+def _reference_greedy(pres):
+    """The greedy walk before unit pivots: every accepted image is
+    cleared by the xgcd chain over the rows below k."""
+    d = pres.quotient_rank
+    u = intlin.identity(d)
+    chosen = []
+    for g, img in zip(pres.generators, pres.quotient_map):
+        k = len(chosen)
+        if k == d:
+            break
+        nz = [(i, x) for i, x in enumerate(img) if x]
+        if not nz:
+            continue
+        y = [sum(row[i] * x for i, x in nz) for row in u]
+        if gcd(*y[k:]) != 1:
+            continue
+        work = [[yi] + row for yi, row in zip(y, u)]
+        piv = next(i for i in range(k, d) if work[i][0])
+        work[k], work[piv] = work[piv], work[k]
+        for i in range(k + 1, d):
+            if work[i][0]:
+                work[k], work[i] = intlin.xgcd_rows(work[k], work[i], work[k][0], work[i][0])
+        if work[k][0] < 0:
+            work[k] = [-x for x in work[k]]
+        for i in range(k):
+            c = work[i][0]
+            if c:
+                work[i] = [x - c * z for x, z in zip(work[i], work[k])]
+        u = [row[1:] for row in work]
+        chosen.append(g)
+    if len(chosen) != d:
+        raise CohomologyError("no monomial basis extends the relations")
+    return tuple(chosen), u
+
+
+@functools.lru_cache(maxsize=None)
+def _pair_check_pool():
+    return tuple((p, lam) for _label, p, lam in workloads.pair_pool("full"))
+
+
+def test_greedy_walk_matches_the_reference():
+    """The same basis and the same final u as the xgcd-only walk, on
+    every pair-check pool pair and every class of polygon(6) bound 3,
+    prism(6) bound 1, cube(3) bound 1 and prism(4) bound 2; where no
+    monomial basis exists, both raise."""
+    pairs = (
+        _pair_check_pool()
+        + _search_pairs(((polygon(6), 3, "valid"), (prism(6), 1, "valid")))
+        + _search_pairs(((cube(3), 1, "valid"), (prism(4), 2, "valid")))
+    )
+    assert len(pairs) == 53 + 165 + 920 + 404
+    for p, lam in pairs:
+        for rl in (refined_pair(p, lam), refine(p, lam, p.vertices[-1])):
+            pres = presentation_deg4(p, rl)
+            assert _outcome(cohomology._greedy, pres) == _outcome(_reference_greedy, pres)
+
+
+@pytest.mark.parametrize(
+    "images, basis",
+    [
+        # (2, 3) first at rank 2; (4, 6) then leaves y[1:] = 0
+        (((2, 3), (0, 0), (4, 6), (1, 1), (5, 7), (0, 1)), ((1, 1), (2, 2))),
+        # e_1, then (1, 2, 3) leaves y[1:] = (2, 3); (2, 4, 6) leaves 0
+        (((1, 0, 0), (1, 2, 3), (2, 4, 6), (0, 1, 1), (0, 0, 1), (1, 1, 1)),
+         ((1, 1), (1, 2), (2, 2))),
+    ],
+)
+def test_greedy_walk_without_a_unit_entry(monkeypatch, images, basis):
+    # y[k:] is primitive with no +-1 entry, so the xgcd chain runs
+    gens = ((1, 1), (1, 2), (1, 3), (2, 2), (2, 3), (3, 3))
+    pres = DegreeFourPresentation(
+        free=(1, 2, 3),
+        generators=gens,
+        relations=[],
+        relation_pairs=(),
+        quotient_rank=len(images[0]),
+        quotient_map=images,
+        _gen_index={g: k for k, g in enumerate(gens)},
+    )
+    expected = _reference_greedy(pres)
+    xgcd_calls = []
+    xgcd_rows = intlin.xgcd_rows
+
+    def counted(*args):
+        xgcd_calls.append(args[2:])
+        return xgcd_rows(*args)
+
+    monkeypatch.setattr(intlin, "xgcd_rows", counted)
+    assert cohomology._greedy(pres) == expected
+    assert xgcd_calls
+    got_basis, u = expected
+    assert got_basis == basis
+    # u inverts the kept images: u @ Q_S^T = I
+    kept = [images[gens.index(b)] for b in basis]
+    assert [[sum(map(mul, row, c)) for c in kept] for row in u] == intlin.identity(len(basis))
 
 
 def test_basis_coefficients_keeps_the_greedy_basis_error():
