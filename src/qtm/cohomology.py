@@ -81,12 +81,12 @@ complete u carries any q(x) to its coefficients on the basis:
 one elimination, where `reduce_to_basis` (which also takes a partial
 basis) builds the inverse again by an HNF with transform.  The images
 are sparse: most are unit vectors, so y = u q(e_g) is usually a column
-of u.  An accepted y with a +-1 entry in y[k:] is cleared by pivoting
-on it (a row swap, a sign and one row operation per other nonzero
-y_i); only when y[k:] has no unit entry does the walk run the xgcd
-chain.  Whether y[k:] is primitive does not depend on which valid u is
-kept, and the final u is the unique inverse of the basis images, so
-the pivot choice changes neither the basis nor the coefficients.
+of u.  An accepted y is cleared by one xgcd chain on the rows of u,
+with y carried beside them; its pivot is a +-1 entry of y[k:] when
+there is one, so every step of the chain is one row operation.
+Whether y[k:] is primitive does not depend on which valid u is kept,
+and the final u is the unique inverse of the basis images, so the
+pivot choice changes neither the basis nor the coefficients.
 
 Degree-4 classes are sparse dicts {(i, j): coefficient} with i <= j
 both free; degree-2 classes are dicts {i: coefficient}.
@@ -457,9 +457,9 @@ def greedy_basis(pres: DegreeFourPresentation) -> tuple:
     images under the quotient map plus the new one span a direct
     summand.  A unimodular u with u @ [kept images] = [I_k; 0]
     is kept up to date: the new image x qualifies exactly when
-    (u x)[k:] is primitive, i.e. has gcd 1, and then row steps (a pivot
-    on a +-1 entry of (u x)[k:] when there is one, else the xgcd chain)
-    turn u x into e_k and extend the identity block by one.
+    (u x)[k:] is primitive, i.e. has gcd 1, and then xgcd row steps
+    (pivoting on a +-1 entry of (u x)[k:] when there is one) turn u x
+    into e_k and extend the identity block by one.
     """
     return _greedy(pres)[0]
 
@@ -498,32 +498,27 @@ def _greedy(pres: DegreeFourPresentation) -> tuple:
             y = [sum(map(mul, row, img)) for row in u]
         if gcd(*y[k:]) != 1:
             continue
+        # row steps on u (and on y = u x beside it) keep u unimodular.
+        # Pivot on a +-1 entry of y[k:] when there is one: every xgcd
+        # step is then one row operation
         piv = next((i for i in range(k, d) if y[i] == 1 or y[i] == -1), None)
-        if piv is not None:
-            # a unit entry: move it to row k, make it 1 and clear y from
-            # the rows where it is nonzero; u stays unimodular
-            u[k], u[piv] = u[piv], u[k]
-            y[k], y[piv] = y[piv], y[k]
-            uk = u[k] if y[k] == 1 else [-a for a in u[k]]
-            u[k] = uk
-            for i, c in enumerate(y):
-                if c and i != k:
-                    u[i] = [a - c * b for a, b in zip(u[i], uk)]
-        else:
-            # column 0 of work is u x; row steps on work keep u unimodular
-            work = [[yi] + row for yi, row in zip(y, u)]
-            piv = next(i for i in range(k, d) if work[i][0])
-            work[k], work[piv] = work[piv], work[k]
-            for i in range(k + 1, d):
-                if work[i][0]:
-                    work[k], work[i] = intlin.xgcd_rows(work[k], work[i], work[k][0], work[i][0])
-            if work[k][0] < 0:
-                work[k] = [-x for x in work[k]]
-            for i in range(k):
-                c = work[i][0]
-                if c:
-                    work[i] = [x - c * z for x, z in zip(work[i], work[k])]
-            u = [row[1:] for row in work]
+        if piv is None:
+            piv = next(i for i in range(k, d) if y[i])
+        u[k], u[piv] = u[piv], u[k]
+        y[k], y[piv] = y[piv], y[k]
+        yk = y[k]
+        for i in range(k + 1, d):
+            b = y[i]
+            if b:
+                u[k], u[i] = intlin.xgcd_rows(u[k], u[i], yk, b)
+                if b % yk:  # else row k is kept as it is
+                    yk = gcd(yk, b)
+        if yk < 0:  # yk = +-gcd(y[k:]) = +-1
+            u[k] = [-x for x in u[k]]
+        for i in range(k):
+            c = y[i]
+            if c:
+                u[i] = [x - c * z for x, z in zip(u[i], u[k])]
         chosen.append(g)
     if len(chosen) != d:
         raise CohomologyError("no monomial basis extends the relations")

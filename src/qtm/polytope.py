@@ -11,12 +11,6 @@ vertices, so malformed complexes fail fast.
 
 Facet indices are 1-based everywhere.  Internally each vertex is also
 kept as a bitmask (bit f-1 for facet f) for fast face queries.
-
-Parsed polytopes are shared: `SimplePolytope.from_dict` checks its
-schema on every call and then returns one instance per content (dim,
-facet count, vertex list as given, name), built and validated the
-first time, so its faces, h-vector and other lazy caches serve every
-later request for the same content in the process.
 """
 
 from __future__ import annotations
@@ -278,14 +272,7 @@ class SimplePolytope:
     @classmethod
     def from_dict(cls, d: dict) -> "SimplePolytope":
         """Inverse of to_dict; raises PolytopeError on data outside that
-        schema as well as on a complex that is not a simple polytope.
-
-        The schema is checked on every call, before any lookup, since
-        True == 1 and both hash alike.  Equal content (dim, num_facets,
-        vertices as given, name) then gets one shared instance per
-        process, with its cached faces and h-vector; only a complex that
-        passed __init__ is stored.  A shared instance must not be mutated.
-        """
+        schema as well as on a complex that is not a simple polytope."""
         if not isinstance(d, dict):
             raise PolytopeError("a polytope must be a JSON object")
         for key in ("dim", "num_facets"):
@@ -296,20 +283,7 @@ class SimplePolytope:
         name = d.get("name", "")
         if not isinstance(name, str):
             raise PolytopeError("'name' must be a string")
-        key = (d["dim"], d["num_facets"], tuple(map(tuple, d["vertices"])), name)
-        p = _PARSED.get(key)
-        if p is None:
-            p = cls(d["dim"], d["num_facets"], d["vertices"], name=name)
-            if len(_PARSED) >= _PARSED_CACHE_SIZE:
-                _PARSED.clear()
-            _PARSED[key] = p
-        return p
-
-
-# (dim, num_facets, vertices as given, name) -> the polytope from_dict
-# built from it; cleared when it fills up, like cohomology's templates
-_PARSED: dict = {}
-_PARSED_CACHE_SIZE = 1024
+        return cls(d["dim"], d["num_facets"], d["vertices"], name=name)
 
 
 def find_isomorphisms(p: SimplePolytope, q: SimplePolytope, first_only: bool = False):

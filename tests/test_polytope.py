@@ -5,12 +5,10 @@ families (simplex, cube, polygon, prism) and, for symmetry groups, from
 a raw permutation filter written independently of the search code.
 """
 
-import json
 from itertools import combinations, permutations
 
 import pytest
 
-from qtm import polytope
 from qtm.polytope import (
     PolytopeError,
     SimplePolytope,
@@ -346,53 +344,6 @@ def test_serialization():
         d = p.to_dict()
         back = SimplePolytope.from_dict(d)
         assert back == p and back.name == p.name
-
-
-@pytest.fixture
-def parsed(monkeypatch):
-    """An empty store of parsed polytopes for one test."""
-    store = {}
-    monkeypatch.setattr(polytope, "_PARSED", store)
-    return store
-
-
-def test_from_dict_shares_one_instance_per_content(parsed):
-    d = cube(3).to_dict()
-    a = SimplePolytope.from_dict(d)
-    assert SimplePolytope.from_dict(json.loads(json.dumps(d))) is a
-    assert a is not cube(3) and a == cube(3)
-    renamed = SimplePolytope.from_dict(dict(d, name="another cube"))
-    assert renamed is not a and renamed == a and renamed.name == "another cube"
-    assert a.name == "cube-3" and len(parsed) == 2
-
-
-def test_from_dict_checks_the_schema_after_interning(parsed):
-    # True == 1 and hash(True) == hash(1): the interned valid twin must
-    # not let a boolean through
-    d = simplex(1).to_dict()
-    assert d["dim"] == 1 and [1] in d["vertices"]
-    SimplePolytope.from_dict(d)
-    with pytest.raises(PolytopeError, match="^'vertices' must be a list of integer lists$"):
-        SimplePolytope.from_dict(dict(d, vertices=[[True], [2]]))
-    with pytest.raises(PolytopeError, match="^'dim' must be an integer$"):
-        SimplePolytope.from_dict(dict(d, dim=True))
-    assert len(parsed) == 1
-
-
-def test_from_dict_never_stores_an_invalid_complex(parsed):
-    open_chain = {"dim": 2, "num_facets": 3, "vertices": [[1, 2], [2, 3]]}
-    for _ in range(2):
-        with pytest.raises(PolytopeError, match="^ridge"):
-            SimplePolytope.from_dict(open_chain)
-    assert parsed == {}
-
-
-def test_parsed_store_stays_bounded(parsed):
-    d = polygon(3).to_dict()
-    for i in range(polytope._PARSED_CACHE_SIZE + 10):
-        p = SimplePolytope.from_dict(dict(d, name=f"triangle {i}"))
-        assert len(parsed) <= polytope._PARSED_CACHE_SIZE
-    assert SimplePolytope.from_dict(dict(d, name=f"triangle {i}")) is p
 
 
 def test_unused_facets_message_is_capped():
