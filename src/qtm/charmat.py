@@ -44,7 +44,7 @@ class CharMatrix:
     __slots__ = ("n", "m", "rows", "refined_at")
 
     def __init__(self, rows, refined_at=None):
-        rows = tuple(tuple(int(x) for x in r) for r in rows)
+        rows = tuple(tuple(map(int, r)) for r in rows)
         if not rows or not rows[0]:
             raise CharMatrixError("empty matrix")
         if any(len(r) != len(rows[0]) for r in rows):
@@ -169,7 +169,10 @@ def _moved(p: SimplePolytope, lam: CharMatrix, move) -> CharMatrix:
     vertex submatrix.  A valid input therefore gives a valid result, and
     callers that have validated the input do not validate again.  The
     move itself is still checked: u must be unimodular, the column must
-    exist, and the permutation must be an automorphism.
+    exist, and the permutation must be an automorphism: a bijection of
+    the facets that carries every vertex to a vertex (a bijection maps
+    distinct vertices to distinct facet sets, so the vertex set is then
+    carried onto itself).
     """
     if isinstance(move, RowBasisChange):
         u = [list(r) for r in move.u]
@@ -185,7 +188,10 @@ def _moved(p: SimplePolytope, lam: CharMatrix, move) -> CharMatrix:
         ]
     elif isinstance(move, FacetPermutation):
         perm = move.perm
-        if p.apply_facet_permutation(perm).vertices != p.vertices:
+        m = p.num_facets
+        if len(perm) != m + 1 or sorted(perm[1:]) != list(range(1, m + 1)):
+            raise CharMatrixError(f"permutation is not a bijection of facets 1..{m}")
+        if not all(p.is_vertex([perm[f] for f in v]) for v in p.vertices):
             raise CharMatrixError("permutation is not an automorphism")
         rows = [[0] * lam.m for _ in range(lam.n)]
         for j in range(1, lam.m + 1):

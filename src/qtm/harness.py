@@ -17,12 +17,14 @@ other n - 1 columns fixed, so the vertex's determinant is linear in
 the new column: det = +-c.x, with c the cofactor vector of those
 columns (`intlin.cofactors`; over GF(2) the normal mask
 `intlin.f2_normal`, and det = parity(c & x)).  Once per node the walk
-takes c for each such vertex, looks up the mask of column values x
-with |c.x| = 1 (memoized per search by c alone; a dependent set of
-columns gives c = 0 and the empty mask), ANDs the masks, and then
-tests one bit per value.  Values are still counted one by one, so
-the node and time caps and every counter read as with a determinant
-per value.
+looks up, for each such vertex, the mask of column values x with
+|c.x| = 1, ANDs the masks, and then tests one bit per value.  Both
+lookups are memoized for the life of the search: the mask by the
+tuple of the vertex's other columns, so c is computed once per
+distinct tuple rather than once per node, and behind it the mask by
+c alone (a dependent set of columns gives c = 0 and the empty mask).
+Values are still counted one by one, so the node and time caps and
+every counter read as with a determinant per value.
 
 Over the integers each free column only takes values whose first
 nonzero entry is negative: one member of each column sign orbit.
@@ -68,9 +70,8 @@ key or survives.
 
 The mod-2 walk has no residual symmetry to break (over GF(2) a sign
 flip is trivial), so its table marks no pattern.  It keeps one bitmask
-per column, bit i for row i, and also memoizes each vertex's value
-mask by the tuple of its other columns' masks, for the life of the
-search.  Its string test reads the degree-2 class off those masks
+per column, bit i for row i, so its column-tuple memo is keyed by
+masks.  Its string test reads the degree-2 class off those masks
 through the same relation template (`smallcover._w2_vanishes`, one
 GF(2) elimination per leaf), and a `Mod2CharMatrix` is built, from
 bits already 0/1 and refined with no re-check, only for a survivor.
@@ -304,20 +305,21 @@ def enumerate_matrices(spec: SearchSpec):
         return mask
 
     if mod2:
-        # the other columns' masks -> their admissible values; lives
-        # as long as the search
-        by_columns: dict = {}
-
-        def vertex_values(gs) -> int:
-            cols = tuple(map(col.__getitem__, gs))
-            mask = by_columns.get(cols)
-            if mask is None:
-                mask = by_columns[cols] = admissible_values(intlin.f2_normal(cols, n))
-            return mask
+        def normal(cols):
+            return intlin.f2_normal(cols, n)
     else:
-        def vertex_values(gs) -> int:
-            # the columns of a vertex as rows: the transpose has the same det
-            return admissible_values(intlin.cofactors([col[g] for g in gs]))
+        # the columns of a vertex as rows: the transpose has the same det
+        normal = intlin.cofactors
+    # a vertex's other columns -> their admissible values; lives as long
+    # as the search
+    by_columns: dict = {}
+
+    def vertex_values(gs) -> int:
+        cols = tuple(map(col.__getitem__, gs))
+        mask = by_columns.get(cols)
+        if mask is None:
+            mask = by_columns[cols] = admissible_values(normal(cols))
+        return mask
 
     def reject() -> None:
         stats["pruned"] += 1

@@ -254,11 +254,6 @@ class SimplePolytope:
             self._auts = find_isomorphisms(self, self)
         return self._auts
 
-    def apply_facet_permutation(self, perm) -> "SimplePolytope":
-        """Relabel facets: facet f becomes perm[f]."""
-        vs = [tuple(sorted(perm[f] for f in v)) for v in self.vertices]
-        return SimplePolytope(self.dim, self.num_facets, vs, name=self.name)
-
     # -- serialization -------------------------------------------------------
 
     def to_dict(self) -> dict:
@@ -425,6 +420,33 @@ def q_polytope() -> SimplePolytope:
 
 # ---------------------------------------------------------------------------
 # operations
+#
+# The gluings are cached as well: `connected_sum`, `edge_connected_sum`
+# and the far side of a cube connected sum (`structure`) each build
+# their polytope once per key and hand every later caller the same
+# instance, with its cached faces and product splits.  A key holds
+# everything the result depends on: the kind of gluing, each input's
+# vertex tuple and the glued faces in the order given, and, for
+# `connected_sum`, which names its result after its inputs, both input
+# names (`SimplePolytope` equality ignores names).  So the constructor's
+# checks run once per key; the checks on the inputs run on every call,
+# and every call gets its own facet maps.  At most _GLUING_CACHE_SIZE
+# keys are held; the cache is cleared when it fills up.
+
+# gluing key -> (polytope, facet maps...); the maps are copied on the way out
+_GLUINGS: dict = {}
+_GLUING_CACHE_SIZE = 1024
+
+
+def _cached_gluing(key, build):
+    """build(), run once per key while the key stays cached."""
+    out = _GLUINGS.get(key)
+    if out is None:
+        out = build()
+        if len(_GLUINGS) >= _GLUING_CACHE_SIZE:
+            _GLUINGS.clear()
+        _GLUINGS[key] = out
+    return out
 
 
 def product(p: SimplePolytope, q: SimplePolytope) -> SimplePolytope:
@@ -491,7 +513,8 @@ def connected_sum(p: SimplePolytope, vp, q: SimplePolytope, vq, matching: dict[i
     sorted orders are matched.  New facet order: p's free facets
     (ascending), the n merged facets (in sorted vp order), q's free
     facets (ascending).  Returns (polytope, p_map, q_map) with the old
-    facet -> new facet dictionaries.
+    facet -> new facet dictionaries.  The polytope is cached per key
+    (above) and shared, so do not mutate it; the maps are new per call.
     """
     n = p.dim
     if q.dim != n:
@@ -504,21 +527,28 @@ def connected_sum(p: SimplePolytope, vp, q: SimplePolytope, vq, matching: dict[i
         matching = dict(zip(vp, vq))
     if sorted(matching.keys()) != list(vp) or sorted(matching.values()) != list(vq):
         raise PolytopeError("matching must pair the two glued vertices' facets")
-    p_free = [f for f in range(1, p.num_facets + 1) if f not in set(vp)]
-    q_free = [f for f in range(1, q.num_facets + 1) if f not in set(vq)]
-    p_map = {f: i + 1 for i, f in enumerate(p_free)}
-    base = len(p_free)
-    for i, f in enumerate(vp):
-        p_map[f] = base + i + 1
-    q_map = {matching[f]: p_map[f] for f in vp}
-    base2 = base + n
-    for i, f in enumerate(q_free):
-        q_map[f] = base2 + i + 1
-    vs = [tuple(sorted(p_map[f] for f in v)) for v in p.vertices if v != vp]
-    vs += [tuple(sorted(q_map[f] for f in v)) for v in q.vertices if v != vq]
-    name = f"({p.name})#({q.name})" if p.name and q.name else ""
-    out = SimplePolytope(n, p.num_facets + q.num_facets - n, vs, name=name)
-    return out, p_map, q_map
+    partners = tuple(matching[f] for f in vp)
+
+    def build():
+        p_free = [f for f in range(1, p.num_facets + 1) if f not in set(vp)]
+        q_free = [f for f in range(1, q.num_facets + 1) if f not in set(vq)]
+        p_map = {f: i + 1 for i, f in enumerate(p_free)}
+        base = len(p_free)
+        for i, f in enumerate(vp):
+            p_map[f] = base + i + 1
+        q_map = {g: p_map[f] for f, g in zip(vp, partners)}
+        base2 = base + n
+        for i, f in enumerate(q_free):
+            q_map[f] = base2 + i + 1
+        vs = [tuple(sorted(p_map[f] for f in v)) for v in p.vertices if v != vp]
+        vs += [tuple(sorted(q_map[f] for f in v)) for v in q.vertices if v != vq]
+        name = f"({p.name})#({q.name})" if p.name and q.name else ""
+        out = SimplePolytope(n, p.num_facets + q.num_facets - n, vs, name=name)
+        return out, p_map, q_map
+
+    key = ("vertex", p.vertices, p.name, vp, q.vertices, q.name, partners)
+    out, p_map, q_map = _cached_gluing(key, build)
+    return out, dict(p_map), dict(q_map)
 
 
 def edge_connected_sum(p: SimplePolytope, edge_p, ends_p, q: SimplePolytope, edge_q, ends_q):
@@ -529,7 +559,7 @@ def edge_connected_sum(p: SimplePolytope, edge_p, ends_p, q: SimplePolytope, edg
     (edge_p + ends_p) is merged with facet i of (edge_q + ends_q).  New
     facet order: the n+1 merged facets (in edge_p + ends_p order), p's
     remaining facets ascending, q's remaining facets ascending.  Returns
-    (polytope, p_map, q_map).
+    (polytope, p_map, q_map), cached like `connected_sum`.
     """
     n = p.dim
     if q.dim != n:
@@ -542,25 +572,32 @@ def edge_connected_sum(p: SimplePolytope, edge_p, ends_p, q: SimplePolytope, edg
         w = tuple(sorted(e + (y,)))
         if not (poly.is_vertex(u) and poly.is_vertex(w)):
             raise PolytopeError(f"{e} with ends {(x, y)} is not an edge with those endpoints")
-    glue_p = list(ep) + [xp, yp]
-    glue_q = list(eq) + [xq, yq]
-    p_map = {f: i + 1 for i, f in enumerate(glue_p)}
-    q_map = {f: i + 1 for i, f in enumerate(glue_q)}
-    rest_p = [f for f in range(1, p.num_facets + 1) if f not in p_map]
-    for i, f in enumerate(rest_p):
-        p_map[f] = n + 2 + i
-    base = n + 1 + len(rest_p)
-    rest_q = [f for f in range(1, q.num_facets + 1) if f not in q_map]
-    for i, f in enumerate(rest_q):
-        q_map[f] = base + i + 1
-    dead_p = {tuple(sorted(ep + (xp,))), tuple(sorted(ep + (yp,)))}
-    dead_q = {tuple(sorted(eq + (xq,))), tuple(sorted(eq + (yq,)))}
-    vs = [tuple(sorted(p_map[f] for f in v)) for v in p.vertices if v not in dead_p]
-    vs += [tuple(sorted(q_map[f] for f in v)) for v in q.vertices if v not in dead_q]
-    if len(vs) != len(set(vs)):
-        raise PolytopeError("edge connected sum produced coincident vertices")
-    out = SimplePolytope(n, p.num_facets + q.num_facets - n - 1, vs)
-    return out, p_map, q_map
+
+    def build():
+        glue_p = list(ep) + [xp, yp]
+        glue_q = list(eq) + [xq, yq]
+        p_map = {f: i + 1 for i, f in enumerate(glue_p)}
+        q_map = {f: i + 1 for i, f in enumerate(glue_q)}
+        rest_p = [f for f in range(1, p.num_facets + 1) if f not in p_map]
+        for i, f in enumerate(rest_p):
+            p_map[f] = n + 2 + i
+        base = n + 1 + len(rest_p)
+        rest_q = [f for f in range(1, q.num_facets + 1) if f not in q_map]
+        for i, f in enumerate(rest_q):
+            q_map[f] = base + i + 1
+        dead_p = {tuple(sorted(ep + (xp,))), tuple(sorted(ep + (yp,)))}
+        dead_q = {tuple(sorted(eq + (xq,))), tuple(sorted(eq + (yq,)))}
+        vs = [tuple(sorted(p_map[f] for f in v)) for v in p.vertices if v not in dead_p]
+        vs += [tuple(sorted(q_map[f] for f in v)) for v in q.vertices if v not in dead_q]
+        if len(vs) != len(set(vs)):
+            raise PolytopeError("edge connected sum produced coincident vertices")
+        out = SimplePolytope(n, p.num_facets + q.num_facets - n - 1, vs)
+        return out, p_map, q_map
+
+    # the result is unnamed, so the input names are not part of the key
+    key = ("edge", p.vertices, ep, (xp, yp), q.vertices, eq, (xq, yq))
+    out, p_map, q_map = _cached_gluing(key, build)
+    return out, dict(p_map), dict(q_map)
 
 
 def edge_cut_3d(p: SimplePolytope, edge) -> SimplePolytope:

@@ -30,9 +30,19 @@ a vertex |det|, so a valid pair stays valid.  What is checked once:
 * each string verdict is decided once, by ``_refined_verdict`` on a pair
   already refined: the input on its normal form (unless the caller, such
   as a string search, has decided it already), each split-off piece, and
-  a prism remainder inside its own recursive call.
+  a prism remainder inside its own recursive call;
+* each glued polytope is built once per key, not once per request: the
+  far side of a cube connected sum (key: the input's vertex tuple), and
+  the reassembled polytopes of ``connected_sum`` and
+  ``edge_connected_sum`` (key: both inputs' vertex tuples and glued
+  faces, and for the vertex sum both names).  They share one cache in
+  ``polytope``, cleared when it reaches ``_GLUING_CACHE_SIZE`` (1024)
+  keys, so the ``SimplePolytope`` checks run once per key and equal
+  inputs share one instance with its faces and product splits.  Every
+  request still gets its own facet maps.
 
-Every ``_forced`` relation and every reassembly comparison still runs.
+Every ``_forced`` relation, every glued-matrix ``validate`` and every
+reassembly comparison still runs on every call.
 """
 
 from __future__ import annotations
@@ -58,6 +68,7 @@ from .polytope import (
     BRUTE_FORCE_FACETS,
     PolytopeError,
     SimplePolytope,
+    _cached_gluing,
     brute_force_refusal,
     connected_sum,
     cube,
@@ -798,12 +809,13 @@ def _decompose_cube_connsum(
     if set(cube_side) != cube_vs - {seam}:
         raise StructureError("cube-side vertices are not a cube corner complement")
     try:
-        p_r = SimplePolytope(
+        # the far side depends on p's vertices alone: built once per key
+        p_r = _cached_gluing(("cube-far-side", p.vertices), lambda: SimplePolytope(
             n,
             m_total - n,
             sorted(tuple(f - n for f in v) for v in rest_side)
             + [tuple(range(1, n + 1))],
-        )
+        ))
     except PolytopeError as exc:
         raise StructureError(f"far side is not a simple polytope: {exc}") from None
 

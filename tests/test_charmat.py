@@ -1,6 +1,7 @@
 """Tests for characteristic matrix validation, refinement, and keys."""
 
 import functools
+import itertools
 import random
 
 import pytest
@@ -13,6 +14,7 @@ from qtm.charmat import (
     ColumnSignFlip,
     FacetPermutation,
     RowBasisChange,
+    _moved,
     canonical_key,
     refine,
     transform,
@@ -152,6 +154,32 @@ def test_transform_moves():
         transform(TRIANGLE, lam, RowBasisChange(((2, 0), (0, 1))))
     with pytest.raises(CharMatrixError):
         transform(PENTAGON, PENTAGON_LAM, FacetPermutation((0, 2, 1, 3, 4, 5)))
+
+
+def test_moved_checks_the_permutation():
+    # the unvalidated move still refuses anything but an automorphism
+    rotate = (0, 2, 3, 4, 5, 1)
+    moved = _moved(PENTAGON, PENTAGON_LAM, FacetPermutation(rotate))
+    assert moved.column(2) == PENTAGON_LAM.column(1)
+    for perm, match in (
+        ((0, 2, 1, 3, 4, 5), "not an automorphism"),
+        ((0, 1, 1, 3, 4, 5), "not a bijection"),
+        ((0, 2, 3, 4, 5, 5), "not a bijection"),
+        ((0, 2, 3, 4, 5), "not a bijection"),
+        ((0, 2, 3, 4, 5, 1, 6), "not a bijection"),
+    ):
+        with pytest.raises(CharMatrixError, match=match):
+            _moved(PENTAGON, PENTAGON_LAM, FacetPermutation(perm))
+    # every automorphism of the cube passes, every other bijection fails
+    autos = set(CUBE3.automorphisms())
+    lam = CharMatrix([[1, 0, 0, 1, 0, 0], [0, 1, 0, 0, 1, 0], [0, 0, 1, 0, 0, 1]])
+    for img in itertools.permutations(range(1, 7)):
+        perm = (0,) + img
+        if perm in autos:
+            _moved(CUBE3, lam, FacetPermutation(perm))
+        else:
+            with pytest.raises(CharMatrixError):
+                _moved(CUBE3, lam, FacetPermutation(perm))
 
 
 def random_unimodular(rng, n):

@@ -9,6 +9,7 @@ from itertools import combinations, permutations
 
 import pytest
 
+import qtm.polytope as polytope
 from qtm.polytope import (
     PolytopeError,
     SimplePolytope,
@@ -29,6 +30,12 @@ from qtm.polytope import (
     three_belts,
     _Q_VERTICES,
 )
+
+
+def relabeled(p, perm):
+    """p with facet f renamed perm[f], checked as a new polytope."""
+    vs = [tuple(sorted(perm[f] for f in v)) for v in p.vertices]
+    return SimplePolytope(p.dim, p.num_facets, vs, name=p.name)
 
 
 def brute_isomorphisms(p, q):
@@ -134,7 +141,7 @@ def test_isomorphism_search():
     assert find_isomorphisms(prism(5), prism(6)) == []
     assert not isomorphic(prism(6), product(polygon(3), polygon(3)))
     rot = {f: (f % 5) + 1 for f in range(1, 6)}
-    g = polygon(5).apply_facet_permutation([0] + [rot[f] for f in range(1, 6)])
+    g = relabeled(polygon(5), [0] + [rot[f] for f in range(1, 6)])
     assert g.vertices == polygon(5).vertices
 
 
@@ -281,6 +288,115 @@ def test_edge_connected_sum():
     with pytest.raises(PolytopeError):
         # simplices leave no free facets, so the glued halves collide
         edge_connected_sum(simplex(3), (1, 2), (3, 4), simplex(3), (1, 2), (3, 4))
+
+
+# ---------------------------------------------------------------------------
+# the gluing cache
+
+
+def _glue_vertex(p, q):
+    return connected_sum(p, (4, 5, 6), q, (1, 2, 3), matching={4: 3, 5: 1, 6: 2})
+
+
+def _glue_edge(p, q):
+    return edge_connected_sum(p, (4, 5), (1, 6), q, (3, 2), (1, 6))
+
+
+def _fresh(glue, p, q):
+    polytope._GLUINGS.clear()
+    return glue(p, q)
+
+
+@pytest.mark.parametrize("glue, p, q", [
+    (_glue_vertex, cube(3), prism(4)),
+    (_glue_edge, prism(4), prism(4)),
+])
+def test_cached_gluing_equals_a_fresh_build(glue, p, q):
+    fresh, fresh_p, fresh_q = _fresh(glue, p, q)
+    again, p_map, q_map = glue(p, q)
+    assert again is fresh
+    assert (again.vertices, again.name) == (fresh.vertices, fresh.name)
+    assert (p_map, q_map) == (fresh_p, fresh_q)
+    # the polytope the cache hands out is the one a new build checks
+    built = SimplePolytope(fresh.dim, fresh.num_facets, fresh.vertices)
+    assert built == again
+    # a copy of an input is an equal input, so it shares the entry
+    copy_p = SimplePolytope(p.dim, p.num_facets, p.vertices, name=p.name)
+    assert glue(copy_p, q)[0] is fresh
+
+
+def test_cached_gluing_returns_fresh_maps():
+    for glue, p, q in ((_glue_vertex, cube(3), prism(4)),
+                       (_glue_edge, prism(4), prism(4))):
+        _out, p_map, q_map = _fresh(glue, p, q)
+        expected = (dict(p_map), dict(q_map))
+        p_map[1] = -1
+        q_map.clear()
+        _out, p_map2, q_map2 = glue(p, q)
+        assert (p_map2, q_map2) == expected
+        assert p_map2 is not p_map and q_map2 is not q_map
+
+
+def test_cached_gluing_keys_on_names():
+    # equal polytopes, one named and one not: the vertex sum names its
+    # result after its inputs, so each gets its own entry and name
+    named = cube(3)
+    unnamed = SimplePolytope(3, 6, named.vertices)
+    assert named == unnamed
+    polytope._GLUINGS.clear()
+    for _ in range(2):
+        a, _, _ = connected_sum(named, (4, 5, 6), named, (1, 2, 3))
+        b, _, _ = connected_sum(unnamed, (4, 5, 6), named, (1, 2, 3))
+        c, _, _ = connected_sum(named, (4, 5, 6), unnamed, (1, 2, 3))
+        assert a.name == "(cube-3)#(cube-3)"
+        assert b.name == "" and c.name == ""
+        assert a == b == c and a is not b
+    # the edge sum leaves its result unnamed, so names do not matter
+    e, _, _ = edge_connected_sum(prism(4), (4, 5), (1, 6), prism(4), (3, 2), (1, 6))
+    unnamed4 = SimplePolytope(3, 6, prism(4).vertices)
+    f, _, _ = edge_connected_sum(unnamed4, (4, 5), (1, 6), unnamed4, (3, 2), (1, 6))
+    assert e.name == "" and f is e
+
+
+def test_gluing_builds_once_per_key(monkeypatch):
+    built = []
+    real = SimplePolytope.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args[2])
+        real(self, *args, **kwargs)
+
+    polytope._GLUINGS.clear()
+    monkeypatch.setattr(SimplePolytope, "__init__", counting)
+    for _ in range(3):
+        _glue_vertex(cube(3), prism(4))
+        _glue_edge(prism(4), prism(4))
+    assert len(built) == 2
+    # a different matching or glued edge is a different key
+    connected_sum(cube(3), (4, 5, 6), prism(4), (1, 2, 3))
+    edge_connected_sum(prism(4), (4, 5), (1, 6), prism(4), (2, 3), (1, 6))
+    assert len(built) == 4
+    # the checks on the inputs run on every call, cached key or not
+    with pytest.raises(PolytopeError, match="must glue at vertices"):
+        connected_sum(cube(3), (1, 2, 4), prism(4), (1, 2, 3))
+    with pytest.raises(PolytopeError, match="matching must pair"):
+        connected_sum(cube(3), (4, 5, 6), prism(4), (1, 2, 3), matching={4: 1, 5: 1, 6: 3})
+    with pytest.raises(PolytopeError, match="not an edge"):
+        edge_connected_sum(prism(4), (2, 4), (1, 6), prism(4), (3, 2), (1, 6))
+    assert len(built) == 4
+
+
+def test_gluing_cache_is_cleared_when_full(monkeypatch):
+    monkeypatch.setattr(polytope, "_GLUING_CACHE_SIZE", 2)
+    polytope._GLUINGS.clear()
+    first, _, _ = _glue_vertex(cube(3), prism(4))
+    _glue_edge(prism(4), prism(4))
+    assert len(polytope._GLUINGS) == 2
+    connected_sum(cube(3), (4, 5, 6), prism(4), (1, 2, 3))
+    assert len(polytope._GLUINGS) == 1
+    again, _, _ = _glue_vertex(cube(3), prism(4))
+    assert again == first and again is not first
+    assert len(polytope._GLUINGS) == 2
 
 
 def test_edge_cut():

@@ -8,6 +8,9 @@ string of a sum against the summands, move replays landing on the
 normalized matrix).
 """
 
+import hashlib
+import itertools
+import json
 import random
 import sys
 
@@ -24,6 +27,7 @@ from qtm.charmat import (
     transform,
     validate,
 )
+import qtm.polytope as polytope
 import qtm.structure as structure
 from qtm.polytope import (
     PolytopeError,
@@ -1015,3 +1019,86 @@ def test_campaigns_decide_no_verdict_on_a_walk_survivor(monkeypatch):
     rep = harness.verify_claim("cube-connsum", {"bound": 1})
     assert rep.verdict == "verified" and rep.statistics["checked"] > 0
     assert decided and set(decided) == {6}
+
+
+# ---------------------------------------------------------------------------
+# gluings built once per polytope, reports unchanged
+
+# sha256 of the JSON list of DecompositionReport.to_dict(), keys sorted,
+# pinned before the gluings were cached
+REPORT_DIGESTS = {
+    "double-cube": "88c6c26eb09de39deb8bb8563f9479c08af741d402dc996f1c5bd04a174f015d",
+    "prism(4) bound 2": "cfbda28d81d984b5e45c98c2eb17bf1345f15dfb04b8a7a890078774c7cce492",
+    "prism(6) bound 2": "49f3c480f139eb9e35696339496f919367fe06f501861b63d1a0eb47946917d3",
+}
+
+
+def _report_digest(reports) -> str:
+    text = json.dumps([rep.to_dict() for rep in reports], sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _double_cube_pairs():
+    """16 string pairs glued from the cube(3) bound-1 string classes, in
+    product order, plus the spin-not-string pair: 17 pairs over one
+    polytope."""
+    c3 = cube(3)
+    classes, _ = harness.enumerate_matrices(harness.SearchSpec(c3, 1, "signs", "string"))
+    glued = itertools.islice(itertools.product(classes, repeat=2), 16)
+    pairs = [
+        equivariant_connected_sum(c3, a, (4, 5, 6), c3, b, (1, 2, 3))
+        for a, b in glued
+    ]
+    fig = SimplePolytope(3, 9, SPIN_NOT_STRING_VERTS)
+    big, _, _ = connected_sum(c3, (4, 5, 6), c3, (1, 2, 3))
+    iso = find_isomorphisms(fig, big)[0]
+    rows = [[0] * 9 for _ in range(3)]
+    for f in range(1, 10):
+        col = SPIN_NOT_STRING_LAM.column(f)
+        for i in range(3):
+            rows[i][iso[f] - 1] = col[i]
+    return pairs + [(big, CharMatrix(rows))]
+
+
+def test_cached_gluings_keep_every_report():
+    pairs = _double_cube_pairs()
+    assert len({p for p, _lam in pairs}) == 1
+    # twice: the first pass fills the gluing cache, the second reads it
+    for _ in range(2):
+        reports = [decompose_cube_connsum(p, lam) for p, lam in pairs]
+        assert _report_digest(reports) == REPORT_DIGESTS["double-cube"]
+    for k in (2, 3):
+        p = prism(2 * k)
+        survivors, _ = harness.enumerate_matrices(harness.SearchSpec(p, 2, "signs", "string"))
+        reports = [decompose_prism(k, lam) for lam in survivors]
+        assert _report_digest(reports) == REPORT_DIGESTS[f"prism({2 * k}) bound 2"]
+
+
+def test_decompositions_build_each_gluing_once(monkeypatch):
+    c3 = cube(3)
+    big, biglam = equivariant_connected_sum(
+        c3, CUBE_SUMMAND_A, (4, 5, 6), c3, CUBE_SUMMAND_B, (1, 2, 3)
+    )
+    built = []
+    real = SimplePolytope.__init__
+
+    def counting(self, dim, num_facets, vertices, name=""):
+        built.append(num_facets)
+        real(self, dim, num_facets, vertices, name)
+
+    polytope._GLUINGS.clear()
+    monkeypatch.setattr(SimplePolytope, "__init__", counting)
+    first = decompose_cube_connsum(big, biglam)
+    again = decompose_cube_connsum(big, biglam)
+    # the far side, then the reassembled sum, each built once
+    assert built == [6, 9]
+    far = first.pieces[1].polytope
+    assert again.pieces[1].polytope is far
+    assert far.name == "" and far == c3
+    assert first.to_dict() == again.to_dict()
+    del built[:]
+    first = decompose_prism(3, HEX_PRISM_LAM)
+    again = decompose_prism(3, HEX_PRISM_LAM)
+    # the reassembled hexagonal prism, once; its pieces are family shapes
+    assert built == [8]
+    assert first.to_dict() == again.to_dict()
