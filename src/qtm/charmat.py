@@ -3,7 +3,10 @@
 A characteristic matrix for an n-polytope with m facets is an n x m
 integer matrix whose column j is the vector attached to facet j; the
 pair is valid when every vertex's column submatrix has determinant +-1.
-Entries are Python ints, so nothing can overflow.
+Entries are Python ints, so nothing can overflow.  A small cover's
+matrix is the same type: the `smallcover` functions read its entries
+mod 2, as the functions here read them over Z, so the function a caller
+picks decides the field.
 
 The equivalence moves are integral row basis changes, column sign
 flips, and facet relabelings by automorphisms of the polytope.  None of
@@ -39,7 +42,12 @@ def _refined_vertex_ok(rows, v) -> bool:
 
 
 class CharMatrix:
-    """Immutable n x m integer matrix with 1-based column (facet) indexing."""
+    """Immutable n x m matrix of ints with 1-based column (facet) indexing.
+
+    The entries are kept exactly as given; the GF(2) functions of
+    `smallcover` read them mod 2.  refined_at, when given, is checked
+    on the exact entries: its columns must be the identity.
+    """
 
     __slots__ = ("n", "m", "rows", "refined_at")
 
@@ -57,6 +65,18 @@ class CharMatrix:
             if len(refined_at) != self.n or not _refined_vertex_ok(rows, refined_at):
                 raise CharMatrixError(f"columns {refined_at} are not the identity")
         self.refined_at = refined_at
+
+    @classmethod
+    def _from_refined_bits(cls, rows, refined_at) -> "CharMatrix":
+        """A matrix from rows that are already tuples of 0/1, refined at
+        the sorted vertex refined_at, with no check or normalization:
+        the mod-2 walk builds its survivors this way."""
+        lam = object.__new__(cls)
+        lam.rows = rows
+        lam.n = len(rows)
+        lam.m = len(rows[0])
+        lam.refined_at = refined_at
+        return lam
 
     def __repr__(self):
         return f"<CharMatrix {self.n}x{self.m} refined_at={self.refined_at}>"
@@ -79,14 +99,16 @@ class CharMatrix:
         """lambda_{i,j} with 1-based row and column."""
         return self.rows[i - 1][j - 1]
 
-    def to_dict(self) -> dict:
-        return {"rows": [list(r) for r in self.rows]}
+    def to_dict(self, key: str = "rows") -> dict:
+        """The rows under key: "rows" for an integer matrix file,
+        "rows_mod2" for a mod-2 one."""
+        return {key: [list(r) for r in self.rows]}
 
     @classmethod
-    def from_dict(cls, d: dict) -> "CharMatrix":
-        if not isinstance(d, dict) or not intlin.is_int_rows(d.get("rows")):
-            raise CharMatrixError("'rows' must be a list of integer lists")
-        return cls(d["rows"])
+    def from_dict(cls, d: dict, key: str = "rows") -> "CharMatrix":
+        if not isinstance(d, dict) or not intlin.is_int_rows(d.get(key)):
+            raise CharMatrixError(f"'{key}' must be a list of integer lists")
+        return cls(d[key])
 
 
 # ---------------------------------------------------------------------------
@@ -133,6 +155,7 @@ def refine(p: SimplePolytope, lam: CharMatrix, v) -> CharMatrix:
     the result represents the same pair with refined_at = v.  A matrix
     already refined at v is returned as it is.
     """
+    _check_shape(p, lam)
     v = tuple(sorted(v))
     if lam.refined_at == v and p.is_vertex(v):
         return lam
@@ -345,6 +368,7 @@ def weights_at_vertex(p: SimplePolytope, lam: CharMatrix, v) -> list[list[int]]:
     """The n weight vectors at a fixed point: rows of the inverse of the
     vertex submatrix, ordered by sorted v.  Their pairing with the
     columns of v is the identity."""
+    _check_shape(p, lam)
     v = tuple(sorted(v))
     if not p.is_vertex(v):
         raise CharMatrixError(f"{v} is not a vertex")

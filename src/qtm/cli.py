@@ -27,8 +27,6 @@ from .cohomology import basis_coefficients, p1_vector, presentation_deg4
 from .harness import ResourceCapExceeded, SearchSpec, enumerate_matrices, verify_claim
 from .polytope import PolytopeError, SimplePolytope, cube, polygon, prism, product, q_polytope, simplex
 from .smallcover import (
-    Mod2CharMatrix,
-    SmallCoverError,
     _column_masks,
     _orientable,
     _refined,
@@ -93,8 +91,9 @@ def _load_matrix(path: str) -> CharMatrix:
     return _load(path, "rows", "matrix", CharMatrix.from_dict, CharMatrixError)
 
 
-def _load_matrix_mod2(path: str) -> Mod2CharMatrix:
-    return _load(path, "rows_mod2", "mod-2 matrix", Mod2CharMatrix.from_dict, SmallCoverError)
+def _load_matrix_mod2(path: str) -> CharMatrix:
+    from_dict = functools.partial(CharMatrix.from_dict, key="rows_mod2")
+    return _load(path, "rows_mod2", "mod-2 matrix", from_dict, CharMatrixError)
 
 
 def _emit(obj: dict, out: str | None) -> None:
@@ -232,11 +231,12 @@ def _cmd_enumerate(args) -> int:
     except ResourceCapExceeded as exc:
         _emit({"error": str(exc), "statistics": exc.stats}, args.out)
         return 3
+    key = "rows_mod2" if args.mod2 else "rows"
     out = {
         "bound": args.bound,
         "filter": args.filter,
         "dedup": args.dedup,
-        "survivors": [lam.to_dict() for lam in survivors],
+        "survivors": [lam.to_dict(key) for lam in survivors],
         "statistics": stats,
     }
     _emit(out, args.out)

@@ -73,8 +73,9 @@ flip is trivial), so its table marks no pattern.  It keeps one bitmask
 per column, bit i for row i, so its column-tuple memo is keyed by
 masks.  Its string test reads the degree-2 class off those masks
 through the same relation template (`smallcover._w2_vanishes`, one
-GF(2) elimination per leaf), and a `Mod2CharMatrix` is built, from
-bits already 0/1 and refined with no re-check, only for a survivor.
+GF(2) elimination per leaf), and a `CharMatrix` is built only for a
+survivor, by `CharMatrix._from_refined_bits`: its bits are already 0/1
+and refined, so nothing is re-checked.
 It does not dedup: two leaves differ in some free column, so every
 leaf has its own rows and dedup_hits is 0 by construction.
 
@@ -100,7 +101,6 @@ from .charmat import CharMatrix, canonical_key
 from .cohomology import p1_vanishes, relation_template
 from .polytope import SimplePolytope, connected_sum, cube, polygon, prism, product
 from .smallcover import (
-    Mod2CharMatrix,
     _w2_vanishes,
     simplex_product,
     verify_simplex_product_criterion,
@@ -333,7 +333,7 @@ def enumerate_matrices(spec: SearchSpec):
             if spec.filter == "string" and not _w2_vanishes(template, col):
                 reject()
                 return
-            lam = Mod2CharMatrix._from_refined_bits(
+            lam = CharMatrix._from_refined_bits(
                 tuple(
                     tuple(col[f] >> i & 1 for f in range(1, m + 1)) for i in range(n)
                 ),
@@ -575,7 +575,7 @@ def _claim_c5xc5_not_spin(params, caps):
     p = product(polygon(5), polygon(5))
     spec = SearchSpec(p, 1, "signs", "spin", mod2_only=True, **caps)
     survivors, stats = enumerate_matrices(spec)
-    witnesses = [{"rows_mod2": [list(r) for r in lam.rows]} for lam in survivors]
+    witnesses = [lam.to_dict("rows_mod2") for lam in survivors]
     verdict = "verified" if not survivors else "counterexample"
     return verdict, stats, witnesses
 

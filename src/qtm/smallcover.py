@@ -3,7 +3,13 @@
 A small cover is the real analogue of a characteristic pair: the torus
 is replaced by its 2-torsion subgroup, so the matrix lives over the
 field with two elements and every facet class v_i sits in degree 1 of
-the mod-2 cohomology.  The total Stiefel-Whitney class is the product
+the mod-2 cohomology.  The matrix is a `charmat.CharMatrix`, the type
+of the integer pairs: every function here reads its entries mod 2
+(`intlin.f2_mask`), so any integer lift of a GF(2) matrix gives the
+same answers, and `refine_mod2` returns entries in {0, 1}.  Shape and
+construction errors raise `CharMatrixError`, as over Z; the GF(2)
+computations raise `SmallCoverError` (a vertex that is not one or is
+singular, dependent live rows).  The total Stiefel-Whitney class is the product
 of (1 + v_i) over all facets and the rational Pontryagin classes
 vanish, which collapses the string condition: a small cover is string
 exactly when it is orientable (sum of all v_i zero in degree 1) and
@@ -34,7 +40,8 @@ columns, so the walk filters the values of that column by mask, once
 per node.  The public tests validate and
 refine their input; their private cores take a pair that is already
 valid and refined, and the mod-2 search hands `_w2_vanishes` its
-column masks, building a matrix only for a survivor.  The
+column masks, building a matrix only for a survivor, with the
+unchecked `CharMatrix._from_refined_bits`.  The
 simplex-product criterion is decided by that search, string filter
 on, and then checked against its closed form.
 """
@@ -42,7 +49,7 @@ on, and then checked against its closed form.
 from __future__ import annotations
 
 from . import intlin
-from .charmat import _refined_vertex_ok
+from .charmat import CharMatrix, _check_shape
 from .cohomology import RelationTemplate, relation_template
 from .polytope import SimplePolytope, product, simplex
 
@@ -51,82 +58,19 @@ class SmallCoverError(ValueError):
     pass
 
 
-class Mod2CharMatrix:
-    """Immutable n x m matrix over GF(2) with 1-based column indexing."""
-
-    __slots__ = ("n", "m", "rows", "refined_at")
-
-    def __init__(self, rows, refined_at=None):
-        rows = tuple(tuple(int(x) & 1 for x in r) for r in rows)
-        if not rows or not rows[0]:
-            raise SmallCoverError("empty matrix")
-        if any(len(r) != len(rows[0]) for r in rows):
-            raise SmallCoverError("ragged rows")
-        self.rows = rows
-        self.n = len(rows)
-        self.m = len(rows[0])
-        if refined_at is not None:
-            refined_at = tuple(sorted(refined_at))
-            if len(refined_at) != self.n or not _refined_vertex_ok(rows, refined_at):
-                raise SmallCoverError(f"columns {refined_at} are not the identity")
-        self.refined_at = refined_at
-
-    @classmethod
-    def _from_refined_bits(cls, rows, refined_at) -> "Mod2CharMatrix":
-        """A matrix from rows that are already tuples of 0/1, refined at
-        the sorted vertex refined_at, with no check or normalization:
-        the mod-2 walk builds its leaves this way."""
-        lam = object.__new__(cls)
-        lam.rows = rows
-        lam.n = len(rows)
-        lam.m = len(rows[0])
-        lam.refined_at = refined_at
-        return lam
-
-    def __repr__(self):
-        return f"<Mod2CharMatrix {self.n}x{self.m} refined_at={self.refined_at}>"
-
-    def __eq__(self, other):
-        return isinstance(other, Mod2CharMatrix) and self.rows == other.rows
-
-    def __hash__(self):
-        return hash(self.rows)
-
-    def column(self, j: int) -> list[int]:
-        return [self.rows[i][j - 1] for i in range(self.n)]
-
-    def entry(self, i: int, j: int) -> int:
-        return self.rows[i - 1][j - 1]
-
-    def to_dict(self) -> dict:
-        return {"rows_mod2": [list(r) for r in self.rows]}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Mod2CharMatrix":
-        if not isinstance(d, dict) or not intlin.is_int_rows(d.get("rows_mod2")):
-            raise SmallCoverError("'rows_mod2' must be a list of integer lists")
-        return cls(d["rows_mod2"])
-
-
-def _shape_check(p: SimplePolytope, lam: Mod2CharMatrix) -> None:
-    if lam.n != p.dim or lam.m != p.num_facets:
-        raise SmallCoverError(
-            f"shape {lam.n}x{lam.m} does not match dim {p.dim}, "
-            f"facets {p.num_facets}"
-        )
-
-
-def validate_mod2(p: SimplePolytope, lam: Mod2CharMatrix) -> bool:
+def validate_mod2(p: SimplePolytope, lam: CharMatrix) -> bool:
     """Is every vertex's column submatrix invertible over GF(2)?"""
-    _shape_check(p, lam)
+    _check_shape(p, lam)
     cols = [intlin.f2_mask(c) for c in zip(*lam.rows)]
     return all(
         intlin.f2_det_one([cols[j - 1] for j in v], lam.n) for v in p.vertices
     )
 
 
-def refine_mod2(p: SimplePolytope, lam: Mod2CharMatrix, v) -> Mod2CharMatrix:
-    """Row reduce over GF(2) until the columns of vertex v are the identity."""
+def refine_mod2(p: SimplePolytope, lam: CharMatrix, v) -> CharMatrix:
+    """Row reduce lam mod 2 until the columns of vertex v are the
+    identity; the result's entries are 0 or 1."""
+    _check_shape(p, lam)
     v = tuple(sorted(v))
     if not p.is_vertex(v):
         raise SmallCoverError(f"{v} is not a vertex")
@@ -142,10 +86,10 @@ def refine_mod2(p: SimplePolytope, lam: Mod2CharMatrix, v) -> Mod2CharMatrix:
             if i != k and rows[i] >> c & 1:
                 rows[i] ^= rows[k]
     out = [[rows[i] >> j & 1 for j in range(m)] for i in range(n)]
-    return Mod2CharMatrix(out, refined_at=v)
+    return CharMatrix(out, refined_at=v)
 
 
-def _refined(p: SimplePolytope, lam: Mod2CharMatrix) -> Mod2CharMatrix:
+def _refined(p: SimplePolytope, lam: CharMatrix) -> CharMatrix:
     """lam when it is refined at a vertex, else lam refined at the first
     vertex: a relation template is built at a vertex."""
     if lam.refined_at is not None and p.is_vertex(lam.refined_at):
@@ -153,7 +97,7 @@ def _refined(p: SimplePolytope, lam: Mod2CharMatrix) -> Mod2CharMatrix:
     return refine_mod2(p, lam, p.vertices[0])
 
 
-def _checked_refined(p: SimplePolytope, lam: Mod2CharMatrix) -> Mod2CharMatrix:
+def _checked_refined(p: SimplePolytope, lam: CharMatrix) -> CharMatrix:
     """Validate lam, raising if it is singular anywhere, then refine it."""
     if not validate_mod2(p, lam):
         raise SmallCoverError("matrix is singular at some vertex over GF(2)")
@@ -165,7 +109,7 @@ def _orientable(col) -> bool:
     return all(c.bit_count() & 1 for c in col[1:])
 
 
-def is_orientable(p: SimplePolytope, lam: Mod2CharMatrix) -> bool:
+def is_orientable(p: SimplePolytope, lam: CharMatrix) -> bool:
     """Orientability: the sum of all facet classes vanishes in degree 1.
 
     In refined form that is exactly: every column sum is odd.
@@ -173,7 +117,7 @@ def is_orientable(p: SimplePolytope, lam: Mod2CharMatrix) -> bool:
     return _orientable(_column_masks(_checked_refined(p, lam)))
 
 
-def _column_masks(rl: Mod2CharMatrix) -> list[int]:
+def _column_masks(rl: CharMatrix) -> list[int]:
     """The columns of rl as bitmasks, bit i for row i, indexed by facet
     as the mod-2 walk keeps them: entry 0 is a placeholder."""
     return [0] + [intlin.f2_mask(c) for c in zip(*rl.rows)]
@@ -223,7 +167,7 @@ def _w2_vanishes(t: RelationTemplate, col) -> bool:
     return True
 
 
-def degree2_presentation(p: SimplePolytope, lam: Mod2CharMatrix):
+def degree2_presentation(p: SimplePolytope, lam: CharMatrix):
     """(generators, relation masks, free facets) of degree-2 mod-2 cohomology.
 
     Generators are v_i v_j for free i <= j, squares included; each
@@ -231,7 +175,7 @@ def degree2_presentation(p: SimplePolytope, lam: Mod2CharMatrix):
     generator list.  The live rows are checked independent on every
     call, which is #generators - rank(relations) = h_2.
     """
-    _shape_check(p, lam)
+    _check_shape(p, lam)
     rl = _refined(p, lam)
     t = relation_template(p, rl.refined_at)
     col = _column_masks(rl)
@@ -249,7 +193,7 @@ def degree2_presentation(p: SimplePolytope, lam: Mod2CharMatrix):
     return t.generators, masks, t.free
 
 
-def is_string_smallcover(p: SimplePolytope, lam: Mod2CharMatrix) -> bool:
+def is_string_smallcover(p: SimplePolytope, lam: CharMatrix) -> bool:
     """String condition: orientable and sum_{i<j} v_i v_j zero in degree 2.
 
     For small covers this coincides with the spin condition, so there
@@ -258,7 +202,7 @@ def is_string_smallcover(p: SimplePolytope, lam: Mod2CharMatrix) -> bool:
     return _refined_is_string(p, _checked_refined(p, lam))
 
 
-def _refined_is_string(p: SimplePolytope, rl: Mod2CharMatrix) -> bool:
+def _refined_is_string(p: SimplePolytope, rl: CharMatrix) -> bool:
     """is_string_smallcover for a pair already valid and refined."""
     col = _column_masks(rl)
     return _orientable(col) and _w2_vanishes(relation_template(p, rl.refined_at), col)

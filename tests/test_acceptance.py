@@ -24,7 +24,6 @@ from qtm.polytope import (
     simplex,
 )
 from qtm.smallcover import (
-    Mod2CharMatrix,
     is_string_smallcover,
     simplex_product,
     verify_simplex_product_criterion,
@@ -121,7 +120,7 @@ Q_TIMES_SQUARE = CharMatrix(
 
 # three string small covers: over C2(4) x C2(3), over I x Delta^2,
 # and over I x Delta^3 x Delta^4
-QUAD_TRI_MOD2 = Mod2CharMatrix(
+QUAD_TRI_MOD2 = CharMatrix(
     [
         [1, 0, 1, 0, 0, 0, 0],
         [0, 1, 0, 1, 0, 0, 1],
@@ -130,13 +129,13 @@ QUAD_TRI_MOD2 = Mod2CharMatrix(
     ],
     refined_at=(1, 2, 5, 6),
 )
-INTERVAL_TRI_MOD2 = Mod2CharMatrix(
+INTERVAL_TRI_MOD2 = CharMatrix(
     [[1, 1, 0, 0, 1], [0, 0, 1, 0, 1], [0, 0, 0, 1, 1]],
     refined_at=(1, 3, 4),
 )
 
 
-def tower_mod2() -> Mod2CharMatrix:
+def tower_mod2() -> CharMatrix:
     cols = {
         1: (1, 0, 0, 0, 0, 0, 0, 0),
         2: (1, 0, 0, 0, 0, 0, 0, 0),
@@ -151,7 +150,7 @@ def tower_mod2() -> Mod2CharMatrix:
         11: (1, 0, 1, 1, 1, 1, 1, 1),
     }
     rows = [[cols[j][i] for j in range(1, 12)] for i in range(8)]
-    return Mod2CharMatrix(rows, refined_at=(1, 3, 4, 5, 7, 8, 9, 10))
+    return CharMatrix(rows, refined_at=(1, 3, 4, 5, 7, 8, 9, 10))
 
 
 def _p1_on_greedy_basis(p, lam):

@@ -139,6 +139,28 @@ def test_refine():
         refine(TRIANGLE, cp2_matrix(1, 1), (1, 4))
 
 
+def test_refine_checks_the_shape_first():
+    # a matrix with too few columns for the square used to raise a bare
+    # IndexError from the vertex submatrix
+    with pytest.raises(CharMatrixError, match="shape 2x3"):
+        refine(polygon(4), CharMatrix([[1, 0, 1], [0, 1, 1]]), (3, 4))
+
+
+def test_refine_and_weights_reject_too_few_rows():
+    # two rows over the 3-cube: refine raised IndexError, and
+    # weights_at_vertex returned a 2 x 3 "inverse"
+    p = cube(3)
+    lam = CharMatrix([[1, 0, 0, 1, 0, 0], [0, 1, 0, 0, 1, 0]])
+    with pytest.raises(CharMatrixError, match="shape 2x6"):
+        refine(p, lam, p.vertices[0])
+    with pytest.raises(CharMatrixError, match="shape 2x6"):
+        weights_at_vertex(p, lam, p.vertices[0])
+    # refined at (1, 2) and missing a column: no early return
+    short = CharMatrix([[1, 0, 1], [0, 1, 1]], refined_at=(1, 2))
+    with pytest.raises(CharMatrixError, match="shape 2x3"):
+        refine(polygon(4), short, (1, 2))
+
+
 def test_transform_moves():
     lam = cp2_matrix(1, 1)
     same = transform(TRIANGLE, lam, RowBasisChange(((1, 0), (0, 1))))
@@ -245,6 +267,12 @@ def test_weights_at_vertex():
 def test_serialization():
     lam = cp2_matrix(1, -1)
     assert CharMatrix.from_dict(lam.to_dict()).rows == lam.rows
+    # a mod-2 file keeps the same rows under its own key
+    d = lam.to_dict("rows_mod2")
+    assert d == {"rows_mod2": [[1, 0, 1], [0, 1, -1]]}
+    assert CharMatrix.from_dict(d, key="rows_mod2").rows == lam.rows
+    with pytest.raises(CharMatrixError, match="'rows' must"):
+        CharMatrix.from_dict(d)
 
 
 # ---------------------------------------------------------------------------

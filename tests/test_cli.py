@@ -566,14 +566,13 @@ def test_malformed_schema_exits_2(tmp_path, capsys, kind, bad):
 def test_from_dict_checks_the_schema():
     from qtm.charmat import CharMatrixError
     from qtm.polytope import PolytopeError, SimplePolytope
-    from qtm.smallcover import Mod2CharMatrix, SmallCoverError
 
     with pytest.raises(PolytopeError):
         SimplePolytope.from_dict({"num_facets": 3, "vertices": [[1, 2], [2, 3], [1, 3]]})
     with pytest.raises(CharMatrixError):
         CharMatrix.from_dict({"rows": 5})
-    with pytest.raises(SmallCoverError):
-        Mod2CharMatrix.from_dict({"rows": [[1]]})
+    with pytest.raises(CharMatrixError, match="'rows_mod2'"):
+        CharMatrix.from_dict({"rows": [[1]]}, key="rows_mod2")
     tri = polygon(3)
     assert SimplePolytope.from_dict(tri.to_dict()).vertices == tri.vertices
 

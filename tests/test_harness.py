@@ -27,7 +27,6 @@ from qtm.harness import (
 )
 from qtm.polytope import cube, polygon, prism, product
 from qtm.smallcover import (
-    Mod2CharMatrix,
     is_string_smallcover,
     simplex_product,
     validate_mod2,
@@ -309,7 +308,7 @@ def brute_force_mod2(p, filt):
         for f, col in zip(free, cols):
             for i in range(n):
                 rows[i][f - 1] = col[i]
-        lam = Mod2CharMatrix(rows)
+        lam = CharMatrix(rows)
         if not validate_mod2(p, lam):
             continue
         if filt == "string" and not is_string_smallcover(p, lam):

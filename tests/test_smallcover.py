@@ -13,17 +13,18 @@ substitution builder it replaced (`mod2_oracle`).
 
 import functools
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import mod2_oracle
 from qtm import intlin, smallcover
+from qtm.charmat import CharMatrix, CharMatrixError
 from qtm.cohomology import relation_template
 from qtm.harness import SearchSpec, enumerate_matrices
 from qtm.polytope import cube, find_isomorphisms, polygon, prism, product, simplex
 from qtm.smallcover import (
-    Mod2CharMatrix,
     SmallCoverError,
     degree2_presentation,
     is_orientable,
@@ -37,7 +38,7 @@ from qtm.smallcover import (
 # string structure over the product of a quadrilateral and a triangle;
 # facets 1..4 the quadrilateral (opposite pairs {1,3}, {2,4}), 5..7 the
 # triangle
-QUAD_TRI = Mod2CharMatrix(
+QUAD_TRI = CharMatrix(
     [
         [1, 0, 1, 0, 0, 0, 0],
         [0, 1, 0, 1, 0, 0, 1],
@@ -48,7 +49,7 @@ QUAD_TRI = Mod2CharMatrix(
 )
 
 # string structure over interval x 2-simplex; facets 1,2 the interval
-INTERVAL_TRI = Mod2CharMatrix(
+INTERVAL_TRI = CharMatrix(
     [[1, 1, 0, 0, 1], [0, 0, 1, 0, 1], [0, 0, 0, 1, 1]],
     refined_at=(1, 3, 4),
 )
@@ -70,7 +71,7 @@ def interval_simplex_tower_matrix():
         11: (1, 0, 1, 1, 1, 1, 1, 1),
     }
     rows = [[cols[j][i] for j in range(1, 12)] for i in range(8)]
-    return Mod2CharMatrix(rows, refined_at=(1, 3, 4, 5, 7, 8, 9, 10))
+    return CharMatrix(rows, refined_at=(1, 3, 4, 5, 7, 8, 9, 10))
 
 
 def all_refined_mod2(p, v0, free):
@@ -86,46 +87,41 @@ def all_refined_mod2(p, v0, free):
             for i in range(n):
                 rows[i][f - 1] = bits[t]
                 t += 1
-        yield Mod2CharMatrix(rows, refined_at=v0)
+        yield CharMatrix(rows, refined_at=v0)
 
 
 # ---------------------------------------------------------------------------
 # matrix type
 
 
-def test_mod2_matrix_reduces_entries():
-    lam = Mod2CharMatrix([[2, 3], [4, 5]])
-    assert lam.rows == ((0, 1), (0, 1))
-
-
 def test_mod2_matrix_checks_refined_columns():
-    with pytest.raises(SmallCoverError):
-        Mod2CharMatrix([[1, 1], [0, 1]], refined_at=(1, 2))
+    with pytest.raises(CharMatrixError):
+        CharMatrix([[1, 1], [0, 1]], refined_at=(1, 2))
 
 
 def test_mod2_matrix_round_trips_through_dict():
-    d = QUAD_TRI.to_dict()
+    d = QUAD_TRI.to_dict("rows_mod2")
     assert d == {"rows_mod2": [list(r) for r in QUAD_TRI.rows]}
-    assert Mod2CharMatrix.from_dict(d) == QUAD_TRI
+    assert CharMatrix.from_dict(d, key="rows_mod2") == QUAD_TRI
 
 
 def test_validate_mod2():
     p = product(polygon(4), polygon(3))
     assert validate_mod2(p, QUAD_TRI)
-    bad = Mod2CharMatrix([[1, 0, 1], [0, 1, 0]])
+    bad = CharMatrix([[1, 0, 1], [0, 1, 0]])
     assert not validate_mod2(polygon(3), bad)
-    with pytest.raises(SmallCoverError):
+    with pytest.raises(CharMatrixError):
         validate_mod2(polygon(4), bad)
 
 
 def test_public_mod2_tests_validate_their_input():
     # columns 1 and 3 coincide, so vertex (1, 3) of the triangle is
     # singular; the search's string core skips this check, these keep it
-    bad = Mod2CharMatrix([[1, 0, 1], [0, 1, 0]])
+    bad = CharMatrix([[1, 0, 1], [0, 1, 0]])
     for test in (is_orientable, is_string_smallcover):
         with pytest.raises(SmallCoverError):
             test(polygon(3), bad)
-        with pytest.raises(SmallCoverError):
+        with pytest.raises(CharMatrixError):
             test(polygon(4), bad)
 
 
@@ -137,6 +133,69 @@ def test_refine_mod2_moves_the_identity():
         assert validate_mod2(p, rl)
     with pytest.raises(SmallCoverError):
         refine_mod2(p, QUAD_TRI, (1, 2, 3, 4))
+
+
+def test_refine_mod2_checks_the_shape_first():
+    # a 2 x 4 matrix over the triangle used to come back "refined"
+    with pytest.raises(CharMatrixError, match="shape 2x4"):
+        refine_mod2(polygon(3), CharMatrix([[1, 0, 1, 1], [0, 1, 1, 0]]), (1, 2))
+
+
+def test_refine_mod2_names_too_few_rows_as_a_shape_error():
+    # two rows over the 3-cube were reported as a singular vertex
+    p = cube(3)
+    lam = CharMatrix([[1, 0, 0, 1, 0, 0], [0, 1, 0, 0, 1, 0]])
+    with pytest.raises(CharMatrixError, match="shape 2x6"):
+        refine_mod2(p, lam, p.vertices[0])
+
+
+def _outcome(fn, *args):
+    """fn(*args), with rows for a matrix, or the class and text of the
+    ValueError it raises."""
+    try:
+        out = fn(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return (out.rows, out.refined_at) if isinstance(out, CharMatrix) else out
+
+
+def _mod2_cases():
+    """(polytope, matrix): the worked examples, a matrix singular at a
+    vertex, and walk survivors over C4 x C4 and the 3-cube."""
+    cases = [
+        (product(polygon(4), polygon(3)), QUAD_TRI),
+        (simplex_product((1, 3, 4))[0], interval_simplex_tower_matrix()),
+        (polygon(3), CharMatrix([[1, 0, 1], [0, 1, 0]])),
+    ]
+    rng = random.Random(17)
+    for name in ("C4xC4", "cube3"):
+        p, leaves = mod2_leaves(name)
+        cases += [(p, lam) for lam in rng.sample(leaves, 4)]
+    return cases
+
+
+def test_gf2_functions_read_entries_mod_2():
+    # rows and rows + 2K, K an integer matrix with negative entries,
+    # give the same verdicts, the same refined rows and the same errors;
+    # a refined matrix keeps its identity columns exact and is lifted
+    # elsewhere
+    rng = random.Random(3)
+    for p, lam in _mod2_cases():
+        at = lam.refined_at or ()
+        lifted = [
+            [x if j in at else x + 2 * rng.randint(-3, 3) for j, x in enumerate(r, 1)]
+            for r in lam.rows
+        ]
+        assert any(x < 0 for r in lifted for x in r)
+        assert any(x > 1 for r in lifted for x in r)
+        pairs = [(CharMatrix(lam.rows), CharMatrix(lifted))]
+        if at:
+            pairs.append((lam, CharMatrix(lifted, refined_at=at)))
+        for base, lift in pairs:
+            for fn in (validate_mod2, is_orientable, is_string_smallcover, degree2_presentation):
+                assert _outcome(fn, p, base) == _outcome(fn, p, lift), fn.__name__
+            for v in p.vertices:
+                assert _outcome(refine_mod2, p, base, v) == _outcome(refine_mod2, p, lift, v)
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +228,7 @@ def test_interval_simplex_tower_is_string():
 def test_even_column_sum_kills_orientability():
     # flip the free column of interval x 2-simplex to an even sum
     p = product(simplex(1), simplex(2))
-    lam = Mod2CharMatrix([[1, 1, 0, 0, 0], [0, 0, 1, 0, 1], [0, 0, 0, 1, 1]])
+    lam = CharMatrix([[1, 1, 0, 0, 0], [0, 0, 1, 0, 1], [0, 0, 0, 1, 1]])
     assert validate_mod2(p, lam)
     assert not is_orientable(p, lam)
     assert not is_string_smallcover(p, lam)
@@ -177,7 +236,7 @@ def test_even_column_sum_kills_orientability():
 
 def test_torus_analogue_square_is_string():
     # the 2-colored square: orientable with vanishing degree-2 class
-    lam = Mod2CharMatrix([[1, 0, 1, 0], [0, 1, 0, 1]], refined_at=(1, 2))
+    lam = CharMatrix([[1, 0, 1, 0], [0, 1, 0, 1]], refined_at=(1, 2))
     assert is_string_smallcover(polygon(4), lam)
 
 
@@ -187,7 +246,7 @@ def test_a_pair_refined_off_the_vertices_is_refined_again():
     # relation template lives, and gives the verdict the substitution
     # builder gives at {1, 4}
     p = polygon(6)
-    lam = Mod2CharMatrix([[1, 0, 1, 0, 1, 0], [0, 1, 0, 1, 0, 1]], refined_at=(1, 4))
+    lam = CharMatrix([[1, 0, 1, 0, 1, 0], [0, 1, 0, 1, 0, 1]], refined_at=(1, 4))
     assert not p.is_vertex(lam.refined_at)
     assert is_string_smallcover(p, lam) is mod2_oracle.refined_is_string(p, lam) is True
     gens, _masks, free = degree2_presentation(p, lam)
@@ -196,7 +255,7 @@ def test_a_pair_refined_off_the_vertices_is_refined_again():
 
 def test_triangle_is_not_orientable():
     # the triangle carries only the projective plane
-    lam = Mod2CharMatrix([[1, 0, 1], [0, 1, 1]], refined_at=(1, 2))
+    lam = CharMatrix([[1, 0, 1], [0, 1, 1]], refined_at=(1, 2))
     assert validate_mod2(polygon(3), lam)
     assert not is_orientable(polygon(3), lam)
 
@@ -213,7 +272,7 @@ def test_string_verdict_is_move_invariant():
             col = QUAD_TRI.column(f)
             for i in range(4):
                 rows[i][iso[f] - 1] = col[i]
-        assert is_string_smallcover(p, Mod2CharMatrix(rows))
+        assert is_string_smallcover(p, CharMatrix(rows))
 
 
 def test_degree2_presentation_consistency():
@@ -230,10 +289,10 @@ def test_degree2_presentation_consistency():
 
 def test_degree2_presentation_keeps_its_checks(monkeypatch):
     p = product(polygon(4), polygon(3))
-    with pytest.raises(SmallCoverError):
+    with pytest.raises(CharMatrixError):
         degree2_presentation(polygon(4), QUAD_TRI)
     # an unrefined matrix is refined at the first vertex first
-    unrefined = Mod2CharMatrix(QUAD_TRI.rows)
+    unrefined = CharMatrix(QUAD_TRI.rows)
     at_first = refine_mod2(p, QUAD_TRI, p.vertices[0])
     assert degree2_presentation(p, unrefined) == degree2_presentation(p, at_first)
     # a leaf's verdict reads the polytope's shared relation template and
@@ -258,7 +317,7 @@ def test_degree2_presentation_keeps_its_checks(monkeypatch):
         col[f] = 1 << k
     with pytest.raises(SmallCoverError, match="quotient dimension"):
         smallcover._w2_vanishes(t, col)
-    dependent = Mod2CharMatrix(
+    dependent = CharMatrix(
         [[col[f] >> i & 1 for f in range(1, p.num_facets + 1)] for i in range(p.dim)],
         refined_at=QUAD_TRI.refined_at,
     )
@@ -344,9 +403,9 @@ def test_string_verdict_survives_row_operations_and_refinement(data):
         elif i != j:
             rows[i] = [a ^ b for a, b in zip(rows[i], rows[j])]
     v = data.draw(st.sampled_from(p.vertices))
-    moved = refine_mod2(p, Mod2CharMatrix(rows), v)
+    moved = refine_mod2(p, CharMatrix(rows), v)
     assert smallcover._refined_is_string(p, moved) is string
-    assert is_string_smallcover(p, Mod2CharMatrix(rows)) is string
+    assert is_string_smallcover(p, CharMatrix(rows)) is string
 
 
 @pytest.mark.parametrize("ns", [(3, 3), (2, 3)])
@@ -357,7 +416,7 @@ def test_mod2_string_walk_eliminates_once_per_leaf(monkeypatch, ns):
     p, _blocks = simplex_product(ns)
     echelons, normals, built = [], [], []
     echelon, normal = intlin._f2_echelon, intlin.f2_normal
-    from_bits = Mod2CharMatrix._from_refined_bits.__func__
+    from_bits = CharMatrix._from_refined_bits.__func__
     monkeypatch.setattr(
         intlin, "_f2_echelon", lambda masks: echelons.append(1) or echelon(masks)
     )
@@ -365,7 +424,7 @@ def test_mod2_string_walk_eliminates_once_per_leaf(monkeypatch, ns):
         intlin, "f2_normal", lambda masks, n: normals.append(1) or normal(masks, n)
     )
     monkeypatch.setattr(
-        Mod2CharMatrix,
+        CharMatrix,
         "_from_refined_bits",
         classmethod(lambda cls, rows, at: built.append(rows) or from_bits(cls, rows, at)),
     )
@@ -475,7 +534,7 @@ def old_cross_bit_criterion(ns):
         rows = [r[:] for r in base]
         for (i, f), bit in zip(cross, bits):
             rows[i][f - 1] = bit
-        lam = Mod2CharMatrix(rows)
+        lam = CharMatrix(rows)
         if validate_mod2(poly, lam) and is_string_smallcover(poly, lam):
             return True
     return False

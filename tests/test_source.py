@@ -51,14 +51,15 @@ def test_mod2_certificate_raises_under_python_O():
     # live rows are dependent and the string core must raise, -O or not
     script = (
         "from qtm.polytope import cube\n"
-        "from qtm.smallcover import Mod2CharMatrix, SmallCoverError, _refined_is_string\n"
+        "from qtm.charmat import CharMatrix\n"
+        "from qtm.smallcover import SmallCoverError, _refined_is_string\n"
         "assert False, 'asserts must be stripped under -O'\n"
         "p = cube(3)\n"
         "base = p.vertices[0]\n"
         "rows = [[int(f == base[i] or (i == 0 and f not in base))\n"
         "         for f in range(1, p.num_facets + 1)] for i in range(p.dim)]\n"
         "try:\n"
-        "    _refined_is_string(p, Mod2CharMatrix(rows, refined_at=base))\n"
+        "    _refined_is_string(p, CharMatrix(rows, refined_at=base))\n"
         "except SmallCoverError as exc:\n"
         "    print('raised:', exc)\n"
     )
