@@ -42,9 +42,8 @@ fill in and reduce the live rows alone (`_live_rows`).
 `p1_vanishes` decides the string condition: it reduces the live rows
 by `intlin.unit_pivot_reduce` and then the live part of p_1 by the
 pivot rows; p_1 is zero exactly when nothing is left.  When the
-reduction gets stuck it falls back to the transposed-HNF quotient map
-of the live rows (below), which raises unless they span a direct
-summand.
+reduction gets stuck it falls back to the stepwise quotient map of the
+live rows (below), which raises unless they span a direct summand.
 
 `presentation_deg4` also fills the dense relation rows, in nonface-pair
 order, for callers that read them, but certifies the presentation by
@@ -63,11 +62,12 @@ identity block, so the rows are a basis of a direct summand of their
 rank and q is read off them: q(e_j) = e_j for the non-pivot columns j
 and q(e_p) = -(row of pivot p) on them.  When it gets stuck (no unit
 entry left) the lattice may still be a direct summand, so q comes from
-the HNF with transform U of the transposed matrix of the k rows
-instead, certified to have rank k and unit pivots; for a
-full-column-rank matrix the product of the HNF pivots is the gcd of its
-maximal minors, so this holds exactly when the rows span a rank-k
-direct summand.  The rows of U below k then define q.
+a unimodular u with u @ [the k rows]^T = [I_k; 0] instead, grown from
+u = I one row at a time by `intlin.extend_unimodular`.  A step takes
+the next row exactly when it is primitive modulo the rows before it,
+and every prefix of a basis of a direct summand spans one, so the steps
+all succeed exactly when the rows span a rank-k direct summand.  The
+rows of u below k then define q.
 
 A class is zero in the quotient exactly when q maps it to 0.  For any
 monomial set S, Z^N / (relations + span e_S) = Z^h2 / span q(e_S), so
@@ -78,15 +78,16 @@ them, never enters a basis.  The greedy walk keeps a unimodular u that
 inverts the images of the monomials it has kept, so when the basis is
 complete u carries any q(x) to its coefficients on the basis:
 `basis_coefficients` returns the basis and those coefficients from that
-one elimination, where `reduce_to_basis` (which also takes a partial
-basis) builds the inverse again by an HNF with transform.  The images
-are sparse: most are unit vectors, so y = u q(e_g) is usually a column
-of u.  An accepted y is cleared by one xgcd chain on the rows of u,
-with y carried beside them; its pivot is a +-1 entry of y[k:] when
-there is one, so every step of the chain is one row operation.
-Whether y[k:] is primitive does not depend on which valid u is kept,
-and the final u is the unique inverse of the basis images, so the
-pivot choice changes neither the basis nor the coefficients.
+one walk.  `reduce_to_basis`, which also takes a partial basis, grows
+such a u again from the basis it is given.  Both take the step of
+`intlin.extend_unimodular` once per image y = u q(e_g).  The images are
+sparse: most are unit vectors, so y is usually a column of u.  The step
+clears an accepted y by one xgcd chain on the rows of u, pivoting on a
++-1 entry of y[k:] when there is one, so that every step of the chain
+is one row operation.  Whether y[k:] is primitive does not depend on
+which valid u is kept, and the final u is the unique inverse of the
+basis images, so the pivot choice changes neither the basis nor the
+coefficients.
 
 Degree-4 classes are sparse dicts {(i, j): coefficient} with i <= j
 both free; degree-2 classes are dicts {i: coefficient}.
@@ -95,7 +96,6 @@ both free; degree-2 classes are dicts {i: coefficient}.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import gcd
 from operator import mul
 
 from . import intlin
@@ -306,8 +306,8 @@ def _certified_quotient_map(relations: list, ngen: int) -> tuple:
     with kernel exactly the lattice of the relation rows.
 
     Read off the unit-pivot reduction of the relations when it succeeds,
-    else from the transposed HNF with transform, which raises unless the
-    relations span a rank-|R| direct summand.
+    else from the stepwise transform of `_transposed_quotient_map`, which
+    raises unless the relations span a rank-|R| direct summand.
     """
     pivots = intlin.unit_pivot_reduce(relations)
     if pivots is None:
@@ -365,17 +365,19 @@ def _image(q: tuple, rank: int, vec: list) -> list:
 
 
 def _transposed_quotient_map(relations: list, ngen: int) -> tuple:
-    """q from the HNF with transform U of the transposed relations,
-    certified to have full rank with unit pivots."""
+    """q from a unimodular u with u @ [relation rows]^T = [I_|R|; 0],
+    grown one relation at a time by `intlin.extend_unimodular`, which
+    refuses unless the rows span a rank-|R| direct summand.  Row g of
+    the transposed bottom block u[|R|:] is q(e_g)."""
     nrel = len(relations)
-    h, u = intlin.hermite_form_with_transform(_as_columns(relations, ngen))
-    if not _full_unit_pivots(h, nrel):
-        raise CohomologyError(
-            f"relation lattice is not a rank-{nrel} direct summand: "
-            f"transposed HNF pivots {[p for _, p in h.pivots]}"
-        )
-    # row g of the transposed bottom block of U is q(e_g)
-    return tuple(tuple(img) for img in _as_columns(u[nrel:], ngen))
+    u = intlin.identity(ngen)
+    for k, row in enumerate(relations):
+        if not intlin.extend_unimodular(u, intlin.mat_vec(u, row), k):
+            raise CohomologyError(
+                f"relation lattice is not a rank-{nrel} direct summand: "
+                f"relation {k} is not primitive over the ones before it"
+            )
+    return tuple(tuple(r[g] for r in u[nrel:]) for g in range(ngen))
 
 
 def _read_off_quotient_map(pivot_row: dict, ngen: int) -> tuple:
@@ -398,28 +400,17 @@ def _read_off_quotient_map(pivot_row: dict, ngen: int) -> tuple:
     return tuple(images)
 
 
-def _full_unit_pivots(h: intlin.HermiteForm, k: int) -> bool:
-    """For an HNF of k vectors (the rows, or the columns when they are
-    given as columns): rank k and every pivot 1.  For columns that means
-    exactly that they span a rank-k direct summand."""
-    return h.rank == k and all(p == 1 for _, p in h.pivots)
-
-
-def _as_columns(vectors: list, d: int) -> list[list[int]]:
-    """The d x k matrix whose columns are the k vectors of length d;
-    it keeps its d rows when k is 0."""
-    return [[v[i] for v in vectors] for i in range(d)]
-
-
 def reduce_to_basis(pres: DegreeFourPresentation, expr: dict, basis) -> list[int]:
     """Integer coefficients of expr on basis monomials, modulo relations.
 
     basis may be partial; it must be independent of the relations and
     span a direct summand (checked), and expr must lie in its span.
-    Both are decided in the quotient: the images Q_S of the basis under
-    the quotient map must have a transposed HNF of full rank with unit
-    pivots, and then the transform of that HNF carries q(expr) to its
-    coefficients c, the solution of c . Q_S = q(expr).
+    Both are decided in the quotient.  One `intlin.extend_unimodular`
+    step per basis image, from u = I, checks the first and leaves
+    u @ Q_S^T = [I_k; 0] for the images Q_S of the basis under the
+    quotient map.  So u q(expr) is zero below row k exactly when expr
+    lies in the span, and its first k entries are then the coefficients
+    c, the solution of c . Q_S = q(expr).
     """
     basis = [tuple(b) for b in basis]
     for b in basis:
@@ -428,21 +419,16 @@ def reduce_to_basis(pres: DegreeFourPresentation, expr: dict, basis) -> list[int
     q = pres.quotient_map
     d = pres.quotient_rank
     k = len(basis)
-    h, u = intlin.hermite_form_with_transform(
-        _as_columns([q[pres._gen_index[b]] for b in basis], d)
-    )
-    if not _full_unit_pivots(h, k):
-        raise CohomologyError(
-            f"basis {basis} is not independent and primitive over the relations"
-        )
+    u = intlin.identity(d)
+    for i, b in enumerate(basis):
+        if not intlin.extend_unimodular(u, intlin.mat_vec(u, q[pres._gen_index[b]]), i):
+            raise CohomologyError(
+                f"basis {basis} is not independent and primitive over the relations"
+            )
     vec = pres.to_vector(expr)
     if any(x % 1 for x in vec):
         raise CohomologyError("expression is not integral over the basis")
-    target = _image(q, d, vec)
-    # unit pivots leave nothing above them, so U @ Q_S^T = [I_k; 0]: the
-    # target lies in the span exactly when U @ target vanishes below
-    # row k, and its first k entries are the coefficients
-    y = intlin.mat_vec(u, target)
+    y = intlin.mat_vec(u, _image(q, d, vec))
     if any(y[k:]):
         raise CohomologyError("expression is outside the span of the basis")
     return y[:k]
@@ -456,10 +442,10 @@ def greedy_basis(pres: DegreeFourPresentation) -> tuple:
     full rank.  That is decided in the quotient, where it says the kept
     images under the quotient map plus the new one span a direct
     summand.  A unimodular u with u @ [kept images] = [I_k; 0]
-    is kept up to date: the new image x qualifies exactly when
-    (u x)[k:] is primitive, i.e. has gcd 1, and then xgcd row steps
-    (pivoting on a +-1 entry of (u x)[k:] when there is one) turn u x
-    into e_k and extend the identity block by one.
+    is kept up to date by `intlin.extend_unimodular`: the new image x
+    qualifies exactly when (u x)[k:] is primitive, i.e. has gcd 1, and
+    then the step turns u x into e_k and extends the identity block by
+    one.
     """
     return _greedy(pres)[0]
 
@@ -470,7 +456,7 @@ def basis_coefficients(pres: DegreeFourPresentation, expr: dict) -> tuple:
 
     When `greedy_basis` ends, its u satisfies u @ Q_S^T = I for the
     images Q_S of the full basis S, so u is the inverse that
-    `reduce_to_basis` rebuilds by a second HNF: the coefficients are
+    `reduce_to_basis` grows again from the basis: the coefficients are
     c = u q(expr), the unique solution of c . Q_S = q(expr).
     """
     basis, u = _greedy(pres)
@@ -496,30 +482,8 @@ def _greedy(pres: DegreeFourPresentation) -> tuple:
             y = [row[i] for row in u] if x == 1 else [row[i] * x for row in u]
         else:
             y = [sum(map(mul, row, img)) for row in u]
-        if gcd(*y[k:]) != 1:
-            continue
-        # row steps on u (and on y = u x beside it) keep u unimodular.
-        # Pivot on a +-1 entry of y[k:] when there is one: every xgcd
-        # step is then one row operation
-        piv = next((i for i in range(k, d) if y[i] == 1 or y[i] == -1), None)
-        if piv is None:
-            piv = next(i for i in range(k, d) if y[i])
-        u[k], u[piv] = u[piv], u[k]
-        y[k], y[piv] = y[piv], y[k]
-        yk = y[k]
-        for i in range(k + 1, d):
-            b = y[i]
-            if b:
-                u[k], u[i] = intlin.xgcd_rows(u[k], u[i], yk, b)
-                if b % yk:  # else row k is kept as it is
-                    yk = gcd(yk, b)
-        if yk < 0:  # yk = +-gcd(y[k:]) = +-1
-            u[k] = [-x for x in u[k]]
-        for i in range(k):
-            c = y[i]
-            if c:
-                u[i] = [x - c * z for x, z in zip(u[i], u[k])]
-        chosen.append(g)
+        if intlin.extend_unimodular(u, y, k):
+            chosen.append(g)
     if len(chosen) != d:
         raise CohomologyError("no monomial basis extends the relations")
     return tuple(chosen), u

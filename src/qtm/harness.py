@@ -513,6 +513,8 @@ def _claim_cyclic_identities(params, caps):
     bound = int(params.get("bound", 5))
     if k < 3:
         raise HarnessError("cyclic identities need k >= 3")
+    if trials < 1:
+        raise HarnessError(f"cyclic identities need trials >= 1, got {trials}")
     rng = random.Random(1_000_003 * k + trials)
     witnesses = []
     for _ in range(trials):
@@ -611,17 +613,18 @@ def _claim_smallcover_simplex_products(params, caps):
     return "verified", stats, []
 
 
+# claim id -> (campaign, the parameters it reads)
 _CLAIMS = {
-    "odd-gon-not-spin": _claim_odd_gon_not_spin,
-    "polygon-parity": _claim_polygon_parity,
-    "polygon-bordism-parity": _claim_polygon_bordism_parity,
-    "cube-string-is-bott": _claim_cube_string_is_bott,
-    "cyclic-identities": _claim_cyclic_identities,
-    "prism-decompose": _claim_prism_decompose,
-    "cube-connsum": _claim_cube_connsum,
-    "c5xc5-not-spin": _claim_c5xc5_not_spin,
-    "product-simplices-obstruction": _claim_product_simplices_obstruction,
-    "smallcover-simplex-products": _claim_smallcover_simplex_products,
+    "odd-gon-not-spin": (_claim_odd_gon_not_spin, ("m", "bound")),
+    "polygon-parity": (_claim_polygon_parity, ("m", "bound")),
+    "polygon-bordism-parity": (_claim_polygon_bordism_parity, ("m", "bound")),
+    "cube-string-is-bott": (_claim_cube_string_is_bott, ("n", "bound")),
+    "cyclic-identities": (_claim_cyclic_identities, ("k", "trials", "bound")),
+    "prism-decompose": (_claim_prism_decompose, ("k", "bound")),
+    "cube-connsum": (_claim_cube_connsum, ("bound",)),
+    "c5xc5-not-spin": (_claim_c5xc5_not_spin, ()),
+    "product-simplices-obstruction": (_claim_product_simplices_obstruction, ("ns",)),
+    "smallcover-simplex-products": (_claim_smallcover_simplex_products, ("ns",)),
 }
 
 CLAIM_IDS = tuple(sorted(_CLAIMS))
@@ -638,16 +641,25 @@ def verify_claim(
 
     Hitting the node or time cap yields verdict "resource-capped" with
     the partial statistics; parameters are echoed back so reports are
-    self-describing and reruns reproducible.
+    self-describing and reruns reproducible.  A parameter the claim does
+    not read is refused before anything runs, so that a report never
+    echoes one that played no part in it.
     """
     if claim_id not in _CLAIMS:
         raise HarnessError(
             f"unknown claim {claim_id!r}; known: {', '.join(CLAIM_IDS)}"
         )
+    campaign, reads = _CLAIMS[claim_id]
     params = dict(params or {})
+    unread = [key for key in params if key not in reads]
+    if unread:
+        raise HarnessError(
+            f"claim {claim_id!r} does not read {', '.join(map(repr, unread))}; "
+            f"it reads: {', '.join(reads) or 'no parameter'}"
+        )
     caps = {"max_nodes": max_nodes, "max_seconds": max_seconds}
     try:
-        verdict, stats, witnesses = _CLAIMS[claim_id](params, caps)
+        verdict, stats, witnesses = campaign(params, caps)
     except ResourceCapExceeded as exc:
         return ClaimReport(claim_id, params, "resource-capped", exc.stats, [])
     return ClaimReport(claim_id, params, verdict, stats, witnesses)

@@ -1,12 +1,15 @@
 """Exact integer linear algebra over Python ints.
 
 Everything here is exact: determinants by fraction-free (Bareiss)
-elimination, cofactor vectors from their minors, row Hermite normal
-form by xgcd row operations, the unit-pivot Gauss-Jordan reduction
-that certifies a relation lattice as a direct summand, unimodular
-inverses.  Every elimination over Z takes
-the same xgcd two-row step, `xgcd_rows`.  Python integers never
-overflow, so there is no precision story to worry about.
+elimination, cofactor vectors from their minors, the unit-pivot
+Gauss-Jordan reduction that certifies a relation lattice as a direct
+summand, and `extend_unimodular`, the one step that grows a unimodular
+transform: it decides whether a vector extends a basis of a direct
+summand and, if it does, adds it.  Unimodular inverses, the fallback
+quotient maps and the basis coefficients of `cohomology` all take that
+step.  Every elimination over Z takes the same xgcd two-row step,
+`xgcd_rows`.  Python integers never overflow, so there is no precision
+story to worry about.
 
 Matrices are plain lists of row lists.  Nothing here mutates its
 arguments unless the docstring says so.
@@ -14,7 +17,7 @@ arguments unless the docstring says so.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from math import gcd
 
 
 def is_int_rows(obj) -> bool:
@@ -138,82 +141,41 @@ def xgcd_rows(ra: list[int], rb: list[int], a: int, b: int) -> tuple[list[int], 
     )
 
 
-@dataclass
-class HermiteForm:
-    """Row Hermite normal form of an integer matrix.
+def extend_unimodular(u: list[list[int]], y: list[int], k: int) -> bool:
+    """One step of growing a unimodular basis; mutates u.
 
-    rows    : the reduced rows (zero rows dropped), row-echelon
-    pivots  : for each kept row, (column index, pivot value > 0)
-    rank    : number of nonzero rows
+    u is unimodular with u @ [x_1 .. x_k] = [I_k; 0] for k vectors
+    already taken, and y = u x for a new vector x.  x extends them to a
+    basis of a direct summand exactly when y[k:] is primitive, i.e.
+    gcd(y[k:]) = 1.  If it is not, returns False and leaves u as it is.
+    Otherwise an xgcd chain of row steps on u turns y into e_k, so that
+    u @ [x_1 .. x_k x] = [I_(k+1); 0], and returns True.  The chain
+    pivots on a +-1 entry of y[k:] when there is one, so that each of its
+    steps is one row operation.  The rows of u may carry further columns
+    beside u (as [u | u a], say): every step acts on whole rows.
     """
-
-    rows: list[list[int]]
-    pivots: list[tuple[int, int]]
-
-    @property
-    def rank(self) -> int:
-        return len(self.rows)
-
-
-def hermite_form(rows: list[list[int]]) -> HermiteForm:
-    """Row-style HNF via xgcd row operations.
-
-    Pivots positive, entries above each pivot reduced into [0, pivot).
-    """
-    work = copy_rows(rows)
-    if not work:
-        return HermiteForm([], [])
-    r, pivots = _hnf_core(work, len(work[0]))
-    return HermiteForm(work[:r], pivots)
-
-
-def hermite_form_with_transform(rows: list[list[int]]) -> tuple[HermiteForm, list[list[int]]]:
-    """HNF plus a unimodular U with (U @ rows) = HNF rows padded by zeros.
-
-    The first `rank` rows of U reproduce the HNF rows; the remaining
-    rows of U span the left kernel of the input.
-    """
-    if not rows:
-        return HermiteForm([], []), []
-    ncols = len(rows[0])
-    work = [list(r) + ident for r, ident in zip(rows, identity(len(rows)))]
-    r, pivots = _hnf_core(work, ncols)
-    h = HermiteForm([w[:ncols] for w in work[:r]], pivots)
-    u = [w[ncols:] for w in work]
-    return h, u
-
-
-def _hnf_core(work: list[list[int]], ncols: int) -> tuple[int, list[tuple[int, int]]]:
-    """Shared elimination loop; mutates `work`, pivoting on columns < ncols."""
-    pivots: list[tuple[int, int]] = []
-    r = 0
-    for c in range(ncols):
-        # find a row with a nonzero entry in column c
-        piv = None
-        for i in range(r, len(work)):
-            if work[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        work[r], work[piv] = work[piv], work[r]
-        # clear column c below row r with xgcd combinations
-        for i in range(r + 1, len(work)):
-            if work[i][c]:
-                work[r], work[i] = xgcd_rows(work[r], work[i], work[r][c], work[i][c])
-        if work[r][c] < 0:
-            work[r] = [-x for x in work[r]]
-        # reduce entries above the pivot
-        p = work[r][c]
-        for i in range(r):
-            q = work[i][c] // p
-            if q:
-                work[i] = [x - q * y for x, y in zip(work[i], work[r])]
-        pivots.append((c, p))
-        r += 1
-        if r == len(work):
-            break
-    return r, pivots
+    d = len(y)
+    if gcd(*y[k:]) != 1:
+        return False
+    piv = next((i for i in range(k, d) if y[i] == 1 or y[i] == -1), None)
+    if piv is None:
+        piv = next(i for i in range(k, d) if y[i])
+    # row piv moves to k; the row it swaps with keeps its entry y[k]
+    u[k], u[piv] = u[piv], u[k]
+    yk = y[piv]
+    for i in range(k + 1, d):
+        b = y[k] if i == piv else y[i]
+        if b:
+            u[k], u[i] = xgcd_rows(u[k], u[i], yk, b)
+            if b % yk:  # else row k is kept as it is
+                yk = gcd(yk, b)
+    if yk < 0:  # yk = +-gcd(y[k:]) = +-1
+        u[k] = [-x for x in u[k]]
+    for i in range(k):
+        c = y[i]
+        if c:
+            u[i] = [x - c * z for x, z in zip(u[i], u[k])]
+    return True
 
 
 def unit_pivot_reduce(rows: list[list[int]]) -> dict[int, list[int]] | None:
@@ -253,13 +215,18 @@ def unit_pivot_reduce(rows: list[list[int]]) -> dict[int, list[int]] | None:
 
 
 def inverse_unimodular(a: list[list[int]]) -> list[list[int]]:
-    """Exact inverse of a square integer matrix with det = +-1."""
+    """Exact inverse of a square integer matrix with det = +-1.
+
+    One `extend_unimodular` step per column of a, on rows [u | u a] that
+    start as [I | a]: the image u a_k of column k is read off the rows.
+    They end as [a^-1 | I]; some step refuses exactly when |det a| != 1.
+    """
     n = len(a)
-    aug = [list(r) + ident_row for r, ident_row in zip(a, identity(n))]
-    h = hermite_form(aug)
-    if h.rank != n or any(c != i or p != 1 for i, (c, p) in enumerate(h.pivots)):
-        raise ValueError("matrix is not unimodular")
-    return [row[n:] for row in h.rows]
+    work = [ident_row + list(r) for ident_row, r in zip(identity(n), a)]
+    for k in range(n):
+        if not extend_unimodular(work, [row[n + k] for row in work], k):
+            raise ValueError("matrix is not unimodular")
+    return [row[:n] for row in work]
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,8 @@ the polytope at that vertex (`cohomology.relation_template`): the pair
 fills in only the live degree-4 rows, the relations with a base facet
 less their dead monomials (products of two free facets that do not
 meet, zero outright).  `cohomology.p1_vanishes` reduces the live rows
-by unit pivots, falling back to the certified transposed-HNF quotient
-map when that gets stuck, and reduces p_1 by the result.  A verdict
+by unit pivots, falling back to the certified stepwise quotient map
+when that gets stuck, and reduces p_1 by the result.  A verdict
 builds no presentation.  When coefficients are wanted,
 `presentation_deg4` certifies its quotient map on the same live rows,
 and the coefficients of p_1 in a basis of the free quotient decide the

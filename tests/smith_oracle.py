@@ -4,10 +4,12 @@ The package certifies a relation lattice through its quotient map
 (`qtm.cohomology`); the tests check that certificate, and the stack
 versions of `greedy_basis` and `reduce_to_basis`, against the Smith
 form computed here, which shares nothing with the package but the
-`xgcd_rows` step and the row HNF.  `test_intlin.test_smith_matches_sympy`
-cross-checks this oracle against sympy.
+`xgcd_rows` step (the row HNF below comes from `hnf_oracle`).
+`test_intlin.test_smith_matches_sympy` cross-checks this oracle
+against sympy.
 """
 
+from hnf_oracle import hermite_form
 from qtm import intlin
 
 
@@ -82,7 +84,7 @@ def spans_unit_summand(rows: list[list[int]]) -> bool:
     A full-rank row HNF with every pivot 1 settles it at once (such a
     basis extends to a basis of Z^N); otherwise the Smith form decides.
     """
-    h = intlin.hermite_form(rows)
+    h = hermite_form(rows)
     if h.rank != len(rows):
         return False
     if all(p == 1 for _, p in h.pivots):

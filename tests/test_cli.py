@@ -498,6 +498,27 @@ def test_verify_unknown_claim_exits_2(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        # c5xc5-not-spin reads no parameter; it reported "verified"
+        # with {"bound": 5, "k": 9} in its params
+        (["c5xc5-not-spin", "--bound", "5", "--k", "9"], "'bound', 'k'"),
+        (["cube-connsum", "--bound", "1", "--m", "4"], "'m'"),
+        # cyclic-identities checked nothing and reported "verified"
+        (["cyclic-identities", "--trials", "-5"], "trials"),
+        (["cyclic-identities", "--trials", "0"], "trials"),
+    ],
+    ids=["c5xc5-bound-k", "connsum-m", "trials-negative", "trials-zero"],
+)
+def test_verify_refuses_parameters_it_does_not_read(capsys, argv, named):
+    assert main(["verify", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and named in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_malformed_input_files_exit_2(tmp_path, capsys):
     p = _write(tmp_path, "p.json", polygon(4).to_dict())
     noise = tmp_path / "noise.json"

@@ -37,6 +37,7 @@ from qtm.cohomology import (
 from qtm.harness import SearchSpec, enumerate_matrices
 from qtm.polytope import SimplePolytope, cube, polygon, prism, product, q_polytope, simplex
 from qtm.stringcheck import q_prism_polytope, refined_pair
+from hnf_oracle import hermite_form, hermite_form_with_transform
 from smith_oracle import spans_unit_summand
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
@@ -266,14 +267,13 @@ def _hand_presentation(relations):
 
 
 def test_quotient_map_certificate():
-    # 2 v1^2 = 0 leaves 2-torsion: the transposed HNF pivot is 2
+    # 2 v1^2 = 0 leaves 2-torsion: the row (2, 0) is not primitive
     with pytest.raises(CohomologyError, match="direct summand"):
         _hand_presentation([[2, 0]])
     # dependent relations span no rank-2 summand
     with pytest.raises(CohomologyError, match="direct summand"):
         _hand_presentation([[1, 0], [1, 0]])
-    # (2, 3) is primitive although it has no unit entry: the transposed
-    # HNF has pivot gcd(2, 3) = 1
+    # (2, 3) is primitive although it has no unit entry: gcd(2, 3) = 1
     pres = _hand_presentation([[2, 3]])
     (a,), (b,) = pres.quotient_map
     assert 2 * a + 3 * b == 0 and abs(a) == 3 and abs(b) == 2
@@ -284,9 +284,9 @@ def _assert_onto_with_relation_kernel(pres):
     q = pres.quotient_map
     assert len(q) == len(pres.generators)
     assert all(len(img) == pres.quotient_rank for img in q)
-    assert _kernel_lattice_hnf(q) == intlin.hermite_form(pres.relations).rows
+    assert _kernel_lattice_hnf(q) == hermite_form(pres.relations).rows
     # onto Z^h2: the images have a unit-pivot HNF of full rank
-    h = intlin.hermite_form([list(img) for img in q])
+    h = hermite_form([list(img) for img in q])
     assert h.rank == pres.quotient_rank and all(p == 1 for _, p in h.pivots)
 
 
@@ -376,7 +376,7 @@ def _stack_reduce_to_basis(pres, expr, basis):
         stack.append(row)
     if not spans_unit_summand(stack):
         raise CohomologyError("basis is not independent and primitive")
-    h, u = intlin.hermite_form_with_transform(stack)
+    h, u = hermite_form_with_transform(stack)
     v = pres.to_vector(expr)
     mult = [0] * h.rank
     for t, (row, (c, piv)) in enumerate(zip(h.rows, h.pivots)):
@@ -642,8 +642,8 @@ def test_basis_coefficients_keeps_the_greedy_basis_error():
 
 def _kernel_lattice_hnf(q):
     """HNF rows of the lattice {x : sum_g x_g q(e_g) = 0}."""
-    h, u = intlin.hermite_form_with_transform([list(img) for img in q])
-    return intlin.hermite_form(u[h.rank:]).rows
+    h, u = hermite_form_with_transform([list(img) for img in q])
+    return hermite_form(u[h.rank:]).rows
 
 
 def _live_rows_of(p, lam):
@@ -794,7 +794,7 @@ def test_quotient_map_paths_on_hand_presentations(monkeypatch):
     assert is_zero_in_h4(pres, {(1, 1): 1, (1, 2): 3})
     assert not is_zero_in_h4(pres, {(1, 1): 1})
     # (2, 3): no unit entry, yet a direct summand; the map comes from
-    # the transposed HNF
+    # the stepwise fallback
     pres = _hand_presentation([[2, 3]])
     assert fallbacks == [[[2, 3]]]
     assert _kernel_lattice_hnf(pres.quotient_map) == [[2, 3]]

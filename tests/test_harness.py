@@ -517,6 +517,29 @@ def test_claim_smallcover_simplex_products():
     assert rep.statistics["exists"] is False
 
 
+@pytest.mark.parametrize(
+    "claim, params, named",
+    [
+        ("c5xc5-not-spin", {"bound": 5, "k": 9}, "'bound', 'k'"),
+        ("polygon-parity", {"m": 4, "bound": 2, "n": 3}, "'n'"),
+        ("smallcover-simplex-products", {"ns": [3], "trials": 5}, "'trials'"),
+        ("cyclic-identities", {"k": 4, "trials": 0}, "trials >= 1, got 0"),
+        ("cyclic-identities", {"trials": -5}, "trials >= 1, got -5"),
+    ],
+    ids=["c5xc5-bound-k", "parity-n", "smallcover-trials", "trials-zero", "trials-negative"],
+)
+def test_verify_claim_refuses_parameters_it_does_not_read(monkeypatch, claim, params, named):
+    # refused before any search or trial starts
+    def no_search(*args):
+        raise AssertionError("a search started")
+
+    for name in ("enumerate_matrices", "cyclic_identities", "verify_simplex_product_criterion"):
+        monkeypatch.setattr(harness, name, no_search)
+    with pytest.raises(HarnessError) as exc:
+        verify_claim(claim, params)
+    assert named in str(exc.value)
+
+
 def test_claim_resource_cap_gives_capped_verdict():
     rep = verify_claim("cube-string-is-bott", {"n": 3, "bound": 2}, max_nodes=50)
     assert rep.verdict == "resource-capped"

@@ -8,12 +8,14 @@ implementations keep each other honest.
 import random
 from math import gcd
 
+import pytest
 from hypothesis import given, strategies as st
 from sympy import Matrix
 
 from qtm import intlin
+from hnf_oracle import hermite_form, hermite_form_with_transform
 from mod2_oracle import f2_in_span
-from smith_oracle import smith_invariant_factors
+from smith_oracle import smith_invariant_factors, spans_unit_summand
 
 
 def random_matrix(rng, nrows, ncols, bound=6):
@@ -36,7 +38,7 @@ def test_det_small_shapes():
 
 
 def test_hermite_form_matches_sympy():
-    # Our row HNF must span the same lattice as the input.  sympy's
+    # The oracle's row HNF must span the same lattice as the input.  sympy's
     # hermite_normal_form is canonical per lattice (column-style), so
     # applying it to the transposes decides lattice equality.
     from sympy.matrices.normalforms import hermite_normal_form
@@ -46,7 +48,7 @@ def test_hermite_form_matches_sympy():
         nr = rng.randint(1, 5)
         nc = rng.randint(1, 6)
         a = random_matrix(rng, nr, nc)
-        h = intlin.hermite_form(a)
+        h = hermite_form(a)
         assert h.rank == Matrix(a).rank()
         if h.rank == 0:
             assert all(all(x == 0 for x in row) for row in a)
@@ -60,7 +62,7 @@ def test_hermite_pivots_positive_and_reduced():
     rng = random.Random(3)
     for _ in range(100):
         a = random_matrix(rng, rng.randint(1, 5), rng.randint(1, 6))
-        h = intlin.hermite_form(a)
+        h = hermite_form(a)
         for i, (c, p) in enumerate(h.pivots):
             assert p > 0
             assert h.rows[i][c] == p
@@ -87,7 +89,7 @@ def test_unit_pivot_reduce_spans_the_row_lattice(rows):
         assert all(row[p] == (1 if p == c else 0) for p in pivots)
     # the same lattice: the row HNF is canonical per lattice
     if rows:
-        assert intlin.hermite_form(list(pivots.values())).rows == intlin.hermite_form(rows).rows
+        assert hermite_form(list(pivots.values())).rows == hermite_form(rows).rows
 
 
 def test_smith_matches_sympy():
@@ -121,9 +123,84 @@ def test_inverse_unimodular():
         assert intlin.mat_mul(a, inv) == intlin.identity(n)
 
 
-def test_inverse_rejects_non_unimodular():
-    import pytest
+@st.composite
+def _unimodular_with_inverse(draw, n):
+    """(a, a^-1) for a random product of elementary n x n matrices."""
+    a = intlin.identity(n)
+    inv = intlin.identity(n)
+    index = st.integers(0, max(n - 1, 0))
+    ops = draw(st.lists(st.tuples(index, index, st.integers(-3, 3)), max_size=3 * n))
+    for i, j, q in ops:
+        if i == j:  # negate row i of a, so column i of a^-1
+            a[i] = [-x for x in a[i]]
+            for row in inv:
+                row[i] = -row[i]
+        else:  # row i of a += q row j, so column j of a^-1 -= q column i
+            a[i] = [x + q * y for x, y in zip(a[i], a[j])]
+            for row in inv:
+                row[j] -= q * row[i]
+    return a, inv
 
+
+@given(st.data())
+def test_extend_unimodular_accepts_exactly_the_primitive_tails(data):
+    d = data.draw(st.integers(1, 6))
+    k = data.draw(st.integers(0, d))
+    u, inv = data.draw(_unimodular_with_inverse(d))
+    # the vectors taken so far are the first k columns of u^-1, so
+    # u @ [x_1 .. x_k] = [I_k; 0]; y = u x is drawn and x = u^-1 y
+    head = data.draw(st.lists(st.integers(-6, 6), min_size=k, max_size=k))
+    entry = st.integers(-6, 6)
+    if data.draw(st.booleans()):
+        entry = entry.filter(lambda x: x not in (1, -1))
+    tail = data.draw(st.lists(entry, min_size=d - k, max_size=d - k))
+    y = head + tail
+    x = intlin.mat_vec(inv, y)
+    taken = [[row[j] for row in inv] for j in range(k)] + [x]
+    before = intlin.copy_rows(u)
+    accepted = intlin.extend_unimodular(u, y, k)
+    assert y == head + tail
+    assert accepted == (gcd(*tail) == 1)
+    # the Smith form decides it independently of u
+    assert accepted == spans_unit_summand(taken)
+    if not accepted:
+        assert u == before
+        return
+    assert abs(intlin.det(u)) == 1
+    for j, v in enumerate(taken):
+        assert intlin.mat_vec(u, v) == [int(i == j) for i in range(d)]
+
+
+@given(st.integers(0, 6).flatmap(_unimodular_with_inverse))
+def test_inverse_unimodular_inverts_elementary_products(pair):
+    a, expected = pair
+    inv = intlin.inverse_unimodular(a)
+    n = len(a)
+    assert inv == expected
+    assert intlin.mat_mul(a, inv) == intlin.identity(n) == intlin.mat_mul(inv, a)
+
+
+@given(
+    st.integers(1, 6).flatmap(
+        lambda n: st.tuples(
+            _unimodular_with_inverse(n),
+            _unimodular_with_inverse(n),
+            st.sampled_from([0, 2, -2, 3, -3]),
+        )
+    )
+)
+def test_inverse_unimodular_refuses_other_determinants(case):
+    (left, _), (right, _), scale = case
+    # left @ diag(scale, 1, .., 1) @ right has determinant +-scale
+    middle = intlin.identity(len(left))
+    middle[0][0] = scale
+    a = intlin.mat_mul(intlin.mat_mul(left, middle), right)
+    assert abs(intlin.det(a)) == abs(scale)
+    with pytest.raises(ValueError, match="not unimodular"):
+        intlin.inverse_unimodular(a)
+
+
+def test_inverse_rejects_non_unimodular():
     with pytest.raises(ValueError):
         intlin.inverse_unimodular([[2, 0], [0, 1]])
 
@@ -142,7 +219,7 @@ def test_xgcd_rows():
         else:
             assert na[0] == gcd(a, b)
         # a unimodular step: same lattice, so the HNFs agree
-        assert intlin.hermite_form([na, nb]).rows == intlin.hermite_form([ra, rb]).rows
+        assert hermite_form([na, nb]).rows == hermite_form([ra, rb]).rows
 
 
 def test_f2_ops():
@@ -236,13 +313,13 @@ def test_hermite_form_with_transform():
         nr = rng.randint(1, 6)
         nc = rng.randint(1, 6)
         a = [[rng.randint(-9, 9) for _ in range(nc)] for _ in range(nr)]
-        h, u = intlin.hermite_form_with_transform(a)
+        h, u = hermite_form_with_transform(a)
         assert len(u) == nr and all(len(r) == nr for r in u)
         assert abs(intlin.det(u)) == 1
         prod = intlin.mat_mul(u, a)
         assert prod[: h.rank] == h.rows
         assert all(not any(r) for r in prod[h.rank :])
-        assert h.rows == intlin.hermite_form(a).rows
+        assert h.rows == hermite_form(a).rows
 
 
 def test_certified_factors_from_unit_pivots():

@@ -645,7 +645,7 @@ def test_template_verdicts_match_the_dense_presentation_on_every_leaf(monkeypatc
             assert v.spin
             assert v.string == _dense_verdict(p, lam), (label, lam.rows)
     # the unit-pivot reduction of the live rows gets stuck on some double
-    # cube leaves, so the certified transposed-HNF fallback decides those
+    # cube leaves, so the certified stepwise fallback decides those
     assert fallbacks["double cube bound 2"] >= 1
 
 
