@@ -66,18 +66,6 @@ class CharMatrix:
                 raise CharMatrixError(f"columns {refined_at} are not the identity")
         self.refined_at = refined_at
 
-    @classmethod
-    def _from_refined_bits(cls, rows, refined_at) -> "CharMatrix":
-        """A matrix from rows that are already tuples of 0/1, refined at
-        the sorted vertex refined_at, with no check or normalization:
-        the mod-2 walk builds its survivors this way."""
-        lam = object.__new__(cls)
-        lam.rows = rows
-        lam.n = len(rows)
-        lam.m = len(rows[0])
-        lam.refined_at = refined_at
-        return lam
-
     def __repr__(self):
         return f"<CharMatrix {self.n}x{self.m} refined_at={self.refined_at}>"
 

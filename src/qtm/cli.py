@@ -26,13 +26,7 @@ from .charmat import CharMatrix, CharMatrixError, validate
 from .cohomology import basis_coefficients, p1_vector, presentation_deg4
 from .harness import ResourceCapExceeded, SearchSpec, enumerate_matrices, verify_claim
 from .polytope import PolytopeError, SimplePolytope, cube, polygon, prism, product, q_polytope, simplex
-from .smallcover import (
-    _column_masks,
-    _orientable,
-    _refined,
-    _refined_is_string,
-    validate_mod2,
-)
+from .smallcover import _refined, _refined_verdicts, validate_mod2
 from .stringcheck import (
     _cube_closed_form,
     _cube_normal_form,
@@ -258,9 +252,8 @@ def _cmd_smallcover(args) -> int:
     lam = _load_matrix_mod2(args.matrix)
     if not validate_mod2(p, lam):
         raise UsageError("matrix is not characteristic over the polytope mod 2")
-    rl = _refined(p, lam)
-    string = _refined_is_string(p, rl)
-    _emit({"orientable": _orientable(_column_masks(rl)), "string": string}, args.out)
+    orientable, string = _refined_verdicts(p, _refined(p, lam))
+    _emit({"orientable": orientable, "string": string}, args.out)
     return 0 if string else 1
 
 

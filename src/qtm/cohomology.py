@@ -19,7 +19,7 @@ Topology, ch. 7):
 
 A `RelationTemplate` holds this shape for one (polytope, base vertex):
 the generators, the live ones (and each generator's live index), the
-term list of each relation and the quotient rank |live| - |live rows|,
+term list of each live row and the quotient rank |live| - |live rows|,
 compared with h_2 once when it is built.  That comparison never fails:
 with f = m - n free facets and NF nonface pairs the count is
 C(f+1, 2) - NF, which equals h_2 = C(m, 2) - NF - (n-1)m + C(n, 2) for
@@ -45,11 +45,10 @@ pivot rows; p_1 is zero exactly when nothing is left.  When the
 reduction gets stuck it falls back to the stepwise quotient map of the
 live rows (below), which raises unless they span a direct summand.
 
-`presentation_deg4` also fills the dense relation rows, in nonface-pair
-order, for callers that read them, but certifies the presentation by
-the quotient map q: Z^N -> Z^h2 of the live rows: every dead generator
-goes to 0 and every live one to its image under the certified quotient
-map of the live rows.  By the above, q is onto with kernel exactly L.
+`presentation_deg4` certifies the presentation by the quotient map
+q: Z^N -> Z^h2 of the live rows: every dead generator goes to 0 and
+every live one to its image under the certified quotient map of the
+live rows.  By the above, q is onto with kernel exactly L.
 It exists exactly when the live rows are independent and span a direct
 summand, a consequence of the theory this package implements, so a
 violation is a hard error rather than a soft result.  (The quotient
@@ -114,18 +113,14 @@ class RelationTemplate:
     Read mod 2 it is also the degree-2 presentation of every small
     cover there (`smallcover`).
 
-    Facet B_k of the base is row k of the matrix.  A relation's terms
-    are (j, index) pairs: its coefficient at that index is -lambda_kj
-    (dense rows) or lambda_kj (live rows, the same lattice).
+    Facet B_k of the base is row k of the matrix.  A live row's terms
+    are (j, live index) pairs: its coefficient at that index is
+    lambda_kj.
     """
 
     free: tuple  # free facet indices, ascending
     generators: tuple  # monomials (i, j), i <= j free, lex order
     gen_index: dict = field(repr=False)
-    relation_pairs: tuple  # the nonface pairs
-    # per nonface pair: (None, generator index) for a dead monomial,
-    # else (k, ((j, generator index), ...)) over every free j
-    dense_terms: tuple = field(repr=False)
     live: tuple  # live monomials, lex order
     gen_live: tuple  # per generator: its index in live, None when dead
     # per nonface pair (B_k, b), in nonface-pair order:
@@ -168,16 +163,13 @@ def _build_template(p: SimplePolytope, base) -> RelationTemplate:
     def mono(j, b):
         return (j, b) if j <= b else (b, j)
 
-    dense_terms = []
     live_terms = []
     for a, b in pairs:
         if (a, b) in dead:
-            dense_terms.append((None, gen_index[(a, b)]))
             continue
         if b in row_of:
             a, b = b, a
         k = row_of[a]
-        dense_terms.append((k, tuple((j, gen_index[mono(j, b)]) for j in free)))
         live_terms.append((k, tuple(
             (j, live_index[mono(j, b)]) for j in free if mono(j, b) in live_index
         )))
@@ -189,8 +181,6 @@ def _build_template(p: SimplePolytope, base) -> RelationTemplate:
         free=free,
         generators=gens,
         gen_index=gen_index,
-        relation_pairs=pairs,
-        dense_terms=tuple(dense_terms),
         live=live,
         gen_live=tuple(live_index.get(g) for g in gens),
         live_terms=tuple(live_terms),
@@ -248,12 +238,10 @@ def p1_vanishes(t: RelationTemplate, cols) -> bool:
 
 @dataclass
 class DegreeFourPresentation:
-    """Generators, relation rows, and the quotient map certifying them."""
+    """Generators and the quotient map that certifies their relations."""
 
     free: tuple  # free facet indices, ascending
     generators: tuple  # monomials (i, j), i <= j free, lex order
-    relations: list  # one dense row per nonface pair, generator order
-    relation_pairs: tuple  # the nonface pairs, aligned with relations
     quotient_rank: int
     quotient_map: tuple = field(repr=False)  # q(e_g) in Z^quotient_rank, generator order; 0 when dead
     _gen_index: dict = field(repr=False)
@@ -277,24 +265,11 @@ def presentation_deg4(p: SimplePolytope, lam: CharMatrix) -> DegreeFourPresentat
     if lam.refined_at is None:
         raise CohomologyError("presentation needs a refined matrix")
     t = relation_template(p, lam.refined_at)
-    cols = columns(lam)
-    ngen = len(t.generators)
-    relations = []
-    for k, terms in t.dense_terms:
-        row = [0] * ngen
-        if k is None:
-            row[terms] = 1
-        else:
-            for j, g in terms:
-                row[g] = -cols[j][k]
-        relations.append(row)
-    live_q = _certified_quotient_map(_live_rows(t, cols), len(t.live))
+    live_q = _certified_quotient_map(_live_rows(t, columns(lam)), len(t.live))
     dead = (0,) * t.quotient_rank
     return DegreeFourPresentation(
         free=t.free,
         generators=t.generators,
-        relations=relations,
-        relation_pairs=t.relation_pairs,
         quotient_rank=t.quotient_rank,
         quotient_map=tuple(dead if c is None else live_q[c] for c in t.gen_live),
         _gen_index=t.gen_index,

@@ -74,8 +74,7 @@ per column, bit i for row i, so its column-tuple memo is keyed by
 masks.  Its string test reads the degree-2 class off those masks
 through the same relation template (`smallcover._w2_vanishes`, one
 GF(2) elimination per leaf), and a `CharMatrix` is built only for a
-survivor, by `CharMatrix._from_refined_bits`: its bits are already 0/1
-and refined, so nothing is re-checked.
+survivor, by the same checked constructor as over Z.
 It does not dedup: two leaves differ in some free column, so every
 leaf has its own rows and dedup_hits is 0 by construction.
 
@@ -91,6 +90,7 @@ reproducible statistics.
 from __future__ import annotations
 
 import itertools
+import math
 import platform
 import random
 import time
@@ -158,8 +158,15 @@ class SearchSpec:
     max_seconds: float = 3600.0
 
     def __post_init__(self):
-        if not self.mod2_only and self.bound < 1:
+        if self.mod2_only:
+            # the GF(2) walk never reads the bound: its entries are 0 and 1
+            if self.bound != 1:
+                raise HarnessError(f"mod-2 enumeration takes bound 1 only, got {self.bound}")
+        elif self.bound < 1:
             raise HarnessError("entry bound must be at least 1")
+        if math.isnan(self.max_seconds):
+            # every comparison with NaN is false, so the time cap never fires
+            raise HarnessError("max_seconds must be a number, got NaN")
         if self.filter not in ("valid", "spin", "string"):
             raise HarnessError(f"unknown filter {self.filter!r}")
         if self.dedup not in ("signs", "signs+automorphisms"):
@@ -333,11 +340,8 @@ def enumerate_matrices(spec: SearchSpec):
             if spec.filter == "string" and not _w2_vanishes(template, col):
                 reject()
                 return
-            lam = CharMatrix._from_refined_bits(
-                tuple(
-                    tuple(col[f] >> i & 1 for f in range(1, m + 1)) for i in range(n)
-                ),
-                base,
+            lam = CharMatrix(
+                [[c >> i & 1 for c in col[1:]] for i in range(n)], refined_at=base
             )
         else:
             # the parity filter made every column sum odd, so a

@@ -40,8 +40,7 @@ columns, so the walk filters the values of that column by mask, once
 per node.  The public tests validate and
 refine their input; their private cores take a pair that is already
 valid and refined, and the mod-2 search hands `_w2_vanishes` its
-column masks, building a matrix only for a survivor, with the
-unchecked `CharMatrix._from_refined_bits`.  The
+column masks, building a matrix only for a survivor.  The
 simplex-product criterion is decided by that search, string filter
 on, and then checked against its closed form.
 """
@@ -167,32 +166,6 @@ def _w2_vanishes(t: RelationTemplate, col) -> bool:
     return True
 
 
-def degree2_presentation(p: SimplePolytope, lam: CharMatrix):
-    """(generators, relation masks, free facets) of degree-2 mod-2 cohomology.
-
-    Generators are v_i v_j for free i <= j, squares included; each
-    nonface pair becomes one relation row, packed as a bitmask over the
-    generator list.  The live rows are checked independent on every
-    call, which is #generators - rank(relations) = h_2.
-    """
-    _check_shape(p, lam)
-    rl = _refined(p, lam)
-    t = relation_template(p, rl.refined_at)
-    col = _column_masks(rl)
-    _live_echelon(t, col)
-    masks = []
-    for k, terms in t.dense_terms:
-        if k is None:
-            masks.append(1 << terms)
-            continue
-        mask = 0
-        for j, g in terms:
-            if col[j] >> k & 1:
-                mask |= 1 << g
-        masks.append(mask)
-    return t.generators, masks, t.free
-
-
 def is_string_smallcover(p: SimplePolytope, lam: CharMatrix) -> bool:
     """String condition: orientable and sum_{i<j} v_i v_j zero in degree 2.
 
@@ -204,8 +177,15 @@ def is_string_smallcover(p: SimplePolytope, lam: CharMatrix) -> bool:
 
 def _refined_is_string(p: SimplePolytope, rl: CharMatrix) -> bool:
     """is_string_smallcover for a pair already valid and refined."""
+    return _refined_verdicts(p, rl)[1]
+
+
+def _refined_verdicts(p: SimplePolytope, rl: CharMatrix) -> tuple[bool, bool]:
+    """(orientable, string) for a pair already valid and refined, from
+    one set of column masks."""
     col = _column_masks(rl)
-    return _orientable(col) and _w2_vanishes(relation_template(p, rl.refined_at), col)
+    orientable = _orientable(col)
+    return orientable, orientable and _w2_vanishes(relation_template(p, rl.refined_at), col)
 
 
 # ---------------------------------------------------------------------------

@@ -36,6 +36,7 @@ from qtm.stringcheck import (
     q_prism_polytope,
 )
 from qtm.structure import decompose_cube_connsum, decompose_prism
+from dj_oracle import substituted_relations
 from smith_oracle import smith_invariant_factors
 
 
@@ -317,9 +318,11 @@ def test_criterion_07_snf_certificates():
         pairs.extend((p, lam) for lam in survivors)
     for p, lam in pairs:
         pres = presentation_deg4(p, lam)
-        # the Smith form of the test oracle, independent of the quotient
-        # map that certified the presentation
-        assert smith_invariant_factors(pres.relations) == [1] * len(pres.relations)
+        # the Smith form of the substituted relation rows, both test
+        # oracles, independent of the quotient map that certified the
+        # presentation
+        relations = substituted_relations(p, lam)[1]
+        assert smith_invariant_factors(relations) == [1] * len(relations)
         expected = p.h_vector()[2] if p.dim >= 2 else 0
         assert pres.quotient_rank == expected
     _pass(7, f"{len(pairs)} presentations certified: unit invariant factors, "

@@ -329,6 +329,24 @@ def test_enumerate_mod2(tmp_path, capsys):
     ]
 
 
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["--mod2", "--bound", "2"], "bound 1 only, got 2"),
+        (["--mod2", "--bound", "-3"], "bound 1 only, got -3"),
+        (["--max-seconds", "nan"], "NaN"),
+    ],
+    ids=["mod2-bound-2", "mod2-bound-negative", "nan-seconds"],
+)
+def test_enumerate_refuses_budgets_it_cannot_honour(tmp_path, capsys, argv, named):
+    p = _write(tmp_path, "p.json", polygon(6).to_dict())
+    assert main(["enumerate", "-p", p, *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and named in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_enumerate_resource_cap_exits_3(tmp_path, capsys):
     p = _write(tmp_path, "p.json", cube(3).to_dict())
     code, d = _run(

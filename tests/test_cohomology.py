@@ -37,6 +37,7 @@ from qtm.cohomology import (
 from qtm.harness import SearchSpec, enumerate_matrices
 from qtm.polytope import SimplePolytope, cube, polygon, prism, product, q_polytope, simplex
 from qtm.stringcheck import q_prism_polytope, refined_pair
+from dj_oracle import substituted_relations
 from hnf_oracle import hermite_form, hermite_form_with_transform
 from smith_oracle import spans_unit_summand
 
@@ -85,7 +86,7 @@ def test_presentation_triangle():
     lam = CharMatrix([[1, 0, 1], [0, 1, 1]], refined_at=(1, 2))
     pres = presentation_deg4(TRIANGLE, lam)
     assert pres.generators == ((3, 3),)
-    assert pres.relations == []
+    assert relation_template(TRIANGLE, (1, 2)).live_terms == ()
     assert pres.quotient_rank == 1
     p1 = p1_vector(TRIANGLE, lam)
     assert p1 == {(3, 3): 3}
@@ -98,7 +99,9 @@ def test_presentation_square():
     #   v1*v3 -> v3^2,  v2*v4 -> -v3*v4 + v4^2
     pres = presentation_deg4(SQUARE, SQUARE_LAM)
     assert pres.generators == ((3, 3), (3, 4), (4, 4))
-    assert sorted(pres.relation_pairs) == [(1, 3), (2, 4)]
+    relations = substituted_relations(SQUARE, SQUARE_LAM)[1]
+    assert relations == [[1, 0, 0], [0, -1, 1]]
+    _assert_onto_with_relation_kernel(pres, relations)
     assert pres.quotient_rank == 1
     # rho_3 = 3, rho_4 = 2, rho_34 = -2; in the quotient v3^2 = 0 and
     # v4^2 = v3*v4, so p1 collapses to (3*0 - 2 + 2) v3 v4 = 0
@@ -136,7 +139,8 @@ def test_presentation_cube_family():
         lam = cube_family(x, y)
         pres = presentation_deg4(CUBE3, lam)
         assert len(pres.generators) == 6
-        assert len(pres.relations) == 3
+        # three opposite pairs, each with one base facet: three live rows
+        assert len(relation_template(CUBE3, lam.refined_at).live_terms) == 3
         assert pres.quotient_rank == 3
         # cross products of opposite-facet columns vanish identically
         # for this family: expand by hand to see each term cancel
@@ -166,36 +170,28 @@ def test_zero_test_is_refinement_invariant():
         assert len(set(verdicts)) == 1
 
 
-def _substituted_relations(p, rl):
-    """The relation rows by substitution, with no template: each base
-    class is minus its row, a free class is itself, and each nonface
-    pair multiplies out over the monomials v_i v_j, i <= j free."""
-    base = rl.refined_at
-    free = [j for j in range(1, rl.m + 1) if j not in base]
-    gens = [(i, j) for a, i in enumerate(free) for j in free[a:]]
-    sub = {j: {j: 1} for j in free}
-    for k, t in enumerate(base):
-        sub[t] = {j: -rl.rows[k][j - 1] for j in free}
-    rows = []
-    for a, b in p.nonface_pairs():
-        row = dict.fromkeys(gens, 0)
-        for i, ci in sub[a].items():
-            for j, cj in sub[b].items():
-                row[(min(i, j), max(i, j))] += ci * cj
-        rows.append([row[g] for g in gens])
-    return gens, rows
-
-
 def test_template_rows_match_the_substitution():
+    # a nonface pair of free facets gives the unit row of its dead
+    # monomial; any other gives minus its live row plus terms on dead
+    # monomials
     rng = random.Random(31)
     pairs = list(_search_pairs(DIFFERENTIAL_SEARCHES)) + [_q_times_square_pair(), _c45_pair()]
     for p, lam in pairs:
         rl = refine(p, lam, rng.choice(p.vertices))
-        pres = presentation_deg4(p, rl)
-        gens, rows = _substituted_relations(p, rl)
-        assert list(pres.generators) == gens
-        assert pres.relations == rows
-        assert pres.relation_pairs == tuple(p.nonface_pairs())
+        t, live_rows = _live_rows_of(p, rl)
+        gens, rows = substituted_relations(p, rl)
+        assert list(t.generators) == gens
+        nonfaces = list(p.nonface_pairs())
+        dead = {ab for ab in nonfaces if not set(ab) & set(rl.refined_at)}
+        assert {g for g, c in zip(gens, t.gen_live) if c is None} == dead
+        live_cols = [g for g, c in enumerate(t.gen_live) if c is not None]
+        expected = []
+        for ab, row in zip(nonfaces, rows):
+            if ab in dead:
+                assert row == [int(g == ab) for g in gens]
+            else:
+                expected.append([-row[g] for g in live_cols])
+        assert live_rows == expected
 
 
 def test_template_is_shared_by_equal_polytopes():
@@ -258,8 +254,6 @@ def _hand_presentation(relations):
     return DegreeFourPresentation(
         free=(1, 2),
         generators=gens,
-        relations=relations,
-        relation_pairs=((1, 2),) * len(relations),
         quotient_rank=len(gens) - len(relations),
         quotient_map=_certified_quotient_map(relations, len(gens)),
         _gen_index={g: k for k, g in enumerate(gens)},
@@ -279,26 +273,33 @@ def test_quotient_map_certificate():
     assert 2 * a + 3 * b == 0 and abs(a) == 3 and abs(b) == 2
 
 
-def _assert_onto_with_relation_kernel(pres):
-    """q maps Z^N onto Z^h2 with kernel exactly the relation lattice."""
+def _assert_onto_with_relation_kernel(pres, relations):
+    """q maps Z^N onto Z^h2 with kernel exactly the lattice of the
+    relation rows."""
     q = pres.quotient_map
     assert len(q) == len(pres.generators)
     assert all(len(img) == pres.quotient_rank for img in q)
-    assert _kernel_lattice_hnf(q) == hermite_form(pres.relations).rows
+    assert _kernel_lattice_hnf(q) == hermite_form(relations).rows
     # onto Z^h2: the images have a unit-pivot HNF of full rank
     h = hermite_form([list(img) for img in q])
     assert h.rank == pres.quotient_rank and all(p == 1 for _, p in h.pivots)
 
 
 def test_quotient_map_kernel_is_the_relation_lattice():
-    for lam in (cube_family(0, 0), cube_family(1, 1), cube_family(-2, 3)):
-        pres = presentation_deg4(CUBE3, lam)
-        for rel in pres.relations:
-            assert all(
-                sum(x * img[i] for x, img in zip(rel, pres.quotient_map)) == 0
-                for i in range(3)
-            )
-        _assert_onto_with_relation_kernel(pres)
+    # the relation rows come from the substitution oracle, not from the
+    # template: the cube family at its base, and survivors refined at
+    # random vertices
+    rng = random.Random(77)
+    pairs = [(CUBE3, cube_family(x, y)) for x, y in ((0, 0), (1, 1), (-2, 3))]
+    sample = rng.sample(_search_pairs(CERTIFICATE_SEARCHES), 40)
+    for p, lam in sample + [_q_times_square_pair(), _c45_pair()]:
+        pairs.append((p, refine(p, lam, rng.choice(p.vertices))))
+    for p, rl in pairs:
+        pres = presentation_deg4(p, rl)
+        relations = substituted_relations(p, rl)[1]
+        for rel in relations:
+            assert not any(cohomology._image(pres.quotient_map, pres.quotient_rank, rel))
+        _assert_onto_with_relation_kernel(pres, relations)
 
 
 def test_reduce_on_the_triangle_identity_quotient():
@@ -321,7 +322,7 @@ def test_reduce_partial_and_empty_basis():
         reduce_to_basis(pres, {(4, 6): 1}, [(4, 5)])
     # relations reduce to nothing over the empty basis; anything else
     # is outside its span
-    rel = dict(zip(pres.generators, pres.relations[0]))
+    rel = dict(zip(pres.generators, substituted_relations(CUBE3, cube_family(0, 0))[1][0]))
     assert reduce_to_basis(pres, rel, []) == []
     assert reduce_to_basis(pres, p1_vector(CUBE3, cube_family(0, 0)), []) == []
     with pytest.raises(CohomologyError):
@@ -347,9 +348,9 @@ def test_reduce_keeps_its_errors():
 # form of the test oracle deciding the direct-summand test.
 
 
-def _stack_greedy_basis(pres):
+def _stack_greedy_basis(pres, relations):
     chosen = []
-    rows = [list(r) for r in pres.relations]
+    rows = [list(r) for r in relations]
     for g in pres.generators:
         if len(chosen) == pres.quotient_rank:
             break
@@ -365,9 +366,9 @@ def _stack_greedy_basis(pres):
     return tuple(chosen)
 
 
-def _stack_reduce_to_basis(pres, expr, basis):
+def _stack_reduce_to_basis(pres, relations, expr, basis):
     basis = [tuple(b) for b in basis]
-    stack = [list(r) for r in pres.relations]
+    stack = [list(r) for r in relations]
     for b in basis:
         row = [0] * len(pres.generators)
         if b not in pres._gen_index:
@@ -388,7 +389,7 @@ def _stack_reduce_to_basis(pres, expr, basis):
             v = [x - q * y for x, y in zip(v, row)]
     if any(v):
         raise CohomologyError("expression is outside the span of the basis")
-    nrel = len(pres.relations)
+    nrel = len(relations)
     return [sum(mult[t] * u[t][nrel + k] for t in range(h.rank)) for k in range(len(basis))]
 
 
@@ -441,7 +442,7 @@ DIFFERENTIAL_SEARCHES = (
 )
 
 
-def _random_basis_and_expr(pres, rng):
+def _random_basis_and_expr(pres, relations, rng):
     """A generator subset (repeats allowed) and a combination of some
     generators and relations, for comparing partial-basis outcomes."""
     gens = pres.generators
@@ -449,7 +450,7 @@ def _random_basis_and_expr(pres, rng):
     expr: dict = {}
     for b in rng.sample(gens, rng.randint(0, min(3, len(gens)))):
         expr[b] = expr.get(b, 0) + rng.randint(-3, 3)
-    for rel in pres.relations:
+    for rel in relations:
         c = rng.randint(-1, 1)
         for g, x in zip(gens, rel):
             if c and x:
@@ -464,13 +465,14 @@ def test_coefficients_match_the_stack_hnf_versions():
     for p, lam in pairs:
         rl = refined_pair(p, lam)
         pres = presentation_deg4(p, rl)
+        rows = substituted_relations(p, rl)[1]
         basis = greedy_basis(pres)
-        assert basis == _stack_greedy_basis(pres)
+        assert basis == _stack_greedy_basis(pres, rows)
         p1 = p1_vector(p, rl)
-        assert reduce_to_basis(pres, p1, basis) == _stack_reduce_to_basis(pres, p1, basis)
-        partial, expr = _random_basis_and_expr(pres, rng)
+        assert reduce_to_basis(pres, p1, basis) == _stack_reduce_to_basis(pres, rows, p1, basis)
+        partial, expr = _random_basis_and_expr(pres, rows, rng)
         assert _outcome(reduce_to_basis, pres, expr, partial) == _outcome(
-            _stack_reduce_to_basis, pres, expr, partial
+            _stack_reduce_to_basis, pres, rows, expr, partial
         )
 
 
@@ -491,14 +493,15 @@ def test_coefficients_match_the_stack_hnf_versions_on_random_pairs(data):
         lam = transform(p, lam, ColumnSignFlip(j))
     rl = refine(p, lam, data.draw(st.sampled_from(p.vertices)))
     pres = presentation_deg4(p, rl)
-    assert greedy_basis(pres) == _stack_greedy_basis(pres)
+    rows = substituted_relations(p, rl)[1]
+    assert greedy_basis(pres) == _stack_greedy_basis(pres, rows)
     p1 = p1_vector(p, rl)
     basis = greedy_basis(pres)
-    assert reduce_to_basis(pres, p1, basis) == _stack_reduce_to_basis(pres, p1, basis)
+    assert reduce_to_basis(pres, p1, basis) == _stack_reduce_to_basis(pres, rows, p1, basis)
     rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
-    partial, expr = _random_basis_and_expr(pres, rng)
+    partial, expr = _random_basis_and_expr(pres, rows, rng)
     assert _outcome(reduce_to_basis, pres, expr, partial) == _outcome(
-        _stack_reduce_to_basis, pres, expr, partial
+        _stack_reduce_to_basis, pres, rows, expr, partial
     )
 
 
@@ -601,8 +604,6 @@ def test_greedy_walk_without_a_unit_entry(monkeypatch, images, basis):
     pres = DegreeFourPresentation(
         free=(1, 2, 3),
         generators=gens,
-        relations=[],
-        relation_pairs=(),
         quotient_rank=len(images[0]),
         quotient_map=images,
         _gen_index={g: k for k, g in enumerate(gens)},
@@ -672,8 +673,6 @@ def _with_map(pres, q):
     return DegreeFourPresentation(
         free=pres.free,
         generators=pres.generators,
-        relations=pres.relations,
-        relation_pairs=pres.relation_pairs,
         quotient_rank=pres.quotient_rank,
         quotient_map=q,
         _gen_index=pres._gen_index,
@@ -690,8 +689,8 @@ CERTIFICATE_SEARCHES = (
 
 def _stuck_polygon7_pairs():
     """The valid polygon(7) classes at bound 3, refined at every vertex,
-    whose live rows or dense relations leave the unit-pivot reduction
-    without a unit entry."""
+    whose live rows or substituted relation rows leave the unit-pivot
+    reduction without a unit entry."""
     p = polygon(7)
     out = []
     for _p, lam in _search_pairs(((p, 3, "valid"),)):
@@ -699,7 +698,7 @@ def _stuck_polygon7_pairs():
             rl = refine(p, lam, v)
             if (
                 intlin.unit_pivot_reduce(_live_rows_of(p, rl)[1]) is None
-                or intlin.unit_pivot_reduce(presentation_deg4(p, rl).relations) is None
+                or intlin.unit_pivot_reduce(substituted_relations(p, rl)[1]) is None
             ):
                 out.append((p, rl))
     return out
@@ -711,21 +710,22 @@ def test_read_off_quotient_map_kernel_is_the_relation_lattice():
     rng = random.Random(505)
     for p, lam in pairs:
         pres = presentation_deg4(p, lam)
+        rows = substituted_relations(p, lam)[1]
         unit, live_map = _live_path(p, lam)
         paths[unit] += 1
         assert pres.quotient_map == live_map
-        _assert_onto_with_relation_kernel(pres)
-        # the transposed map of the dense relations gives the same basis
+        _assert_onto_with_relation_kernel(pres, rows)
+        # the transposed map of every relation row gives the same basis
         # and coefficients, whichever path the live rows took
-        transposed = _transposed_quotient_map(pres.relations, len(pres.generators))
+        transposed = _transposed_quotient_map(rows, len(pres.generators))
         by_transposed = _with_map(pres, transposed)
-        _assert_onto_with_relation_kernel(by_transposed)
+        _assert_onto_with_relation_kernel(by_transposed, rows)
         basis = greedy_basis(pres)
         assert greedy_basis(by_transposed) == basis
         p1 = p1_vector(p, lam)
         assert reduce_to_basis(pres, p1, basis) == reduce_to_basis(by_transposed, p1, basis)
         assert is_zero_in_h4(pres, p1) == is_zero_in_h4(by_transposed, p1)
-        partial, expr = _random_basis_and_expr(pres, rng)
+        partial, expr = _random_basis_and_expr(pres, rows, rng)
         assert _outcome(reduce_to_basis, pres, expr, partial) == _outcome(
             reduce_to_basis, by_transposed, expr, partial
         )
@@ -734,8 +734,8 @@ def test_read_off_quotient_map_kernel_is_the_relation_lattice():
     assert paths == {True: 391, False: 68}
 
 
-def _dead_generators(pres):
-    pairs = set(pres.relation_pairs)
+def _dead_generators(p, pres):
+    pairs = set(p.nonface_pairs())
     return [g for g in pres.generators if g[0] != g[1] and g in pairs]
 
 
@@ -743,7 +743,7 @@ def test_dead_generators_map_to_zero_and_stay_out_of_the_basis():
     dead_seen = 0
     for p, lam in _search_pairs(CERTIFICATE_SEARCHES):
         pres = presentation_deg4(p, lam)
-        dead = _dead_generators(pres)
+        dead = _dead_generators(p, pres)
         dead_seen += len(dead)
         for g in dead:
             assert not any(pres.quotient_map[pres._gen_index[g]])

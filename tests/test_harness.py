@@ -63,6 +63,13 @@ def test_search_spec_rejects_bad_parameters():
         SearchSpec(polygon(4), bound=1, dedup="rows")
     with pytest.raises(HarnessError):
         SearchSpec(polygon(4), bound=1, mod2_only=True, dedup="signs+automorphisms")
+    # the GF(2) walk never reads the bound, so only bound 1 is accepted
+    for bound in (2, 7, 0, -3):
+        with pytest.raises(HarnessError, match="bound 1 only"):
+            SearchSpec(polygon(6), bound=bound, mod2_only=True)
+    # every comparison with NaN is false: the time cap would never fire
+    with pytest.raises(HarnessError, match="NaN"):
+        SearchSpec(cube(3), bound=2, max_seconds=float("nan"))
 
 
 def test_square_string_search_finds_the_twist_class():

@@ -13,6 +13,7 @@ from hypothesis import given, strategies as st
 from sympy import Matrix
 
 from qtm import intlin
+from dj_oracle import substituted_relations
 from hnf_oracle import hermite_form, hermite_form_with_transform
 from mod2_oracle import f2_in_span
 from smith_oracle import smith_invariant_factors, spans_unit_summand
@@ -345,7 +346,7 @@ def test_unit_pivot_reduce_gets_stuck_without_a_unit():
 
 def test_certified_factors_agree_with_smith_on_random_pairs():
     from qtm.charmat import RowBasisChange, refine, transform
-    from qtm.cohomology import CohomologyError, _certified_quotient_map, presentation_deg4
+    from qtm.cohomology import CohomologyError, _certified_quotient_map
     from qtm.harness import SearchSpec, enumerate_matrices
     from qtm.polytope import cube, polygon, prism
 
@@ -368,16 +369,16 @@ def test_certified_factors_agree_with_smith_on_random_pairs():
                 u[i] = [x + q * y for x, y in zip(u[i], u[j])]
             moved = transform(p, lam, RowBasisChange(tuple(map(tuple, u))))
             rl = refine(p, moved, rng.choice(p.vertices))
-            pres = presentation_deg4(p, rl)
+            gens, relations = substituted_relations(p, rl)
             # the relations alone, and the relations plus each unit row,
             # as greedy_basis stacks them: full rank or not, unit or not
-            ngen = len(pres.generators)
-            stacks = [pres.relations]
+            ngen = len(gens)
+            stacks = [relations]
             for k in range(ngen):
                 unit = [0] * ngen
                 unit[k] = 1
-                stacks.append(pres.relations + [unit])
-                stacks.append(pres.relations + [[2 * x for x in unit]])
+                stacks.append(relations + [unit])
+                stacks.append(relations + [[2 * x for x in unit]])
             for rows in stacks:
                 unit_factors = smith_invariant_factors(rows) == [1] * len(rows)
                 assert certified(rows, ngen) == unit_factors

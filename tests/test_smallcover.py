@@ -26,7 +26,6 @@ from qtm.harness import SearchSpec, enumerate_matrices
 from qtm.polytope import cube, find_isomorphisms, polygon, prism, product, simplex
 from qtm.smallcover import (
     SmallCoverError,
-    degree2_presentation,
     is_orientable,
     is_string_smallcover,
     refine_mod2,
@@ -192,7 +191,7 @@ def test_gf2_functions_read_entries_mod_2():
         if at:
             pairs.append((lam, CharMatrix(lifted, refined_at=at)))
         for base, lift in pairs:
-            for fn in (validate_mod2, is_orientable, is_string_smallcover, degree2_presentation):
+            for fn in (validate_mod2, is_orientable, is_string_smallcover):
                 assert _outcome(fn, p, base) == _outcome(fn, p, lift), fn.__name__
             for v in p.vertices:
                 assert _outcome(refine_mod2, p, base, v) == _outcome(refine_mod2, p, lift, v)
@@ -249,8 +248,10 @@ def test_a_pair_refined_off_the_vertices_is_refined_again():
     lam = CharMatrix([[1, 0, 1, 0, 1, 0], [0, 1, 0, 1, 0, 1]], refined_at=(1, 4))
     assert not p.is_vertex(lam.refined_at)
     assert is_string_smallcover(p, lam) is mod2_oracle.refined_is_string(p, lam) is True
-    gens, _masks, free = degree2_presentation(p, lam)
-    assert free == (3, 4, 5, 6) and len(gens) == 10
+    rl = smallcover._refined(p, lam)
+    assert rl.refined_at == p.vertices[0] == (1, 2)
+    t = relation_template(p, rl.refined_at)
+    assert t.free == (3, 4, 5, 6) and len(t.generators) == 10
 
 
 def test_triangle_is_not_orientable():
@@ -277,24 +278,28 @@ def test_string_verdict_is_move_invariant():
 
 def test_degree2_presentation_consistency():
     # quadrilateral x triangle: 3 free facets give 6 monomials, the two
-    # opposite-side nonfaces give 2 independent relations, and the
-    # quotient dimension 4 matches h_2 (checked internally too)
+    # opposite-side nonfaces each meet the base, so they give 2 live
+    # rows and no dead monomial, and the quotient dimension 4 matches
+    # h_2 (checked when the template is built)
     p = product(polygon(4), polygon(3))
-    gens, masks, free = degree2_presentation(p, QUAD_TRI)
-    assert free == (3, 4, 7)
-    assert len(gens) == 6
-    assert (3, 3) in gens  # squares are retained
-    assert len(masks) == 2
+    t = relation_template(p, QUAD_TRI.refined_at)
+    assert t.free == (3, 4, 7)
+    assert len(t.generators) == 6
+    assert (3, 3) in t.generators  # squares are retained
+    assert t.live == t.generators and len(t.live_terms) == 2
+    assert t.quotient_rank == 4 == p.h_vector()[2]
 
 
 def test_degree2_presentation_keeps_its_checks(monkeypatch):
+    # the string test reaches the presentation only through its checks
     p = product(polygon(4), polygon(3))
     with pytest.raises(CharMatrixError):
-        degree2_presentation(polygon(4), QUAD_TRI)
+        is_string_smallcover(polygon(4), QUAD_TRI)
     # an unrefined matrix is refined at the first vertex first
     unrefined = CharMatrix(QUAD_TRI.rows)
     at_first = refine_mod2(p, QUAD_TRI, p.vertices[0])
-    assert degree2_presentation(p, unrefined) == degree2_presentation(p, at_first)
+    assert smallcover._refined(p, unrefined) == at_first
+    assert smallcover._refined(p, unrefined).refined_at == at_first.refined_at
     # a leaf's verdict reads the polytope's shared relation template and
     # makes one elimination, of its live rows, which both certifies them
     # and reduces the class
@@ -311,7 +316,7 @@ def test_degree2_presentation_keeps_its_checks(monkeypatch):
     assert smallcover._refined_is_string(p, QUAD_TRI)
     assert len(templates) == 1 and templates[0] is t
     assert len(calls) == 1 and len(calls[0]) == len(t.live_terms)
-    # dependent live rows raise, in the presentation and in the verdict
+    # dependent live rows raise, in the core and in the public verdict
     col = [0] + [1] * p.num_facets
     for k, f in enumerate(QUAD_TRI.refined_at):
         col[f] = 1 << k
@@ -321,8 +326,13 @@ def test_degree2_presentation_keeps_its_checks(monkeypatch):
         [[col[f] >> i & 1 for f in range(1, p.num_facets + 1)] for i in range(p.dim)],
         refined_at=QUAD_TRI.refined_at,
     )
+    # such a matrix is singular somewhere, so the public test refuses it
+    # first; past that check its live rows still raise
+    with pytest.raises(SmallCoverError, match="singular"):
+        is_string_smallcover(p, dependent)
+    monkeypatch.setattr(smallcover, "validate_mod2", lambda p, lam: True)
     with pytest.raises(SmallCoverError, match="quotient dimension"):
-        degree2_presentation(p, dependent)
+        is_string_smallcover(p, dependent)
 
 
 # ---------------------------------------------------------------------------
@@ -366,16 +376,40 @@ def test_string_core_matches_the_substitution_builder(name):
     assert stats["candidates"] - stats["string_rejects"] == nstring
 
 
+def _assert_live_rows_match_the_substitution(p, rl):
+    """The template's live rows of rl, packed from its column masks, are
+    the substitution builder's relation masks on the live monomials;
+    each other mask is the unit of a dead monomial."""
+    t = relation_template(p, rl.refined_at)
+    col = smallcover._column_masks(rl)
+    live = [
+        sum(1 << c for j, c in terms if col[j] >> k & 1) for k, terms in t.live_terms
+    ]
+    gens, masks, free = mod2_oracle.degree2_presentation(p, rl)
+    assert (gens, free) == (t.generators, t.free)
+    expected = []
+    for (a, b), mask in zip(p.nonface_pairs(), masks):
+        if a in rl.refined_at or b in rl.refined_at:
+            expected.append(sum(
+                1 << c for g, c in enumerate(t.gen_live) if c is not None and mask >> g & 1
+            ))
+        else:
+            g = t.gen_index[(a, b)]
+            assert mask == 1 << g and t.gen_live[g] is None
+    assert live == expected
+    assert t.gen_live.count(None) == len(masks) - len(live)
+    assert len(smallcover._live_echelon(t, col)) == len(live)
+
+
 @pytest.mark.parametrize("name", ["cube3", "prism5", "polygon6", "D3xD3", "D2xD3"])
 def test_degree2_presentation_matches_the_substitution_builder(name):
     # every valid leaf, refined at every vertex: each base has its own
     # template
     p, leaves = mod2_leaves(name)
     for lam in leaves:
-        assert degree2_presentation(p, lam) == mod2_oracle.degree2_presentation(p, lam)
+        _assert_live_rows_match_the_substitution(p, lam)
         for v in p.vertices[1:]:
-            rl = refine_mod2(p, lam, v)
-            assert degree2_presentation(p, rl) == mod2_oracle.degree2_presentation(p, rl)
+            _assert_live_rows_match_the_substitution(p, refine_mod2(p, lam, v))
 
 
 @functools.cache
@@ -415,8 +449,7 @@ def test_mod2_string_walk_eliminates_once_per_leaf(monkeypatch, ns):
     # become matrices
     p, _blocks = simplex_product(ns)
     echelons, normals, built = [], [], []
-    echelon, normal = intlin._f2_echelon, intlin.f2_normal
-    from_bits = CharMatrix._from_refined_bits.__func__
+    echelon, normal, init = intlin._f2_echelon, intlin.f2_normal, CharMatrix.__init__
     monkeypatch.setattr(
         intlin, "_f2_echelon", lambda masks: echelons.append(1) or echelon(masks)
     )
@@ -425,8 +458,8 @@ def test_mod2_string_walk_eliminates_once_per_leaf(monkeypatch, ns):
     )
     monkeypatch.setattr(
         CharMatrix,
-        "_from_refined_bits",
-        classmethod(lambda cls, rows, at: built.append(rows) or from_bits(cls, rows, at)),
+        "__init__",
+        lambda self, rows, refined_at=None: built.append(rows) or init(self, rows, refined_at),
     )
     survivors, stats = enumerate_matrices(SearchSpec(p, 1, "signs", "string", mod2_only=True))
     assert stats["string_rejects"] > 0

@@ -606,7 +606,8 @@ def test_simplex_structures_are_never_string():
 
 
 def _dense_verdict(p, rl):
-    """p_1 zero in the dense presentation of the refined pair."""
+    """p_1 zero in the presentation over every generator, dead ones
+    included (`presentation_deg4`), for the refined pair."""
     return is_zero_in_h4(presentation_deg4(p, rl), p1_vector(p, rl))
 
 
