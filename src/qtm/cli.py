@@ -27,18 +27,7 @@ from .cohomology import basis_coefficients, p1_vector, presentation_deg4
 from .harness import ResourceCapExceeded, SearchSpec, enumerate_matrices, verify_claim
 from .polytope import PolytopeError, SimplePolytope, cube, polygon, prism, product, q_polytope, simplex
 from .smallcover import _refined, _refined_verdicts, validate_mod2
-from .stringcheck import (
-    _cube_closed_form,
-    _cube_normal_form,
-    _polygon_closed_form,
-    _prism_closed_form,
-    _prism_normal_form,
-    _refined_verdict,
-    _spin,
-    cube_basis,
-    prism_basis,
-    refined_pair,
-)
+from .stringcheck import _closed_form_coefficients, _spin, refined_pair
 from .structure import decompose_cube_connsum, decompose_prism
 
 
@@ -157,48 +146,25 @@ def _cmd_classes(args) -> int:
     return 0
 
 
-def _closed_form_coefficients(p: SimplePolytope, lam: CharMatrix, rl: CharMatrix):
-    """Family-specific p_1 coefficients when the labeling matches one of
-    the shapes with a closed form; None otherwise.
-
-    lam is the matrix as read and rl the same pair refined; refined_pair
-    has validated it, so the closed-form cores do not validate again.
-    """
-    n, m = p.dim, p.num_facets
-    if n == 2 and p.vertices == polygon(m).vertices:
-        _ls, total = _polygon_closed_form(lam)
-        return [{"monomial": [1, 2], "coeff": total}]
-    if n >= 2 and m == 2 * n and p.vertices == cube(n).vertices:
-        c = _cube_closed_form(n, _cube_normal_form(p, n, rl))
-        return [{"monomial": list(b), "coeff": c[b]} for b in cube_basis(n)]
-    if n == 3 and m >= 6 and m % 2 == 0 and p.vertices == prism(m - 2).vertices:
-        k = (m - 2) // 2
-        c = _prism_closed_form(k, _prism_normal_form(p, k, rl))
-        return [{"monomial": list(b), "coeff": c[b]} for b in prism_basis(k)]
-    return None
-
-
 def _cmd_check_string(args) -> int:
-    """A closed-form family takes its verdict from `_refined_verdict`.
-    Any other pair is reduced once, by `presentation_deg4`, and its
-    verdict read off the coefficients: p_1 is zero in degree 4 exactly
-    when its coordinates in a basis of the free quotient all vanish."""
+    """The coefficients of p_1 come from a closed form when the pair is
+    in a family that has one; any other pair is reduced once, by
+    `presentation_deg4`.  Either way they are coordinates, up to sign,
+    in a basis of the free degree-4 quotient, so p_1 is zero exactly
+    when they all vanish, and that decides the verdict."""
     p = _load_polytope(args.polytope)
     lam = _load_matrix(args.matrix)
     rl = refined_pair(p, lam)
-    closed = _closed_form_coefficients(p, lam, rl)
-    if closed is not None:
-        _rl, spin, string = _refined_verdict(p, rl)
-        method, coefficients = "closed-form", closed
-    else:
-        spin = _spin(p, rl)
+    method, coefficients = "closed-form", _closed_form_coefficients(p, lam, rl)
+    if coefficients is None:
         pres = presentation_deg4(p, rl)
         basis, coeffs = basis_coefficients(pres, p1_vector(p, rl))
-        string = spin and not any(coeffs)
         method = "general"
         coefficients = [
             {"monomial": list(b), "coeff": c} for b, c in zip(basis, coeffs)
         ]
+    spin = _spin(p, rl)
+    string = spin and not any(c["coeff"] for c in coefficients)
     out = {
         "spin": spin,
         "string": string,

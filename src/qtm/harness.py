@@ -84,7 +84,11 @@ so a negative campaign only ever says "none with entries up to B".
 `verify_claim` packages the named campaigns used by the test suite and
 the command line: each claim re-checks its witnesses through the core
 modules and reports verified / counterexample / resource-capped with
-reproducible statistics.
+reproducible statistics.  Every claim that searches hands the node and
+time caps to its search, and a NaN time cap is refused for every claim
+by the check `SearchSpec` uses.  The claims that check each survivor of
+a search share one driver, `_search_campaign`: such a claim is verified
+exactly when no survivor yields a counterexample record.
 """
 
 from __future__ import annotations
@@ -99,7 +103,7 @@ from dataclasses import dataclass, field
 from . import __version__, intlin
 from .charmat import CharMatrix, canonical_key
 from .cohomology import p1_vanishes, relation_template
-from .polytope import SimplePolytope, connected_sum, cube, polygon, prism, product
+from .polytope import SimplePolytope, connected_sum, cube, key_obstruction, polygon, prism, product
 from .smallcover import (
     _w2_vanishes,
     simplex_product,
@@ -138,6 +142,12 @@ class ResourceCapExceeded(RuntimeError):
         self.stats = stats
 
 
+def _check_max_seconds(max_seconds: float) -> None:
+    if math.isnan(max_seconds):
+        # every comparison with NaN is false, so the time cap never fires
+        raise HarnessError("max_seconds must be a number, got NaN")
+
+
 @dataclass(frozen=True)
 class SearchSpec:
     """What to enumerate: polytope, entry bound, dedup group, filter.
@@ -164,9 +174,7 @@ class SearchSpec:
                 raise HarnessError(f"mod-2 enumeration takes bound 1 only, got {self.bound}")
         elif self.bound < 1:
             raise HarnessError("entry bound must be at least 1")
-        if math.isnan(self.max_seconds):
-            # every comparison with NaN is false, so the time cap never fires
-            raise HarnessError("max_seconds must be a number, got NaN")
+        _check_max_seconds(self.max_seconds)
         if self.filter not in ("valid", "spin", "string"):
             raise HarnessError(f"unknown filter {self.filter!r}")
         if self.dedup not in ("signs", "signs+automorphisms"):
@@ -434,6 +442,17 @@ class ClaimReport:
         }
 
 
+def _search_campaign(spec: SearchSpec, witness):
+    """Run spec's search and check every survivor: witness(lam) returns
+    a counterexample record for lam, or None when lam bears the claim
+    out.  The claim is verified exactly when no survivor gives a
+    record; stats["checked"] counts the survivors checked."""
+    survivors, stats = enumerate_matrices(spec)
+    witnesses = [w for w in map(witness, survivors) if w is not None]
+    stats["checked"] = len(survivors)
+    return ("verified" if not witnesses else "counterexample"), stats, witnesses
+
+
 def _claim_odd_gon_not_spin(params, caps):
     m = int(params.get("m", 5))
     bound = int(params.get("bound", 3))
@@ -444,10 +463,7 @@ def _claim_odd_gon_not_spin(params, caps):
     survivors, stats = enumerate_matrices(spec)
     # anything the column-parity filter lets through gets a second
     # opinion from the characteristic-class engine
-    witnesses = [
-        {"rows": [list(r) for r in lam.rows], "spin": is_spin(p, lam)}
-        for lam in survivors
-    ]
+    witnesses = [{**lam.to_dict(), "spin": is_spin(p, lam)} for lam in survivors]
     verdict = "verified" if not survivors else "counterexample"
     return verdict, stats, witnesses
 
@@ -456,59 +472,39 @@ def _claim_polygon_parity(params, caps):
     m = int(params.get("m", 4))
     bound = int(params.get("bound", 3))
     p = polygon(m)
-    spec = SearchSpec(p, bound, "signs", "valid", **caps)
-    survivors, stats = enumerate_matrices(spec)
-    witnesses = []
-    for lam in survivors:
-        engine = is_string(p, lam)
-        parity = polygon_parity_criterion(lam)
-        if engine != parity:
-            witnesses.append(
-                {
-                    "rows": [list(r) for r in lam.rows],
-                    "engine": engine,
-                    "parity": parity,
-                }
-            )
-    stats["checked"] = len(survivors)
-    verdict = "verified" if not witnesses else "counterexample"
-    return verdict, stats, witnesses
+
+    def witness(lam):
+        engine, parity = is_string(p, lam), polygon_parity_criterion(lam)
+        if engine == parity:
+            return None
+        return {**lam.to_dict(), "engine": engine, "parity": parity}
+
+    return _search_campaign(SearchSpec(p, bound, "signs", "valid", **caps), witness)
 
 
 def _claim_polygon_bordism_parity(params, caps):
     m = int(params.get("m", 4))
     bound = int(params.get("bound", 3))
-    p = polygon(m)
-    spec = SearchSpec(p, bound, "signs", "valid", **caps)
-    survivors, stats = enumerate_matrices(spec)
-    witnesses = []
-    for lam in survivors:
+
+    def witness(lam):
         _ls, total = polygon_closed_form(lam)
-        if total % 2 != m % 2:
-            witnesses.append(
-                {"rows": [list(r) for r in lam.rows], "total": total}
-            )
-    stats["checked"] = len(survivors)
-    verdict = "verified" if not witnesses else "counterexample"
-    return verdict, stats, witnesses
+        return None if total % 2 == m % 2 else {**lam.to_dict(), "total": total}
+
+    spec = SearchSpec(polygon(m), bound, "signs", "valid", **caps)
+    return _search_campaign(spec, witness)
 
 
 def _claim_cube_string_is_bott(params, caps):
     n = int(params.get("n", 3))
     bound = int(params.get("bound", 2))
-    p = cube(n)
-    spec = SearchSpec(p, bound, "signs", "string", **caps)
-    survivors, stats = enumerate_matrices(spec)
-    witnesses = []
-    for lam in survivors:
+
+    def witness(lam):
         form = bott_triangularize(n, lam)
-        if form.verdict != "triangular":
-            witnesses.append(
-                {"rows": [list(r) for r in lam.rows], "witness": form.witness}
-            )
-    stats["checked"] = len(survivors)
-    verdict = "verified" if not witnesses else "counterexample"
-    return verdict, stats, witnesses
+        if form.verdict == "triangular":
+            return None
+        return {**lam.to_dict(), "witness": form.witness}
+
+    return _search_campaign(SearchSpec(cube(n), bound, "signs", "string", **caps), witness)
 
 
 def _claim_cyclic_identities(params, caps):
@@ -537,10 +533,8 @@ def _claim_prism_decompose(params, caps):
     if k < 2:
         raise HarnessError("prism decomposition campaign needs k >= 2")
     p = prism(2 * k)
-    spec = SearchSpec(p, bound, "signs", "string", **caps)
-    survivors, stats = enumerate_matrices(spec)
-    witnesses = []
-    for lam in survivors:
+
+    def witness(lam):
         # a string-walk survivor is valid and string: hand both over
         rep = _decompose_prism(p, k, lam, string=True)
         ok = (
@@ -548,33 +542,21 @@ def _claim_prism_decompose(params, caps):
             and all(piece.string for piece in rep.pieces)
             and all(step["verified"] for step in rep.reassembly)
         )
-        if not ok:
-            witnesses.append(
-                {"rows": [list(r) for r in lam.rows], "verdict": rep.verdict}
-            )
-    stats["checked"] = len(survivors)
-    verdict = "verified" if not witnesses else "counterexample"
-    return verdict, stats, witnesses
+        return None if ok else {**lam.to_dict(), "verdict": rep.verdict}
+
+    return _search_campaign(SearchSpec(p, bound, "signs", "string", **caps), witness)
 
 
 def _claim_cube_connsum(params, caps):
     bound = int(params.get("bound", 1))
     p, _, _ = connected_sum(cube(3), (4, 5, 6), cube(3), (1, 2, 3))
-    spec = SearchSpec(p, bound, "signs", "string", **caps)
-    survivors, stats = enumerate_matrices(spec)
-    witnesses = []
-    for lam in survivors:
+
+    def witness(lam):
         rep = _decompose_cube_connsum(p, lam, string=True)
-        ok = rep.verdict == "decomposed" and all(
-            piece.string for piece in rep.pieces
-        )
-        if not ok:
-            witnesses.append(
-                {"rows": [list(r) for r in lam.rows], "verdict": rep.verdict}
-            )
-    stats["checked"] = len(survivors)
-    verdict = "verified" if not witnesses else "counterexample"
-    return verdict, stats, witnesses
+        ok = rep.verdict == "decomposed" and all(piece.string for piece in rep.pieces)
+        return None if ok else {**lam.to_dict(), "verdict": rep.verdict}
+
+    return _search_campaign(SearchSpec(p, bound, "signs", "string", **caps), witness)
 
 
 def _claim_c5xc5_not_spin(params, caps):
@@ -587,8 +569,6 @@ def _claim_c5xc5_not_spin(params, caps):
 
 
 def _claim_product_simplices_obstruction(params, caps):
-    from .polytope import key_obstruction
-
     ns = tuple(int(x) for x in params.get("ns", (2,)))
     if not ns or not any(x >= 2 for x in ns):
         raise HarnessError("claim needs some factor of dimension >= 2")
@@ -607,7 +587,7 @@ def _claim_product_simplices_obstruction(params, caps):
 def _claim_smallcover_simplex_products(params, caps):
     ns = tuple(int(x) for x in params.get("ns", (3,)))
     try:
-        found = verify_simplex_product_criterion(ns)
+        found = verify_simplex_product_criterion(ns, **caps)
     except SmallCoverError as exc:
         if "contradicts" in str(exc):
             return "counterexample", {"ns": list(ns)}, [{"error": str(exc)}]
@@ -647,7 +627,7 @@ def verify_claim(
     the partial statistics; parameters are echoed back so reports are
     self-describing and reruns reproducible.  A parameter the claim does
     not read is refused before anything runs, so that a report never
-    echoes one that played no part in it.
+    echoes one that played no part in it; so is a NaN max_seconds.
     """
     if claim_id not in _CLAIMS:
         raise HarnessError(
@@ -661,6 +641,7 @@ def verify_claim(
             f"claim {claim_id!r} does not read {', '.join(map(repr, unread))}; "
             f"it reads: {', '.join(reads) or 'no parameter'}"
         )
+    _check_max_seconds(max_seconds)
     caps = {"max_nodes": max_nodes, "max_seconds": max_seconds}
     try:
         verdict, stats, witnesses = campaign(params, caps)

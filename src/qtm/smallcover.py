@@ -42,7 +42,8 @@ refine their input; their private cores take a pair that is already
 valid and refined, and the mod-2 search hands `_w2_vanishes` its
 column masks, building a matrix only for a survivor.  The
 simplex-product criterion is decided by that search, string filter
-on, and then checked against its closed form.
+on, under the node and time caps its caller passes, and then checked
+against its closed form.
 """
 
 from __future__ import annotations
@@ -212,20 +213,28 @@ def simplex_product(ns) -> tuple[SimplePolytope, tuple]:
     return poly, tuple(blocks)
 
 
-def verify_simplex_product_criterion(ns, cap: int = 7) -> bool:
+# the largest sum of factor dimensions the criterion searches over
+_ENUMERATION_CAP = 7
+
+
+def verify_simplex_product_criterion(
+    ns, *, max_nodes: int = 10**9, max_seconds: float = 3600.0
+) -> bool:
     """Does a string small cover exist over the product of these simplices?
 
-    All factor dimensions must be at least 2.  The answer comes from
-    the pruned mod-2 search with the string filter: it walks every
-    GF(2) matrix refined at the product's first vertex, cutting a
-    branch at the first singular vertex or even column sum.  That is
-    exhaustive: every small cover can be row-reduced to the identity
-    at that vertex, row operations leave the string verdict unchanged,
-    and an even column sum means non-orientable, hence not string.
-    The outcome is checked against the closed form -- existence iff
-    every dimension is odd and some dimension is 3 mod 4 -- and a
-    disagreement raises, since it would falsify that criterion rather
-    than being a soft result.
+    All factor dimensions must be at least 2, and their sum at most 7.
+    The answer comes from the pruned mod-2 search with the string
+    filter: it walks every GF(2) matrix refined at the product's first
+    vertex, cutting a branch at the first singular vertex or even
+    column sum.  That is exhaustive: every small cover can be
+    row-reduced to the identity at that vertex, row operations leave
+    the string verdict unchanged, and an even column sum means
+    non-orientable, hence not string.  The outcome is checked against
+    the closed form -- existence iff every dimension is odd and some
+    dimension is 3 mod 4 -- and a disagreement raises, since it would
+    falsify that criterion rather than being a soft result.  The search
+    takes the node and time caps of `harness.SearchSpec`, and raises
+    `harness.ResourceCapExceeded` when it hits one.
     """
     from .harness import SearchSpec, enumerate_matrices
 
@@ -233,14 +242,16 @@ def verify_simplex_product_criterion(ns, cap: int = 7) -> bool:
     if not ns or any(n < 2 for n in ns):
         raise SmallCoverError("criterion needs every factor dimension >= 2")
     total = sum(ns)
-    if total > cap:
+    if total > _ENUMERATION_CAP:
         raise SmallCoverError(
-            f"sum of dimensions {total} exceeds the enumeration cap {cap}"
+            f"sum of dimensions {total} exceeds the enumeration cap {_ENUMERATION_CAP}"
         )
     poly, _blocks = simplex_product(ns)
-    survivors, _stats = enumerate_matrices(
-        SearchSpec(poly, 1, "signs", "string", mod2_only=True)
+    spec = SearchSpec(
+        poly, 1, "signs", "string", mod2_only=True,
+        max_nodes=max_nodes, max_seconds=max_seconds,
     )
+    survivors, _stats = enumerate_matrices(spec)
     found = bool(survivors)
     expected = all(x % 2 == 1 for x in ns) and any(x % 4 == 3 for x in ns)
     if found != expected:

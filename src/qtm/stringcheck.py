@@ -17,9 +17,9 @@ builds no presentation.  When coefficients are wanted,
 `presentation_deg4` certifies its quotient map on the same live rows,
 and the coefficients of p_1 in a basis of the free quotient decide the
 verdict as well: p_1 is zero exactly when they all vanish.  So
-`check-string` reduces the live rows once per request, either here for
-a family with a closed form or in `presentation_deg4` for any other
-pair.
+`check-string` decides each verdict once, from its coefficients: a
+family with a closed form (`_closed_form_coefficients`) reduces no
+live row, and any other pair is reduced once, in `presentation_deg4`.
 
 For the recurring families (polygon, prism over an even polygon, cube,
 pentagon prism C2(5) x I^(n-2), Q prism Q x I^(n-3)) the p_1
@@ -29,7 +29,7 @@ normalization up front so it cannot be applied to a mislabeled
 polytope; the general engine stays the source of truth and the test
 suite pins every family against it.  The polygon, prism and cube forms
 have private cores that skip the validation, for pairs the caller has
-already validated (check-string, after refined_pair).
+already validated (`_closed_form_coefficients`, after refined_pair).
 """
 
 from __future__ import annotations
@@ -356,6 +356,34 @@ def cube_basis(n: int) -> tuple:
         for i in range(n + 1, 2 * n + 1)
         for j in range(i + 1, 2 * n + 1)
     )
+
+
+# ---------------------------------------------------------------------------
+# the families check-string recognizes
+
+
+def _closed_form_coefficients(p: SimplePolytope, lam: CharMatrix, rl: CharMatrix):
+    """Family-specific p_1 coefficients when the labeling matches one of
+    the shapes with a closed form; None otherwise.
+
+    lam is the matrix as read and rl the same pair refined by
+    `refined_pair`, which has validated it, so the closed-form cores do
+    not validate again.  The coefficients are coordinates of p_1, up to
+    sign, in a basis of the free degree-4 quotient: p_1 is zero exactly
+    when they all vanish.
+    """
+    n, m = p.dim, p.num_facets
+    if n == 2 and p.vertices == polygon(m).vertices:
+        _ls, total = _polygon_closed_form(lam)
+        return [{"monomial": [1, 2], "coeff": total}]
+    if n >= 2 and m == 2 * n and p.vertices == cube(n).vertices:
+        c = _cube_closed_form(n, _cube_normal_form(p, n, rl))
+        return [{"monomial": list(b), "coeff": c[b]} for b in cube_basis(n)]
+    if n == 3 and m >= 6 and m % 2 == 0 and p.vertices == prism(m - 2).vertices:
+        k = (m - 2) // 2
+        c = _prism_closed_form(k, _prism_normal_form(p, k, rl))
+        return [{"monomial": list(b), "coeff": c[b]} for b in prism_basis(k)]
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -511,6 +511,30 @@ def test_verify_resource_cap_exits_3(tmp_path, capsys):
     assert {"lex_prunes", "parity_prunes"} <= set(d["statistics"])
 
 
+def test_verify_smallcover_claim_exits_3_at_its_node_cap(capsys):
+    # the claim ran its search uncapped and reported "verified"
+    code, d = _run(
+        capsys,
+        ["verify", "smallcover-simplex-products", "--ns", "2,3", "--max-nodes", "1"],
+    )
+    assert code == 3
+    assert d["verdict"] == "resource-capped"
+    assert d["statistics"]["nodes"] == 2
+
+
+@pytest.mark.parametrize(
+    "claim", ["cyclic-identities", "product-simplices-obstruction", "smallcover-simplex-products"]
+)
+def test_verify_refuses_nan_seconds(capsys, claim):
+    # these claims exited 0: the first two run no search, the third ran
+    # its search without the caps
+    assert main(["verify", claim, "--max-seconds", "nan"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "NaN" in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_verify_unknown_claim_exits_2(capsys):
     assert main(["verify", "no-such-claim"]) == 2
     capsys.readouterr()

@@ -554,6 +554,50 @@ def test_claim_resource_cap_gives_capped_verdict():
     assert rep.statistics["nodes"] > 50
 
 
+# every claim that runs a search, each with its default parameters
+SEARCH_CLAIMS = sorted(set(CLAIM_IDS) - {"cyclic-identities", "product-simplices-obstruction"})
+
+
+@pytest.mark.parametrize("claim", SEARCH_CLAIMS)
+def test_every_search_claim_passes_its_caps_to_the_search(claim):
+    # the walk counts a node before it checks the cap, so it stops at 2
+    rep = verify_claim(claim, max_nodes=1)
+    assert rep.verdict == "resource-capped"
+    assert rep.witnesses == []
+    assert rep.statistics["nodes"] == 2
+
+
+@pytest.mark.parametrize("claim", CLAIM_IDS)
+def test_every_claim_refuses_nan_seconds_before_it_runs(monkeypatch, claim):
+    def no_search(*args, **kwargs):
+        raise AssertionError("a search started")
+
+    for name in ("enumerate_matrices", "cyclic_identities", "key_obstruction",
+                 "verify_simplex_product_criterion"):
+        monkeypatch.setattr(harness, name, no_search)
+    with pytest.raises(HarnessError, match="max_seconds must be a number, got NaN"):
+        verify_claim(claim, max_seconds=float("nan"))
+
+
+def test_search_claim_reports_every_survivor_that_gives_a_witness(monkeypatch):
+    # a parity criterion that always disagrees with the engine turns
+    # every checked survivor into a counterexample record
+    real = harness.polygon_parity_criterion
+    monkeypatch.setattr(harness, "polygon_parity_criterion", lambda lam: not real(lam))
+    rep = verify_claim("polygon-parity", {"m": 4, "bound": 2})
+    assert rep.verdict == "counterexample"
+    assert rep.statistics["checked"] == SQUARE_B2_VALID_CLASSES
+    survivors, _stats = enumerate_matrices(SearchSpec(polygon(4), 2, "signs", "valid"))
+    assert rep.witnesses == [
+        {
+            "rows": [list(r) for r in lam.rows],
+            "engine": is_string(polygon(4), lam),
+            "parity": not real(lam),
+        }
+        for lam in survivors
+    ]
+
+
 def test_claim_report_serializes_to_json():
     rep = verify_claim("polygon-parity", {"m": 3, "bound": 1})
     d = rep.to_dict()

@@ -154,12 +154,15 @@ def test_general_path_reduces_the_live_rows_once(tmp_path, monkeypatch, label):
 
 
 @pytest.mark.parametrize("label", ["cube3-b1-string#0", "prism4-b1-string#0", "hex-prism"])
-def test_closed_form_path_decides_by_p1_vanishes(tmp_path, monkeypatch, label):
-    # spin pairs, so the verdict reaches p1_vanishes
-    _code, reply, calls = _counted_request(tmp_path, monkeypatch, label)
+def test_closed_form_path_reduces_no_live_rows(tmp_path, monkeypatch, label):
+    # spin pairs, so only p_1 is left to decide: the printed
+    # coefficients decide it, with no reduction of the live rows
+    code, reply, calls = _counted_request(tmp_path, monkeypatch, label)
     assert reply["method"] == "closed-form"
     assert reply["spin"]
-    assert calls["p1_vanishes"] == 1
+    assert reply["string"] == (not any(c["coeff"] for c in reply["coefficients"]))
+    assert code == (0 if reply["string"] else 1)
+    assert calls == {"unit_pivot_reduce": 0, "p1_vanishes": 0, "_transposed_quotient_map": 0}
 
 
 # sha256 of [exit code, stdout] over the stuck polygon(7) requests, in

@@ -537,6 +537,8 @@ def test_simplex_product_criterion_input_checks():
         verify_simplex_product_criterion((1, 3))
     with pytest.raises(SmallCoverError):
         verify_simplex_product_criterion((3, 5))
+    with pytest.raises(SmallCoverError, match="sum of dimensions 8 exceeds the enumeration cap 7"):
+        verify_simplex_product_criterion((4, 4))
     with pytest.raises(SmallCoverError):
         verify_simplex_product_criterion(())
 
