@@ -17,7 +17,9 @@ when the columns of v form the identity in sorted-v order; `refine`
 produces that form for any vertex.  `validate` reads a refined matrix
 through that identity block: a vertex determinant there is, up to sign,
 a minor at most as wide as the number of facets the vertex does not
-share with the refining vertex.
+share with the refining vertex.  This module computes no normal form
+of a class: the search tells classes apart by its own walk form, the
+orbit leaders of `harness`.
 """
 
 from __future__ import annotations
@@ -263,93 +265,7 @@ def _normalizing_moves(p: SimplePolytope, lam: CharMatrix, vertex, units, error)
 
 
 # ---------------------------------------------------------------------------
-# canonical keys and weights
-
-
-def canonical_key(p: SimplePolytope, lam: CharMatrix, group: str = "signs") -> bytes:
-    """Deduplication key, equal exactly on orbits of the chosen group.
-
-    Both variants first re-refine at the polytope's first vertex v0,
-    which quotients out the row basis freedom.  A sign flip of an
-    identity column reappears as a row flip after refinement, so the key
-    minimizes over row sign patterns s with every column normalized to
-    first-nonzero-positive.  Negating every row leaves each normalized
-    column unchanged, so only the patterns with s_0 = +1 are tried.
-    `signs+automorphisms` additionally minimizes over facet relabelings
-    perm.  The relabeled matrix refined at v0 is lam refined at the
-    source vertex w = perm^-1(v0), with its columns relabeled by perm
-    and its rows reordered to follow v0; so `refine` runs once per
-    source vertex, not once per automorphism.
-    """
-    if group not in ("signs", "signs+automorphisms"):
-        raise CharMatrixError(f"unknown group {group!r}")
-    v0 = p.vertices[0]
-    n, m = lam.n, lam.m
-    perms = [tuple(range(m + 1))]
-    if group == "signs+automorphisms":
-        perms = p.automorphisms()
-    refined: dict[tuple, tuple] = {}  # source vertex -> lam refined there
-    best = None
-    for perm in perms:
-        inv = [0] * (m + 1)
-        for f in range(1, m + 1):
-            inv[perm[f]] = f
-        w = tuple(sorted(inv[f] for f in v0))
-        # row k of the relabeled refined matrix is the row of identity
-        # column inv[v0[k]], i.e. row w.index(inv[v0[k]]) of lam refined at w
-        order = tuple(w.index(inv[f]) for f in v0)
-        rows = refined.get(w)
-        if rows is None:
-            rows = refined[w] = refine(p, lam, w).rows
-        cols, firsts = _normalized_columns(rows, order)
-        best = _least_sign_pattern(
-            [cols[inv[c] - 1] for c in range(1, m + 1)],
-            [firsts[inv[c] - 1] for c in range(1, m + 1)],
-            n,
-            best,
-        )
-    return repr((p.dim, p.num_facets, best)).encode()
-
-
-def _normalized_columns(rows, order) -> tuple[list, list]:
-    """Columns of rows taken in the given row order, each flipped so its
-    first nonzero entry is positive, and the index of that entry."""
-    cols, firsts = [], []
-    for col in zip(*(rows[i] for i in order)):
-        f = next((i for i, x in enumerate(col) if x), 0)
-        firsts.append(f)
-        cols.append(col if col[f] >= 0 else tuple(-x for x in col))
-    return cols, firsts
-
-
-def _least_sign_pattern(cols, firsts, n: int, best):
-    """The least of best and the row-major matrices over row sign
-    patterns s with s_0 = +1; best may be None.
-
-    Column c under s is s_i * s_f * cols[c][i], f = firsts[c] its first
-    nonzero row: the column with rows flipped by s, normalized again to
-    first-nonzero-positive.  An identity column e_k stays e_k.  A
-    candidate is dropped at its first row above best's.
-    """
-    rows = list(zip(*cols))
-    for pattern in range(0, 1 << n, 2):
-        s = [-1 if pattern >> i & 1 else 1 for i in range(n)]
-        sf = [s[f] for f in firsts]
-        key = []
-        tied = best is not None
-        for i, row in enumerate(rows):
-            if pattern:
-                si = s[i]
-                row = tuple([si * t * x for t, x in zip(sf, row)])
-            if tied and row != best[i]:
-                if row > best[i]:
-                    break
-                tied = False
-            key.append(row)
-        else:
-            if not tied:
-                best = tuple(key)
-    return best
+# weights
 
 
 def weights_at_vertex(p: SimplePolytope, lam: CharMatrix, v) -> list[list[int]]:

@@ -56,17 +56,38 @@ reached is thus the lex-least member of its sign orbit (a lex leader),
 and the first leaf of a class in walk order is exactly that member, so
 it is never pruned: the survivors, their order and their rows stay
 those of the unrestricted walk.  Under `signs` every leaf reached is
-its own class, so no canonical key is computed and nothing is
-remembered.  Under `signs+automorphisms` the leaves are deduplicated
-by canonical key, in first-encounter order, and every key is
-remembered whether its leaf passes the string test or not: being
-string is an invariant of the class, so no class is tested twice.
+its own class, so nothing is remembered.
+
+Under `signs+automorphisms` a class is remembered by its orbit
+leaders.  When a leaf L opens a new class, each automorphism sigma of
+the polytope gives the pair sigma(L); its walk form is its free-column
+sequence refined at the base vertex, each free column flipped to first
+nonzero entry negative, least over the row sign patterns above
+(`_orbit_leaders`, one `refine` per source vertex).  Every walk form
+goes into `seen`, and a later leaf is one set lookup of its own free
+columns.  This drops exactly the leaves of earlier classes.  A later
+leaf L' of the class of L is g.L, with g a row basis change, column
+sign flips and an automorphism sigma.  A row basis change between two
+pairs refined at the base maps the identity block to a signed identity
+block, so it is a row sign pattern; g.L and sigma(L) thus differ by a
+row sign pattern and column flips, and have the same walk form.  L' is
+refined at the base, its free columns have first nonzero entry
+negative, and it is the lex leader of its sign orbit, so it is its own
+walk form: L' equals the walk form of sigma(L), which is in `seen`.
+Conversely every sequence in `seen` is the free columns of a pair in
+an earlier class, so no leaf of a new class is dropped.
+The walk and its order do not change, so the first leaf of each class
+is still the one emitted, in first-encounter order.  The leaders go
+into `seen` before the string test, so a string-rejected class is
+remembered too: being string is an invariant of the class, so no class
+is tested twice.
+
 The string test at a leaf reads p_1 off the leaf's columns through the
 polytope's relation template at the base vertex
 (`cohomology.p1_vanishes`): the walk has already checked every vertex,
 and the parity filter has made every column sum odd, so the leaf is
-spin.  A `CharMatrix` is built only for a leaf that needs a canonical
-key or survives.
+spin.  A `CharMatrix` is built only for a leaf that opens a class
+under automorphisms or survives.
 
 The mod-2 walk has no residual symmetry to break (over GF(2) a sign
 flip is trivial), so its table marks no pattern.  It keeps one bitmask
@@ -101,7 +122,7 @@ import time
 from dataclasses import dataclass, field
 
 from . import __version__, intlin
-from .charmat import CharMatrix, canonical_key
+from .charmat import CharMatrix, refine
 from .cohomology import p1_vanishes, relation_template
 from .polytope import SimplePolytope, connected_sum, cube, key_obstruction, polygon, prism, product
 from .smallcover import (
@@ -199,32 +220,83 @@ def _completion_schedule(p: SimplePolytope, base, free):
     return schedule
 
 
+def _sign_patterns(n: int) -> list[list[int]]:
+    """The row sign patterns s with s_0 = +1, the identity first.
+
+    Under s a column x whose first nonzero entry sits in row f maps to
+    s_f * (s o x) (`_sign_image`), which keeps the first nonzero entry's
+    sign; negating every row fixes every column, so these patterns are
+    the whole sign group on the walk's columns.
+    """
+    return [[-1 if pattern >> i & 1 else 1 for i in range(n)] for pattern in range(0, 1 << n, 2)]
+
+
+def _sign_image(s, x, f: int) -> tuple:
+    """Column x, first nonzero entry in row f, under row sign pattern s."""
+    sf = s[f]
+    return tuple([sf * si * t for si, t in zip(s, x)])
+
+
 def _lex_table(values, n: int):
     """The mask of every pattern, and (value, below, equal) for each
     integer column value.
 
-    Bit k of a mask stands for the k-th nontrivial row sign pattern s
-    with s_0 = +1.  Under s a column x whose first nonzero entry sits in
-    row f maps to s_f * (s o x), which again has its first nonzero entry
-    negative; `below` marks the patterns whose image of x is
+    Bit k of a mask stands for the k-th nontrivial pattern of
+    `_sign_patterns`; `below` marks the patterns whose image of x is
     lexicographically smaller than x, `equal` those that fix x.
     """
-    patterns = [
-        [-1 if pattern >> i & 1 else 1 for i in range(n)]
-        for pattern in range(2, 1 << n, 2)
-    ]
+    patterns = _sign_patterns(n)[1:]
     table = []
     for x in values:
         f = next(i for i, t in enumerate(x) if t)
         below = equal = 0
         for k, s in enumerate(patterns):
-            image = tuple(s[f] * si * t for si, t in zip(s, x))
+            image = _sign_image(s, x, f)
             if image < x:
                 below |= 1 << k
             elif image == x:
                 equal |= 1 << k
         table.append((x, below, equal))
     return (1 << len(patterns)) - 1, table
+
+
+def _orbit_leaders(p: SimplePolytope, lam: CharMatrix, automorphisms) -> set:
+    """The walk form of every automorphism image of lam, a pair refined
+    at p's first vertex: each image's free-column sequence, refined at
+    that vertex, every column with its first nonzero entry negative,
+    least over the row sign patterns.
+
+    The image under perm refined at the base is lam refined at the
+    source vertex w = perm^-1(base), with its columns relabelled by perm
+    and its rows reordered to follow the base; so `refine` runs once
+    per source vertex, not once per automorphism.
+    """
+    base = p.vertices[0]
+    m = p.num_facets
+    free = [f for f in range(1, m + 1) if f not in base]
+    patterns = _sign_patterns(p.dim)
+    columns: dict[tuple, list] = {}  # source vertex -> lam's columns refined there
+    leaders = set()
+    for perm in automorphisms:
+        inv = [0] * (m + 1)
+        for f in range(1, m + 1):
+            inv[perm[f]] = f
+        w = tuple(sorted(inv[f] for f in base))
+        cols = columns.get(w)
+        if cols is None:
+            cols = columns[w] = list(zip(*refine(p, lam, w).rows))
+        # row k of the image is the row of identity column inv[base[k]]
+        order = [w.index(inv[f]) for f in base]
+        xs = []
+        for f in free:
+            c = cols[inv[f] - 1]
+            x = [c[i] for i in order]
+            first = next(i for i, t in enumerate(x) if t)
+            if x[first] > 0:
+                x = [-t for t in x]
+            xs.append((x, first))
+        leaders.add(min(tuple(_sign_image(s, x, first) for x, first in xs) for s in patterns))
+    return leaders
 
 
 def enumerate_matrices(spec: SearchSpec):
@@ -247,6 +319,9 @@ def enumerate_matrices(spec: SearchSpec):
     free = tuple(f for f in range(1, m + 1) if f not in set(base))
     schedule = _completion_schedule(p, base, free)
     mod2 = spec.mod2_only
+    # fetched before the walk, so a polytope too large for the
+    # automorphism search is refused before any node is visited
+    automorphisms = p.automorphisms() if spec.dedup == "signs+automorphisms" else None
     if mod2:
         values = list(itertools.product((0, 1), repeat=n))
     else:
@@ -355,13 +430,12 @@ def enumerate_matrices(spec: SearchSpec):
             # the parity filter made every column sum odd, so a
             # string-walk leaf is spin; only p_1 is left to decide
             lam = None
-            if spec.dedup == "signs+automorphisms":
-                lam = CharMatrix(list(zip(*col[1:])), refined_at=base)
-                key = canonical_key(p, lam, group=spec.dedup)
-                if key in seen:
+            if automorphisms is not None:
+                if tuple(map(col.__getitem__, free)) in seen:
                     stats["dedup_hits"] += 1
                     return
-                seen.add(key)
+                lam = CharMatrix(list(zip(*col[1:])), refined_at=base)
+                seen.update(_orbit_leaders(p, lam, automorphisms))
             if spec.filter == "string" and not p1_vanishes(template, col):
                 reject()
                 return

@@ -1,4 +1,5 @@
-"""Tests for characteristic matrix validation, refinement, and keys."""
+"""Tests for characteristic matrix validation, refinement, and the
+search's orbit leaders, checked against the canonical-key oracle."""
 
 import functools
 import itertools
@@ -15,14 +16,14 @@ from qtm.charmat import (
     FacetPermutation,
     RowBasisChange,
     _moved,
-    canonical_key,
     refine,
     transform,
     validate,
     weights_at_vertex,
 )
-from qtm.harness import SearchSpec, enumerate_matrices
+from qtm.harness import SearchSpec, _orbit_leaders, enumerate_matrices
 from qtm.polytope import cube, polygon, prism, product, q_polytope, simplex
+from key_oracle import canonical_key
 
 # standard valid pairs used throughout
 TRIANGLE = simplex(2)
@@ -276,51 +277,29 @@ def test_serialization():
 
 
 # ---------------------------------------------------------------------------
-# the key as it was computed before: refine once per automorphism and try
-# all 2^n row sign patterns; the current key must give the same bytes
+# the search's orbit leaders against the oracle key: a pair moved by any
+# equivalence lands in its class's leader set, and the leader sets of two
+# classes never meet
 
 
-def _reference_sign_normalized(rows, skip_cols):
-    n, m = len(rows), len(rows[0])
-    out = [list(r) for r in rows]
-    for c in range(m):
-        if c in skip_cols:
-            continue
-        for i in range(n):
-            if out[i][c]:
-                if out[i][c] < 0:
-                    for k in range(n):
-                        out[k][c] = -out[k][c]
-                break
-    return tuple(tuple(r) for r in out)
-
-
-def _reference_key(p, lam, group):
-    v0 = p.vertices[0]
-    skip = {j - 1 for j in v0}
-    perms = [None]
-    if group == "signs+automorphisms":
-        perms = p.automorphisms()
+def walk_form(p, lam):
+    """The free-column sequence of lam refined at p's first vertex, each
+    column flipped to first nonzero entry negative, least over all 2^n
+    row sign patterns."""
+    base = p.vertices[0]
+    rows = refine(p, lam, base).rows
+    free = [f for f in range(1, p.num_facets + 1) if f not in base]
     best = None
-    for perm in perms:
-        if perm is None:
-            cand = lam
-        else:
-            rows = [[0] * lam.m for _ in range(lam.n)]
-            for j in range(1, lam.m + 1):
-                for i in range(lam.n):
-                    rows[i][perm[j] - 1] = lam.rows[i][j - 1]
-            cand = CharMatrix(rows)
-        base = refine(p, cand, v0).rows
-        for pattern in range(1 << lam.n):
-            flipped = [
-                [-x if (pattern >> i & 1) and c not in skip else x for c, x in enumerate(base[i])]
-                for i in range(lam.n)
-            ]
-            key = _reference_sign_normalized(flipped, skip)
-            if best is None or key < best:
-                best = key
-    return repr((p.dim, p.num_facets, best)).encode()
+    for pattern in range(1 << p.dim):
+        cols = []
+        for f in free:
+            x = [-r[f - 1] if pattern >> i & 1 else r[f - 1] for i, r in enumerate(rows)]
+            if next(t for t in x if t) > 0:
+                x = [-t for t in x]
+            cols.append(tuple(x))
+        if best is None or tuple(cols) < best:
+            best = tuple(cols)
+    return best
 
 
 KEY_SEARCHES = (
@@ -332,20 +311,13 @@ KEY_SEARCHES = (
 )
 
 
-def test_canonical_key_matches_the_reference_on_survivors():
-    for p, bound in KEY_SEARCHES:
-        survivors, _stats = enumerate_matrices(SearchSpec(p, bound, "signs", "valid"))
-        assert survivors
-        for group in ("signs", "signs+automorphisms"):
-            for lam in survivors:
-                assert canonical_key(p, lam, group) == _reference_key(p, lam, group)
-
-
-def test_canonical_key_matches_the_reference_after_random_moves():
+def test_orbit_leaders_hold_every_moved_pair():
     rng = random.Random(11)
     for p, bound in KEY_SEARCHES:
         survivors, _stats = enumerate_matrices(SearchSpec(p, bound, "signs", "valid"))
         for lam in rng.sample(survivors, min(6, len(survivors))):
+            leaders = _orbit_leaders(p, lam, p.automorphisms())
+            assert walk_form(p, lam) in leaders
             cur = lam
             for _ in range(5):
                 kind = rng.randint(0, 2)
@@ -357,5 +329,30 @@ def test_canonical_key_matches_the_reference_after_random_moves():
                     cur = transform(p, cur, FacetPermutation(rng.choice(p.automorphisms())))
                 if rng.random() < 0.5:
                     cur = refine(p, cur, rng.choice(p.vertices))
-                for group in ("signs", "signs+automorphisms"):
-                    assert canonical_key(p, cur, group) == _reference_key(p, cur, group)
+                assert walk_form(p, cur) in leaders
+
+
+def test_orbit_leaders_split_the_survivors_into_classes():
+    rng = random.Random(13)
+    for p, bound in KEY_SEARCHES:
+        autos = p.automorphisms()
+        classes, _stats = enumerate_matrices(
+            SearchSpec(p, bound, "signs+automorphisms", "valid")
+        )
+        leaders = [_orbit_leaders(p, lam, autos) for lam in classes]
+        keys = [canonical_key(p, lam, "signs+automorphisms") for lam in classes]
+        assert len(set(keys)) == len(keys)
+        for i, j in itertools.combinations(range(len(classes)), 2):
+            assert not leaders[i] & leaders[j]
+        # every sign class lies in the leader set of exactly one class,
+        # the one the oracle key puts it in (checked on a sample: the
+        # oracle is slow)
+        survivors, _stats = enumerate_matrices(SearchSpec(p, bound, "signs", "valid"))
+        owner = {}
+        for lam in survivors:
+            form = walk_form(p, lam)
+            owners = [k for k, held in enumerate(leaders) if form in held]
+            assert len(owners) == 1
+            owner[lam] = owners[0]
+        for lam in rng.sample(survivors, min(40, len(survivors))):
+            assert canonical_key(p, lam, "signs+automorphisms") == keys[owner[lam]]

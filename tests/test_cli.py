@@ -347,6 +347,19 @@ def test_enumerate_refuses_budgets_it_cannot_honour(tmp_path, capsys, argv, name
     assert "Traceback" not in captured.err
 
 
+def test_enumerate_refuses_automorphisms_it_cannot_search(tmp_path, capsys):
+    # 17 facets is past the brute-force automorphism guard: a usage
+    # error before the walk, not a node budget spent on a search that
+    # could never finish
+    p = _write(tmp_path, "p17.json", polygon(17).to_dict())
+    argv = ["enumerate", "-p", p, "--dedup", "signs+automorphisms", "--max-nodes", "10"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "refusing size 17 > 16" in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_enumerate_resource_cap_exits_3(tmp_path, capsys):
     p = _write(tmp_path, "p.json", cube(3).to_dict())
     code, d = _run(

@@ -3,10 +3,10 @@
 Class counts are pinned against a direct scan oracle: enumerate every
 column assignment outright with itertools, validate each matrix
 through charmat.validate (or validate_mod2), apply the filter through
-the characteristic-class engine, and deduplicate by canonical key.
-The oracle shares no code with the search tree (no pruning, no
-completion schedule), so agreement checks the DFS end to end.  The
-frozen numbers below are the oracle's outputs.
+the characteristic-class engine, and deduplicate by the canonical key
+of `key_oracle`.  The oracle shares no code with the search tree (no
+pruning, no completion schedule, no orbit leaders), so agreement checks
+the DFS end to end.  The frozen numbers below are the oracle's outputs.
 """
 
 import hashlib
@@ -16,7 +16,7 @@ import json
 import pytest
 
 from qtm import harness, intlin
-from qtm.charmat import CharMatrix, canonical_key, validate
+from qtm.charmat import CharMatrix, validate
 from qtm.harness import (
     CLAIM_IDS,
     HarnessError,
@@ -25,13 +25,14 @@ from qtm.harness import (
     enumerate_matrices,
     verify_claim,
 )
-from qtm.polytope import cube, polygon, prism, product
+from qtm.polytope import PolytopeError, cube, polygon, prism, product
 from qtm.smallcover import (
     is_string_smallcover,
     simplex_product,
     validate_mod2,
 )
 from qtm.stringcheck import is_spin, is_string
+from key_oracle import canonical_key
 
 
 # direct-scan oracle counts, by (polytope, bound, filter, dedup)
@@ -202,11 +203,18 @@ def unbroken_walk(p, bound, filt, dedup="signs"):
         (cube(3), 2, "spin", "signs"),
         (prism(6), 1, "string", "signs"),
         (polygon(5), 2, "valid", "signs+automorphisms"),
+        # orbit-leader dedup with string rejects, and on a larger group
+        (cube(3), 1, "string", "signs+automorphisms"),
+        (prism(4), 1, "string", "signs+automorphisms"),
+        (polygon(6), 1, "valid", "signs+automorphisms"),
+        (polygon(6), 2, "spin", "signs+automorphisms"),
     ],
     ids=[
         "square-valid", "square-spin", "pentagon-valid", "pentagon-spin",
         "cube-string", "square-prism-string", "cube-b2-spin",
         "hexagonal-prism-string", "pentagon-automorphisms",
+        "cube-string-automorphisms", "square-prism-string-automorphisms",
+        "hexagon-automorphisms", "hexagon-b2-spin-automorphisms",
     ],
 )
 def test_sign_broken_walk_matches_unbroken_walk(poly, bound, filt, dedup):
@@ -258,10 +266,10 @@ def test_parity_prunes_count_filtered_values_per_interior_node():
     ids=["criterion-04", "tesseract-b1"],
 )
 def test_sign_walk_reaches_each_class_once(poly, bound, filt, monkeypatch):
-    def no_key(*args, **kwargs):
-        raise AssertionError("the signs walk computed a canonical key")
+    def no_orbit(*args, **kwargs):
+        raise AssertionError("the signs walk expanded an automorphism orbit")
 
-    monkeypatch.setattr(harness, "canonical_key", no_key)
+    monkeypatch.setattr(harness, "_orbit_leaders", no_orbit)
     survivors, stats = enumerate_matrices(SearchSpec(poly, bound, "signs", filt))
     monkeypatch.undo()
     keys = [canonical_key(poly, lam, group="signs") for lam in survivors]
@@ -349,8 +357,10 @@ def survivor_digest(survivors):
     return hashlib.sha256(json.dumps(rows).encode()).hexdigest()
 
 
-# every counter and the survivor rows, in order, of three searches; the
-# figures are those of the walk that ran one determinant per value
+# every counter and the survivor rows, in order, of four searches; the
+# figures are those of the walk that ran one determinant per value, and
+# the automorphism search's those of the walk that took a canonical key
+# at every leaf
 PINNED_SEARCHES = {
     "criterion-04": (
         SearchSpec(prism(6), 2, "signs", "string"),
@@ -380,6 +390,15 @@ PINNED_SEARCHES = {
             "lex_prunes": 0, "parity_prunes": 8256,
         },
         "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+    ),
+    "octagon-b3-automorphisms": (
+        SearchSpec(polygon(8), 3, "signs+automorphisms", "valid"),
+        {
+            "nodes": 43098, "pruned": 38022, "candidates": 3279,
+            "survivors": 559, "string_rejects": 0, "dedup_hits": 2720,
+            "lex_prunes": 54, "parity_prunes": 0,
+        },
+        "e72c46abed47046e4e95888feb43687618b947db063f4f518052f1a24b015646",
     ),
 }
 
@@ -424,6 +443,15 @@ def test_node_budget_raises_with_partial_stats():
     with pytest.raises(ResourceCapExceeded) as exc:
         enumerate_matrices(SearchSpec(cube(3), 2, "signs", "valid", max_nodes=100))
     assert exc.value.stats["nodes"] == 101
+
+
+def test_automorphism_dedup_is_refused_before_the_walk():
+    # 17 facets is past the brute-force automorphism guard: the search
+    # is refused as it starts, not capped after ten nodes
+    with pytest.raises(PolytopeError, match="16"):
+        enumerate_matrices(
+            SearchSpec(polygon(17), 1, "signs+automorphisms", "valid", max_nodes=10)
+        )
 
 
 def test_time_budget_raises():

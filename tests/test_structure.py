@@ -23,7 +23,6 @@ from qtm.charmat import (
     CharMatrixError,
     FacetPermutation,
     RowBasisChange,
-    canonical_key,
     transform,
     validate,
 )
@@ -53,6 +52,7 @@ from qtm.structure import (
     equivariant_connected_sum,
     equivariant_edge_connected_sum,
 )
+from key_oracle import canonical_key
 
 # string structure on the hexagonal prism; facet 1 top, 2..7 sides, 8 bottom
 HEX_PRISM_LAM = CharMatrix(
