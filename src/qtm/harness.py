@@ -89,10 +89,17 @@ and the parity filter has made every column sum odd, so the leaf is
 spin.  A `CharMatrix` is built only for a leaf that opens a class
 under automorphisms or survives.
 
-The mod-2 walk has no residual symmetry to break (over GF(2) a sign
-flip is trivial), so its table marks no pattern.  It keeps one bitmask
-per column, bit i for row i, so its column-tuple memo is keyed by
-masks.  Its string test reads the degree-2 class off those masks
+The field is chosen once, in one block before the walk.  It sets the
+column values, the lex table, the base columns, the normal vector, the
+builder of a normal's admissible mask, the leaf test and how a
+survivor's rows are read off the columns; the walk, the vertex test
+and the leaf below it are the same code over Z and over GF(2).  The
+mod-2 walk has no residual symmetry to break (over GF(2) a sign flip
+is trivial), so its table marks no pattern.  Its columns stay
+bitmasks, bit i for row i: its column-tuple memo is keyed by masks,
+its normal is a mask and a vertex determinant one popcount parity,
+where integer cofactors of 0/1 columns would cost an elimination per
+minor.  Its string test reads the degree-2 class off those masks
 through the same relation template (`smallcover._w2_vanishes`, one
 GF(2) elimination per leaf), and a `CharMatrix` is built only for a
 survivor, by the same checked constructor as over Z.
@@ -106,8 +113,9 @@ so a negative campaign only ever says "none with entries up to B".
 the command line: each claim re-checks its witnesses through the core
 modules and reports verified / counterexample / resource-capped with
 reproducible statistics.  Every claim that searches hands the node and
-time caps to its search, and a NaN time cap is refused for every claim
-by the check `SearchSpec` uses.  The claims that check each survivor of
+time caps to its search, `cyclic-identities` checks the time cap
+between its trials, and a NaN time cap is refused for every claim by
+the check `SearchSpec` uses.  The claims that check each survivor of
 a search share one driver, `_search_campaign`: such a claim is verified
 exactly when no survivor yields a counterexample record.
 """
@@ -318,41 +326,79 @@ def enumerate_matrices(spec: SearchSpec):
     base = p.vertices[0]
     free = tuple(f for f in range(1, m + 1) if f not in set(base))
     schedule = _completion_schedule(p, base, free)
-    mod2 = spec.mod2_only
     # fetched before the walk, so a polytope too large for the
     # automorphism search is refused before any node is visited
     automorphisms = p.automorphisms() if spec.dedup == "signs+automorphisms" else None
-    if mod2:
-        values = list(itertools.product((0, 1), repeat=n))
+
+    def odd_sums(vectors) -> list:
+        # the spin and string filters keep only odd column sums
+        if spec.filter in ("spin", "string"):
+            return [v for v in vectors if sum(v) % 2 == 1]
+        return vectors
+
+    # col[f] is column f, in the representation the field block picks
+    col = [0] * (m + 1)
+    # the field, chosen once: everything below the block is field-free
+    if spec.mod2_only:
+        vectors = list(itertools.product((0, 1), repeat=n))
+        # a column value is its bitmask, bit i for row i; no sign
+        # pattern is left to break, so every value is always open
+        values = [intlin.f2_mask(v) for v in odd_sums(vectors)]
+        every_pattern, table = 0, [(v, 0, 0) for v in values]
+        identity = [1 << k for k in range(n)]
+
+        def normal(cols):
+            return intlin.f2_normal(cols, n)
+
+        def admissible_mask(c) -> int:
+            # det = parity(c & x) over GF(2)
+            mask = 0
+            for i, x in enumerate(values):
+                if (c & x).bit_count() & 1:
+                    mask |= 1 << i
+            return mask
+
+        # the parity filter made a string-walk leaf orientable, so only
+        # the degree-2 class is left to decide
+        vanishes = _w2_vanishes
+
+        def rows():
+            return [[c >> i & 1 for c in col[1:]] for i in range(n)]
     else:
         rng_vals = range(-spec.bound, spec.bound + 1)
         # one member per column sign orbit: first nonzero entry negative
-        values = [
+        vectors = [
             v
             for v in itertools.product(rng_vals, repeat=n)
             if next((x for x in v if x), 0) < 0
         ]
-    unfiltered = len(values)
-    if spec.filter in ("spin", "string"):
-        values = [v for v in values if sum(v) % 2 == 1]
-    parity_cut = unfiltered - len(values)
-    if mod2:
-        # a column value is its bitmask, bit i for row i; no sign
-        # pattern is left to break, so every value is always open
-        values = [intlin.f2_mask(v) for v in values]
-        every_pattern, table = 0, [(v, 0, 0) for v in values]
-    else:
+        values = odd_sums(vectors)
         every_pattern, table = _lex_table(values, n)
+        identity = [tuple(int(i == k) for i in range(n)) for k in range(n)]
+        # the columns of a vertex as rows: the transpose has the same det
+        normal = intlin.cofactors
+
+        def admissible_mask(c) -> int:
+            mask = 0
+            for i, x in enumerate(values):
+                if abs(sum(a * b for a, b in zip(c, x))) == 1:
+                    mask |= 1 << i
+            return mask
+
+        # the parity filter made a string-walk leaf spin, so only p_1 is
+        # left to decide
+        vanishes = p1_vanishes
+
+        def rows():
+            return list(zip(*col[1:]))
+    parity_cut = len(vectors) - len(values)
     every_value = (1 << len(table)) - 1
+    for k, f in enumerate(base):
+        col[f] = identity[k]
     # tied mask -> the (table index, value, child's tied mask) triples it
     # does not prune; a tied mask is the stabilizer of the prefix, a
     # subgroup, so few occur
     options: dict[int, list] = {}
-
-    # col[f] is column f: a bitmask over GF(2), an n-tuple over Z
-    col = [0] * (m + 1)
-    for k, f in enumerate(base):
-        col[f] = 1 << k if mod2 else tuple(int(i == k) for i in range(n))
 
     stats = {
         "nodes": 0,
@@ -375,31 +421,9 @@ def enumerate_matrices(spec: SearchSpec):
         stats["elapsed"] = time.monotonic() - started
         return ResourceCapExceeded(f"{reason} budget exhausted", dict(stats))
 
-    # cofactor vector c -> the table indices of the values x with
-    # |c.x| = 1, an odd popcount of c & x over GF(2); one entry per
-    # distinct c, however many nodes share it
+    # normal vector c -> the table indices of the values x with det = +-1;
+    # one entry per distinct c, however many nodes share it
     admissible: dict = {}
-
-    def admissible_values(c) -> int:
-        mask = admissible.get(c)
-        if mask is None:
-            mask = 0
-            for i, (x, _below, _equal) in enumerate(table):
-                if mod2:
-                    hit = (c & x).bit_count() & 1
-                else:
-                    hit = abs(sum(a * b for a, b in zip(c, x))) == 1
-                if hit:
-                    mask |= 1 << i
-            admissible[c] = mask
-        return mask
-
-    if mod2:
-        def normal(cols):
-            return intlin.f2_normal(cols, n)
-    else:
-        # the columns of a vertex as rows: the transpose has the same det
-        normal = intlin.cofactors
     # a vertex's other columns -> their admissible values; lives as long
     # as the search
     by_columns: dict = {}
@@ -408,40 +432,28 @@ def enumerate_matrices(spec: SearchSpec):
         cols = tuple(map(col.__getitem__, gs))
         mask = by_columns.get(cols)
         if mask is None:
-            mask = by_columns[cols] = admissible_values(normal(cols))
+            c = normal(cols)
+            mask = admissible.get(c)
+            if mask is None:
+                mask = admissible[c] = admissible_mask(c)
+            by_columns[cols] = mask
         return mask
-
-    def reject() -> None:
-        stats["pruned"] += 1
-        stats["string_rejects"] += 1
 
     def emit() -> None:
         stats["candidates"] += 1
-        if mod2:
-            # as over Z, the parity filter made the leaf orientable, so
-            # only the degree-2 class is left to decide
-            if spec.filter == "string" and not _w2_vanishes(template, col):
-                reject()
+        lam = None
+        if automorphisms is not None:
+            if tuple(map(col.__getitem__, free)) in seen:
+                stats["dedup_hits"] += 1
                 return
-            lam = CharMatrix(
-                [[c >> i & 1 for c in col[1:]] for i in range(n)], refined_at=base
-            )
-        else:
-            # the parity filter made every column sum odd, so a
-            # string-walk leaf is spin; only p_1 is left to decide
-            lam = None
-            if automorphisms is not None:
-                if tuple(map(col.__getitem__, free)) in seen:
-                    stats["dedup_hits"] += 1
-                    return
-                lam = CharMatrix(list(zip(*col[1:])), refined_at=base)
-                seen.update(_orbit_leaders(p, lam, automorphisms))
-            if spec.filter == "string" and not p1_vanishes(template, col):
-                reject()
-                return
-            if lam is None:
-                lam = CharMatrix(list(zip(*col[1:])), refined_at=base)
-        survivors.append(lam)
+            lam = CharMatrix(rows(), refined_at=base)
+            seen.update(_orbit_leaders(p, lam, automorphisms))
+        if spec.filter == "string" and not vanishes(template, col):
+            stats["pruned"] += 1
+            stats["string_rejects"] += 1
+            return
+        # a CharMatrix is never falsy: a class opener is built only once
+        survivors.append(lam or CharMatrix(rows(), refined_at=base))
         stats["survivors"] += 1
 
     def walk(t: int, tied: int) -> None:
@@ -591,7 +603,11 @@ def _claim_cyclic_identities(params, caps):
         raise HarnessError(f"cyclic identities need trials >= 1, got {trials}")
     rng = random.Random(1_000_003 * k + trials)
     witnesses = []
-    for _ in range(trials):
+    started = time.monotonic()
+    for done in range(trials):
+        if time.monotonic() - started > caps["max_seconds"]:
+            stats = {"trials": done, "failures": len(witnesses)}
+            raise ResourceCapExceeded("time budget exhausted", stats)
         cols = random_cyclic_instance(k, bound, rng)
         s1, s2 = cyclic_identities(cols)
         if (s1, s2) != (4, 0):

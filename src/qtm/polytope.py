@@ -358,6 +358,8 @@ def simplex(n: int) -> SimplePolytope:
 
     Shared per n like the other family constructors: do not mutate it.
     """
+    if n < 1:
+        raise PolytopeError(f"simplex needs dimension n >= 1, got {n}")
     vs = list(combinations(range(1, n + 2), n))
     return SimplePolytope(n, n + 1, vs, name=f"simplex-{n}")
 
@@ -380,6 +382,8 @@ def cube(n: int) -> SimplePolytope:
 
     Shared per n like the other family constructors: do not mutate it.
     """
+    if n < 1:
+        raise PolytopeError(f"cube needs dimension n >= 1, got {n}")
     vs = []
     for bits in range(1 << n):
         vs.append(tuple(sorted((i + 1) + (n if bits >> i & 1 else 0) for i in range(n))))

@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 import qtm
-from qtm import charmat, polytope, stringcheck
+from qtm import charmat, harness, polytope, stringcheck
 from qtm.charmat import CharMatrix
 from qtm.cli import main
 from qtm.polytope import connected_sum, cube, polygon, prism, product
@@ -77,6 +77,25 @@ def test_construct_usage_errors(tmp_path, capsys):
     assert main(["construct", "q", "3"]) == 2
     assert main(["construct", "product", "only-one.json"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv, family",
+    [
+        (["construct", "cube", "-1"], "cube"),
+        (["construct", "simplex", "-1"], "simplex"),
+        (["construct", "simplex", "0"], "simplex"),
+        (["verify", "cube-string-is-bott", "--n", "-1"], "cube"),
+    ],
+    ids=["cube", "simplex", "simplex-zero", "cube-claim"],
+)
+def test_family_size_below_one_names_the_family(capsys, argv, family):
+    # these printed Python's own text: "negative shift count", "r must
+    # be non-negative", "impossible dimensions"
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {family} needs dimension n >= 1")
 
 
 def test_validate_exit_codes(tmp_path, capsys):
@@ -546,6 +565,18 @@ def test_verify_refuses_nan_seconds(capsys, claim):
     assert captured.out == ""
     assert captured.err.startswith("error: ") and "NaN" in captured.err
     assert "Traceback" not in captured.err
+
+
+def test_verify_cyclic_identities_takes_the_time_cap(monkeypatch, capsys):
+    # a clock that ticks one second per reading: the cap is hit before
+    # the fourth trial, where every trial used to run and exit 0
+    clock = iter(range(10**6))
+    monkeypatch.setattr(harness.time, "monotonic", lambda: next(clock))
+    argv = ["verify", "cyclic-identities", "--trials", "2000", "--max-seconds", "3.5"]
+    code, d = _run(capsys, argv)
+    assert code == 3
+    assert d["verdict"] == "resource-capped"
+    assert d["statistics"] == {"trials": 3, "failures": 0}
 
 
 def test_verify_unknown_claim_exits_2(capsys):

@@ -509,6 +509,17 @@ def test_claim_cyclic_identities_fixed_seed():
         verify_claim("cyclic-identities", {"k": 2})
 
 
+def test_claim_cyclic_identities_stops_at_the_time_cap(monkeypatch):
+    # one second per clock reading: the deadline is checked between
+    # trials, and the partial counts come back with the capped verdict
+    clock = iter(range(10**6))
+    monkeypatch.setattr(harness.time, "monotonic", lambda: next(clock))
+    rep = verify_claim("cyclic-identities", {"k": 4, "trials": 200}, max_seconds=5.5)
+    assert rep.verdict == "resource-capped"
+    assert rep.statistics == {"trials": 5, "failures": 0}
+    assert rep.witnesses == []
+
+
 def test_claim_prism_decompose_square_prism():
     rep = verify_claim("prism-decompose", {"k": 2, "bound": 1})
     assert rep.verdict == "verified"

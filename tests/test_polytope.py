@@ -114,6 +114,15 @@ def test_cube_counts():
     assert isomorphic(cube(2), polygon(4))
 
 
+@pytest.mark.parametrize("family", ["cube", "simplex"])
+@pytest.mark.parametrize("n", [-1, 0])
+def test_family_refuses_dimension_below_one(family, n):
+    # -1 raised Python's own "negative shift count" (cube) or "r must be
+    # non-negative" (simplex); 0 raised "impossible dimensions"
+    with pytest.raises(PolytopeError, match=f"^{family} needs dimension n >= 1, got {n}$"):
+        getattr(polytope, family)(n)
+
+
 def test_prism_counts():
     for s in range(3, 8):
         pr = prism(s)

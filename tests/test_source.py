@@ -70,3 +70,31 @@ def test_mod2_certificate_raises_under_python_O():
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout.startswith("raised: degree-2 quotient dimension")
+
+
+def test_search_chooses_its_field_once():
+    # the search reads the field in one block before the walk and keeps
+    # no flag for later code to ask: the walk, the leaf and the
+    # admissible-mask builders are field-free
+    tree = ast.parse((PACKAGE / "harness.py").read_text())
+    search = next(
+        node for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name == "enumerate_matrices"
+    )
+
+    def asks(node):
+        return [
+            inner.lineno for inner in ast.walk(node)
+            if (isinstance(inner, ast.Name) and inner.id in ("mod2", "mod2_only"))
+            or (isinstance(inner, ast.Attribute) and inner.attr == "mod2_only")
+        ]
+
+    assert len(asks(search)) == 1
+    nested = {}
+    for node in ast.walk(search):
+        if isinstance(node, ast.FunctionDef) and node is not search:
+            nested.setdefault(node.name, []).append(node)
+    assert len(nested["walk"]) == len(nested["emit"]) == 1
+    assert len(nested["admissible_mask"]) == 2  # one per field
+    for name in ("walk", "emit", "admissible_mask"):
+        assert [line for node in nested[name] for line in asks(node)] == [], name
