@@ -112,10 +112,13 @@ so a negative campaign only ever says "none with entries up to B".
 `verify_claim` packages the named campaigns used by the test suite and
 the command line: each claim re-checks its witnesses through the core
 modules and reports verified / counterexample / resource-capped with
-reproducible statistics.  Every claim that searches hands the node and
+reproducible statistics.  `_CLAIMS` lists the caps each claim reads
+next to its parameters: every claim that searches hands the node and
 time caps to its search, `cyclic-identities` checks the time cap
-between its trials, and a NaN time cap is refused for every claim by
-the check `SearchSpec` uses.  The claims that check each survivor of
+between its trials, and `product-simplices-obstruction` reads neither.
+A cap other than its default that the claim does not read is refused
+before anything runs, and so is a NaN or negative cap, by the check
+`SearchSpec` uses.  The claims that check each survivor of
 a search share one driver, `_search_campaign`: such a claim is verified
 exactly when no survivor yields a counterexample record.
 """
@@ -127,7 +130,7 @@ import math
 import platform
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from . import __version__, intlin
 from .charmat import CharMatrix, refine
@@ -171,10 +174,18 @@ class ResourceCapExceeded(RuntimeError):
         self.stats = stats
 
 
-def _check_max_seconds(max_seconds: float) -> None:
+# the caps a search or claim takes when none is given
+_CAP_DEFAULTS = {"max_nodes": 10**9, "max_seconds": 3600.0}
+
+
+def _check_caps(max_nodes: int, max_seconds: float) -> None:
     if math.isnan(max_seconds):
         # every comparison with NaN is false, so the time cap never fires
         raise HarnessError("max_seconds must be a number, got NaN")
+    # zero is a cap that fires at once; below zero is no cap at all
+    for name, cap in (("max_nodes", max_nodes), ("max_seconds", max_seconds)):
+        if cap < 0:
+            raise HarnessError(f"{name} must be at least 0, got {cap}")
 
 
 @dataclass(frozen=True)
@@ -203,7 +214,7 @@ class SearchSpec:
                 raise HarnessError(f"mod-2 enumeration takes bound 1 only, got {self.bound}")
         elif self.bound < 1:
             raise HarnessError("entry bound must be at least 1")
-        _check_max_seconds(self.max_seconds)
+        _check_caps(self.max_nodes, self.max_seconds)
         if self.filter not in ("valid", "spin", "string"):
             raise HarnessError(f"unknown filter {self.filter!r}")
         if self.dedup not in ("signs", "signs+automorphisms"):
@@ -517,15 +528,7 @@ class ClaimReport:
     python_version: str = field(default_factory=platform.python_version)
 
     def to_dict(self) -> dict:
-        return {
-            "claim": self.claim,
-            "params": dict(self.params),
-            "verdict": self.verdict,
-            "statistics": dict(self.statistics),
-            "witnesses": list(self.witnesses),
-            "qtm_version": self.qtm_version,
-            "python_version": self.python_version,
-        }
+        return asdict(self)
 
 
 def _search_campaign(spec: SearchSpec, witness):
@@ -687,18 +690,28 @@ def _claim_smallcover_simplex_products(params, caps):
     return "verified", stats, []
 
 
-# claim id -> (campaign, the parameters it reads)
+_BOTH_CAPS = tuple(_CAP_DEFAULTS)
+
+# claim id -> (campaign, the parameters it reads, the caps it reads)
 _CLAIMS = {
-    "odd-gon-not-spin": (_claim_odd_gon_not_spin, ("m", "bound")),
-    "polygon-parity": (_claim_polygon_parity, ("m", "bound")),
-    "polygon-bordism-parity": (_claim_polygon_bordism_parity, ("m", "bound")),
-    "cube-string-is-bott": (_claim_cube_string_is_bott, ("n", "bound")),
-    "cyclic-identities": (_claim_cyclic_identities, ("k", "trials", "bound")),
-    "prism-decompose": (_claim_prism_decompose, ("k", "bound")),
-    "cube-connsum": (_claim_cube_connsum, ("bound",)),
-    "c5xc5-not-spin": (_claim_c5xc5_not_spin, ()),
-    "product-simplices-obstruction": (_claim_product_simplices_obstruction, ("ns",)),
-    "smallcover-simplex-products": (_claim_smallcover_simplex_products, ("ns",)),
+    "odd-gon-not-spin": (_claim_odd_gon_not_spin, ("m", "bound"), _BOTH_CAPS),
+    "polygon-parity": (_claim_polygon_parity, ("m", "bound"), _BOTH_CAPS),
+    "polygon-bordism-parity": (
+        _claim_polygon_bordism_parity, ("m", "bound"), _BOTH_CAPS
+    ),
+    "cube-string-is-bott": (_claim_cube_string_is_bott, ("n", "bound"), _BOTH_CAPS),
+    "cyclic-identities": (
+        _claim_cyclic_identities, ("k", "trials", "bound"), ("max_seconds",)
+    ),
+    "prism-decompose": (_claim_prism_decompose, ("k", "bound"), _BOTH_CAPS),
+    "cube-connsum": (_claim_cube_connsum, ("bound",), _BOTH_CAPS),
+    "c5xc5-not-spin": (_claim_c5xc5_not_spin, (), _BOTH_CAPS),
+    "product-simplices-obstruction": (
+        _claim_product_simplices_obstruction, ("ns",), ()
+    ),
+    "smallcover-simplex-products": (
+        _claim_smallcover_simplex_products, ("ns",), _BOTH_CAPS
+    ),
 }
 
 CLAIM_IDS = tuple(sorted(_CLAIMS))
@@ -717,13 +730,15 @@ def verify_claim(
     the partial statistics; parameters are echoed back so reports are
     self-describing and reruns reproducible.  A parameter the claim does
     not read is refused before anything runs, so that a report never
-    echoes one that played no part in it; so is a NaN max_seconds.
+    echoes one that played no part in it; so is a NaN or negative cap,
+    and a cap other than its default that the claim does not read.  The
+    campaign is handed only the caps it reads.
     """
     if claim_id not in _CLAIMS:
         raise HarnessError(
             f"unknown claim {claim_id!r}; known: {', '.join(CLAIM_IDS)}"
         )
-    campaign, reads = _CLAIMS[claim_id]
+    campaign, reads, cap_reads = _CLAIMS[claim_id]
     params = dict(params or {})
     unread = [key for key in params if key not in reads]
     if unread:
@@ -731,8 +746,17 @@ def verify_claim(
             f"claim {claim_id!r} does not read {', '.join(map(repr, unread))}; "
             f"it reads: {', '.join(reads) or 'no parameter'}"
         )
-    _check_max_seconds(max_seconds)
+    _check_caps(max_nodes, max_seconds)
     caps = {"max_nodes": max_nodes, "max_seconds": max_seconds}
+    unread = [
+        cap for cap in caps if cap not in cap_reads and caps[cap] != _CAP_DEFAULTS[cap]
+    ]
+    if unread:
+        raise HarnessError(
+            f"claim {claim_id!r} does not read {', '.join(unread)}; "
+            f"it reads: {', '.join(cap_reads) or 'no cap'}"
+        )
+    caps = {cap: caps[cap] for cap in cap_reads}
     try:
         verdict, stats, witnesses = campaign(params, caps)
     except ResourceCapExceeded as exc:

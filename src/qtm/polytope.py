@@ -52,7 +52,7 @@ class SimplePolytope:
     """
 
     __slots__ = ("dim", "num_facets", "vertices", "name", "_vmasks", "_vmask_set",
-                 "_faces", "_edges", "_nonface_pairs", "_auts", "_degrees",
+                 "_faces", "_nonface_pairs", "_auts", "_degrees",
                  "_face_counts", "_h_vector", "_splits")
 
     def __init__(self, dim: int, num_facets: int, vertices, name: str = ""):
@@ -107,7 +107,6 @@ class SimplePolytope:
         self._vmasks = tuple(_mask(v) for v in vs)
         self._vmask_set = frozenset(self._vmasks)
         self._faces = None
-        self._edges = None
         self._nonface_pairs = None
         self._auts = None
         self._degrees = None
@@ -162,15 +161,6 @@ class SimplePolytope:
                     deg[f - 1] += 1
             self._degrees = tuple(deg)
         return self._degrees
-
-    def edges(self) -> list[tuple[int, ...]]:
-        """All (n-1)-subsets of facets that are faces, i.e. edges of the polytope."""
-        if self._edges is None:
-            seen = set()
-            for v in self.vertices:
-                seen.update(combinations(v, self.dim - 1))
-            self._edges = sorted(seen)
-        return self._edges
 
     def edge_endpoints(self, edge) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """The two vertices containing an (n-1)-face, sorted."""

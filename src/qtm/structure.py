@@ -14,11 +14,17 @@ Four constructions live here:
   unipotent upper triangular form.  The moves are recorded and replayed.
 * equivariant connected sums, at a vertex and along an edge, mirroring the
   polytope-level gluings with the matching conditions on matrix columns.
+  Both end in ``_glued``, which builds the glued matrix from its columns
+  and validates it.
 * ``decompose_prism`` and ``decompose_cube_connsum``: constructive
   decompositions of string pairs into bundle-type pieces, driven by case
   analysis on normalized matrix entries.  Every relation the case analysis
   relies on, and every reassembly, is re-verified numerically; a failure
   raises ``StructureContradiction`` instead of returning a wrong answer.
+  The cube sum's seam test is ``dobrinskaya_normalize``: a string pair's
+  seam block must come out "triangular", the package's one test of
+  principal minors.  Both reports serialize through ``_jsonable``, field
+  by field.
 
 Each public entry point validates its input pair once and hands it to a
 private core that does not validate it again.  The cores move pairs with
@@ -49,7 +55,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import combinations
 
 from . import intlin
@@ -368,14 +374,7 @@ def _equivariant_connected_sum(p_l, lam_l, w_l, p_r, lam_r, w_r):
         if prev is not None and prev != col:
             raise StructureContradiction("merged facet columns disagree")
         cols[q_map[g]] = col
-    rows = [
-        [cols[j][i] for j in range(1, poly.num_facets + 1)] for i in range(poly.dim)
-    ]
-    lam = CharMatrix(rows)
-    ok, bad = validate(poly, lam)
-    if not ok:
-        raise StructureContradiction(f"glued matrix is singular at vertex {bad}")
-    return poly, lam
+    return _glued(poly, cols)
 
 
 def equivariant_edge_connected_sum(p1, lam1, edge1, ends1, p2, lam2, edge2, ends2):
@@ -412,6 +411,11 @@ def _equivariant_edge_connected_sum(p1, lam1, edge1, ends1, p2, lam2, edge2, end
     for g in range(1, p2.num_facets + 1):
         if q_map[g] not in cols:
             cols[q_map[g]] = lam2.column(g)
+    return _glued(poly, cols)
+
+
+def _glued(poly, cols):
+    """The glued pair over poly whose column j is cols[j], validated once."""
     rows = [
         [cols[j][i] for j in range(1, poly.num_facets + 1)] for i in range(poly.dim)
     ]
@@ -510,13 +514,7 @@ class Piece:
     certificate: dict | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "polytope": self.polytope.to_dict(),
-            "matrix": self.matrix.to_dict(),
-            "bundle_type": self.bundle_type,
-            "string": self.string,
-            "certificate": _jsonable(self.certificate),
-        }
+        return _jsonable(self)
 
 
 @dataclass
@@ -542,21 +540,13 @@ class DecompositionReport:
     detail: dict
 
     def to_dict(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "pieces": [piece.to_dict() for piece in self.pieces],
-            "reassembly": _jsonable(self.reassembly),
-            "normalized_matrix": (
-                None
-                if self.normalized_matrix is None
-                else self.normalized_matrix.to_dict()
-            ),
-            "moves": _jsonable(self.moves),
-            "detail": _jsonable(self.detail),
-        }
+        return _jsonable(self)
 
 
 def _jsonable(obj):
+    if isinstance(obj, (Piece, DecompositionReport)):
+        # the field order is the key order of the JSON reply
+        return {f.name: _jsonable(getattr(obj, f.name)) for f in fields(obj)}
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -823,8 +813,7 @@ def _decompose_cube_connsum(
     diag = tuple((i, n + i) for i in range(1, n + 1))
     moves, cur = _normalizing_moves(p, lam, initial, diag, StructureContradiction)
     a = [[cur.entry(i, n + j) for j in range(1, n + 1)] for i in range(1, n + 1)]
-    a_det = intlin.det(a)
-    detail = {"seam_det": a_det}
+    detail = {"seam_det": intlin.det(a)}
     if string is None:
         string = _refined_verdict(p, cur).string
     if not string:
@@ -832,11 +821,7 @@ def _decompose_cube_connsum(
         return DecompositionReport(
             "not-applicable", (), (), cur, tuple(moves), detail
         )
-    for size in range(1, n):
-        for sub in combinations(range(n), size):
-            minor = intlin.det([[a[i][j] for j in sub] for i in sub])
-            _forced(minor == 1, f"seam principal minor 1 at rows {sub}")
-    _forced(a_det == 1, "seam determinant 1 for a string pair")
+    _forced(dobrinskaya_normalize(a).verdict == "triangular", "string seam minors")
 
     a_inv = intlin.inverse_unimodular(a)
     cube_p = cube(n)

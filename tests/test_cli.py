@@ -7,6 +7,7 @@ Expected verdict values are pinned by the library test suites; what is
 tested here is the plumbing: file parsing, output shape, exit codes.
 """
 
+import hashlib
 import json
 import os
 import platform
@@ -45,6 +46,20 @@ HEX_PRISM_LAM = [
     [1, 0, 0, 1, 0, 0, 0, 1],
     [0, 1, 0, 1, 0, 1, 0, 0],
     [0, 0, 1, 1, 1, 0, 1, 2],
+]
+
+# the double cube sum of the connected-sum tests, a string pair over it
+# and a valid pair glued to a non-spin summand
+DOUBLE_CUBE, _, _ = connected_sum(cube(3), (4, 5, 6), cube(3), (1, 2, 3))
+CONNSUM_STRING = [
+    [1, -2, 2, 1, 0, 0, 1, 0, 0],
+    [0, 1, -2, 0, 1, 0, 1, 1, 0],
+    [0, 0, 1, 0, 0, 1, 1, 0, 1],
+]
+CONNSUM_NOT_STRING = [
+    [1, -2, 2, 1, 0, 0, 1, 1, 0],
+    [0, 1, -2, 0, 1, 0, 0, 1, 0],
+    [0, 0, 1, 0, 0, 1, 0, 0, 1],
 ]
 
 # valid square-prism matrix whose p_1 does not vanish
@@ -354,8 +369,12 @@ def test_enumerate_mod2(tmp_path, capsys):
         (["--mod2", "--bound", "2"], "bound 1 only, got 2"),
         (["--mod2", "--bound", "-3"], "bound 1 only, got -3"),
         (["--max-seconds", "nan"], "NaN"),
+        # a node cap below zero stopped the walk after one node, exit 3
+        (["--max-nodes", "-1"], "max_nodes must be at least 0, got -1"),
+        (["--max-seconds", "-0.5"], "max_seconds must be at least 0, got -0.5"),
     ],
-    ids=["mod2-bound-2", "mod2-bound-negative", "nan-seconds"],
+    ids=["mod2-bound-2", "mod2-bound-negative", "nan-seconds", "negative-nodes",
+         "negative-seconds"],
 )
 def test_enumerate_refuses_budgets_it_cannot_honour(tmp_path, capsys, argv, named):
     p = _write(tmp_path, "p.json", polygon(6).to_dict())
@@ -407,16 +426,8 @@ def test_decompose_prism_rejects_non_string(tmp_path, capsys):
 
 
 def test_decompose_cube_connsum_round_trip(tmp_path, capsys):
-    big, _, _ = connected_sum(cube(3), (4, 5, 6), cube(3), (1, 2, 3))
-    p = _write(tmp_path, "p.json", big.to_dict())
-    m = _write(
-        tmp_path, "m.json",
-        {"rows": [
-            [1, -2, 2, 1, 0, 0, 1, 0, 0],
-            [0, 1, -2, 0, 1, 0, 1, 1, 0],
-            [0, 0, 1, 0, 0, 1, 1, 0, 1],
-        ]},
-    )
+    p = _write(tmp_path, "p.json", DOUBLE_CUBE.to_dict())
+    m = _write(tmp_path, "m.json", {"rows": CONNSUM_STRING})
     code, d = _run(capsys, ["decompose", "cube-connsum", "-p", p, "-m", m])
     assert code == 0
     assert d["verdict"] == "decomposed"
@@ -425,20 +436,57 @@ def test_decompose_cube_connsum_round_trip(tmp_path, capsys):
 
 def test_decompose_cube_connsum_non_string_exits_1(tmp_path, capsys):
     # glue a string summand to a non-spin one: valid, but no splitting
-    big, _, _ = connected_sum(cube(3), (4, 5, 6), cube(3), (1, 2, 3))
-    p = _write(tmp_path, "p.json", big.to_dict())
-    m = _write(
-        tmp_path, "m.json",
-        {"rows": [
-            [1, -2, 2, 1, 0, 0, 1, 1, 0],
-            [0, 1, -2, 0, 1, 0, 0, 1, 0],
-            [0, 0, 1, 0, 0, 1, 0, 0, 1],
-        ]},
-    )
+    p = _write(tmp_path, "p.json", DOUBLE_CUBE.to_dict())
+    m = _write(tmp_path, "m.json", {"rows": CONNSUM_NOT_STRING})
     code, d = _run(capsys, ["decompose", "cube-connsum", "-p", p, "-m", m])
     assert code == 1
     assert d["verdict"] == "not-applicable"
     assert d["detail"]["reason"] == "input is not string"
+
+
+# case -> (argv, matrix rows for "{m}", exit code, sha256 of the printed
+# reply); the digest covers key order and indentation, with the two
+# version strings masked.  A report from a search has its clock frozen,
+# so "elapsed" prints as 0.0
+REPLY_PINS = {
+    "decompose-prism-hex": (
+        ["decompose", "prism", "-k", "3", "-m", "{m}"], HEX_PRISM_LAM, 0,
+        "330d2f01e3837086faf3e5ce51478b0613d22eaecc043b95f86a9be05a67cd16",
+    ),
+    "decompose-connsum-string": (
+        ["decompose", "cube-connsum", "-p", "{p}", "-m", "{m}"], CONNSUM_STRING, 0,
+        "ad14322eee03628a5d7dfa12ebbe9b9ad297465947e5999015a8d7b29fbc694c",
+    ),
+    "decompose-connsum-not-string": (
+        ["decompose", "cube-connsum", "-p", "{p}", "-m", "{m}"], CONNSUM_NOT_STRING, 1,
+        "fadf05a788390979605ddfbcc1f9bb944ae8ab56827f05bc3cb17ac94652518b",
+    ),
+    "verify-connsum": (
+        ["verify", "cube-connsum", "--bound", "1"], None, 0,
+        "93eb81d07063e2f87ff14849ba48e128b33ad4f6198d00453416afa915a71460",
+    ),
+    "verify-simplices-obstruction": (
+        ["verify", "product-simplices-obstruction", "--ns", "2,3"], None, 0,
+        "754c642ee65545d93b5b0053ff9b1cf1432ee249bcb57cdca8c37db0353879bf",
+    ),
+    "verify-bott-capped": (
+        ["verify", "cube-string-is-bott", "--max-nodes", "1"], None, 3,
+        "456c5a7b8e1c8930c475d0da88153e58ddf02483eb001e428386aea840a12def",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REPLY_PINS))
+def test_reply_bytes_are_pinned(tmp_path, monkeypatch, capsys, case):
+    argv, rows, exit_code, digest = REPLY_PINS[case]
+    monkeypatch.setattr(harness.time, "monotonic", lambda: 0.0)
+    p = _write(tmp_path, "p.json", DOUBLE_CUBE.to_dict())
+    m = _write(tmp_path, "m.json", {"rows": rows})
+    assert main([a.format(p=p, m=m) for a in argv]) == exit_code
+    text = capsys.readouterr().out
+    for version, mask in ((platform.python_version(), "<python>"), (qtm.__version__, "<qtm>")):
+        text = text.replace(json.dumps(version), json.dumps(mask))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_smallcover_hexagon_coloring(tmp_path, capsys):
@@ -564,6 +612,31 @@ def test_verify_refuses_nan_seconds(capsys, claim):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and "NaN" in captured.err
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        # both exited 0 "verified": cyclic-identities never reads the
+        # node cap, and product-simplices-obstruction reads neither cap
+        (["cyclic-identities", "--trials", "50", "--max-nodes", "1"],
+         "does not read max_nodes; it reads: max_seconds"),
+        (["product-simplices-obstruction", "--ns", "2", "--max-nodes", "0",
+          "--max-seconds", "0"],
+         "does not read max_nodes, max_seconds; it reads: no cap"),
+        (["polygon-parity", "--m", "3", "--max-nodes", "-1"],
+         "max_nodes must be at least 0, got -1"),
+        (["cyclic-identities", "--max-seconds", "-1"],
+         "max_seconds must be at least 0, got -1.0"),
+    ],
+    ids=["cyclic-nodes", "simplices-both", "negative-nodes", "negative-seconds"],
+)
+def test_verify_refuses_caps_it_cannot_honour(capsys, argv, named):
+    assert main(["verify", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and named in captured.err
     assert "Traceback" not in captured.err
 
 

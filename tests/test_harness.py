@@ -71,6 +71,11 @@ def test_search_spec_rejects_bad_parameters():
     # every comparison with NaN is false: the time cap would never fire
     with pytest.raises(HarnessError, match="NaN"):
         SearchSpec(cube(3), bound=2, max_seconds=float("nan"))
+    # a cap below zero is no cap: -1 nodes stopped the walk after one node
+    with pytest.raises(HarnessError, match="max_nodes must be at least 0, got -1"):
+        SearchSpec(polygon(3), max_nodes=-1)
+    with pytest.raises(HarnessError, match="max_seconds must be at least 0, got -2"):
+        SearchSpec(polygon(3), max_seconds=-2)
 
 
 def test_square_string_search_finds_the_twist_class():
@@ -443,6 +448,10 @@ def test_node_budget_raises_with_partial_stats():
     with pytest.raises(ResourceCapExceeded) as exc:
         enumerate_matrices(SearchSpec(cube(3), 2, "signs", "valid", max_nodes=100))
     assert exc.value.stats["nodes"] == 101
+    # zero is a legal cap, and the first node is past it
+    with pytest.raises(ResourceCapExceeded) as exc:
+        enumerate_matrices(SearchSpec(polygon(6), 1, max_nodes=0))
+    assert exc.value.stats["nodes"] == 1
 
 
 def test_automorphism_dedup_is_refused_before_the_walk():
@@ -606,16 +615,41 @@ def test_every_search_claim_passes_its_caps_to_the_search(claim):
     assert rep.statistics["nodes"] == 2
 
 
-@pytest.mark.parametrize("claim", CLAIM_IDS)
-def test_every_claim_refuses_nan_seconds_before_it_runs(monkeypatch, claim):
+@pytest.fixture
+def no_campaign_runs(monkeypatch):
+    """Make the first step of every campaign raise."""
     def no_search(*args, **kwargs):
         raise AssertionError("a search started")
 
     for name in ("enumerate_matrices", "cyclic_identities", "key_obstruction",
                  "verify_simplex_product_criterion"):
         monkeypatch.setattr(harness, name, no_search)
+
+
+@pytest.mark.parametrize("claim", CLAIM_IDS)
+def test_every_claim_refuses_nan_seconds_before_it_runs(no_campaign_runs, claim):
     with pytest.raises(HarnessError, match="max_seconds must be a number, got NaN"):
         verify_claim(claim, max_seconds=float("nan"))
+
+
+@pytest.mark.parametrize(
+    "claim, caps, named",
+    [
+        ("cyclic-identities", {"max_nodes": 1}, "max_nodes"),
+        ("product-simplices-obstruction", {"max_nodes": 0}, "max_nodes"),
+        ("product-simplices-obstruction", {"max_seconds": 0}, "max_seconds"),
+        ("polygon-parity", {"max_nodes": -1}, "max_nodes must be at least 0"),
+        ("cyclic-identities", {"max_seconds": -1}, "max_seconds must be at least 0"),
+    ],
+    ids=["cyclic-nodes", "simplices-nodes", "simplices-seconds", "negative-nodes",
+         "negative-seconds"],
+)
+def test_claim_refuses_caps_it_cannot_honour_before_it_runs(
+    no_campaign_runs, claim, caps, named
+):
+    # the first three reported "verified" with a cap that played no part
+    with pytest.raises(HarnessError, match=named):
+        verify_claim(claim, **caps)
 
 
 def test_search_claim_reports_every_survivor_that_gives_a_witness(monkeypatch):
