@@ -325,11 +325,6 @@ def p1_vector(p: SimplePolytope, lam: CharMatrix) -> dict[tuple, int]:
     return out
 
 
-def is_zero_in_h4(pres: DegreeFourPresentation, expr: dict) -> bool:
-    """Is the class zero in the degree-4 quotient, i.e. q(expr) = 0?"""
-    return not any(_image(pres.quotient_map, pres.quotient_rank, pres.to_vector(expr)))
-
-
 def _image(q: tuple, rank: int, vec: list) -> list:
     """q(vec) in Z^rank for a vector over the generators."""
     target = [0] * rank

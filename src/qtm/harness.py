@@ -176,6 +176,9 @@ class ResourceCapExceeded(RuntimeError):
 
 # the caps a search or claim takes when none is given
 _CAP_DEFAULTS = {"max_nodes": 10**9, "max_seconds": 3600.0}
+# the most integer column values (2 * bound + 1) ** dim a search may
+# tabulate: the tables are built before any cap is read
+MAX_COLUMN_VALUES = 2**18
 
 
 def _check_caps(max_nodes: int, max_seconds: float) -> None:
@@ -214,6 +217,12 @@ class SearchSpec:
                 raise HarnessError(f"mod-2 enumeration takes bound 1 only, got {self.bound}")
         elif self.bound < 1:
             raise HarnessError("entry bound must be at least 1")
+        elif (2 * self.bound + 1) ** self.polytope.dim > MAX_COLUMN_VALUES:
+            raise HarnessError(
+                f"entry bound {self.bound} in dimension {self.polytope.dim} gives "
+                f"{(2 * self.bound + 1) ** self.polytope.dim} column values, over "
+                f"the limit of {MAX_COLUMN_VALUES}"
+            )
         _check_caps(self.max_nodes, self.max_seconds)
         if self.filter not in ("valid", "spin", "string"):
             raise HarnessError(f"unknown filter {self.filter!r}")
@@ -329,9 +338,12 @@ def enumerate_matrices(spec: SearchSpec):
     sign pattern maps the prefix below itself (always 0 on the mod-2
     walk), and parity_prunes the column values the spin/string parity
     filter removes, once per expanded interior node.  elapsed is the
-    wall time in seconds.  Raises ResourceCapExceeded rather than
-    returning a truncated list.
+    wall time in seconds, counted from the call, so it includes building
+    the value tables; the time cap is read at node 1 and every 4096
+    nodes after that, so a cap of 0 fires at node 1.  Raises
+    ResourceCapExceeded rather than returning a truncated list.
     """
+    started = time.monotonic()
     p = spec.polytope
     n, m = p.dim, p.num_facets
     base = p.vertices[0]
@@ -426,7 +438,6 @@ def enumerate_matrices(spec: SearchSpec):
     seen = set()
     if spec.filter == "string":
         template = relation_template(p, base)
-    started = time.monotonic()
 
     def capped(reason: str) -> ResourceCapExceeded:
         stats["elapsed"] = time.monotonic() - started
@@ -493,7 +504,7 @@ def enumerate_matrices(spec: SearchSpec):
             stats["nodes"] += 1
             if stats["nodes"] > spec.max_nodes:
                 raise capped("node")
-            if stats["nodes"] % 4096 == 0:
+            if stats["nodes"] % 4096 == 1:
                 if time.monotonic() - started > spec.max_seconds:
                     raise capped("time")
             if ok >> i & 1:

@@ -162,15 +162,6 @@ class SimplePolytope:
             self._degrees = tuple(deg)
         return self._degrees
 
-    def edge_endpoints(self, edge) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """The two vertices containing an (n-1)-face, sorted."""
-        e = tuple(sorted(edge))
-        es = set(e)
-        hit = [v for v in self.vertices if es.issubset(v)]
-        if len(hit) != 2:
-            raise PolytopeError(f"{e} is not an edge")
-        return hit[0], hit[1]
-
     def nonface_pairs(self) -> list[tuple[int, int]]:
         """Sorted list of facet pairs {a, b} that are not faces."""
         if self._nonface_pairs is None:
@@ -271,7 +262,7 @@ class SimplePolytope:
         return cls(d["dim"], d["num_facets"], d["vertices"], name=name)
 
 
-def find_isomorphisms(p: SimplePolytope, q: SimplePolytope, first_only: bool = False):
+def find_isomorphisms(p: SimplePolytope, q: SimplePolytope):
     """Facet bijections carrying p's vertex set onto q's.
 
     Returns a list of permutation tuples (see automorphisms); empty list
@@ -297,14 +288,13 @@ def find_isomorphisms(p: SimplePolytope, q: SimplePolytope, first_only: bool = F
     used = [False] * (m + 1)
     results: list[tuple[int, ...]] = []
 
-    def extend(k: int) -> bool:
+    def extend(k: int) -> None:
         if k == m:
             perm = tuple(image)
             mapped = {_mask(tuple(perm[f] for f in v)) for v in p.vertices}
             if mapped == q._vmask_set:
                 results.append(perm)
-                return first_only
-            return False
+            return
         f = order[k]
         for g in range(1, m + 1):
             if used[g] or deg_q[g - 1] != deg_p[f - 1]:
@@ -319,18 +309,12 @@ def find_isomorphisms(p: SimplePolytope, q: SimplePolytope, first_only: bool = F
                 continue
             image[f] = g
             used[g] = True
-            if extend(k + 1):
-                return True
+            extend(k + 1)
             image[f] = 0
             used[g] = False
-        return False
 
     extend(0)
     return results
-
-
-def isomorphic(p: SimplePolytope, q: SimplePolytope) -> bool:
-    return bool(find_isomorphisms(p, q, first_only=True))
 
 
 # ---------------------------------------------------------------------------
@@ -594,20 +578,6 @@ def edge_connected_sum(p: SimplePolytope, edge_p, ends_p, q: SimplePolytope, edg
     return out, dict(p_map), dict(q_map)
 
 
-def edge_cut_3d(p: SimplePolytope, edge) -> SimplePolytope:
-    """Cut off an edge of a 3-polytope, creating a quadrilateral facet m+1."""
-    if p.dim != 3:
-        raise PolytopeError("edge cut implemented for 3-polytopes")
-    a, b = tuple(sorted(edge))
-    u, w = p.edge_endpoints((a, b))
-    x = next(f for f in u if f not in (a, b))
-    y = next(f for f in w if f not in (a, b))
-    newf = p.num_facets + 1
-    vs = [v for v in p.vertices if v not in (u, w)]
-    vs += [tuple(sorted(t)) for t in ((a, x, newf), (b, x, newf), (a, y, newf), (b, y, newf))]
-    return SimplePolytope(3, newf, vs)
-
-
 # ---------------------------------------------------------------------------
 # colorings and obstructions
 
@@ -656,20 +626,3 @@ def key_obstruction(p: SimplePolytope) -> tuple[tuple[int, ...], int] | None:
             if all(p.is_face((f, g)) for g in v):
                 return v, f
     return None
-
-
-def three_belts(p: SimplePolytope) -> list[tuple[int, int, int]]:
-    """Facet triples, pairwise meeting, with empty triple intersection.
-
-    These are the prismatic 3-circuits of a 3-polytope; a connected sum
-    of two 3-polytopes along a vertex is separated by such a belt.
-    """
-    if p.dim != 3:
-        raise PolytopeError("3-belts are defined for 3-polytopes")
-    out = []
-    for a, b, c in combinations(range(1, p.num_facets + 1), 3):
-        if p.is_face((a, b, c)):
-            continue
-        if p.is_face((a, b)) and p.is_face((a, c)) and p.is_face((b, c)):
-            out.append((a, b, c))
-    return out

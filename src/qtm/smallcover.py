@@ -37,9 +37,11 @@ its n column masks have GF(2) rank n.  The mod-2 search does not rank
 them: the determinant is linear in the last-assigned column x, equal
 to the parity of c & x for the normal mask c of the other n - 1
 columns, so the walk filters the values of that column by mask, once
-per node.  The public tests validate and
-refine their input; their private cores take a pair that is already
-valid and refined, and the mod-2 search hands `_w2_vanishes` its
+per node.  `is_string_smallcover` validates and
+refines its input; its private core `_refined_verdicts`, which
+`qtm smallcover` calls too, takes a pair that is already valid and
+refined and decides orientability and the string condition from one
+set of column masks, and the mod-2 search hands `_w2_vanishes` its
 column masks, building a matrix only for a survivor.  The
 simplex-product criterion is decided by that search, string filter
 on, under the node and time caps its caller passes, and then checked
@@ -97,24 +99,10 @@ def _refined(p: SimplePolytope, lam: CharMatrix) -> CharMatrix:
     return refine_mod2(p, lam, p.vertices[0])
 
 
-def _checked_refined(p: SimplePolytope, lam: CharMatrix) -> CharMatrix:
-    """Validate lam, raising if it is singular anywhere, then refine it."""
-    if not validate_mod2(p, lam):
-        raise SmallCoverError("matrix is singular at some vertex over GF(2)")
-    return _refined(p, lam)
-
-
 def _orientable(col) -> bool:
-    """Every column sum odd, for column masks indexed by facet."""
+    """Every column sum odd, for column masks indexed by facet: in
+    refined form, the sum of all facet classes vanishes in degree 1."""
     return all(c.bit_count() & 1 for c in col[1:])
-
-
-def is_orientable(p: SimplePolytope, lam: CharMatrix) -> bool:
-    """Orientability: the sum of all facet classes vanishes in degree 1.
-
-    In refined form that is exactly: every column sum is odd.
-    """
-    return _orientable(_column_masks(_checked_refined(p, lam)))
 
 
 def _column_masks(rl: CharMatrix) -> list[int]:
@@ -173,12 +161,9 @@ def is_string_smallcover(p: SimplePolytope, lam: CharMatrix) -> bool:
     For small covers this coincides with the spin condition, so there
     is no separate test.
     """
-    return _refined_is_string(p, _checked_refined(p, lam))
-
-
-def _refined_is_string(p: SimplePolytope, rl: CharMatrix) -> bool:
-    """is_string_smallcover for a pair already valid and refined."""
-    return _refined_verdicts(p, rl)[1]
+    if not validate_mod2(p, lam):
+        raise SmallCoverError("matrix is singular at some vertex over GF(2)")
+    return _refined_verdicts(p, _refined(p, lam))[1]
 
 
 def _refined_verdicts(p: SimplePolytope, rl: CharMatrix) -> tuple[bool, bool]:

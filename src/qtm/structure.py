@@ -449,30 +449,6 @@ def _split_blocks(lam: CharMatrix, a, b) -> dict:
     }
 
 
-def bundle_blocks(p: SimplePolytope, lam: CharMatrix, split) -> dict:
-    """Zero-block report for a refined matrix against a product split.
-
-    With facets partitioned into factor sets (A, B) and the matrix refined
-    at a vertex, block_ab collects the entries at (rows of the A-part of
-    the vertex) x (free columns of B) and block_ba the mirror image.
-    ab_zero certifies a fibering over the A-part with B-part fiber, ba_zero
-    the other way round, both zero a product -- at this refinement only;
-    equivalent matrices may hide or reveal the blocks.
-    """
-    _checked_pair(p, lam)
-    if lam.refined_at is None:
-        raise StructureError("bundle blocks need a refined matrix")
-    a, b = split
-    aset, bset = set(a), set(b)
-    if aset & bset or aset | bset != set(range(1, p.num_facets + 1)):
-        raise StructureError("split must partition the facet set")
-    norm = (tuple(sorted(a)), tuple(sorted(b)))
-    splits = set(product_splits(p))
-    if norm not in splits and (norm[1], norm[0]) not in splits:
-        raise StructureError("split is not a product structure of the polytope")
-    return _split_blocks(lam, tuple(sorted(a)), tuple(sorted(b)))
-
-
 def bundle_certificate(p: SimplePolytope, lam: CharMatrix) -> dict | None:
     """First (vertex, product split) whose refinement has a zero block.
 

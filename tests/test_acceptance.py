@@ -32,10 +32,10 @@ from qtm.stringcheck import (
     is_spin,
     is_string,
     polygon_closed_form,
-    q_prism_closed_form,
     q_prism_polytope,
 )
 from qtm.structure import decompose_cube_connsum, decompose_prism
+from closed_form_oracle import q_prism_closed_form
 from dj_oracle import substituted_relations
 from smith_oracle import smith_invariant_factors
 

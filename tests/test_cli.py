@@ -398,6 +398,24 @@ def test_enumerate_refuses_automorphisms_it_cannot_search(tmp_path, capsys):
     assert "Traceback" not in captured.err
 
 
+def test_enumerate_refuses_a_value_table_past_the_limit(tmp_path, capsys):
+    # 121**4 column values would be tabulated before any cap is read:
+    # a usage error as the search is specified
+    p = _write(tmp_path, "cube4.json", cube(4).to_dict())
+    assert main(["enumerate", "-p", p, "--bound", "60"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "over the limit of 262144" in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_enumerate_time_cap_of_zero_exits_3(tmp_path, capsys):
+    p = _write(tmp_path, "p5.json", polygon(5).to_dict())
+    code, d = _run(capsys, ["enumerate", "-p", p, "--bound", "2", "--max-seconds", "0"])
+    assert code == 3
+    assert d["error"] == "time budget exhausted" and d["statistics"]["nodes"] == 1
+
+
 def test_enumerate_resource_cap_exits_3(tmp_path, capsys):
     p = _write(tmp_path, "p.json", cube(3).to_dict())
     code, d = _run(

@@ -23,7 +23,6 @@ from qtm.cohomology import (
     DegreeFourPresentation,
     basis_coefficients,
     greedy_basis,
-    is_zero_in_h4,
     p1_vector,
     presentation_deg4,
     _certified_quotient_map,
@@ -43,6 +42,12 @@ from smith_oracle import spans_unit_summand
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 import workloads  # noqa: E402  (bench/workloads.py, the pair-check pool)
+
+
+def is_zero_in_h4(pres, expr) -> bool:
+    """Is the class zero in the degree-4 quotient, i.e. q(expr) = 0?"""
+    return not any(cohomology._image(pres.quotient_map, pres.quotient_rank, pres.to_vector(expr)))
+
 
 TRIANGLE = simplex(2)
 SQUARE = polygon(4)

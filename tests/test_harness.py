@@ -12,6 +12,7 @@ the DFS end to end.  The frozen numbers below are the oracle's outputs.
 import hashlib
 import itertools
 import json
+import time
 
 import pytest
 
@@ -470,6 +471,52 @@ def test_time_budget_raises():
         )
     assert "time" in str(exc.value)
     assert exc.value.stats["nodes"] >= 1
+
+
+def test_a_time_cap_of_zero_fires_at_the_first_node():
+    # the clock is read at node 1; read first at node 4096, it let this
+    # search finish with 18 survivors and the claim come out verified
+    with pytest.raises(ResourceCapExceeded, match="^time budget exhausted$") as exc:
+        enumerate_matrices(SearchSpec(polygon(5), 2, max_seconds=0))
+    assert exc.value.stats["nodes"] == 1
+    rep = verify_claim("polygon-parity", {"m": 4, "bound": 1}, max_seconds=0)
+    assert rep.verdict == "resource-capped"
+    assert rep.statistics["nodes"] == 1
+
+
+def test_the_time_cap_counts_the_table_setup(monkeypatch):
+    # the clock starts before the value tables are built: a setup that
+    # outlasts the cap stops the walk at node 1, and elapsed covers it
+    real = harness._lex_table
+
+    def slow(values, n):
+        time.sleep(0.2)
+        return real(values, n)
+
+    monkeypatch.setattr(harness, "_lex_table", slow)
+    with pytest.raises(ResourceCapExceeded, match="^time budget exhausted$") as exc:
+        enumerate_matrices(SearchSpec(cube(3), 1, max_nodes=10, max_seconds=0.1))
+    assert exc.value.stats["nodes"] == 1
+    assert exc.value.stats["elapsed"] >= 0.2
+
+
+def test_search_refuses_a_value_table_past_the_limit():
+    # the (2 * bound + 1) ** dim column values are tabulated before any
+    # cap is read, so a table past 2**18 values is refused as the search
+    # is specified; the GF(2) walk takes bound 1 only
+    assert harness.MAX_COLUMN_VALUES == 2**18
+    with pytest.raises(
+        HarnessError,
+        match="^entry bound 60 in dimension 4 gives 214358881 column values, "
+        "over the limit of 262144$",
+    ):
+        SearchSpec(cube(4), 60)
+    SearchSpec(polygon(5), 255)  # 511**2 = 261,121 values
+    with pytest.raises(HarnessError, match="gives 263169 column values"):
+        SearchSpec(polygon(5), 256)
+    SearchSpec(cube(4), 10)  # 21**4 = 194,481 values
+    with pytest.raises(HarnessError, match="gives 279841 column values"):
+        SearchSpec(cube(4), 11)
 
 
 # --- named campaigns -------------------------------------------------------

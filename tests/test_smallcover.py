@@ -26,13 +26,19 @@ from qtm.harness import SearchSpec, enumerate_matrices
 from qtm.polytope import cube, find_isomorphisms, polygon, prism, product, simplex
 from qtm.smallcover import (
     SmallCoverError,
-    is_orientable,
     is_string_smallcover,
     refine_mod2,
     simplex_product,
     validate_mod2,
     verify_simplex_product_criterion,
 )
+
+
+def is_orientable(p, lam):
+    """The orientability verdict `qtm smallcover` prints: every column
+    sum odd once refined, from `smallcover._refined_verdicts`."""
+    return smallcover._refined_verdicts(p, smallcover._refined(p, lam))[0]
+
 
 # string structure over the product of a quadrilateral and a triangle;
 # facets 1..4 the quadrilateral (opposite pairs {1,3}, {2,4}), 5..7 the
@@ -115,13 +121,13 @@ def test_validate_mod2():
 
 def test_public_mod2_tests_validate_their_input():
     # columns 1 and 3 coincide, so vertex (1, 3) of the triangle is
-    # singular; the search's string core skips this check, these keep it
+    # singular; the search's string core skips this check, the public
+    # test keeps it
     bad = CharMatrix([[1, 0, 1], [0, 1, 0]])
-    for test in (is_orientable, is_string_smallcover):
-        with pytest.raises(SmallCoverError):
-            test(polygon(3), bad)
-        with pytest.raises(CharMatrixError):
-            test(polygon(4), bad)
+    with pytest.raises(SmallCoverError):
+        is_string_smallcover(polygon(3), bad)
+    with pytest.raises(CharMatrixError):
+        is_string_smallcover(polygon(4), bad)
 
 
 def test_refine_mod2_moves_the_identity():
@@ -313,7 +319,7 @@ def test_degree2_presentation_keeps_its_checks(monkeypatch):
     monkeypatch.setattr(
         intlin, "_f2_echelon", lambda masks: calls.append(list(masks)) or echelon(masks)
     )
-    assert smallcover._refined_is_string(p, QUAD_TRI)
+    assert smallcover._refined_verdicts(p, QUAD_TRI)[1]
     assert len(templates) == 1 and templates[0] is t
     assert len(calls) == 1 and len(calls[0]) == len(t.live_terms)
     # dependent live rows raise, in the core and in the public verdict
@@ -366,7 +372,7 @@ def mod2_leaves(name):
 def test_string_core_matches_the_substitution_builder(name):
     p, leaves = mod2_leaves(name)
     _make, nleaves, nstring = MOD2_WALKS[name]
-    verdicts = [smallcover._refined_is_string(p, lam) for lam in leaves]
+    verdicts = [smallcover._refined_verdicts(p, lam)[1] for lam in leaves]
     assert verdicts == [mod2_oracle.refined_is_string(p, lam) for lam in leaves]
     assert (len(leaves), sum(verdicts)) == (nleaves, nstring)
     # the string walk decides on its column masks and keeps exactly the
@@ -438,7 +444,7 @@ def test_string_verdict_survives_row_operations_and_refinement(data):
             rows[i] = [a ^ b for a, b in zip(rows[i], rows[j])]
     v = data.draw(st.sampled_from(p.vertices))
     moved = refine_mod2(p, CharMatrix(rows), v)
-    assert smallcover._refined_is_string(p, moved) is string
+    assert smallcover._refined_verdicts(p, moved)[1] is string
     assert is_string_smallcover(p, CharMatrix(rows)) is string
 
 

@@ -4,7 +4,8 @@ Every closed form is pinned against the general cohomology engine on
 randomized valid matrices (mutation walks from a hand-checked seed),
 with exact coefficient equality, not just agreement of the verdict.
 Frozen expectations are either worked out by hand on small cases or
-were produced once by the general engine and checked in.
+were produced once by the general engine and checked in.  The
+pentagon-prism and Q-prism forms come from `closed_form_oracle`.
 """
 
 import functools
@@ -12,7 +13,19 @@ import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from closed_form_oracle import (
+    pent_prism_basis,
+    pent_prism_closed_form,
+    pent_prism_normal_form,
+    pent_prism_polytope,
+    pent_prism_units,
+    q_prism_basis,
+    q_prism_closed_form,
+    q_prism_normal_form,
+    q_prism_units,
+)
 from test_charmat import VALIDATE_POOL, draw_matrix
+from test_cohomology import is_zero_in_h4
 
 from qtm import cohomology, harness
 from qtm.charmat import (
@@ -28,7 +41,6 @@ from qtm.charmat import (
 )
 from qtm.cohomology import (
     greedy_basis,
-    is_zero_in_h4,
     p1_vector,
     presentation_deg4,
     reduce_to_basis,
@@ -53,18 +65,11 @@ from qtm.stringcheck import (
     cyclic_identities,
     is_spin,
     is_string,
-    pent_prism_basis,
-    pent_prism_closed_form,
-    pent_prism_normal_form,
-    pent_prism_polytope,
     polygon_closed_form,
     polygon_parity_criterion,
     prism_basis,
     prism_closed_form,
     prism_normal_form,
-    q_prism_basis,
-    q_prism_closed_form,
-    q_prism_normal_form,
     q_prism_polytope,
     random_cyclic_instance,
     string_verdict,
@@ -475,8 +480,6 @@ def test_pent_prism_string_instance():
 
 def test_pent_prism_closed_form_matches_engine():
     rng = random.Random(67)
-    from qtm.stringcheck import pent_prism_units
-
     for n, steps in ((3, 50), (4, 30)):
         p = pent_prism_polytope(n)
         for lam in walk(p, pent_seed(n), steps, rng, units=pent_prism_units(n)):
@@ -530,8 +533,6 @@ def test_q_prism_string_example():
 
 def test_q_prism_closed_form_matches_engine():
     rng = random.Random(83)
-    from qtm.stringcheck import q_prism_units
-
     for n, steps in ((3, 50), (4, 30)):
         p = q_prism_polytope(n)
         for lam in walk(p, q_seed(n), steps, rng, units=q_prism_units(n)):

@@ -43,8 +43,8 @@ from qtm.structure import (
     DobrinskayaForm,
     StructureContradiction,
     StructureError,
+    _split_blocks,
     bott_triangularize,
-    bundle_blocks,
     bundle_certificate,
     decompose_cube_connsum,
     decompose_prism,
@@ -543,26 +543,16 @@ def test_edge_sum_string_matches_summands():
 
 def test_bundle_blocks_of_plain_product():
     lam = CharMatrix([[1, 0, 1, 0], [0, 1, 0, 1]], refined_at=(1, 2))
-    info = bundle_blocks(cube(2), lam, ((1, 3), (2, 4)))
+    info = _split_blocks(lam, (1, 3), (2, 4))
     assert info["ab_zero"] and info["ba_zero"]
 
 
 def test_bundle_blocks_of_hexagonal_example():
     # at this refinement neither block vanishes
-    info = bundle_blocks(prism(6), HEX_PRISM_LAM, ((1, 8), (2, 3, 4, 5, 6, 7)))
+    info = _split_blocks(HEX_PRISM_LAM, (1, 8), (2, 3, 4, 5, 6, 7))
     assert info["block_ab"] == [[1, 0, 0, 0]]
     assert info["block_ba"] == [[0], [2]]
     assert not info["ab_zero"] and not info["ba_zero"]
-
-
-def test_bundle_blocks_rejects_non_product_split():
-    with pytest.raises(StructureError):
-        bundle_blocks(prism(6), HEX_PRISM_LAM, ((1, 2), (3, 4, 5, 6, 7, 8)))
-
-
-def test_bundle_blocks_needs_refined_matrix():
-    with pytest.raises(StructureError):
-        bundle_blocks(prism(6), CharMatrix(HEX_PRISM_LAM.rows), ((1, 8), (2, 3, 4, 5, 6, 7)))
 
 
 def test_bundle_certificate_none_for_hexagonal_example():
@@ -581,7 +571,7 @@ def test_bundle_certificate_found_for_pieces():
         assert cert["ab_zero"] or cert["ba_zero"]
         # the certificate must reproduce under its own refinement
         refined = refine(p4, CharMatrix(rows), cert["vertex"])
-        info = bundle_blocks(p4, refined, cert["split"])
+        info = _split_blocks(refined, *cert["split"])
         assert info["ab_zero"] == cert["ab_zero"]
         assert info["ba_zero"] == cert["ba_zero"]
 
