@@ -3,7 +3,9 @@
 A characteristic matrix for an n-polytope with m facets is an n x m
 integer matrix whose column j is the vector attached to facet j; the
 pair is valid when every vertex's column submatrix has determinant +-1.
-Entries are Python ints, so nothing can overflow.  A small cover's
+Entries are Python ints, so nothing can overflow; the constructor
+refuses any other type (bool, float, str) rather than convert it, and a
+refined_at outside the facets 1..m.  A small cover's
 matrix is the same type: the `smallcover` functions read its entries
 mod 2, as the functions here read them over Z, so the function a caller
 picks decides the field.
@@ -17,14 +19,21 @@ when the columns of v form the identity in sorted-v order; `refine`
 produces that form for any vertex.  `validate` reads a refined matrix
 through that identity block: a vertex determinant there is, up to sign,
 a minor at most as wide as the number of facets the vertex does not
-share with the refining vertex.  This module computes no normal form
-of a class: the search tells classes apart by its own walk form, the
-orbit leaders of `harness`.
+share with the refining vertex.  Which rows and columns each minor
+takes depends on the polytope's vertices and the refining vertex alone,
+so a plan listing them is built once per pair of those and kept in a
+capped module cache (`_PLANS`), as `cohomology` keeps its relation
+templates.  An unrefined matrix has its columns read once.  Both paths
+take every vertex determinant in p.vertices order up to the first one
+that is not +-1, and name that vertex.  This module computes no normal
+form of a class: the search tells classes apart by its own walk form,
+the orbit leaders of `harness`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 from . import intlin
 from .polytope import SimplePolytope
@@ -32,6 +41,9 @@ from .polytope import SimplePolytope
 
 class CharMatrixError(ValueError):
     pass
+
+
+_INT = {int}
 
 
 def _refined_vertex_ok(rows, v) -> bool:
@@ -46,25 +58,35 @@ def _refined_vertex_ok(rows, v) -> bool:
 class CharMatrix:
     """Immutable n x m matrix of ints with 1-based column (facet) indexing.
 
-    The entries are kept exactly as given; the GF(2) functions of
-    `smallcover` read them mod 2.  refined_at, when given, is checked
-    on the exact entries: its columns must be the identity.
+    The entries are kept exactly as given and must be ints (a bool, a
+    float or a string is refused, not converted); the GF(2) functions of
+    `smallcover` read them mod 2.  refined_at, when given, must name n
+    facets in 1..m, and is checked on the exact entries: its columns
+    must be the identity.
     """
 
     __slots__ = ("n", "m", "rows", "refined_at")
 
     def __init__(self, rows, refined_at=None):
-        rows = tuple(tuple(map(int, r)) for r in rows)
+        rows = tuple(map(tuple, rows))
         if not rows or not rows[0]:
             raise CharMatrixError("empty matrix")
-        if any(len(r) != len(rows[0]) for r in rows):
+        if len(set(map(len, rows))) != 1:
             raise CharMatrixError("ragged rows")
+        types = set(map(type, chain.from_iterable(rows)))
+        if types != _INT:
+            bad = sorted(t.__name__ for t in types - _INT)
+            raise CharMatrixError(f"entries must be ints, not {', '.join(bad)}")
         self.rows = rows
         self.n = len(rows)
         self.m = len(rows[0])
         if refined_at is not None:
             refined_at = tuple(sorted(refined_at))
-            if len(refined_at) != self.n or not _refined_vertex_ok(rows, refined_at):
+            if len(refined_at) != self.n or refined_at[0] < 1 or refined_at[-1] > self.m:
+                raise CharMatrixError(
+                    f"refined_at {refined_at} is not {self.n} facets in 1..{self.m}"
+                )
+            if not _refined_vertex_ok(rows, refined_at):
                 raise CharMatrixError(f"columns {refined_at} are not the identity")
         self.refined_at = refined_at
 
@@ -112,6 +134,34 @@ def _check_shape(p: SimplePolytope, lam: CharMatrix) -> None:
         )
 
 
+# (vertices, base) -> the minor plan of `validate`.  A plan depends on
+# its key alone and is never mutated, so every caller may share it; the
+# cache is cleared when it fills up
+_PLANS: dict = {}
+_PLAN_CACHE_SIZE = 1024
+
+
+def _minor_plan(p: SimplePolytope, base) -> tuple:
+    """(v, rows {k : B_k not in v}, 0-based columns v - B) for every
+    vertex v of p.vertices but the base vertex B, in that order."""
+    key = (p.vertices, base)
+    plan = _PLANS.get(key)
+    if plan is None:
+        plan = tuple(
+            (
+                v,
+                tuple(k for k, f in enumerate(base) if f not in v),
+                tuple(j - 1 for j in v if j not in base),
+            )
+            for v in p.vertices
+            if v != base
+        )
+        if len(_PLANS) >= _PLAN_CACHE_SIZE:
+            _PLANS.clear()
+        _PLANS[key] = plan
+    return plan
+
+
 def validate(p: SimplePolytope, lam: CharMatrix):
     """(True, None) if every vertex determinant is +-1, else (False, the
     first vertex of p.vertices whose determinant is not).
@@ -119,21 +169,25 @@ def validate(p: SimplePolytope, lam: CharMatrix):
     On a matrix refined at a vertex B of p, column B_k is e_k, so the
     vertex submatrix of v holds e_k for every B_k in v, and its |det| is
     the |det| of the minor on rows {k : B_k not in v} and columns v - B.
-    Those minors are small; the full n x n determinant is taken only
-    when the matrix is not refined at a vertex.
+    Those minors are small, and which rows and columns they take depends
+    on (p.vertices, B) alone: `_minor_plan` lists them once per key, in
+    vertex order, and a module cache keeps the plans.  B itself is left
+    out, since its minor is empty.  A matrix not refined at a vertex has
+    its columns read once, and each vertex determinant is taken on the
+    vertex's columns as rows: the transpose has the same |det|.  Either
+    way every determinant is taken until the first that is not +-1.
     """
     _check_shape(p, lam)
     base = lam.refined_at
     if base is None or not p.is_vertex(base):
+        cols = tuple(zip(*lam.rows))
         for v in p.vertices:
-            if abs(intlin.det(lam.submatrix(v))) != 1:
+            if abs(intlin.det([cols[j - 1] for j in v])) != 1:
                 return False, v
         return True, None
-    rows = tuple(zip(base, lam.rows))  # (B_k, row k)
-    for v in p.vertices:
-        js = [j - 1 for j in v if j not in base]
-        minor = [[r[j] for j in js] for f, r in rows if f not in v]
-        if abs(intlin.det(minor)) != 1:
+    rows = lam.rows
+    for v, ks, js in _minor_plan(p, base):
+        if abs(intlin.det([[rows[k][j] for j in js] for k in ks])) != 1:
             return False, v
     return True, None
 

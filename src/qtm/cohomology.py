@@ -39,9 +39,13 @@ of rank N - |R| = |live| - |live rows|, and L is a direct summand
 exactly when the live rows span one.  Both consumers below therefore
 fill in and reduce the live rows alone (`_live_rows`).
 
-`p1_vanishes` decides the string condition: it reduces the live rows
-by `intlin.unit_pivot_reduce` and then the live part of p_1 by the
-pivot rows; p_1 is zero exactly when nothing is left.  When the
+`p1_vanishes` decides the string condition: it brings the live rows to
+echelon form by `intlin.unit_pivot_reduce` and then reduces the live
+part of p_1 by the pivot rows in pivot order.  Each row is 1 at its own
+pivot and 0 at the pivots before it, so it clears its pivot and leaves
+the earlier ones clear: what is left is 0 at every pivot, and the only
+lattice vector that is 0 at every pivot is 0.  So p_1 is zero exactly
+when nothing is left, and no back substitution is needed.  When the
 reduction gets stuck it falls back to the stepwise quotient map of the
 live rows (below), which raises unless they span a direct summand.
 
@@ -55,18 +59,21 @@ violation is a hard error rather than a soft result.  (The quotient
 rank equals h_2 by counting alone; see above.)
 
 The certified quotient map of a set of rows comes from
-`intlin.unit_pivot_reduce`, which pivots only on +-1 entries and keeps
-every row fully reduced.  When it succeeds the pivot columns hold an
-identity block, so the rows are a basis of a direct summand of their
-rank and q is read off them: q(e_j) = e_j for the non-pivot columns j
-and q(e_p) = -(row of pivot p) on them.  When it gets stuck (no unit
-entry left) the lattice may still be a direct summand, so q comes from
-a unimodular u with u @ [the k rows]^T = [I_k; 0] instead, grown from
-u = I one row at a time by `intlin.extend_unimodular`.  A step takes
-the next row exactly when it is primitive modulo the rows before it,
-and every prefix of a basis of a direct summand spans one, so the steps
-all succeed exactly when the rows span a rank-k direct summand.  The
-rows of u below k then define q.
+`intlin.unit_pivot_reduce`, which pivots only on +-1 entries and leaves
+the rows in echelon form.  When it succeeds, `_read_off_quotient_map`
+substitutes back in reverse pivot order.  That leaves an identity block
+in the pivot columns, and for a fixed set of pivots the basis of a
+lattice with that block is unique.  So the rows are a basis of a direct
+summand of their rank and q is read off them: q(e_j) = e_j for the
+non-pivot columns j and q(e_p) = -(row of pivot p) on them.  When it
+gets stuck (no unit entry left) the lattice may still be a direct
+summand, so q comes from a unimodular u with u @ [the k rows]^T =
+[I_k; 0] instead, grown from u = I one row at a time by
+`intlin.extend_unimodular`.  A step takes the next row exactly when it
+is primitive modulo the rows before it, and every prefix of a basis of
+a direct summand spans one, so the steps all succeed exactly when the
+rows span a rank-k direct summand.  The rows of u below k then define
+q.
 
 A class is zero in the quotient exactly when q maps it to 0.  For any
 monomial set S, Z^N / (relations + span e_S) = Z^h2 / span q(e_S), so
@@ -227,8 +234,9 @@ def p1_vanishes(t: RelationTemplate, cols) -> bool:
     if pivots is None:
         q = _transposed_quotient_map(rows, nlive)
         return not any(_image(q, nlive - len(rows), rest))
-    # each pivot row is 1 at its pivot and 0 at every other pivot, so one
-    # pass clears every pivot column; what is left is p_1 in the quotient
+    # in pivot order each row is 1 at its pivot and 0 at the pivots before
+    # it, so it clears its pivot and keeps the earlier ones clear; what is
+    # left is 0 at every pivot, and in the row lattice only if it is 0
     for c, row in pivots.items():
         x = rest[c]
         if x:
@@ -304,7 +312,8 @@ def w2_vector(p: SimplePolytope, lam: CharMatrix) -> dict[int, int]:
     if lam.refined_at is None:
         raise CohomologyError("w2 needs a refined matrix")
     base = set(lam.refined_at)
-    out = {j: 1 - sum(lam.column(j)) for j in range(1, lam.m + 1) if j not in base}
+    cols = columns(lam)
+    out = {j: 1 - sum(cols[j]) for j in range(1, lam.m + 1) if j not in base}
     return {j: c for j, c in out.items() if c}
 
 
@@ -352,15 +361,26 @@ def _transposed_quotient_map(relations: list, ngen: int) -> tuple:
 
 def _read_off_quotient_map(pivot_row: dict, ngen: int) -> tuple:
     """q from the rows {pivot column: row} of `intlin.unit_pivot_reduce`,
-    each 1 at its own pivot and 0 at the others: identity on the
-    non-pivot columns, and each pivot column goes to minus its row
-    there, so every row maps to 0 and q(x) is what is left of x after
-    subtracting x_p times the row of each pivot p."""
-    rest = [j for j in range(ngen) if j not in pivot_row]
+    in pivot order, each 1 at its own pivot and 0 at the pivots before
+    it.  Back substitution in reverse pivot order clears each row at the
+    pivots after it as well, which leaves the one basis of their lattice
+    with an identity block in the pivot columns.  q is then the identity
+    on the non-pivot columns, and each pivot column goes to minus its
+    row there, so every row maps to 0 and q(x) is what is left of x
+    after subtracting x_p times the row of each pivot p."""
+    jordan: dict = {}
+    for c in reversed(pivot_row):
+        row = pivot_row[c]
+        for p, later in jordan.items():
+            x = row[p]
+            if x:
+                row = [a - x * b for a, b in zip(row, later)]
+        jordan[c] = row
+    rest = [j for j in range(ngen) if j not in jordan]
     unit = {j: t for t, j in enumerate(rest)}
     images = []
     for j in range(ngen):
-        row = pivot_row.get(j)
+        row = jordan.get(j)
         if row is None:
             img = [0] * len(rest)
             img[unit[j]] = 1

@@ -2,7 +2,7 @@
 
 Everything here is exact: determinants by fraction-free (Bareiss)
 elimination, cofactor vectors from their minors, the unit-pivot
-Gauss-Jordan reduction that certifies a relation lattice as a direct
+echelon reduction that certifies a relation lattice as a direct
 summand, and `extend_unimodular`, the one step that grows a unimodular
 transform: it decides whether a vector extends a basis of a direct
 summand and, if it does, adds it.  Unimodular inverses, the fallback
@@ -179,34 +179,41 @@ def extend_unimodular(u: list[list[int]], y: list[int], k: int) -> bool:
 
 
 def unit_pivot_reduce(rows: list[list[int]]) -> dict[int, list[int]] | None:
-    """Gauss-Jordan reduction over Z that pivots only on +-1 entries.
+    """Echelon reduction over Z that pivots only on +-1 entries.
 
-    Returns {pivot column: row}: rows spanning the same lattice as the
-    input, one per input row, each 1 at its own pivot column and 0 at
-    every other pivot column, so the pivot columns hold an identity
-    block.  Rows with such a block are a basis of a rank-len(rows)
-    direct summand of Z^N.  A row is taken as the next pivot row once it
-    has a unit entry, in any column; every other row, pivot or not, is
+    Returns {pivot column: row} in the order the pivots were chosen:
+    rows spanning the same lattice as the input, one per input row, each
+    +1 at its own pivot column and 0 at the pivot columns chosen before
+    it.  A row is taken as the next pivot row once it has a unit entry,
+    and it pivots on its first unit entry; the rows still pending are
     then cleared in that column by the divisible branch of `xgcd_rows`,
-    so all rows stay fully reduced.  Returns None when no row left has a
-    unit entry, which includes a row that vanished; the lattice may
-    still be a direct summand then.
+    and the pivot rows already taken are left as they are.  Rows of this
+    shape are a basis of a rank-len(rows) direct summand of Z^N: a
+    lattice vector that is 0 at every pivot column has coefficient 0 on
+    the first pivot row, then on the second, and so on.  Back
+    substitution in reverse pivot order turns them into the unique basis
+    with an identity block in the pivot columns
+    (`cohomology._read_off_quotient_map`).  Returns None when no row
+    left has a unit entry, which includes a row that vanished; the
+    lattice may still be a direct summand then.
     """
     pending = copy_rows(rows)
     pivots: dict[int, list[int]] = {}
     while pending:
         for i, row in enumerate(pending):
-            c = next((j for j, x in enumerate(row) if x == 1 or x == -1), None)
-            if c is not None:
+            if 1 in row:
+                c = row.index(1)
+                if -1 in row[:c]:
+                    c = row.index(-1)
+                break
+            if -1 in row:
+                c = row.index(-1)
                 break
         else:
             return None
         row = pending.pop(i)
         if row[c] < 0:
             row = [-x for x in row]
-        for p, other in pivots.items():
-            if other[c]:
-                pivots[p] = xgcd_rows(row, other, 1, other[c])[1]
         for k, other in enumerate(pending):
             if other[c]:
                 pending[k] = xgcd_rows(row, other, 1, other[c])[1]

@@ -365,11 +365,8 @@ def _equivariant_connected_sum(p_l, lam_l, w_l, p_r, lam_r, w_r):
     rl = refine(p_l, lam_l, w_l)
     rr = refine(p_r, lam_r, w_r)
     poly, p_map, q_map = connected_sum(p_l, w_l, p_r, w_r)
-    cols = {}
-    for f in range(1, p_l.num_facets + 1):
-        cols[p_map[f]] = rl.column(f)
-    for g in range(1, p_r.num_facets + 1):
-        col = rr.column(g)
+    cols = {p_map[f]: col for f, col in enumerate(zip(*rl.rows), start=1)}
+    for g, col in enumerate(zip(*rr.rows), start=1):
         prev = cols.get(q_map[g])
         if prev is not None and prev != col:
             raise StructureContradiction("merged facet columns disagree")
@@ -416,10 +413,7 @@ def _equivariant_edge_connected_sum(p1, lam1, edge1, ends1, p2, lam2, edge2, end
 
 def _glued(poly, cols):
     """The glued pair over poly whose column j is cols[j], validated once."""
-    rows = [
-        [cols[j][i] for j in range(1, poly.num_facets + 1)] for i in range(poly.dim)
-    ]
-    lam = CharMatrix(rows)
+    lam = CharMatrix(zip(*(cols[j] for j in range(1, poly.num_facets + 1))))
     ok, bad = validate(poly, lam)
     if not ok:
         raise StructureContradiction(f"glued matrix is singular at vertex {bad}")

@@ -8,7 +8,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qtm import intlin
+from qtm import charmat, intlin
 from qtm.charmat import (
     CharMatrix,
     CharMatrixError,
@@ -95,7 +95,35 @@ def test_validate_agrees_on_a_refined_matrix(data):
     lam = draw_matrix(data, p)
     units = [v for v in p.vertices if abs(intlin.det(lam.submatrix(v))) == 1]
     rl = refine(p, lam, data.draw(st.sampled_from(units)))
-    assert validate(p, rl) == validate(p, lam)
+    # the reference: the first vertex whose full determinant is not +-1
+    bad = next((v for v in p.vertices if abs(intlin.det(lam.submatrix(v))) != 1), None)
+    assert validate(p, lam) == validate(p, rl) == (bad is None, bad)
+
+
+def test_minor_plans_are_cached_per_vertices_and_base(monkeypatch):
+    monkeypatch.setattr(charmat, "_PLANS", {})
+    monkeypatch.setattr(charmat, "_PLAN_CACHE_SIZE", 2)
+    lam = CharMatrix(
+        [[1, 0, 0, 1, 0, 0], [0, 1, 0, 0, 1, 0], [0, 0, 1, 0, 0, 1]], refined_at=(1, 2, 3)
+    )
+    assert validate(cube(3), lam) == (True, None)
+    plan = charmat._PLANS[(CUBE3.vertices, (1, 2, 3))]
+    # an equal polytope built again reuses the one plan; the base vertex
+    # has no minor, and every other vertex keeps its place
+    assert validate(cube(3), lam) == (True, None)
+    assert charmat._minor_plan(cube(3), (1, 2, 3)) is plan
+    assert [v for v, _ks, _js in plan] == [v for v in CUBE3.vertices if v != (1, 2, 3)]
+    # (1, 5, 6) keeps B_1 = 1, so its minor takes rows 2, 3 and columns 5, 6
+    assert dict((v, (ks, js)) for v, ks, js in plan)[(1, 5, 6)] == ((1, 2), (4, 5))
+    assert list(charmat._PLANS) == [(CUBE3.vertices, (1, 2, 3))]
+    validate(PENTAGON, PENTAGON_LAM)
+    assert len(charmat._PLANS) == 2
+    # a third key finds the cache full: it is cleared, then holds the new plan
+    validate(TRIANGLE, cp2_matrix(1, 1))
+    assert list(charmat._PLANS) == [(TRIANGLE.vertices, (1, 2))]
+    # an unrefined matrix builds no plan
+    validate(PENTAGON, CharMatrix(PENTAGON_LAM.rows))
+    assert list(charmat._PLANS) == [(TRIANGLE.vertices, (1, 2))]
 
 
 def test_validate_names_the_first_bad_vertex_of_a_refined_matrix():
@@ -121,6 +149,26 @@ def test_constructor_checks():
     assert lam.refined_at is None
     assert lam.column(3) == [1, 1]
     assert lam.entry(2, 3) == 1
+
+
+def test_constructor_refuses_refined_at_outside_the_facets():
+    # facet 0 would read the last column: columns 6 and 1 are e_1 and e_2
+    rows = [[0, 1, 1, -1, -1, 1], [1, 1, 0, -1, 0, 0]]
+    for at in ((0, 1), (1, 7), (-1, 2)):
+        with pytest.raises(CharMatrixError, match="1..6"):
+            CharMatrix(rows, refined_at=at)
+    with pytest.raises(CharMatrixError, match="2 facets"):
+        CharMatrix(rows, refined_at=(1,))
+    # unrefined, the matrix validates as any other: singular at (5, 6)
+    assert validate(polygon(6), CharMatrix(rows)) == (False, (5, 6))
+
+
+def test_constructor_refuses_entries_that_are_not_ints():
+    for rows in ([[1.9, 0], [0, 1]], [[1.0, 0], [0, 1]], ["12", "34"], [[True, 0], [0, 1]]):
+        with pytest.raises(CharMatrixError, match="entries must be ints"):
+            CharMatrix(rows)
+    # int rows given as tuples or generators are kept as they are
+    assert CharMatrix(((1, 0), iter([0, 1]))).rows == ((1, 0), (0, 1))
 
 
 def test_refine():

@@ -79,18 +79,39 @@ def test_hermite_pivots_positive_and_reduced():
     )
 )
 def test_unit_pivot_reduce_spans_the_row_lattice(rows):
+    from qtm.cohomology import _certified_quotient_map
+
     before = [list(r) for r in rows]
     pivots = intlin.unit_pivot_reduce(rows)
     assert rows == before
     if pivots is None:
         return
-    # one row per input row, with an identity block in the pivot columns
+    # one row per input row, in echelon form: in pivot order, each +1 at
+    # its own pivot and 0 at the pivots chosen before it
     assert len(pivots) == len(rows)
-    for c, row in pivots.items():
-        assert all(row[p] == (1 if p == c else 0) for p in pivots)
+    order = list(pivots)
+    for t, c in enumerate(order):
+        assert pivots[c][c] == 1
+        assert all(pivots[c][p] == 0 for p in order[:t])
+    if not rows:
+        return
     # the same lattice: the row HNF is canonical per lattice
-    if rows:
-        assert hermite_form(list(pivots.values())).rows == hermite_form(rows).rows
+    assert hermite_form(list(pivots.values())).rows == hermite_form(rows).rows
+    # the quotient map read off them is the identity on the non-pivot
+    # columns, and the rows it implies, with an identity block in the
+    # pivot columns, span the same lattice again
+    ncols = len(rows[0])
+    q = _certified_quotient_map(rows, ncols)
+    rest = [j for j in range(ncols) if j not in pivots]
+    for t, j in enumerate(rest):
+        assert q[j] == tuple(int(s == t) for s in range(len(rest)))
+    block = []
+    for c in order:
+        row = [int(j == c) for j in range(ncols)]
+        for t, j in enumerate(rest):
+            row[j] = -q[c][t]
+        block.append(row)
+    assert hermite_form(block).rows == hermite_form(rows).rows
 
 
 def test_smith_matches_sympy():
@@ -324,14 +345,22 @@ def test_hermite_form_with_transform():
 
 
 def test_certified_factors_from_unit_pivots():
-    # a unit in every row: Gauss-Jordan leaves an identity block, so
-    # every invariant factor is 1
-    assert intlin.unit_pivot_reduce([[1, 4, 0], [0, 1, 7]]) == {0: [1, 0, -28], 1: [0, 1, 7]}
-    # a pivot on -1, then on (1, 1, 2) - 2 (-3, 0, 1) = (7, 1, 0)
+    from qtm.cohomology import _certified_quotient_map
+
+    # a unit in every row: the echelon rows are the input rows, and the
+    # read-off substitutes (1, 4, 0) - 4 (0, 1, 7) = (1, 0, -28) back, so
+    # the one free column maps to 1 and pivots 0, 1 go to 28 and -7
+    assert intlin.unit_pivot_reduce([[1, 4, 0], [0, 1, 7]]) == {0: [1, 4, 0], 1: [0, 1, 7]}
+    assert _certified_quotient_map([[1, 4, 0], [0, 1, 7]], 3) == ((28,), (-7,), (1,))
+    # a pivot on -1, then on (1, 1, 2) - 2 (-3, 0, 1) = (7, 1, 0), which
+    # is 0 at pivot 2 already: no back substitution
     assert intlin.unit_pivot_reduce([[3, 0, -1], [1, 1, 2]]) == {2: [-3, 0, 1], 1: [7, 1, 0]}
+    assert _certified_quotient_map([[3, 0, -1], [1, 1, 2]], 3) == ((1,), (-7,), (3,))
     assert intlin.unit_pivot_reduce([]) == {}
-    # (2, 3) has no unit, yet (1, 1) unlocks it: (2, 3) - 2 (1, 1) = (0, 1)
-    assert intlin.unit_pivot_reduce([[2, 3], [1, 1]]) == {0: [1, 0], 1: [0, 1]}
+    # (2, 3) has no unit, yet (1, 1) unlocks it: (2, 3) - 2 (1, 1) = (0, 1);
+    # the two rows span Z^2, so the quotient is 0
+    assert intlin.unit_pivot_reduce([[2, 3], [1, 1]]) == {0: [1, 1], 1: [0, 1]}
+    assert _certified_quotient_map([[2, 3], [1, 1]], 2) == ((), ())
 
 
 def test_unit_pivot_reduce_gets_stuck_without_a_unit():
