@@ -12,17 +12,17 @@ picks decides the field.
 
 The equivalence moves are integral row basis changes, column sign
 flips, and facet relabelings by automorphisms of the polytope.  None of
-them changes a vertex |det|, so `transform` validates its result once
-and the private `_moved` and `_normalizing_moves`, for pairs already
-validated, do not validate at all.  A pair is *refined* at a vertex v
-when the columns of v form the identity in sorted-v order; `refine`
-produces that form for any vertex.  `validate` reads a refined matrix
-through that identity block: a vertex determinant there is, up to sign,
-a minor at most as wide as the number of facets the vertex does not
-share with the refining vertex.  Which rows and columns each minor
-takes depends on the polytope's vertices and the refining vertex alone,
-so a plan listing them is built once per pair of those and kept in a
-capped module cache (`_PLANS`), as `cohomology` keeps its relation
+them changes a vertex |det|, so the private `_moved` and
+`_normalizing_moves` do not validate: the decompositions and the closed
+forms run them on pairs they have validated.  A pair is *refined* at a
+vertex v when the columns of v form the identity in sorted-v order;
+`refine` produces that form for any vertex.  `validate` reads a refined
+matrix through that identity block: a vertex determinant there is, up
+to sign, a minor at most as wide as the number of facets the vertex
+does not share with the refining vertex.  Which rows and columns each
+minor takes depends on the polytope's vertices and the refining vertex
+alone, so a plan listing them is built once per pair of those and kept
+in a capped module cache (`_PLANS`), as `cohomology` keeps its relation
 templates.  An unrefined matrix has its columns read once.  Both paths
 take every vertex determinant in p.vertices order up to the first one
 that is not +-1, and name that vertex.  This module computes no normal
@@ -272,30 +272,17 @@ def _moved(p: SimplePolytope, lam: CharMatrix, move) -> CharMatrix:
     return CharMatrix(rows, refined_at=keep if keep and _refined_vertex_ok(rows, keep) else None)
 
 
-def transform(p: SimplePolytope, lam: CharMatrix, move) -> CharMatrix:
-    """Apply an equivalence move; the move is checked and the result is
-    validated.
-
-    This is `_moved` plus one `validate`.  Since no move changes a
-    vertex |det| (see `_moved`), the result is invalid exactly when the
-    input was, so an invalid input raises here.
-    """
-    out = _moved(p, lam, move)
-    ok, bad = validate(p, out)
-    if not ok:
-        raise CharMatrixError(f"move breaks validity at vertex {bad}")
-    return out
-
-
 def _normalizing_moves(p: SimplePolytope, lam: CharMatrix, vertex, units, error):
     """Refine at the vertex, then flip columns until each listed unit
     entry is +1; returns (moves, normalized matrix) with the moves in
     the order applied.
 
-    The moves go through `_moved`, so nothing is validated again.  A
-    matrix already refined at the vertex takes no row move and no
+    The row move goes through `_moved`, so nothing is validated again.
+    A matrix already refined at the vertex takes no row move and no
     inverse.  A listed entry that is not a unit raises ``error``; the
-    callers list entries that are units by validity.
+    callers list entries that are units by validity, in distinct free
+    columns, so the flips commute, leave the identity block alone and
+    are applied in one pass that builds one matrix.
     """
     v = tuple(sorted(vertex))
     moves = []
@@ -307,14 +294,17 @@ def _normalizing_moves(p: SimplePolytope, lam: CharMatrix, vertex, units, error)
             cur = _moved(p, cur, mv)
             moves.append(mv)
         cur = CharMatrix(cur.rows, refined_at=v)
+    flips = set()
     for r, c in units:
         e = cur.entry(r, c)
         if abs(e) != 1:
             raise error(f"entry ({r},{c}) = {e} should be a unit")
         if e == -1:
-            mv = ColumnSignFlip(c)
-            cur = _moved(p, cur, mv)
-            moves.append(mv)
+            flips.add(c - 1)
+            moves.append(ColumnSignFlip(c))
+    if flips:
+        rows = [[-x if j in flips else x for j, x in enumerate(r)] for r in cur.rows]
+        cur = CharMatrix(rows, refined_at=v)
     return moves, cur
 
 

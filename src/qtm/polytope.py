@@ -183,11 +183,6 @@ class SimplePolytope:
             self._face_counts = tuple(counts)
         return self._face_counts
 
-    def f_vector(self) -> tuple[int, ...]:
-        """(f_0, ..., f_{n-1}): numbers of i-dimensional faces of the polytope."""
-        c = self.face_counts()
-        return tuple(c[self.dim - i] for i in range(self.dim))
-
     def h_vector(self) -> tuple[int, ...]:
         """(h_0, ..., h_n) from expanding sum_j c_j (s-1)^(n-j).
 

@@ -37,15 +37,13 @@ its n column masks have GF(2) rank n.  The mod-2 search does not rank
 them: the determinant is linear in the last-assigned column x, equal
 to the parity of c & x for the normal mask c of the other n - 1
 columns, so the walk filters the values of that column by mask, once
-per node.  `is_string_smallcover` validates and
-refines its input; its private core `_refined_verdicts`, which
-`qtm smallcover` calls too, takes a pair that is already valid and
-refined and decides orientability and the string condition from one
-set of column masks, and the mod-2 search hands `_w2_vanishes` its
-column masks, building a matrix only for a survivor.  The
-simplex-product criterion is decided by that search, string filter
-on, under the node and time caps its caller passes, and then checked
-against its closed form.
+per node.  `qtm smallcover` validates its input with `validate_mod2`
+and refines it with `_refined`; `_refined_verdicts` then decides
+orientability and the string condition from one set of column masks,
+and the mod-2 search hands `_w2_vanishes` its column masks, building a
+matrix only for a survivor.  The simplex-product criterion is decided
+by that search, string filter on, under the node and time caps its
+caller passes, and then checked against its closed form.
 """
 
 from __future__ import annotations
@@ -155,20 +153,11 @@ def _w2_vanishes(t: RelationTemplate, col) -> bool:
     return True
 
 
-def is_string_smallcover(p: SimplePolytope, lam: CharMatrix) -> bool:
-    """String condition: orientable and sum_{i<j} v_i v_j zero in degree 2.
-
-    For small covers this coincides with the spin condition, so there
-    is no separate test.
-    """
-    if not validate_mod2(p, lam):
-        raise SmallCoverError("matrix is singular at some vertex over GF(2)")
-    return _refined_verdicts(p, _refined(p, lam))[1]
-
-
 def _refined_verdicts(p: SimplePolytope, rl: CharMatrix) -> tuple[bool, bool]:
     """(orientable, string) for a pair already valid and refined, from
-    one set of column masks."""
+    one set of column masks.  String means orientable and
+    sum_{i<j} v_i v_j zero in degree 2; for small covers this coincides
+    with the spin condition, so there is no separate test."""
     col = _column_masks(rl)
     orientable = _orientable(col)
     return orientable, orientable and _w2_vanishes(relation_template(p, rl.refined_at), col)

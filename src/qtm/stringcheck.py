@@ -23,15 +23,18 @@ live row, and any other pair is reduced once, in `presentation_deg4`.
 
 For the families `check-string` recognizes (polygon, prism over an
 even polygon, cube) the p_1 coefficients in a fixed monomial basis are
-explicit polynomials in the matrix entries.  Each closed form validates
-the expected labeling and normalization up front so it cannot be
-applied to a mislabeled polytope; the general engine stays the source
-of truth and the test suite pins every family against it.  Each form
-has a private core that skips the validation, for pairs the caller has
-already validated (`_closed_form_coefficients`, after refined_pair).
-The closed forms of the pentagon prism C2(5) x I^(n-2) and the Q prism
+explicit polynomials in the matrix entries.  `_closed_form_coefficients`
+applies a form only when the polytope's vertices are exactly the
+family's labeling, and only to a pair that `refined_pair` has validated;
+it brings that pair to the form's normal form first (`_prism_normal_form`,
+or a refine at {1..n} for the cube), so the prism and cube forms check
+no labeling of their own.  `polygon_closed_form` validates its input and
+calls the core `_polygon_closed_form`.  The general engine stays the
+source of truth and the test suite pins every family against it.  The
+closed forms of the pentagon prism C2(5) x I^(n-2) and the Q prism
 Q x I^(n-3), which no command runs, live in the test suite as a second
-oracle for the engine; `q_prism_polytope` builds the Q prism.
+oracle for the engine, with the labeling checks that guard them;
+`q_prism_polytope` builds the Q prism.
 """
 
 from __future__ import annotations
@@ -168,23 +171,6 @@ class ClosedFormContext:
         return out
 
 
-def _require_refined_at(lam: CharMatrix, vertex, family: str) -> None:
-    if lam.refined_at != vertex:
-        raise StringCheckError(
-            f"{family} closed form needs the matrix refined at {vertex}, "
-            f"got {lam.refined_at}"
-        )
-
-
-def _require_units(lam: CharMatrix, units, family: str) -> None:
-    for r, c in units:
-        if lam.entry(r, c) != 1:
-            raise StringCheckError(
-                f"{family} closed form needs entry ({r},{c}) = 1, "
-                f"got {lam.entry(r, c)}; normalize column signs first"
-            )
-
-
 # ---------------------------------------------------------------------------
 # polygon
 
@@ -219,40 +205,21 @@ def polygon_parity_criterion(lam: CharMatrix) -> bool:
 # prism over an even polygon: facet 1 top, 2..2k+1 sides, 2k+2 bottom
 
 
-def prism_normal_form(k: int, lam: CharMatrix) -> CharMatrix:
-    """Refine at the top vertex {1,2,3} and sign-normalize the units."""
-    p = prism(2 * k)
-    _checked(p, lam)
-    return _prism_normal_form(p, k, lam)
-
-
 def _prism_normal_form(p: SimplePolytope, k: int, lam: CharMatrix) -> CharMatrix:
-    """prism_normal_form for a pair already valid over p = prism(2k)."""
+    """A pair already valid over p = prism(2k), refined at the top vertex
+    {1,2,3} with its units sign-normalized."""
     units = ((2, 4), (3, 2 * k + 1), (1, 2 * k + 2))
     return _normalizing_moves(p, lam, (1, 2, 3), units, StringCheckError)[1]
 
 
-def prism_closed_form(k: int, lam: CharMatrix) -> dict:
+def _prism_closed_form(k: int, lam: CharMatrix) -> dict:
     """p_1 coefficients over the 2k-gonal prism, in the monomial basis
     {v_i v_{2k+2}}_{4<=i<=2k+1} plus v_{k+2} v_{k+3}.
 
-    Needs the matrix refined at {1,2,3} with entries (2,4), (3,2k+1)
-    and (1,2k+2) normalized to +1; subscripts of side facets wrap
-    cyclically within 2..2k+1.
+    Needs a valid pair refined at {1,2,3} with entries (2,4), (3,2k+1)
+    and (1,2k+2) normalized to +1 (`_prism_normal_form`); subscripts of
+    side facets wrap cyclically within 2..2k+1.
     """
-    if k < 2:
-        raise StringCheckError("prism closed form needs k >= 2")
-    m = 2 * k + 2
-    if lam.n != 3 or lam.m != m:
-        raise StringCheckError(f"expected a 3x{m} matrix, got {lam.n}x{lam.m}")
-    _checked(prism(2 * k), lam)
-    _require_refined_at(lam, (1, 2, 3), "prism")
-    _require_units(lam, ((2, 4), (3, m - 1), (1, m)), "prism")
-    return _prism_closed_form(k, lam)
-
-
-def _prism_closed_form(k: int, lam: CharMatrix) -> dict:
-    """prism_closed_form for a pair already valid and in prism normal form."""
     m = 2 * k + 2
     ctx = ClosedFormContext(lam, minor_rows=(2, 3))
     sides = tuple(range(2, m))
@@ -293,7 +260,7 @@ def _prism_closed_form(k: int, lam: CharMatrix) -> dict:
 
 
 def prism_basis(k: int) -> tuple:
-    """Monomial basis matching the keys of prism_closed_form."""
+    """Monomial basis matching the keys of `_prism_closed_form`."""
     m = 2 * k + 2
     return tuple((i, m) for i in range(4, m)) + ((k + 2, k + 3),)
 
@@ -302,29 +269,9 @@ def prism_basis(k: int) -> tuple:
 # cube: facet i opposite facet n+i
 
 
-def cube_normal_form(n: int, lam: CharMatrix) -> CharMatrix:
-    p = cube(n)
-    _checked(p, lam)
-    return _cube_normal_form(p, n, lam)
-
-
-def _cube_normal_form(p: SimplePolytope, n: int, lam: CharMatrix) -> CharMatrix:
-    """cube_normal_form for a pair already valid over p = cube(n)."""
-    return refine(p, lam, tuple(range(1, n + 1)))
-
-
-def cube_closed_form(n: int, lam: CharMatrix) -> dict:
-    """p_1 coefficients over the n-cube in the basis
-    {v_i v_j}_{n+1<=i<j<=2n}, for a matrix refined at {1..n}."""
-    if lam.n != n or lam.m != 2 * n:
-        raise StringCheckError(f"expected an {n}x{2 * n} matrix, got {lam.n}x{lam.m}")
-    _checked(cube(n), lam)
-    _require_refined_at(lam, tuple(range(1, n + 1)), "cube")
-    return _cube_closed_form(n, lam)
-
-
 def _cube_closed_form(n: int, lam: CharMatrix) -> dict:
-    """cube_closed_form for a pair already valid and refined at {1..n}."""
+    """p_1 coefficients over the n-cube in the basis
+    {v_i v_j}_{n+1<=i<j<=2n}, for a valid pair refined at {1..n}."""
     ctx = ClosedFormContext(lam)
     e = lam.entry
     c = {}
@@ -365,7 +312,7 @@ def _closed_form_coefficients(p: SimplePolytope, lam: CharMatrix, rl: CharMatrix
         _ls, total = _polygon_closed_form(lam)
         return [{"monomial": [1, 2], "coeff": total}]
     if n >= 2 and m == 2 * n and p.vertices == cube(n).vertices:
-        c = _cube_closed_form(n, _cube_normal_form(p, n, rl))
+        c = _cube_closed_form(n, refine(p, rl, tuple(range(1, n + 1))))
         return [{"monomial": list(b), "coeff": c[b]} for b in cube_basis(n)]
     if n == 3 and m >= 6 and m % 2 == 0 and p.vertices == prism(m - 2).vertices:
         k = (m - 2) // 2

@@ -26,10 +26,17 @@ Four constructions live here:
   principal minors.  Both reports serialize through ``_jsonable``, field
   by field.
 
-Each public entry point validates its input pair once and hands it to a
-private core that does not validate it again.  The cores move pairs with
-``charmat._moved``, which skips validation: no equivalence move changes
-a vertex |det|, so a valid pair stays valid.  What is checked once:
+Each public entry point (``bott_triangularize``,
+``equivariant_connected_sum``, ``decompose_prism`` and
+``decompose_cube_connsum``) validates its input pair once and hands it
+to a private core that does not validate it again.  The edge connected
+sum and the bundle certificate have no public entry: the prism and cube
+decompositions run their cores on pairs they have validated.  The cores
+move pairs with ``charmat._moved``, which skips validation: no
+equivalence move changes a vertex |det|, so a valid pair stays valid.
+Every recorded normalization -- of the input, and again after the prism
+mirror's or Bott's facet relabeling -- is one call of
+``charmat._normalizing_moves``.  What is checked once:
 
 * every new pair -- each piece and each glued result -- is validated
   once, right after it is built;
@@ -61,6 +68,7 @@ from itertools import combinations
 from . import intlin
 from .charmat import (
     CharMatrix,
+    CharMatrixError,
     ColumnSignFlip,
     FacetPermutation,
     RowBasisChange,
@@ -68,7 +76,6 @@ from .charmat import (
     _normalizing_moves,
     refine,
     validate,
-    weights_at_vertex,
 )
 from .polytope import (
     BRUTE_FORCE_FACETS,
@@ -325,13 +332,10 @@ def bott_triangularize(n: int, lam: CharMatrix) -> BottForm:
             perm[i] = t
             perm[n + i] = n + t
         mv = FacetPermutation(tuple(perm))
-        cur = _moved(p, cur, mv)
-        moves.append(mv)
-        u = weights_at_vertex(p, cur, initial)
-        mv2 = RowBasisChange(tuple(tuple(r) for r in u))
-        cur = _moved(p, cur, mv2)
-        moves.append(mv2)
-        cur = CharMatrix(cur.rows, refined_at=initial)
+        extra, cur = _normalizing_moves(
+            p, _moved(p, cur, mv), initial, (), StructureContradiction
+        )
+        moves += [mv] + extra
     final = tuple(
         tuple(cur.entry(i, n + j) for j in range(1, n + 1)) for i in range(1, n + 1)
     )
@@ -374,23 +378,16 @@ def _equivariant_connected_sum(p_l, lam_l, w_l, p_r, lam_r, w_r):
     return _glued(poly, cols)
 
 
-def equivariant_edge_connected_sum(p1, lam1, edge1, ends1, p2, lam2, edge2, ends2):
-    """Glue two pairs along edges.
+def _equivariant_edge_connected_sum(p1, lam1, edge1, ends1, p2, lam2, edge2, ends2):
+    """Glue two pairs, both already valid, along edges.
 
     The n-1 edge facets and the 2 endpoint facets are matched in the
     order given, and each matched pair of matrix columns must agree
     exactly (no refinement is applied; the caller picks the row bases).
     Returns (polytope, matrix) in the facet order of the polytope-level
     edge connected sum: merged facets first, then each side's remainder.
+    The glued matrix is validated.
     """
-    _checked_pair(p1, lam1)
-    _checked_pair(p2, lam2)
-    return _equivariant_edge_connected_sum(p1, lam1, edge1, ends1, p2, lam2, edge2, ends2)
-
-
-def _equivariant_edge_connected_sum(p1, lam1, edge1, ends1, p2, lam2, edge2, ends2):
-    """equivariant_edge_connected_sum for two pairs already valid; the
-    glued matrix is still validated."""
     if p1.dim != p2.dim:
         raise StructureError("edge connected sum needs equal dimensions")
     matched1 = tuple(edge1) + tuple(ends1)
@@ -443,19 +440,14 @@ def _split_blocks(lam: CharMatrix, a, b) -> dict:
     }
 
 
-def bundle_certificate(p: SimplePolytope, lam: CharMatrix) -> dict | None:
-    """First (vertex, product split) whose refinement has a zero block.
+def _bundle_certificate(p: SimplePolytope, lam: CharMatrix) -> dict | None:
+    """First (vertex, product split) whose refinement of the valid pair
+    has a zero block.
 
     Searching every vertex covers every refined representative up to row
     and column sign changes, which do not affect zero blocks, so a None
     answer means no refinement of the pair shows a literal zero block.
     """
-    _checked_pair(p, lam)
-    return _bundle_certificate(p, lam)
-
-
-def _bundle_certificate(p: SimplePolytope, lam: CharMatrix) -> dict | None:
-    """bundle_certificate for a pair already valid."""
     splits = product_splits(p)
     if not splits:
         return None
@@ -540,23 +532,23 @@ def _jsonable(obj):
 
 def _prism_mirror(p, k, nf):
     """Reflect the prism across the plane through side facets 2|3, fixing
-    top and bottom, then swap rows 2 and 3 to restore the refined form.
-    The reflection exchanges the roles of the two side corners 4 and 2k+1
-    and of rows 2 and 3 while keeping every unit entry at +1."""
+    top and bottom, then refine at {1,2,3} again: the inverse of the
+    reflected corner is the swap of rows 2 and 3.  The reflection
+    exchanges the roles of the two side corners 4 and 2k+1 and of rows 2
+    and 3 while keeping every unit entry at +1."""
     m = 2 * k + 2
     perm = [0] * (m + 1)
     perm[1] = 1
     perm[m] = m
     for x in range(2, m):
         perm[x] = (3 - x) % (2 * k) + 2
-    mv1 = FacetPermutation(tuple(perm))
-    cur = _moved(p, nf, mv1)
-    mv2 = RowBasisChange(((1, 0, 0), (0, 0, 1), (0, 1, 0)))
-    cur = _moved(p, cur, mv2)
-    cur = CharMatrix(cur.rows, refined_at=(1, 2, 3))
+    mv = FacetPermutation(tuple(perm))
+    moves, cur = _normalizing_moves(
+        p, _moved(p, nf, mv), (1, 2, 3), (), StructureContradiction
+    )
     for r, c in ((2, 4), (3, m - 1), (1, m)):
         _forced(cur.entry(r, c) == 1, "reflection keeps the unit normalization")
-    return [mv1, mv2], cur
+    return [mv] + moves, cur
 
 
 def decompose_prism(k: int, lam: CharMatrix) -> DecompositionReport:
@@ -574,6 +566,12 @@ def decompose_prism(k: int, lam: CharMatrix) -> DecompositionReport:
     """
     if k < 2:
         raise StructureError("prism decomposition needs k >= 2")
+    if lam.n != 3 or lam.m != 2 * k + 2:
+        # before prism(2k) is built: each of its vertices keeps a
+        # (2k+2)-bit mask, so a large k alone costs memory like k^2
+        raise CharMatrixError(
+            f"shape {lam.n}x{lam.m} does not match dim 3, facets {2 * k + 2}"
+        )
     p = prism(2 * k)
     _checked_pair(p, lam)
     return _decompose_prism(p, k, lam)

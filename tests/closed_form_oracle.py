@@ -7,8 +7,10 @@ monomial basis are explicit polynomials in the entries of a pair in
 its normal form.  No command runs these forms; the tests pin them
 against `cohomology.p1_vanishes` and `presentation_deg4` on random
 walks.  They share with the package only the scalar tables of
-`stringcheck.ClosedFormContext`, its labeling checks and
-`charmat._normalizing_moves`, and nothing of the degree-4 reduction.
+`stringcheck.ClosedFormContext` and `charmat._normalizing_moves`, and
+nothing of the degree-4 reduction.  Each form checks its own labeling
+first, with `_require_refined_at` and `_require_units` below: the
+refining vertex, and the unit entries its normal form makes +1.
 """
 
 from qtm.charmat import CharMatrix, _normalizing_moves
@@ -17,10 +19,26 @@ from qtm.stringcheck import (
     ClosedFormContext,
     StringCheckError,
     _checked,
-    _require_refined_at,
-    _require_units,
     q_prism_polytope,
 )
+
+
+def _require_refined_at(lam: CharMatrix, vertex, family: str) -> None:
+    if lam.refined_at != vertex:
+        raise StringCheckError(
+            f"{family} closed form needs the matrix refined at {vertex}, "
+            f"got {lam.refined_at}"
+        )
+
+
+def _require_units(lam: CharMatrix, units, family: str) -> None:
+    for r, c in units:
+        if lam.entry(r, c) != 1:
+            raise StringCheckError(
+                f"{family} closed form needs entry ({r},{c}) = 1, "
+                f"got {lam.entry(r, c)}; normalize column signs first"
+            )
+
 
 # facets adjacent to facets 1, 2, 3 of Q, in cyclic order around each
 Q_ADJACENCY_CYCLES = ((2, 3, 4, 5), (3, 1, 5, 8, 6), (1, 2, 6, 7, 4))

@@ -24,8 +24,10 @@ from qtm.polytope import (
     simplex,
 )
 from qtm.smallcover import (
-    is_string_smallcover,
+    _refined,
+    _refined_verdicts,
     simplex_product,
+    validate_mod2,
     verify_simplex_product_criterion,
 )
 from qtm.stringcheck import (
@@ -385,7 +387,8 @@ def test_criterion_11_small_covers():
         (simplex_product((1, 3, 4))[0], tower_mod2()),
     ]
     for p, lam in checks:
-        assert is_string_smallcover(p, lam), p.name
+        assert validate_mod2(p, lam), p.name
+        assert _refined_verdicts(p, _refined(p, lam))[1], p.name
     cases = 0
     for ns in ((2,), (3,), (4,), (5,), (6,), (7,), (2, 2), (2, 3), (2, 4),
                (2, 5), (3, 3), (3, 4), (2, 2, 2), (2, 2, 3)):

@@ -17,7 +17,6 @@ from qtm.charmat import (
     RowBasisChange,
     _moved,
     refine,
-    transform,
     validate,
     weights_at_vertex,
 )
@@ -211,20 +210,26 @@ def test_refine_and_weights_reject_too_few_rows():
 
 
 def test_transform_moves():
+    # no move changes a vertex |det|: each moved pair is still valid
     lam = cp2_matrix(1, 1)
-    same = transform(TRIANGLE, lam, RowBasisChange(((1, 0), (0, 1))))
-    assert same.rows == lam.rows
-    flipped = transform(TRIANGLE, lam, ColumnSignFlip(3))
+    same = _moved(TRIANGLE, lam, RowBasisChange(((1, 0), (0, 1))))
+    assert same.rows == lam.rows and same.refined_at == (1, 2)
+    flipped = _moved(TRIANGLE, lam, ColumnSignFlip(3))
     assert flipped.rows == ((1, 0, -1), (0, 1, -1))
-    back = transform(TRIANGLE, flipped, ColumnSignFlip(3))
+    back = _moved(TRIANGLE, flipped, ColumnSignFlip(3))
     assert back.rows == lam.rows
     rot = FacetPermutation((0, 2, 3, 1))
-    moved = transform(TRIANGLE, lam, rot)
+    moved = _moved(TRIANGLE, lam, rot)
     assert moved.column(2) == [1, 0] and moved.column(3) == [0, 1]
-    with pytest.raises(CharMatrixError):
-        transform(TRIANGLE, lam, RowBasisChange(((2, 0), (0, 1))))
-    with pytest.raises(CharMatrixError):
-        transform(PENTAGON, PENTAGON_LAM, FacetPermutation((0, 2, 1, 3, 4, 5)))
+    assert moved.refined_at == (2, 3)
+    for out in (same, flipped, back, moved):
+        assert validate(TRIANGLE, out) == (True, None)
+    with pytest.raises(CharMatrixError, match="unimodular"):
+        _moved(TRIANGLE, lam, RowBasisChange(((2, 0), (0, 1))))
+    with pytest.raises(CharMatrixError, match="no column 4"):
+        _moved(TRIANGLE, lam, ColumnSignFlip(4))
+    with pytest.raises(CharMatrixError, match="not an automorphism"):
+        _moved(PENTAGON, PENTAGON_LAM, FacetPermutation((0, 2, 1, 3, 4, 5)))
 
 
 def test_moved_checks_the_permutation():
@@ -276,11 +281,12 @@ def test_canonical_key_invariance():
             for _ in range(12):
                 kind = rng.randint(0, 2 if group == "signs+automorphisms" else 1)
                 if kind == 0:
-                    cur = transform(p, cur, ColumnSignFlip(rng.randint(1, p.num_facets)))
+                    cur = _moved(p, cur, ColumnSignFlip(rng.randint(1, p.num_facets)))
                 elif kind == 1:
-                    cur = transform(p, cur, RowBasisChange(random_unimodular(rng, p.dim)))
+                    cur = _moved(p, cur, RowBasisChange(random_unimodular(rng, p.dim)))
                 else:
-                    cur = transform(p, cur, FacetPermutation(rng.choice(p.automorphisms())))
+                    cur = _moved(p, cur, FacetPermutation(rng.choice(p.automorphisms())))
+                assert validate(p, cur)[0]
                 assert canonical_key(p, cur, group) == key
 
 
@@ -307,7 +313,8 @@ def test_weights_at_vertex():
     for _ in range(20):
         lam = PENTAGON_LAM
         for _ in range(4):
-            lam = transform(PENTAGON, lam, RowBasisChange(random_unimodular(rng, 2)))
+            lam = _moved(PENTAGON, lam, RowBasisChange(random_unimodular(rng, 2)))
+        assert validate(PENTAGON, lam)[0]
         for v in PENTAGON.vertices:
             w = weights_at_vertex(PENTAGON, lam, v)
             assert intlin.mat_mul(w, lam.submatrix(v)) == intlin.identity(2)
@@ -370,11 +377,12 @@ def test_orbit_leaders_hold_every_moved_pair():
             for _ in range(5):
                 kind = rng.randint(0, 2)
                 if kind == 0:
-                    cur = transform(p, cur, ColumnSignFlip(rng.randint(1, p.num_facets)))
+                    cur = _moved(p, cur, ColumnSignFlip(rng.randint(1, p.num_facets)))
                 elif kind == 1:
-                    cur = transform(p, cur, RowBasisChange(random_unimodular(rng, p.dim)))
+                    cur = _moved(p, cur, RowBasisChange(random_unimodular(rng, p.dim)))
                 else:
-                    cur = transform(p, cur, FacetPermutation(rng.choice(p.automorphisms())))
+                    cur = _moved(p, cur, FacetPermutation(rng.choice(p.automorphisms())))
+                assert validate(p, cur)[0]
                 if rng.random() < 0.5:
                     cur = refine(p, cur, rng.choice(p.vertices))
                 assert walk_form(p, cur) in leaders

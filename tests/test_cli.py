@@ -296,13 +296,16 @@ CLOSED_FORM_REQUESTS = {
 
 
 def _closed_form_reference(family, p, rows):
+    # the closed forms on the matrix as read, not on its refine at the
+    # first vertex, which is where check-string starts
     lam = CharMatrix(rows)
     if family == "polygon":
         return [{"monomial": [1, 2], "coeff": stringcheck.polygon_closed_form(lam)[1]}]
+    stringcheck._checked(p, lam)
     if family == "cube":
-        c = stringcheck.cube_closed_form(3, stringcheck.cube_normal_form(3, lam))
+        c = stringcheck._cube_closed_form(3, charmat.refine(p, lam, (1, 2, 3)))
         return [{"monomial": list(b), "coeff": c[b]} for b in stringcheck.cube_basis(3)]
-    c = stringcheck.prism_closed_form(3, stringcheck.prism_normal_form(3, lam))
+    c = stringcheck._prism_closed_form(3, stringcheck._prism_normal_form(p, 3, lam))
     return [{"monomial": list(b), "coeff": c[b]} for b in stringcheck.prism_basis(3)]
 
 
@@ -441,6 +444,21 @@ def test_decompose_prism_rejects_non_string(tmp_path, capsys):
     assert main(["decompose", "prism", "-k", "2", "-m", m]) == 2
     err = capsys.readouterr().err
     assert "string" in err
+
+
+def test_decompose_prism_refuses_a_mismatched_shape_before_building(tmp_path, capsys, monkeypatch):
+    # a 3x8 matrix with -k 100000: refused from its shape, exit 2, and
+    # prism(200000) is never built
+    from qtm import structure
+
+    def refuse(n):
+        raise AssertionError(f"prism({n}) built for a mismatched matrix")
+
+    monkeypatch.setattr(structure, "prism", refuse)
+    m = _write(tmp_path, "m.json", {"rows": HEX_PRISM_LAM})
+    assert main(["decompose", "prism", "-k", "100000", "-m", m]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: shape 3x8 does not match dim 3, facets 200002\n"
 
 
 def test_decompose_cube_connsum_round_trip(tmp_path, capsys):

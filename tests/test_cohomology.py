@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qtm import cohomology, intlin
-from qtm.charmat import CharMatrix, ColumnSignFlip, RowBasisChange, transform, refine
+from qtm.charmat import CharMatrix, ColumnSignFlip, RowBasisChange, _moved, refine, validate
 from qtm.cohomology import (
     CohomologyError,
     DegreeFourPresentation,
@@ -66,14 +66,14 @@ def cube_family(x, y):
 class FaceSummary:
     """Face counts of a polytope, read off its own queries."""
 
-    f_vector: tuple  # (f_0, ..., f_{n-1}, 1)
+    f_vector: tuple  # (f_0, ..., f_{n-1}, 1): an (n-j)-face is a j-set of facets
     h_vector: tuple
     nonface_pairs: tuple
 
 
 def face_summary(p: SimplePolytope) -> FaceSummary:
     return FaceSummary(
-        f_vector=p.f_vector() + (1,),
+        f_vector=p.face_counts()[::-1],
         h_vector=p.h_vector(),
         nonface_pairs=tuple(p.nonface_pairs()),
     )
@@ -166,7 +166,8 @@ def test_zero_test_is_refinement_invariant():
     lam = CharMatrix([[1, 0, -1, -1, 0], [0, 1, 1, 0, -1]], refined_at=(1, 2))
     for _ in range(10):
         u = [[1, rng.randint(-2, 2)], [0, 1]]
-        lam = transform(pent, lam, RowBasisChange(tuple(map(tuple, u))))
+        lam = _moved(pent, lam, RowBasisChange(tuple(map(tuple, u))))
+        assert validate(pent, lam)[0]
         verdicts = []
         for v in pent.vertices:
             ref = refine(pent, lam, v)
@@ -495,7 +496,8 @@ def test_coefficients_match_the_stack_hnf_versions_on_random_pairs(data):
     pairs = _search_pairs(HYPOTHESIS_SEARCHES)
     p, lam = data.draw(st.sampled_from(pairs))
     for j in data.draw(st.sets(st.integers(1, p.num_facets))):
-        lam = transform(p, lam, ColumnSignFlip(j))
+        lam = _moved(p, lam, ColumnSignFlip(j))
+    assert validate(p, lam)[0]
     rl = refine(p, lam, data.draw(st.sampled_from(p.vertices)))
     pres = presentation_deg4(p, rl)
     rows = substituted_relations(p, rl)[1]

@@ -28,7 +28,8 @@ from qtm.harness import (
 )
 from qtm.polytope import PolytopeError, cube, polygon, prism, product
 from qtm.smallcover import (
-    is_string_smallcover,
+    _refined,
+    _refined_verdicts,
     simplex_product,
     validate_mod2,
 )
@@ -317,7 +318,8 @@ def test_mod2_polygon_product_string_counts():
 def brute_force_mod2(p, filt):
     """Every GF(2) matrix refined at the first vertex, in the walk's
     order (free columns ascending, each over {0,1}^n
-    lexicographically), filtered through the public tests only."""
+    lexicographically), filtered through `validate_mod2` and the string
+    core `qtm smallcover` runs, none of the walk's own tests."""
     n, m = p.dim, p.num_facets
     base = p.vertices[0]
     free = [f for f in range(1, m + 1) if f not in base]
@@ -332,7 +334,7 @@ def brute_force_mod2(p, filt):
         lam = CharMatrix(rows)
         if not validate_mod2(p, lam):
             continue
-        if filt == "string" and not is_string_smallcover(p, lam):
+        if filt == "string" and not _refined_verdicts(p, _refined(p, lam))[1]:
             continue
         out.append(lam.rows)
     return out

@@ -374,7 +374,7 @@ def test_unit_pivot_reduce_gets_stuck_without_a_unit():
 
 
 def test_certified_factors_agree_with_smith_on_random_pairs():
-    from qtm.charmat import RowBasisChange, refine, transform
+    from qtm.charmat import RowBasisChange, _moved, refine, validate
     from qtm.cohomology import CohomologyError, _certified_quotient_map
     from qtm.harness import SearchSpec, enumerate_matrices
     from qtm.polytope import cube, polygon, prism
@@ -396,7 +396,8 @@ def test_certified_factors_agree_with_smith_on_random_pairs():
                 i, j = rng.sample(range(p.dim), 2)
                 q = rng.randint(-2, 2)
                 u[i] = [x + q * y for x, y in zip(u[i], u[j])]
-            moved = transform(p, lam, RowBasisChange(tuple(map(tuple, u))))
+            moved = _moved(p, lam, RowBasisChange(tuple(map(tuple, u))))
+            assert validate(p, moved)[0]
             rl = refine(p, moved, rng.choice(p.vertices))
             gens, relations = substituted_relations(p, rl)
             # the relations alone, and the relations plus each unit row,

@@ -26,7 +26,6 @@ from qtm.harness import SearchSpec, enumerate_matrices
 from qtm.polytope import cube, find_isomorphisms, polygon, prism, product, simplex
 from qtm.smallcover import (
     SmallCoverError,
-    is_string_smallcover,
     refine_mod2,
     simplex_product,
     validate_mod2,
@@ -34,10 +33,21 @@ from qtm.smallcover import (
 )
 
 
+def cover_verdicts(p, lam):
+    """(orientable, string) as `qtm smallcover` prints them for a pair
+    valid mod 2: lam refined at a vertex unless it is, then
+    `smallcover._refined_verdicts`."""
+    return smallcover._refined_verdicts(p, smallcover._refined(p, lam))
+
+
 def is_orientable(p, lam):
-    """The orientability verdict `qtm smallcover` prints: every column
-    sum odd once refined, from `smallcover._refined_verdicts`."""
-    return smallcover._refined_verdicts(p, smallcover._refined(p, lam))[0]
+    """Every column sum odd once refined."""
+    return cover_verdicts(p, lam)[0]
+
+
+def is_string_cover(p, lam):
+    """Orientable, and sum_{i<j} v_i v_j zero in degree 2."""
+    return cover_verdicts(p, lam)[1]
 
 
 # string structure over the product of a quadrilateral and a triangle;
@@ -119,17 +129,6 @@ def test_validate_mod2():
         validate_mod2(polygon(4), bad)
 
 
-def test_public_mod2_tests_validate_their_input():
-    # columns 1 and 3 coincide, so vertex (1, 3) of the triangle is
-    # singular; the search's string core skips this check, the public
-    # test keeps it
-    bad = CharMatrix([[1, 0, 1], [0, 1, 0]])
-    with pytest.raises(SmallCoverError):
-        is_string_smallcover(polygon(3), bad)
-    with pytest.raises(CharMatrixError):
-        is_string_smallcover(polygon(4), bad)
-
-
 def test_refine_mod2_moves_the_identity():
     p = product(polygon(4), polygon(3))
     for v in p.vertices:
@@ -197,7 +196,7 @@ def test_gf2_functions_read_entries_mod_2():
         if at:
             pairs.append((lam, CharMatrix(lifted, refined_at=at)))
         for base, lift in pairs:
-            for fn in (validate_mod2, is_orientable, is_string_smallcover):
+            for fn in (validate_mod2, is_orientable, is_string_cover):
                 assert _outcome(fn, p, base) == _outcome(fn, p, lift), fn.__name__
             for v in p.vertices:
                 assert _outcome(refine_mod2, p, base, v) == _outcome(refine_mod2, p, lift, v)
@@ -211,14 +210,14 @@ def test_quad_triangle_product_is_string():
     # worked example over the quadrilateral x triangle product
     p = product(polygon(4), polygon(3))
     assert is_orientable(p, QUAD_TRI)
-    assert is_string_smallcover(p, QUAD_TRI)
+    assert is_string_cover(p, QUAD_TRI)
 
 
 def test_interval_triangle_is_string():
     # worked example over interval x 2-simplex
     p = product(simplex(1), simplex(2))
     assert is_orientable(p, INTERVAL_TRI)
-    assert is_string_smallcover(p, INTERVAL_TRI)
+    assert is_string_cover(p, INTERVAL_TRI)
 
 
 def test_interval_simplex_tower_is_string():
@@ -227,7 +226,7 @@ def test_interval_simplex_tower_is_string():
     assert blocks == ((1, 2), (3, 4, 5, 6), (7, 8, 9, 10, 11))
     lam = interval_simplex_tower_matrix()
     assert is_orientable(p, lam)
-    assert is_string_smallcover(p, lam)
+    assert is_string_cover(p, lam)
 
 
 def test_even_column_sum_kills_orientability():
@@ -236,13 +235,13 @@ def test_even_column_sum_kills_orientability():
     lam = CharMatrix([[1, 1, 0, 0, 0], [0, 0, 1, 0, 1], [0, 0, 0, 1, 1]])
     assert validate_mod2(p, lam)
     assert not is_orientable(p, lam)
-    assert not is_string_smallcover(p, lam)
+    assert not is_string_cover(p, lam)
 
 
 def test_torus_analogue_square_is_string():
     # the 2-colored square: orientable with vanishing degree-2 class
     lam = CharMatrix([[1, 0, 1, 0], [0, 1, 0, 1]], refined_at=(1, 2))
-    assert is_string_smallcover(polygon(4), lam)
+    assert is_string_cover(polygon(4), lam)
 
 
 def test_a_pair_refined_off_the_vertices_is_refined_again():
@@ -253,7 +252,7 @@ def test_a_pair_refined_off_the_vertices_is_refined_again():
     p = polygon(6)
     lam = CharMatrix([[1, 0, 1, 0, 1, 0], [0, 1, 0, 1, 0, 1]], refined_at=(1, 4))
     assert not p.is_vertex(lam.refined_at)
-    assert is_string_smallcover(p, lam) is mod2_oracle.refined_is_string(p, lam) is True
+    assert is_string_cover(p, lam) is mod2_oracle.refined_is_string(p, lam) is True
     rl = smallcover._refined(p, lam)
     assert rl.refined_at == p.vertices[0] == (1, 2)
     t = relation_template(p, rl.refined_at)
@@ -272,14 +271,14 @@ def test_string_verdict_is_move_invariant():
     # automorphism leave the verdict unchanged
     p = product(polygon(4), polygon(3))
     for v in p.vertices:
-        assert is_string_smallcover(p, refine_mod2(p, QUAD_TRI, v))
+        assert is_string_cover(p, refine_mod2(p, QUAD_TRI, v))
     for iso in find_isomorphisms(p, p)[:8]:
         rows = [[0] * 7 for _ in range(4)]
         for f in range(1, 8):
             col = QUAD_TRI.column(f)
             for i in range(4):
                 rows[i][iso[f] - 1] = col[i]
-        assert is_string_smallcover(p, CharMatrix(rows))
+        assert is_string_cover(p, CharMatrix(rows))
 
 
 def test_degree2_presentation_consistency():
@@ -300,7 +299,9 @@ def test_degree2_presentation_keeps_its_checks(monkeypatch):
     # the string test reaches the presentation only through its checks
     p = product(polygon(4), polygon(3))
     with pytest.raises(CharMatrixError):
-        is_string_smallcover(polygon(4), QUAD_TRI)
+        validate_mod2(polygon(4), QUAD_TRI)
+    with pytest.raises(CharMatrixError):
+        smallcover._refined(polygon(4), QUAD_TRI)
     # an unrefined matrix is refined at the first vertex first
     unrefined = CharMatrix(QUAD_TRI.rows)
     at_first = refine_mod2(p, QUAD_TRI, p.vertices[0])
@@ -322,7 +323,7 @@ def test_degree2_presentation_keeps_its_checks(monkeypatch):
     assert smallcover._refined_verdicts(p, QUAD_TRI)[1]
     assert len(templates) == 1 and templates[0] is t
     assert len(calls) == 1 and len(calls[0]) == len(t.live_terms)
-    # dependent live rows raise, in the core and in the public verdict
+    # dependent live rows raise, in the core and in the verdict
     col = [0] + [1] * p.num_facets
     for k, f in enumerate(QUAD_TRI.refined_at):
         col[f] = 1 << k
@@ -332,13 +333,11 @@ def test_degree2_presentation_keeps_its_checks(monkeypatch):
         [[col[f] >> i & 1 for f in range(1, p.num_facets + 1)] for i in range(p.dim)],
         refined_at=QUAD_TRI.refined_at,
     )
-    # such a matrix is singular somewhere, so the public test refuses it
+    # such a matrix is singular somewhere, so `qtm smallcover` refuses it
     # first; past that check its live rows still raise
-    with pytest.raises(SmallCoverError, match="singular"):
-        is_string_smallcover(p, dependent)
-    monkeypatch.setattr(smallcover, "validate_mod2", lambda p, lam: True)
+    assert not validate_mod2(p, dependent)
     with pytest.raises(SmallCoverError, match="quotient dimension"):
-        is_string_smallcover(p, dependent)
+        is_string_cover(p, dependent)
 
 
 # ---------------------------------------------------------------------------
@@ -445,7 +444,7 @@ def test_string_verdict_survives_row_operations_and_refinement(data):
     v = data.draw(st.sampled_from(p.vertices))
     moved = refine_mod2(p, CharMatrix(rows), v)
     assert smallcover._refined_verdicts(p, moved)[1] is string
-    assert is_string_smallcover(p, CharMatrix(rows)) is string
+    assert is_string_cover(p, CharMatrix(rows)) is string
 
 
 @pytest.mark.parametrize("ns", [(3, 3), (2, 3)])
@@ -482,7 +481,7 @@ def test_no_string_small_cover_over_odd_polygon():
     hits = [
         lam
         for lam in all_refined_mod2(p, (1, 2), (3, 4, 5))
-        if validate_mod2(p, lam) and is_string_smallcover(p, lam)
+        if validate_mod2(p, lam) and is_string_cover(p, lam)
     ]
     assert hits == []
 
@@ -493,7 +492,7 @@ def test_unique_string_small_cover_over_hexagon():
     hits = [
         lam
         for lam in all_refined_mod2(p, (1, 2), (3, 4, 5, 6))
-        if validate_mod2(p, lam) and is_string_smallcover(p, lam)
+        if validate_mod2(p, lam) and is_string_cover(p, lam)
     ]
     assert len(hits) == 1
     assert hits[0].rows == ((1, 0, 1, 0, 1, 0), (0, 1, 0, 1, 0, 1))
@@ -506,14 +505,14 @@ def test_polygon_product_string_counts_follow_parity():
     hits33 = sum(
         1
         for lam in all_refined_mod2(p33, (1, 2, 4, 5), (3, 6))
-        if validate_mod2(p33, lam) and is_string_smallcover(p33, lam)
+        if validate_mod2(p33, lam) and is_string_cover(p33, lam)
     )
     assert hits33 == 0
     p43 = product(polygon(4), polygon(3))
     hits43 = sum(
         1
         for lam in all_refined_mod2(p43, (1, 2, 5, 6), (3, 4, 7))
-        if validate_mod2(p43, lam) and is_string_smallcover(p43, lam)
+        if validate_mod2(p43, lam) and is_string_cover(p43, lam)
     )
     assert hits43 == 8
 
@@ -576,7 +575,7 @@ def old_cross_bit_criterion(ns):
         for (i, f), bit in zip(cross, bits):
             rows[i][f - 1] = bit
         lam = CharMatrix(rows)
-        if validate_mod2(poly, lam) and is_string_smallcover(poly, lam):
+        if validate_mod2(poly, lam) and is_string_cover(poly, lam):
             return True
     return False
 

@@ -36,7 +36,6 @@ from qtm.charmat import (
     RowBasisChange,
     _moved,
     refine,
-    transform,
     validate,
 )
 from qtm.cohomology import (
@@ -57,19 +56,20 @@ from qtm.polytope import (
 )
 from qtm.stringcheck import (
     StringCheckError,
+    _checked,
+    _closed_form_coefficients,
+    _cube_closed_form,
+    _prism_closed_form,
+    _prism_normal_form,
     _refined_verdict,
     refined_pair,
     cube_basis,
-    cube_closed_form,
-    cube_normal_form,
     cyclic_identities,
     is_spin,
     is_string,
     polygon_closed_form,
     polygon_parity_criterion,
     prism_basis,
-    prism_closed_form,
-    prism_normal_form,
     q_prism_polytope,
     random_cyclic_instance,
     string_verdict,
@@ -196,32 +196,12 @@ def test_refined_pair_names_the_vertex_validate_names(data):
 
 
 def test_public_closed_forms_validate_their_input():
-    # check-string hands these pairs, already validated, to private
-    # cores; the public entry points keep their own check
-    def broken(lam, j, column):
-        rows = [list(r) for r in lam.rows]
-        for i, x in enumerate(column):
-            rows[i][j - 1] = x
-        return CharMatrix(rows, refined_at=lam.refined_at)
-
+    # check-string hands its pairs, already validated, to the private
+    # cores; the one public closed form keeps its own check
     pent = CharMatrix([[1, 0, -1, -1, 1], [0, 1, 1, 0, 2]])
     assert not validate(polygon(5), pent)[0]
-    with pytest.raises(StringCheckError):
+    with pytest.raises(StringCheckError, match="not characteristic"):
         polygon_closed_form(pent)
-
-    bad_prism = broken(HEX_PRISM_LAM, 6, (0, 2, 0))
-    assert not validate(prism(6), bad_prism)[0]
-    with pytest.raises(StringCheckError):
-        prism_normal_form(3, bad_prism)
-    with pytest.raises(StringCheckError, match="not characteristic"):
-        prism_closed_form(3, bad_prism)
-
-    bad_cube = broken(cube_seed(3), 4, (2, 0, 0))
-    assert not validate(cube(3), bad_cube)[0]
-    with pytest.raises(StringCheckError):
-        cube_normal_form(3, bad_cube)
-    with pytest.raises(StringCheckError, match="not characteristic"):
-        cube_closed_form(3, bad_cube)
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +331,8 @@ def prism_units(k):
 
 
 def test_prism_closed_form_hexagonal_example():
-    c = prism_closed_form(3, HEX_PRISM_LAM)
+    _checked(prism(6), HEX_PRISM_LAM)
+    c = _prism_closed_form(3, HEX_PRISM_LAM)
     assert c == {(4, 8): 0, (5, 8): 0, (6, 8): 0, (7, 8): 0, (5, 6): 0}
     p = prism(6)
     assert is_spin(p, HEX_PRISM_LAM)
@@ -362,7 +343,8 @@ def test_prism_coloring_is_string():
     # a 3-colored prism is a product of spheres: every coefficient dies
     for k in (2, 3, 4):
         lam = prism_coloring(k)
-        c = prism_closed_form(k, lam)
+        _checked(prism(2 * k), lam)
+        c = _prism_closed_form(k, lam)
         assert all(v == 0 for v in c.values())
         assert is_string(prism(2 * k), lam)
 
@@ -372,28 +354,20 @@ def test_prism_closed_form_matches_engine():
     for k, steps in ((2, 60), (3, 50)):
         p = prism(2 * k)
         for lam in walk(p, prism_coloring(k), steps, rng, units=prism_units(k)):
-            assert_matches_engine(p, lam, prism_closed_form(k, lam), prism_basis(k))
+            assert_matches_engine(p, lam, _prism_closed_form(k, lam), prism_basis(k))
 
 
 def test_prism_normal_form():
     p = prism(6)
-    flipped = transform(p, HEX_PRISM_LAM, ColumnSignFlip(4))
+    flipped = _moved(p, HEX_PRISM_LAM, ColumnSignFlip(4))
+    _checked(p, flipped)
     assert flipped.entry(2, 4) == -1
-    with pytest.raises(StringCheckError):
-        prism_closed_form(3, flipped)
-    assert prism_normal_form(3, flipped) == HEX_PRISM_LAM
+    nf = _prism_normal_form(p, 3, flipped)
+    assert nf == HEX_PRISM_LAM and nf.refined_at == (1, 2, 3)
 
     bare = CharMatrix([list(r) for r in HEX_PRISM_LAM.rows])
-    with pytest.raises(StringCheckError):
-        prism_closed_form(3, bare)
-    assert prism_normal_form(3, bare) == HEX_PRISM_LAM
-
-
-def test_prism_closed_form_rejects_wrong_shape():
-    with pytest.raises(StringCheckError):
-        prism_closed_form(2, HEX_PRISM_LAM)
-    with pytest.raises(StringCheckError):
-        prism_closed_form(1, HEX_PRISM_LAM)
+    _checked(p, bare)
+    assert _prism_normal_form(p, 3, bare) == HEX_PRISM_LAM
 
 
 # ---------------------------------------------------------------------------
@@ -415,7 +389,8 @@ def test_cube_closed_form_bott_families():
             [[1, 0, 0, 1, 0, x], [0, 1, 0, 0, 1, y], [0, 0, 1, 0, 0, 1]],
             refined_at=(1, 2, 3),
         )
-        c = cube_closed_form(3, lam)
+        _checked(cube(3), lam)
+        c = _cube_closed_form(3, lam)
         assert all(v == 0 for v in c.values())
         assert is_string(cube(3), lam) == ((x - y) % 2 == 0)
     for a, b in ((1, 1), (2, 2), (1, -2), (0, 3)):
@@ -423,7 +398,8 @@ def test_cube_closed_form_bott_families():
             [[1, 0, 0, 1, 2 * a, a * b], [0, 1, 0, 0, 1, b], [0, 0, 1, 0, 0, 1]],
             refined_at=(1, 2, 3),
         )
-        c = cube_closed_form(3, lam)
+        _checked(cube(3), lam)
+        c = _cube_closed_form(3, lam)
         assert all(v == 0 for v in c.values())
         assert is_string(cube(3), lam) == ((a * b - b) % 2 == 0)
 
@@ -433,7 +409,7 @@ def test_cube_closed_form_matches_engine():
     for n, steps in ((3, 60), (4, 40)):
         p = cube(n)
         for lam in walk(p, cube_seed(n), steps, rng):
-            assert_matches_engine(p, lam, cube_closed_form(n, lam), cube_basis(n))
+            assert_matches_engine(p, lam, _cube_closed_form(n, lam), cube_basis(n))
 
 
 def test_cube_normal_form():
@@ -441,15 +417,21 @@ def test_cube_normal_form():
         [[1, 0, 0, 1, 0, 1], [0, 1, 0, 0, 1, 1], [0, 0, 1, 0, 0, 1]],
         refined_at=(1, 2, 3),
     )
+    p = cube(3)
     u = ((1, 1, 0), (0, 1, 0), (0, 0, 1))
-    moved = transform(cube(3), lam, RowBasisChange(u))
+    moved = _moved(p, lam, RowBasisChange(u))
     assert moved.refined_at is None
-    with pytest.raises(StringCheckError):
-        cube_closed_form(3, moved)
-    nf = cube_normal_form(3, moved)
-    assert nf.refined_at == (1, 2, 3)
-    assert is_string(cube(3), nf) == is_string(cube(3), lam)
-    assert_matches_engine(cube(3), nf, cube_closed_form(3, nf), cube_basis(3))
+    _checked(p, moved)
+    # the cube's normal form is the refine at {1..n}: check-string takes
+    # it from a pair refined anywhere, here at the far corner
+    far = refine(p, moved, (4, 5, 6))
+    nf = refine(p, far, (1, 2, 3))
+    assert nf == lam and nf.refined_at == (1, 2, 3)
+    c = _cube_closed_form(3, nf)
+    assert _closed_form_coefficients(p, moved, far) == [
+        {"monomial": list(b), "coeff": c[b]} for b in cube_basis(3)
+    ]
+    assert_matches_engine(p, nf, c, cube_basis(3))
 
 
 # ---------------------------------------------------------------------------
@@ -489,7 +471,8 @@ def test_pent_prism_closed_form_matches_engine():
 
 def test_pent_prism_normal_form():
     p = pent_prism_polytope(4)
-    flipped = transform(p, PENT_PRISM4_STRING, ColumnSignFlip(3))
+    flipped = _moved(p, PENT_PRISM4_STRING, ColumnSignFlip(3))
+    _checked(p, flipped)
     with pytest.raises(StringCheckError):
         pent_prism_closed_form(4, flipped)
     assert pent_prism_normal_form(4, flipped) == PENT_PRISM4_STRING
@@ -544,7 +527,8 @@ def test_q_prism_closed_form_matches_engine():
 
 def test_q_prism_normal_form():
     p = q_prism_polytope(5)
-    flipped = transform(p, Q_TIMES_SQUARE, ColumnSignFlip(6))
+    flipped = _moved(p, Q_TIMES_SQUARE, ColumnSignFlip(6))
+    _checked(p, flipped)
     with pytest.raises(StringCheckError):
         q_prism_closed_form(5, flipped)
     assert q_prism_normal_form(5, flipped) == Q_TIMES_SQUARE
@@ -580,11 +564,12 @@ def test_is_string_invariant_under_equivalence_moves():
             for _ in range(4):
                 kind = rng.randrange(3)
                 if kind == 0:
-                    cur = transform(p, cur, random_row_move(cur.n, rng))
+                    cur = _moved(p, cur, random_row_move(cur.n, rng))
                 elif kind == 1:
-                    cur = transform(p, cur, ColumnSignFlip(rng.randrange(1, cur.m + 1)))
+                    cur = _moved(p, cur, ColumnSignFlip(rng.randrange(1, cur.m + 1)))
                 elif perm is not None:
-                    cur = transform(p, cur, perm)
+                    cur = _moved(p, cur, perm)
+            assert validate(p, cur)[0]
             assert is_string(p, cur) == base
             assert is_spin(p, cur) == is_spin(p, lam)
 

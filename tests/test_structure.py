@@ -21,9 +21,10 @@ from qtm import harness
 from qtm.charmat import (
     CharMatrix,
     CharMatrixError,
+    ColumnSignFlip,
     FacetPermutation,
     RowBasisChange,
-    transform,
+    _moved,
     validate,
 )
 import qtm.polytope as polytope
@@ -43,14 +44,14 @@ from qtm.structure import (
     DobrinskayaForm,
     StructureContradiction,
     StructureError,
+    _bundle_certificate,
+    _equivariant_edge_connected_sum,
     _split_blocks,
     bott_triangularize,
-    bundle_certificate,
     decompose_cube_connsum,
     decompose_prism,
     dobrinskaya_normalize,
     equivariant_connected_sum,
-    equivariant_edge_connected_sum,
 )
 from key_oracle import canonical_key
 
@@ -351,14 +352,15 @@ def test_bott_replays_moves_to_normal_form():
         [[1, 0, 0, 1, 2, 2], [0, 1, 0, 0, 1, 2], [0, 0, 1, 0, 0, 1]],
         refined_at=(1, 2, 3),
     )
-    shuffled = transform(p, lam, FacetPermutation((0, 3, 2, 1, 6, 5, 4)))
+    shuffled = _moved(p, lam, FacetPermutation((0, 3, 2, 1, 6, 5, 4)))
+    assert validate(p, shuffled)[0]
     assert shuffled.rows == ((0, 0, 1, 2, 2, 1), (0, 1, 0, 2, 1, 0), (1, 0, 0, 1, 0, 0))
     form = bott_triangularize(3, CharMatrix(shuffled.rows))
     assert form.verdict == "triangular"
     assert form.normalized.rows == lam.rows
     cur = CharMatrix(shuffled.rows)
     for mv in form.moves:
-        cur = transform(p, cur, mv)
+        cur = _moved(p, cur, mv)
     assert cur.rows == form.normalized.rows
 
 
@@ -401,7 +403,7 @@ def test_bott_string_pairs_always_triangularize():
         if form.verdict == "triangular":
             cur = lam
             for mv in form.moves:
-                cur = transform(p, cur, mv)
+                cur = _moved(p, cur, mv)
             assert cur.rows == form.normalized.rows
             free = [
                 [form.normalized.entry(i, 3 + j) for j in range(1, 4)]
@@ -477,7 +479,8 @@ def test_edge_sum_of_colored_square_prisms():
         [[1, 0, 0, 0, 0, 1], [0, 1, 0, 1, 0, 0], [0, 0, 1, 0, 1, 0]],
         refined_at=(1, 2, 3),
     )
-    q, lam = equivariant_edge_connected_sum(
+    assert validate(p4, col)[0]
+    q, lam = _equivariant_edge_connected_sum(
         p4, col, (4, 5), (1, 6), p4, col, (2, 5), (1, 6)
     )
     assert q.num_facets == 8
@@ -493,7 +496,8 @@ def test_edge_sum_reassembles_hexagonal_example():
     p4 = prism(4)
     lam1 = CharMatrix(HEX_PIECE_1)
     lam2 = CharMatrix(HEX_PIECE_2)
-    q, lam = equivariant_edge_connected_sum(
+    assert validate(p4, lam1)[0] and validate(p4, lam2)[0]
+    q, lam = _equivariant_edge_connected_sum(
         p4, lam1, (4, 5), (1, 6), p4, lam2, (2, 5), (1, 6)
     )
     new_to_old = {1: 4, 2: 7, 3: 1, 4: 8, 5: 2, 6: 3, 7: 5, 8: 6}
@@ -511,10 +515,9 @@ def test_edge_sum_reports_first_mismatched_column():
     p4 = prism(4)
     lam1 = CharMatrix(HEX_PIECE_1)
     bad = CharMatrix([[1, 1, 0, 0, 0, 1], [0, 1, 0, 1, 0, 0], [0, 0, 1, 0, 1, 2]])
-    ok, _ = validate(p4, bad)
-    assert ok
+    assert validate(p4, lam1)[0] and validate(p4, bad)[0]
     with pytest.raises(StructureError, match="position 1"):
-        equivariant_edge_connected_sum(
+        _equivariant_edge_connected_sum(
             p4, lam1, (4, 5), (1, 6), p4, bad, (2, 5), (1, 6)
         )
 
@@ -528,7 +531,7 @@ def test_edge_sum_string_matches_summands():
         rng = random.Random(3000 + t)
         la = random_valid_square_prism(rng, (1, 4, 5, 6))
         lb = random_valid_square_prism(rng, (1, 2, 5, 6))
-        q, lam = equivariant_edge_connected_sum(
+        q, lam = _equivariant_edge_connected_sum(
             p4, la, (4, 5), (1, 6), p4, lb, (2, 5), (1, 6)
         )
         sa, sb = is_string(p4, la), is_string(p4, lb)
@@ -558,7 +561,8 @@ def test_bundle_blocks_of_hexagonal_example():
 def test_bundle_certificate_none_for_hexagonal_example():
     # no refinement of this pair shows a zero block at the only product
     # split, matching its known non-bundle structure
-    assert bundle_certificate(prism(6), HEX_PRISM_LAM) is None
+    assert validate(prism(6), HEX_PRISM_LAM)[0]
+    assert _bundle_certificate(prism(6), HEX_PRISM_LAM) is None
 
 
 def test_bundle_certificate_found_for_pieces():
@@ -566,7 +570,8 @@ def test_bundle_certificate_found_for_pieces():
 
     p4 = prism(4)
     for rows in (HEX_PIECE_1, HEX_PIECE_2):
-        cert = bundle_certificate(p4, CharMatrix(rows))
+        assert validate(p4, CharMatrix(rows))[0]
+        cert = _bundle_certificate(p4, CharMatrix(rows))
         assert cert is not None
         assert cert["ab_zero"] or cert["ba_zero"]
         # the certificate must reproduce under its own refinement
@@ -582,7 +587,8 @@ def test_bundle_certificate_none_without_product_splits():
 
     p = simplex(3)
     lam = CharMatrix([[1, 0, 0, 1], [0, 1, 0, 1], [0, 0, 1, 1]], refined_at=(1, 2, 3))
-    assert bundle_certificate(p, lam) is None
+    assert validate(p, lam)[0]
+    assert _bundle_certificate(p, lam) is None
 
 
 # ---------------------------------------------------------------------------
@@ -632,8 +638,9 @@ def test_decompose_mirrored_hexagonal_prism():
     perm[1], perm[8] = 1, 8
     for x in range(2, 8):
         perm[x] = (3 - x) % 6 + 2
-    mir = transform(p6, HEX_PRISM_LAM, FacetPermutation(tuple(perm)))
-    mir = transform(p6, mir, RowBasisChange(((1, 0, 0), (0, 0, 1), (0, 1, 0))))
+    mir = _moved(p6, HEX_PRISM_LAM, FacetPermutation(tuple(perm)))
+    mir = _moved(p6, mir, RowBasisChange(((1, 0, 0), (0, 0, 1), (0, 1, 0))))
+    assert validate(p6, mir)[0]
     rep = decompose_prism(3, CharMatrix(mir.rows))
     assert rep.verdict == "decomposed"
     assert rep.detail["mirrored"] is True
@@ -675,6 +682,91 @@ def test_decompose_prism_rejects_non_string():
 def test_decompose_prism_rejects_bad_sizes():
     with pytest.raises(StructureError):
         decompose_prism(1, CharMatrix([[1, 0, 1], [0, 1, 1]]))
+
+
+def test_decompose_prism_checks_the_shape_before_building_the_prism(monkeypatch):
+    # prism(2k) keeps a (2k+2)-bit mask per vertex: a mismatched matrix
+    # is refused from its shape alone, whatever k is
+    built = []
+    real = structure.prism
+
+    def counting(n):
+        built.append(n)
+        if n > 6:
+            raise AssertionError(f"prism({n}) built for a mismatched matrix")
+        return real(n)
+
+    monkeypatch.setattr(structure, "prism", counting)
+    hexagonal = CharMatrix(HEX_PRISM_LAM.rows)
+    for k, lam, shape in (
+        (100000, hexagonal, "shape 3x8 does not match dim 3, facets 200002"),
+        (4, hexagonal, "shape 3x8 does not match dim 3, facets 10"),
+        (3, CharMatrix(HEX_PRISM_LAM.rows[:2]), "shape 2x8 does not match dim 3, facets 8"),
+    ):
+        with pytest.raises(CharMatrixError, match=f"^{shape}$"):
+            decompose_prism(k, lam)
+    assert built == []
+    # the matching shape builds its prism and decomposes
+    assert decompose_prism(3, hexagonal).verdict == "decomposed"
+    assert built[0] == 6
+
+
+def _scrambled(p, lam, rng):
+    """lam after random unimodular row operations and column sign
+    flips, as a file gives it: not refined."""
+    cur = lam
+    for _ in range(3):
+        i, j = rng.sample(range(p.dim), 2)
+        u = [[int(a == b) for b in range(p.dim)] for a in range(p.dim)]
+        u[i][j] = rng.choice((-1, 1, 2))
+        cur = _moved(p, cur, RowBasisChange(tuple(map(tuple, u))))
+        cur = _moved(p, cur, ColumnSignFlip(rng.randint(1, p.num_facets)))
+    return CharMatrix(cur.rows)
+
+
+def _replayed(p, lam, moves):
+    for mv in moves:
+        lam = _moved(p, lam, mv)
+    return lam
+
+
+def test_decomposition_moves_replay_from_scrambled_inputs():
+    # the recorded moves carry the input as given onto the normalized
+    # matrix, through the prism mirror and Bott's relabeling too, each of
+    # which refines again after its facet permutation: the string
+    # survivors of prism(4), prism(6) and cube(3) at bound 2, and the
+    # double-cube pairs
+    rng = random.Random(2611)
+    mirrored = relabeled = kinds = 0
+    for k in (2, 3):
+        p = prism(2 * k)
+        survivors, _ = harness.enumerate_matrices(harness.SearchSpec(p, 2, "signs", "string"))
+        for lam in survivors:
+            given = _scrambled(p, lam, rng)
+            rep = decompose_prism(k, given)
+            assert _replayed(p, given, rep.moves).rows == rep.normalized_matrix.rows
+            mirrored += rep.detail["mirrored"]
+    assert mirrored > 0
+    for p, lam in _double_cube_pairs():
+        given = _scrambled(p, lam, rng)
+        rep = decompose_cube_connsum(p, given)
+        assert _replayed(p, given, rep.moves).rows == rep.normalized_matrix.rows
+        kinds |= {type(mv) for mv in rep.moves} == {RowBasisChange, ColumnSignFlip}
+    assert kinds
+    p = cube(3)
+    survivors, _ = harness.enumerate_matrices(harness.SearchSpec(p, 2, "signs", "string"))
+    for lam in survivors:
+        given = _scrambled(p, lam, rng)
+        form = bott_triangularize(3, given)
+        assert form.verdict == "triangular"
+        assert _replayed(p, given, form.moves).rows == form.normalized.rows
+        perms = [t for t, mv in enumerate(form.moves) if isinstance(mv, FacetPermutation)]
+        if perms:
+            # the permutation is followed by the row move that refines again
+            (t,) = perms
+            assert isinstance(form.moves[t + 1], RowBasisChange)
+            relabeled += 1
+    assert relabeled > 0
 
 
 def test_decompositions_have_no_size_limit():
@@ -857,7 +949,8 @@ def test_brute_force_guards_share_one_limit():
         dobrinskaya_normalize([[int(i == j) for j in range(17)] for i in range(17)])
     # the bundle certificate search has no size limit: a 17-gon is no product
     lam = CharMatrix([[1, 0] * 8 + [1], [0, 1] * 8 + [1]])
-    assert bundle_certificate(big, lam) is None
+    assert validate(big, lam)[0]
+    assert _bundle_certificate(big, lam) is None
 
 
 # ---------------------------------------------------------------------------
@@ -903,7 +996,7 @@ def test_decompose_prism_validates_each_pair_once(validated):
     perm[1], perm[8] = 1, 8
     for x in range(2, 8):
         perm[x] = (3 - x) % 6 + 2
-    mirrored = transform(p6, HEX_PRISM_LAM, FacetPermutation(tuple(perm)))
+    mirrored = _moved(p6, HEX_PRISM_LAM, FacetPermutation(tuple(perm)))
     # the plain example, and its reflection, which takes the mirror moves
     for lam in (HEX_PRISM_LAM, CharMatrix(mirrored.rows)):
         del validated[:]
@@ -935,15 +1028,28 @@ def test_decompose_cube_connsum_validates_each_pair_once(validated):
 
 
 def test_decompositions_reject_invalid_input_before_any_move(monkeypatch):
-    moves = []
+    # a decomposition moves its pair through `_moved` (row basis changes,
+    # relabelings) and `_normalizing_moves` (every refine and sign flip)
+    p6 = prism(6)
+    flipped = _moved(p6, HEX_PRISM_LAM, ColumnSignFlip(4))
+    sheared = _moved(p6, HEX_PRISM_LAM, RowBasisChange(((1, 1, 0), (0, 1, 0), (0, 0, 1))))
+    assert validate(p6, flipped)[0] and validate(p6, sheared)[0]
+    moves, normalized = [], []
 
-    def wrapper(real):
+    def moving(real):
         def recording(p, lam, move):
             moves.append(move)
             return real(p, lam, move)
         return recording
 
-    _patch_everywhere(monkeypatch, "_moved", wrapper)
+    def normalizing(real):
+        def recording(p, lam, vertex, units, error):
+            normalized.append((vertex, units))
+            return real(p, lam, vertex, units, error)
+        return recording
+
+    _patch_everywhere(monkeypatch, "_moved", moving)
+    _patch_everywhere(monkeypatch, "_normalizing_moves", normalizing)
     singular = SINGULAR_HEX_PRISM
     with pytest.raises(StructureError, match="singular"):
         decompose_prism(3, singular)
@@ -954,30 +1060,39 @@ def test_decompositions_reject_invalid_input_before_any_move(monkeypatch):
     broken = CharMatrix([list(biglam.rows[0])] * 2 + [list(biglam.rows[2])])
     with pytest.raises(StructureError, match="singular"):
         decompose_cube_connsum(big, broken)
-    assert moves == []
-    # moving a valid pair does go through the unvalidated move
-    decompose_prism(3, transform(prism(6), HEX_PRISM_LAM, charmat.ColumnSignFlip(4)))
-    assert moves
+    assert moves == [] and normalized == []
+    # normalizing a valid pair does go through the unvalidated moves: a
+    # sign flip in one pass, a row basis change through `_moved`
+    rep = decompose_prism(3, CharMatrix(flipped.rows))
+    assert rep.moves == (ColumnSignFlip(4),) and ColumnSignFlip(4) not in moves
+    assert normalized[0] == ((1, 2, 3), ((2, 4), (3, 7), (1, 8)))
+    del moves[:], normalized[:]
+    rep = decompose_prism(3, CharMatrix(sheared.rows))
+    assert isinstance(rep.moves[0], RowBasisChange) and moves[0] == rep.moves[0]
+    assert normalized[0] == ((1, 2, 3), ((2, 4), (3, 7), (1, 8)))
 
 
 def test_public_entry_points_still_validate_their_inputs():
-    p6 = prism(6)
-    singular = SINGULAR_HEX_PRISM
-    with pytest.raises(CharMatrixError, match="breaks validity"):
-        transform(p6, singular, charmat.ColumnSignFlip(8))
-    with pytest.raises(StructureError, match="singular"):
-        bundle_certificate(p6, singular)
+    # the four public entry points of `structure` validate their input
+    # pairs; the edge sum and the bundle certificate are private cores
+    # that only decompositions call, on pairs already validated
     c3 = cube(3)
     bad_cube = CharMatrix([[1, 0, 0, 1, 0, 0], [0, 1, 0, 0, 1, 0], [0, 0, 1, 0, 0, 2]])
+    assert not validate(c3, bad_cube)[0]
     with pytest.raises(StructureError, match="singular"):
         equivariant_connected_sum(c3, CUBE_SUMMAND_A, (4, 5, 6), c3, bad_cube, (1, 2, 3))
-    p4 = prism(4)
-    bad_square = CharMatrix([[1, 0, 0, 1, 0, 2], [0, 1, 0, 1, 0, 0], [0, 0, 1, 1, 1, 2]])
     with pytest.raises(StructureError, match="singular"):
-        equivariant_edge_connected_sum(
-            p4, CharMatrix(HEX_PIECE_1), (4, 5), (1, 6),
-            p4, bad_square, (4, 5), (1, 6),
-        )
+        equivariant_connected_sum(c3, bad_cube, (4, 5, 6), c3, CUBE_SUMMAND_B, (1, 2, 3))
+    with pytest.raises(StructureError, match="singular"):
+        bott_triangularize(3, bad_cube)
+    with pytest.raises(StructureError, match="singular"):
+        decompose_prism(3, SINGULAR_HEX_PRISM)
+    big, biglam = equivariant_connected_sum(
+        c3, CUBE_SUMMAND_A, (4, 5, 6), c3, CUBE_SUMMAND_B, (1, 2, 3)
+    )
+    broken = CharMatrix([list(biglam.rows[0])] * 2 + [list(biglam.rows[2])])
+    with pytest.raises(StructureError, match="singular"):
+        decompose_cube_connsum(big, broken)
 
 
 def test_campaign_core_matches_the_public_decomposition():
