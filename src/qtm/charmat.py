@@ -22,10 +22,10 @@ to sign, a minor at most as wide as the number of facets the vertex
 does not share with the refining vertex.  Which rows and columns each
 minor takes depends on the polytope's vertices and the refining vertex
 alone, so a plan listing them is built once per pair of those and kept
-in a capped module cache (`_PLANS`), as `cohomology` keeps its relation
-templates.  An unrefined matrix has its columns read once.  Both paths
-take every vertex determinant in p.vertices order up to the first one
-that is not +-1, and name that vertex.  This module computes no normal
+in the package's memo cache (`polytope._cached`), beside the relation
+templates of `cohomology`.  An unrefined matrix has its columns read
+once.  Both paths take every vertex determinant in p.vertices order up
+to the first one that is not +-1, and name that vertex.  This module computes no normal
 form of a class: the search tells classes apart by its own walk form,
 the orbit leaders of `harness`.
 """
@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from itertools import chain
 
 from . import intlin
-from .polytope import SimplePolytope
+from .polytope import SimplePolytope, _cached
 
 
 class CharMatrixError(ValueError):
@@ -134,32 +134,19 @@ def _check_shape(p: SimplePolytope, lam: CharMatrix) -> None:
         )
 
 
-# (vertices, base) -> the minor plan of `validate`.  A plan depends on
-# its key alone and is never mutated, so every caller may share it; the
-# cache is cleared when it fills up
-_PLANS: dict = {}
-_PLAN_CACHE_SIZE = 1024
-
-
 def _minor_plan(p: SimplePolytope, base) -> tuple:
     """(v, rows {k : B_k not in v}, 0-based columns v - B) for every
-    vertex v of p.vertices but the base vertex B, in that order."""
-    key = (p.vertices, base)
-    plan = _PLANS.get(key)
-    if plan is None:
-        plan = tuple(
-            (
-                v,
-                tuple(k for k, f in enumerate(base) if f not in v),
-                tuple(j - 1 for j in v if j not in base),
-            )
-            for v in p.vertices
-            if v != base
+    vertex v of p.vertices but the base vertex B, in that order; built
+    once per key in the package cache (`polytope._cached`)."""
+    return _cached(("plan", p.vertices, base), lambda: tuple(
+        (
+            v,
+            tuple(k for k, f in enumerate(base) if f not in v),
+            tuple(j - 1 for j in v if j not in base),
         )
-        if len(_PLANS) >= _PLAN_CACHE_SIZE:
-            _PLANS.clear()
-        _PLANS[key] = plan
-    return plan
+        for v in p.vertices
+        if v != base
+    ))
 
 
 def validate(p: SimplePolytope, lam: CharMatrix):
@@ -171,8 +158,8 @@ def validate(p: SimplePolytope, lam: CharMatrix):
     the |det| of the minor on rows {k : B_k not in v} and columns v - B.
     Those minors are small, and which rows and columns they take depends
     on (p.vertices, B) alone: `_minor_plan` lists them once per key, in
-    vertex order, and a module cache keeps the plans.  B itself is left
-    out, since its minor is empty.  A matrix not refined at a vertex has
+    vertex order, and the package cache keeps the plans.  B itself is
+    left out, since its minor is empty.  A matrix not refined at a vertex has
     its columns read once, and each vertex determinant is taken on the
     vertex's columns as rows: the transpose has the same |det|.  Either
     way every determinant is taken until the first that is not +-1.

@@ -24,7 +24,13 @@ import sys
 
 from .charmat import CharMatrix, CharMatrixError, validate
 from .cohomology import basis_coefficients, p1_vector, presentation_deg4
-from .harness import ResourceCapExceeded, SearchSpec, enumerate_matrices, verify_claim
+from .harness import (
+    _CAP_DEFAULTS,
+    ResourceCapExceeded,
+    SearchSpec,
+    enumerate_matrices,
+    verify_claim,
+)
 from .polytope import PolytopeError, SimplePolytope, cube, polygon, prism, product, q_polytope, simplex
 from .smallcover import _refined, _refined_verdicts, validate_mod2
 from .stringcheck import _closed_form_coefficients, _spin, refined_pair
@@ -291,8 +297,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--filter", choices=["valid", "spin", "string"], default="valid")
     sp.add_argument("--dedup", choices=["signs", "signs+automorphisms"], default="signs")
     sp.add_argument("--mod2", action="store_true", help="enumerate over GF(2)")
-    sp.add_argument("--max-nodes", type=int, default=10**9)
-    sp.add_argument("--max-seconds", type=float, default=3600.0)
+    sp.add_argument("--max-nodes", type=int, default=_CAP_DEFAULTS["max_nodes"])
+    sp.add_argument("--max-seconds", type=float, default=_CAP_DEFAULTS["max_seconds"])
     add_out(sp)
     sp.set_defaults(func=_cmd_enumerate)
 
@@ -325,8 +331,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n", type=int)
     sp.add_argument("--k", type=int)
     sp.add_argument("--ns", help="comma-separated simplex dimensions, e.g. 2,3")
-    sp.add_argument("--max-nodes", type=int, default=10**9)
-    sp.add_argument("--max-seconds", type=float, default=3600.0)
+    sp.add_argument("--max-nodes", type=int, default=_CAP_DEFAULTS["max_nodes"])
+    sp.add_argument("--max-seconds", type=float, default=_CAP_DEFAULTS["max_seconds"])
     add_out(sp)
     sp.set_defaults(func=_cmd_verify)
 

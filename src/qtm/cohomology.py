@@ -27,9 +27,9 @@ every complex whose h-vector computes, so it certifies nothing about
 the polytope.  The checks that can fire are made per pair on the live
 rows: over Z the quotient-map certificate below (the rows must span a
 direct summand), over GF(2) their independence (`smallcover`).
-Templates are cached by (vertices, base), so an equal polytope built
-again reuses one.  A pair only fills the coefficients in from its
-columns.
+Templates are kept in the package's one memo cache (`polytope._cached`,
+key ("template", vertices, base)), so an equal polytope built again
+reuses one.  A pair only fills the coefficients in from its columns.
 
 Each dense (B_k, b) row is minus its live row plus terms on dead
 monomials, and every dead monomial is itself a unit relation.  So the
@@ -106,7 +106,7 @@ from operator import mul
 
 from . import intlin
 from .charmat import CharMatrix
-from .polytope import SimplePolytope
+from .polytope import SimplePolytope, _cached
 
 
 class CohomologyError(ValueError):
@@ -136,23 +136,10 @@ class RelationTemplate:
     quotient_rank: int
 
 
-# (vertices, base) -> RelationTemplate.  A template depends on its key
-# alone and is never mutated, so every caller may share it; the cache is
-# cleared when it fills up
-_TEMPLATES: dict = {}
-_TEMPLATE_CACHE_SIZE = 1024
-
-
 def relation_template(p: SimplePolytope, base) -> RelationTemplate:
-    """The cached template of p at the base vertex (ascending)."""
-    key = (p.vertices, base)
-    t = _TEMPLATES.get(key)
-    if t is None:
-        t = _build_template(p, base)
-        if len(_TEMPLATES) >= _TEMPLATE_CACHE_SIZE:
-            _TEMPLATES.clear()
-        _TEMPLATES[key] = t
-    return t
+    """The template of p at the base vertex (ascending), built once per
+    key in the package cache (`polytope._cached`)."""
+    return _cached(("template", p.vertices, base), lambda: _build_template(p, base))
 
 
 def _build_template(p: SimplePolytope, base) -> RelationTemplate:
@@ -248,7 +235,6 @@ def p1_vanishes(t: RelationTemplate, cols) -> bool:
 class DegreeFourPresentation:
     """Generators and the quotient map that certifies their relations."""
 
-    free: tuple  # free facet indices, ascending
     generators: tuple  # monomials (i, j), i <= j free, lex order
     quotient_rank: int
     quotient_map: tuple = field(repr=False)  # q(e_g) in Z^quotient_rank, generator order; 0 when dead
@@ -276,7 +262,6 @@ def presentation_deg4(p: SimplePolytope, lam: CharMatrix) -> DegreeFourPresentat
     live_q = _certified_quotient_map(_live_rows(t, columns(lam)), len(t.live))
     dead = (0,) * t.quotient_rank
     return DegreeFourPresentation(
-        free=t.free,
         generators=t.generators,
         quotient_rank=t.quotient_rank,
         quotient_map=tuple(dead if c is None else live_q[c] for c in t.gen_live),

@@ -86,8 +86,12 @@ The string test at a leaf reads p_1 off the leaf's columns through the
 polytope's relation template at the base vertex
 (`cohomology.p1_vanishes`): the walk has already checked every vertex,
 and the parity filter has made every column sum odd, so the leaf is
-spin.  A `CharMatrix` is built only for a leaf that opens a class
-under automorphisms or survives.
+spin.  The template is built at the first leaf the test reaches, so a
+node or time cap that fires first never pays for it; the h-vector it
+is checked against is taken before the walk (once per vertex tuple, in
+the package cache), so a complex that is not a sphere is refused before
+any node.  A `CharMatrix` is built only for
+a leaf that opens a class under automorphisms or survives.
 
 The field is chosen once, in one block before the walk.  It sets the
 column values, the lex table, the base columns, the normal vector, the
@@ -112,15 +116,20 @@ so a negative campaign only ever says "none with entries up to B".
 `verify_claim` packages the named campaigns used by the test suite and
 the command line: each claim re-checks its witnesses through the core
 modules and reports verified / counterexample / resource-capped with
-reproducible statistics.  `_CLAIMS` lists the caps each claim reads
-next to its parameters: every claim that searches hands the node and
-time caps to its search, `cyclic-identities` checks the time cap
-between its trials, and `product-simplices-obstruction` reads neither.
-A cap other than its default that the claim does not read is refused
-before anything runs, and so is a NaN or negative cap, by the check
-`SearchSpec` uses.  The claims that check each survivor of
-a search share one driver, `_search_campaign`: such a claim is verified
-exactly when no survivor yields a counterexample record.
+reproducible statistics.  `_CLAIMS` is the one place a claim's
+parameters and their defaults are written: `verify_claim` converts each
+to the type of its default (an int, or a tuple of ints for `ns`) and
+hands the campaign all of them by name.  Next to them it lists the caps
+each claim reads: every claim that searches hands the node and time
+caps to its search, `cyclic-identities` checks the time cap between its
+trials, and `product-simplices-obstruction` reads neither.  The cap
+defaults are written once, in `_CAP_DEFAULTS`, which `SearchSpec`,
+`verify_claim` and the command line all read.  A cap other than its
+default that the claim does not read is refused before anything runs,
+and so is a NaN or negative cap, by the check `SearchSpec` uses.  The
+claims that check each survivor of a search share one driver,
+`_search_campaign`: such a claim is verified exactly when no survivor
+yields a counterexample record.
 """
 
 from __future__ import annotations
@@ -135,7 +144,16 @@ from dataclasses import asdict, dataclass, field
 from . import __version__, intlin
 from .charmat import CharMatrix, refine
 from .cohomology import p1_vanishes, relation_template
-from .polytope import SimplePolytope, connected_sum, cube, key_obstruction, polygon, prism, product
+from .polytope import (
+    SimplePolytope,
+    _cached,
+    connected_sum,
+    cube,
+    key_obstruction,
+    polygon,
+    prism,
+    product,
+)
 from .smallcover import (
     _w2_vanishes,
     simplex_product,
@@ -207,8 +225,8 @@ class SearchSpec:
     dedup: str = "signs"
     filter: str = "valid"
     mod2_only: bool = False
-    max_nodes: int = 10**9
-    max_seconds: float = 3600.0
+    max_nodes: int = _CAP_DEFAULTS["max_nodes"]
+    max_seconds: float = _CAP_DEFAULTS["max_seconds"]
 
     def __post_init__(self):
         if self.mod2_only:
@@ -340,7 +358,8 @@ def enumerate_matrices(spec: SearchSpec):
     filter removes, once per expanded interior node.  elapsed is the
     wall time in seconds, counted from the call, so it includes building
     the value tables; the time cap is read at node 1 and every 4096
-    nodes after that, so a cap of 0 fires at node 1.  Raises
+    nodes after that, so a cap of 0 fires at node 1, before the string
+    test builds its template at the first leaf.  Raises
     ResourceCapExceeded rather than returning a truncated list.
     """
     started = time.monotonic()
@@ -436,8 +455,13 @@ def enumerate_matrices(spec: SearchSpec):
     }
     survivors = []
     seen = set()
+    # the string test's template is built at the first leaf it reaches,
+    # so a cap can stop the search before that cost; the h-vector it is
+    # checked against is taken now, once per vertex tuple as the template
+    # is, so a complex that is not a sphere is still refused before any node
+    template = None
     if spec.filter == "string":
-        template = relation_template(p, base)
+        _cached(("h-vector", p.vertices), p.h_vector)
 
     def capped(reason: str) -> ResourceCapExceeded:
         stats["elapsed"] = time.monotonic() - started
@@ -462,6 +486,7 @@ def enumerate_matrices(spec: SearchSpec):
         return mask
 
     def emit() -> None:
+        nonlocal template
         stats["candidates"] += 1
         lam = None
         if automorphisms is not None:
@@ -470,10 +495,13 @@ def enumerate_matrices(spec: SearchSpec):
                 return
             lam = CharMatrix(rows(), refined_at=base)
             seen.update(_orbit_leaders(p, lam, automorphisms))
-        if spec.filter == "string" and not vanishes(template, col):
-            stats["pruned"] += 1
-            stats["string_rejects"] += 1
-            return
+        if spec.filter == "string":
+            if template is None:
+                template = relation_template(p, base)
+            if not vanishes(template, col):
+                stats["pruned"] += 1
+                stats["string_rejects"] += 1
+                return
         # a CharMatrix is never falsy: a class opener is built only once
         survivors.append(lam or CharMatrix(rows(), refined_at=base))
         stats["survivors"] += 1
@@ -553,9 +581,7 @@ def _search_campaign(spec: SearchSpec, witness):
     return ("verified" if not witnesses else "counterexample"), stats, witnesses
 
 
-def _claim_odd_gon_not_spin(params, caps):
-    m = int(params.get("m", 5))
-    bound = int(params.get("bound", 3))
+def _claim_odd_gon_not_spin(caps, m, bound):
     if m % 2 == 0 or m < 3:
         raise HarnessError("claim needs an odd m >= 3")
     p = polygon(m)
@@ -568,9 +594,7 @@ def _claim_odd_gon_not_spin(params, caps):
     return verdict, stats, witnesses
 
 
-def _claim_polygon_parity(params, caps):
-    m = int(params.get("m", 4))
-    bound = int(params.get("bound", 3))
+def _claim_polygon_parity(caps, m, bound):
     p = polygon(m)
 
     def witness(lam):
@@ -582,10 +606,7 @@ def _claim_polygon_parity(params, caps):
     return _search_campaign(SearchSpec(p, bound, "signs", "valid", **caps), witness)
 
 
-def _claim_polygon_bordism_parity(params, caps):
-    m = int(params.get("m", 4))
-    bound = int(params.get("bound", 3))
-
+def _claim_polygon_bordism_parity(caps, m, bound):
     def witness(lam):
         _ls, total = polygon_closed_form(lam)
         return None if total % 2 == m % 2 else {**lam.to_dict(), "total": total}
@@ -594,10 +615,7 @@ def _claim_polygon_bordism_parity(params, caps):
     return _search_campaign(spec, witness)
 
 
-def _claim_cube_string_is_bott(params, caps):
-    n = int(params.get("n", 3))
-    bound = int(params.get("bound", 2))
-
+def _claim_cube_string_is_bott(caps, n, bound):
     def witness(lam):
         form = bott_triangularize(n, lam)
         if form.verdict == "triangular":
@@ -607,10 +625,7 @@ def _claim_cube_string_is_bott(params, caps):
     return _search_campaign(SearchSpec(cube(n), bound, "signs", "string", **caps), witness)
 
 
-def _claim_cyclic_identities(params, caps):
-    k = int(params.get("k", 4))
-    trials = int(params.get("trials", 10000))
-    bound = int(params.get("bound", 5))
+def _claim_cyclic_identities(caps, k, trials, bound):
     if k < 3:
         raise HarnessError("cyclic identities need k >= 3")
     if trials < 1:
@@ -631,9 +646,7 @@ def _claim_cyclic_identities(params, caps):
     return verdict, stats, witnesses
 
 
-def _claim_prism_decompose(params, caps):
-    k = int(params.get("k", 2))
-    bound = int(params.get("bound", 2))
+def _claim_prism_decompose(caps, k, bound):
     if k < 2:
         raise HarnessError("prism decomposition campaign needs k >= 2")
     p = prism(2 * k)
@@ -651,8 +664,7 @@ def _claim_prism_decompose(params, caps):
     return _search_campaign(SearchSpec(p, bound, "signs", "string", **caps), witness)
 
 
-def _claim_cube_connsum(params, caps):
-    bound = int(params.get("bound", 1))
+def _claim_cube_connsum(caps, bound):
     p, _, _ = connected_sum(cube(3), (4, 5, 6), cube(3), (1, 2, 3))
 
     def witness(lam):
@@ -663,7 +675,7 @@ def _claim_cube_connsum(params, caps):
     return _search_campaign(SearchSpec(p, bound, "signs", "string", **caps), witness)
 
 
-def _claim_c5xc5_not_spin(params, caps):
+def _claim_c5xc5_not_spin(caps):
     p = product(polygon(5), polygon(5))
     spec = SearchSpec(p, 1, "signs", "spin", mod2_only=True, **caps)
     survivors, stats = enumerate_matrices(spec)
@@ -672,11 +684,10 @@ def _claim_c5xc5_not_spin(params, caps):
     return verdict, stats, witnesses
 
 
-def _claim_product_simplices_obstruction(params, caps):
-    ns = tuple(int(x) for x in params.get("ns", (2,)))
+def _claim_product_simplices_obstruction(caps, ns):
     if not ns or not any(x >= 2 for x in ns):
         raise HarnessError("claim needs some factor of dimension >= 2")
-    poly, _blocks = simplex_product(ns)
+    poly = simplex_product(ns)
     hit = key_obstruction(poly)
     stats = {"ns": list(ns), "vertices": len(poly.vertices)}
     if hit is None:
@@ -688,40 +699,40 @@ def _claim_product_simplices_obstruction(params, caps):
     return verdict, stats, [{"vertex": list(v), "facet": f}]
 
 
-def _claim_smallcover_simplex_products(params, caps):
-    ns = tuple(int(x) for x in params.get("ns", (3,)))
+def _claim_smallcover_simplex_products(caps, ns):
     try:
         found = verify_simplex_product_criterion(ns, **caps)
     except SmallCoverError as exc:
         if "contradicts" in str(exc):
             return "counterexample", {"ns": list(ns)}, [{"error": str(exc)}]
         raise
-    expected = all(x % 2 == 1 for x in ns) and any(x % 4 == 3 for x in ns)
-    stats = {"ns": list(ns), "exists": found, "expected": expected}
+    # the criterion returns only when the search agrees with the parity rule
+    stats = {"ns": list(ns), "exists": found, "expected": found}
     return "verified", stats, []
 
 
 _BOTH_CAPS = tuple(_CAP_DEFAULTS)
 
-# claim id -> (campaign, the parameters it reads, the caps it reads)
+# claim id -> (campaign, {parameter it reads: its default}, the caps it
+# reads); a campaign takes its caps, then its parameters by name
 _CLAIMS = {
-    "odd-gon-not-spin": (_claim_odd_gon_not_spin, ("m", "bound"), _BOTH_CAPS),
-    "polygon-parity": (_claim_polygon_parity, ("m", "bound"), _BOTH_CAPS),
+    "odd-gon-not-spin": (_claim_odd_gon_not_spin, {"m": 5, "bound": 3}, _BOTH_CAPS),
+    "polygon-parity": (_claim_polygon_parity, {"m": 4, "bound": 3}, _BOTH_CAPS),
     "polygon-bordism-parity": (
-        _claim_polygon_bordism_parity, ("m", "bound"), _BOTH_CAPS
+        _claim_polygon_bordism_parity, {"m": 4, "bound": 3}, _BOTH_CAPS
     ),
-    "cube-string-is-bott": (_claim_cube_string_is_bott, ("n", "bound"), _BOTH_CAPS),
+    "cube-string-is-bott": (_claim_cube_string_is_bott, {"n": 3, "bound": 2}, _BOTH_CAPS),
     "cyclic-identities": (
-        _claim_cyclic_identities, ("k", "trials", "bound"), ("max_seconds",)
+        _claim_cyclic_identities, {"k": 4, "trials": 10000, "bound": 5}, ("max_seconds",)
     ),
-    "prism-decompose": (_claim_prism_decompose, ("k", "bound"), _BOTH_CAPS),
-    "cube-connsum": (_claim_cube_connsum, ("bound",), _BOTH_CAPS),
-    "c5xc5-not-spin": (_claim_c5xc5_not_spin, (), _BOTH_CAPS),
+    "prism-decompose": (_claim_prism_decompose, {"k": 2, "bound": 2}, _BOTH_CAPS),
+    "cube-connsum": (_claim_cube_connsum, {"bound": 1}, _BOTH_CAPS),
+    "c5xc5-not-spin": (_claim_c5xc5_not_spin, {}, _BOTH_CAPS),
     "product-simplices-obstruction": (
-        _claim_product_simplices_obstruction, ("ns",), ()
+        _claim_product_simplices_obstruction, {"ns": (2,)}, ()
     ),
     "smallcover-simplex-products": (
-        _claim_smallcover_simplex_products, ("ns",), _BOTH_CAPS
+        _claim_smallcover_simplex_products, {"ns": (3,)}, _BOTH_CAPS
     ),
 }
 
@@ -732,8 +743,8 @@ def verify_claim(
     claim_id: str,
     params: dict | None = None,
     *,
-    max_nodes: int = 10**9,
-    max_seconds: float = 3600.0,
+    max_nodes: int = _CAP_DEFAULTS["max_nodes"],
+    max_seconds: float = _CAP_DEFAULTS["max_seconds"],
 ) -> ClaimReport:
     """Run a named campaign and report verified / counterexample.
 
@@ -743,19 +754,21 @@ def verify_claim(
     not read is refused before anything runs, so that a report never
     echoes one that played no part in it; so is a NaN or negative cap,
     and a cap other than its default that the claim does not read.  The
-    campaign is handed only the caps it reads.
+    campaign is handed only the caps it reads, and every parameter it
+    reads: the value given, else its default in `_CLAIMS`, as the type
+    of that default.
     """
     if claim_id not in _CLAIMS:
         raise HarnessError(
             f"unknown claim {claim_id!r}; known: {', '.join(CLAIM_IDS)}"
         )
-    campaign, reads, cap_reads = _CLAIMS[claim_id]
+    campaign, defaults, cap_reads = _CLAIMS[claim_id]
     params = dict(params or {})
-    unread = [key for key in params if key not in reads]
+    unread = [key for key in params if key not in defaults]
     if unread:
         raise HarnessError(
             f"claim {claim_id!r} does not read {', '.join(map(repr, unread))}; "
-            f"it reads: {', '.join(reads) or 'no parameter'}"
+            f"it reads: {', '.join(defaults) or 'no parameter'}"
         )
     _check_caps(max_nodes, max_seconds)
     caps = {"max_nodes": max_nodes, "max_seconds": max_seconds}
@@ -768,8 +781,12 @@ def verify_claim(
             f"it reads: {', '.join(cap_reads) or 'no cap'}"
         )
     caps = {cap: caps[cap] for cap in cap_reads}
+    args = {}
+    for name, default in defaults.items():
+        value = params.get(name, default)
+        args[name] = tuple(map(int, value)) if isinstance(default, tuple) else int(value)
     try:
-        verdict, stats, witnesses = campaign(params, caps)
+        verdict, stats, witnesses = campaign(caps, **args)
     except ResourceCapExceeded as exc:
         return ClaimReport(claim_id, params, "resource-capped", exc.stats, [])
     return ClaimReport(claim_id, params, verdict, stats, witnesses)

@@ -292,9 +292,3 @@ def f2_normal(masks, n: int) -> int:
         if (basis[top] & c).bit_count() & 1:
             c |= 1 << (top - 1)
     return c
-
-
-def f2_det_one(masks: list[int], n: int) -> bool:
-    """Is an n x n mod-2 matrix invertible?  masks are its rows or its
-    columns: either way the test is rank n."""
-    return f2_rank(masks) == n

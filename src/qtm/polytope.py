@@ -392,6 +392,32 @@ def q_polytope() -> SimplePolytope:
 
 
 # ---------------------------------------------------------------------------
+# the package's memo cache
+#
+# One cache serves every module: the relation templates of `cohomology`
+# (key ("template", vertices, base)), the minor plans of `charmat`
+# (("plan", vertices, base)), the h-vector a string search checks first
+# (("h-vector", vertices), `harness`) and the gluings below and in
+# `structure`.  A value depends on its key alone and is never mutated,
+# so every caller may share it.  At most _CACHE_SIZE keys are held; the
+# cache is cleared when it fills up.
+
+_CACHE: dict = {}
+_CACHE_SIZE = 1024
+
+
+def _cached(key, build):
+    """build(), run once per key while the key stays cached."""
+    out = _CACHE.get(key)
+    if out is None:
+        out = build()
+        if len(_CACHE) >= _CACHE_SIZE:
+            _CACHE.clear()
+        _CACHE[key] = out
+    return out
+
+
+# ---------------------------------------------------------------------------
 # operations
 #
 # The gluings are cached as well: `connected_sum`, `edge_connected_sum`
@@ -403,23 +429,8 @@ def q_polytope() -> SimplePolytope:
 # `connected_sum`, which names its result after its inputs, both input
 # names (`SimplePolytope` equality ignores names).  So the constructor's
 # checks run once per key; the checks on the inputs run on every call,
-# and every call gets its own facet maps.  At most _GLUING_CACHE_SIZE
-# keys are held; the cache is cleared when it fills up.
-
-# gluing key -> (polytope, facet maps...); the maps are copied on the way out
-_GLUINGS: dict = {}
-_GLUING_CACHE_SIZE = 1024
-
-
-def _cached_gluing(key, build):
-    """build(), run once per key while the key stays cached."""
-    out = _GLUINGS.get(key)
-    if out is None:
-        out = build()
-        if len(_GLUINGS) >= _GLUING_CACHE_SIZE:
-            _GLUINGS.clear()
-        _GLUINGS[key] = out
-    return out
+# and every call gets its own facet maps (a cached value holds the
+# polytope and the maps, which are copied on the way out).
 
 
 def product(p: SimplePolytope, q: SimplePolytope) -> SimplePolytope:
@@ -520,7 +531,7 @@ def connected_sum(p: SimplePolytope, vp, q: SimplePolytope, vq, matching: dict[i
         return out, p_map, q_map
 
     key = ("vertex", p.vertices, p.name, vp, q.vertices, q.name, partners)
-    out, p_map, q_map = _cached_gluing(key, build)
+    out, p_map, q_map = _cached(key, build)
     return out, dict(p_map), dict(q_map)
 
 
@@ -569,7 +580,7 @@ def edge_connected_sum(p: SimplePolytope, edge_p, ends_p, q: SimplePolytope, edg
 
     # the result is unnamed, so the input names are not part of the key
     key = ("edge", p.vertices, ep, (xp, yp), q.vertices, eq, (xq, yq))
-    out, p_map, q_map = _cached_gluing(key, build)
+    out, p_map, q_map = _cached(key, build)
     return out, dict(p_map), dict(q_map)
 
 

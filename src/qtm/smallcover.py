@@ -43,7 +43,9 @@ orientability and the string condition from one set of column masks,
 and the mod-2 search hands `_w2_vanishes` its column masks, building a
 matrix only for a survivor.  The simplex-product criterion is decided
 by that search, string filter on, under the node and time caps its
-caller passes, and then checked against its closed form.
+caller passes (the defaults of `harness.SearchSpec` when none is
+given), and then checked against its closed form: it returns only when
+the two agree.
 """
 
 from __future__ import annotations
@@ -62,9 +64,8 @@ def validate_mod2(p: SimplePolytope, lam: CharMatrix) -> bool:
     """Is every vertex's column submatrix invertible over GF(2)?"""
     _check_shape(p, lam)
     cols = [intlin.f2_mask(c) for c in zip(*lam.rows)]
-    return all(
-        intlin.f2_det_one([cols[j - 1] for j in v], lam.n) for v in p.vertices
-    )
+    # an n x n mod-2 matrix is invertible when its n columns have rank n
+    return all(intlin.f2_rank([cols[j - 1] for j in v]) == lam.n for v in p.vertices)
 
 
 def refine_mod2(p: SimplePolytope, lam: CharMatrix, v) -> CharMatrix:
@@ -167,33 +168,23 @@ def _refined_verdicts(p: SimplePolytope, rl: CharMatrix) -> tuple[bool, bool]:
 # products of simplices
 
 
-def simplex_product(ns) -> tuple[SimplePolytope, tuple]:
-    """Product of simplices with its facet blocks.
-
-    Factor i (dimension ns[i]) contributes ns[i] + 1 consecutively
-    labeled facets; the returned blocks list them per factor.
-    """
+def simplex_product(ns) -> SimplePolytope:
+    """Product of simplices; factor i (dimension ns[i]) contributes
+    ns[i] + 1 consecutively labeled facets."""
     ns = tuple(int(n) for n in ns)
     if not ns or any(n < 1 for n in ns):
         raise SmallCoverError("factor dimensions must be positive")
     poly = simplex(ns[0])
     for n in ns[1:]:
         poly = product(poly, simplex(n))
-    blocks = []
-    offset = 0
-    for n in ns:
-        blocks.append(tuple(range(offset + 1, offset + n + 2)))
-        offset += n + 1
-    return poly, tuple(blocks)
+    return poly
 
 
 # the largest sum of factor dimensions the criterion searches over
 _ENUMERATION_CAP = 7
 
 
-def verify_simplex_product_criterion(
-    ns, *, max_nodes: int = 10**9, max_seconds: float = 3600.0
-) -> bool:
+def verify_simplex_product_criterion(ns, **caps) -> bool:
     """Does a string small cover exist over the product of these simplices?
 
     All factor dimensions must be at least 2, and their sum at most 7.
@@ -207,7 +198,8 @@ def verify_simplex_product_criterion(
     the closed form -- existence iff every dimension is odd and some
     dimension is 3 mod 4 -- and a disagreement raises, since it would
     falsify that criterion rather than being a soft result.  The search
-    takes the node and time caps of `harness.SearchSpec`, and raises
+    takes the node and time caps of `harness.SearchSpec` as keyword
+    arguments (their defaults when none is given), and raises
     `harness.ResourceCapExceeded` when it hits one.
     """
     from .harness import SearchSpec, enumerate_matrices
@@ -220,12 +212,10 @@ def verify_simplex_product_criterion(
         raise SmallCoverError(
             f"sum of dimensions {total} exceeds the enumeration cap {_ENUMERATION_CAP}"
         )
-    poly, _blocks = simplex_product(ns)
-    spec = SearchSpec(
-        poly, 1, "signs", "string", mod2_only=True,
-        max_nodes=max_nodes, max_seconds=max_seconds,
+    poly = simplex_product(ns)
+    survivors, _stats = enumerate_matrices(
+        SearchSpec(poly, 1, "signs", "string", mod2_only=True, **caps)
     )
-    survivors, _stats = enumerate_matrices(spec)
     found = bool(survivors)
     expected = all(x % 2 == 1 for x in ns) and any(x % 4 == 3 for x in ns)
     if found != expected:

@@ -12,14 +12,17 @@ fills in only the live degree-4 rows, the relations with a base facet
 less their dead monomials (products of two free facets that do not
 meet, zero outright).  `cohomology.p1_vanishes` reduces the live rows
 by unit pivots, falling back to the certified stepwise quotient map
-when that gets stuck, and reduces p_1 by the result.  A verdict
-builds no presentation.  When coefficients are wanted,
-`presentation_deg4` certifies its quotient map on the same live rows,
-and the coefficients of p_1 in a basis of the free quotient decide the
-verdict as well: p_1 is zero exactly when they all vanish.  So
-`check-string` decides each verdict once, from its coefficients: a
-family with a closed form (`_closed_form_coefficients`) reduces no
-live row, and any other pair is reduced once, in `presentation_deg4`.
+when that gets stuck, and reduces p_1 by the result.  The verdict is
+one bool, `_refined_string`, for a pair already valid and refined: it
+reads the template only for a spin pair and builds no presentation.
+`is_string` validates and refines first (`refined_pair`).  When
+coefficients are wanted, `presentation_deg4` certifies its quotient map
+on the same live rows, and the coefficients of p_1 in a basis of the
+free quotient decide the verdict as well: p_1 is zero exactly when they
+all vanish.  So `check-string` decides each verdict once, from its
+coefficients: a family with a closed form (`_closed_form_coefficients`)
+reduces no live row, and any other pair is reduced once, in
+`presentation_deg4`.
 
 For the families `check-string` recognizes (polygon, prism over an
 even polygon, cube) the p_1 coefficients in a fixed monomial basis are
@@ -40,7 +43,6 @@ oracle for the engine, with the labeling checks that guard them;
 from __future__ import annotations
 
 from operator import mul
-from typing import NamedTuple
 
 from .charmat import (
     CharMatrix,
@@ -52,6 +54,7 @@ from .charmat import (
 )
 from .cohomology import columns, p1_vanishes, relation_template, w2_vector
 from .polytope import SimplePolytope, cube, polygon, prism, product, q_polytope
+
 
 class StringCheckError(ValueError):
     pass
@@ -84,31 +87,16 @@ def refined_pair(p: SimplePolytope, lam: CharMatrix) -> CharMatrix:
     return lam
 
 
-class StringVerdict(NamedTuple):
-    """Spin and string verdicts from one validation and one refinement."""
-
-    refined: CharMatrix
-    spin: bool
-    string: bool
-
-
 def _spin(p: SimplePolytope, rl: CharMatrix) -> bool:
     """Every free column sum is odd: w_2 has only even coefficients."""
     return all(c % 2 == 0 for c in w2_vector(p, rl).values())
 
 
-def string_verdict(p: SimplePolytope, lam: CharMatrix) -> StringVerdict:
-    """Validate and refine once, then decide spin and string."""
-    return _refined_verdict(p, refined_pair(p, lam))
-
-
-def _refined_verdict(p: SimplePolytope, rl: CharMatrix) -> StringVerdict:
-    """string_verdict for a pair already valid and refined: the relation
-    template of p at the base vertex decides p_1 from the columns."""
-    if not _spin(p, rl):
-        return StringVerdict(rl, False, False)
-    t = relation_template(p, rl.refined_at)
-    return StringVerdict(rl, True, p1_vanishes(t, columns(rl)))
+def _refined_string(p: SimplePolytope, rl: CharMatrix) -> bool:
+    """The string verdict of a pair already valid and refined: spin, and
+    p_1 zero as the relation template of p at the base vertex reads it
+    off the columns."""
+    return _spin(p, rl) and p1_vanishes(relation_template(p, rl.refined_at), columns(rl))
 
 
 def is_spin(p: SimplePolytope, lam: CharMatrix) -> bool:
@@ -116,7 +104,7 @@ def is_spin(p: SimplePolytope, lam: CharMatrix) -> bool:
 
 
 def is_string(p: SimplePolytope, lam: CharMatrix) -> bool:
-    return string_verdict(p, lam).string
+    return _refined_string(p, refined_pair(p, lam))
 
 
 # ---------------------------------------------------------------------------

@@ -40,19 +40,20 @@ mirror's or Bott's facet relabeling -- is one call of
 
 * every new pair -- each piece and each glued result -- is validated
   once, right after it is built;
-* each string verdict is decided once, by ``_refined_verdict`` on a pair
-  already refined: the input on its normal form (unless the caller, such
-  as a string search, has decided it already), each split-off piece, and
-  a prism remainder inside its own recursive call;
+* each string verdict is decided once, by ``stringcheck._refined_string``
+  (a bool) on a pair already refined: the input on its normal form
+  (unless the caller, such as a string search, has decided it already),
+  each split-off piece, and a prism remainder inside its own recursive
+  call;
 * each glued polytope is built once per key, not once per request: the
   far side of a cube connected sum (key: the input's vertex tuple), and
   the reassembled polytopes of ``connected_sum`` and
   ``edge_connected_sum`` (key: both inputs' vertex tuples and glued
-  faces, and for the vertex sum both names).  They share one cache in
-  ``polytope``, cleared when it reaches ``_GLUING_CACHE_SIZE`` (1024)
-  keys, so the ``SimplePolytope`` checks run once per key and equal
-  inputs share one instance with its faces and product splits.  Every
-  request still gets its own facet maps.
+  faces, and for the vertex sum both names).  They live in the package's
+  one memo cache, ``polytope._cached``, beside the relation templates
+  and minor plans, so the ``SimplePolytope`` checks run once per key and
+  equal inputs share one instance with its faces and product splits.
+  Every request still gets its own facet maps.
 
 Every ``_forced`` relation, every glued-matrix ``validate`` and every
 reassembly comparison still runs on every call.
@@ -81,7 +82,7 @@ from .polytope import (
     BRUTE_FORCE_FACETS,
     PolytopeError,
     SimplePolytope,
-    _cached_gluing,
+    _cached,
     brute_force_refusal,
     connected_sum,
     cube,
@@ -89,7 +90,7 @@ from .polytope import (
     prism,
     product_splits,
 )
-from .stringcheck import _refined_verdict
+from .stringcheck import _refined_string
 
 
 class StructureError(ValueError):
@@ -298,7 +299,7 @@ def bott_triangularize(n: int, lam: CharMatrix) -> BottForm:
     initial = tuple(range(1, n + 1))
     diag = tuple((i, n + i) for i in range(1, n + 1))
     moves, cur = _normalizing_moves(p, lam, initial, diag, StructureContradiction)
-    string_input = _refined_verdict(p, cur).string
+    string_input = _refined_string(p, cur)
     a = [[cur.entry(i, n + j) for j in range(1, n + 1)] for i in range(1, n + 1)]
     form = dobrinskaya_normalize(a)
     if form.verdict == "cycle":
@@ -594,7 +595,7 @@ def _decompose_prism(
         p, lam, (1, 2, 3), ((2, 4), (3, m - 1), (1, m)), StructureContradiction
     )
     if string is None:
-        string = _refined_verdict(p, nf).string
+        string = _refined_string(p, nf)
         if remainder:
             _forced(string, "remainder piece is string")
     if not string:
@@ -666,7 +667,7 @@ def _decompose_prism(
     lam_rest = CharMatrix([[e(r, c) for c in rest_cols] for r in (1, 2, 3)])
     _checked_pair(p_rest, lam_rest)
     _forced(
-        _refined_verdict(p_small, lam_small).string,
+        _refined_string(p_small, lam_small),
         "split-off prism(4) piece is string",
     )
     cert = _bundle_certificate(p_small, lam_small)
@@ -768,7 +769,7 @@ def _decompose_cube_connsum(
         raise StructureError("cube-side vertices are not a cube corner complement")
     try:
         # the far side depends on p's vertices alone: built once per key
-        p_r = _cached_gluing(("cube-far-side", p.vertices), lambda: SimplePolytope(
+        p_r = _cached(("cube-far-side", p.vertices), lambda: SimplePolytope(
             n,
             m_total - n,
             sorted(tuple(f - n for f in v) for v in rest_side)
@@ -783,7 +784,7 @@ def _decompose_cube_connsum(
     a = [[cur.entry(i, n + j) for j in range(1, n + 1)] for i in range(1, n + 1)]
     detail = {"seam_det": intlin.det(a)}
     if string is None:
-        string = _refined_verdict(p, cur).string
+        string = _refined_string(p, cur)
     if not string:
         detail["reason"] = "input is not string"
         return DecompositionReport(
@@ -812,8 +813,8 @@ def _decompose_cube_connsum(
             rows_r[i][n + j - 1] = col[i]
     lam_r = CharMatrix(rows_r, refined_at=initial)
     _checked_pair(p_r, lam_r)
-    _forced(_refined_verdict(cube_p, lam_cube).string, "cube summand is string")
-    _forced(_refined_verdict(p_r, lam_r).string, "far summand is string")
+    _forced(_refined_string(cube_p, lam_cube), "cube summand is string")
+    _forced(_refined_string(p_r, lam_r), "far summand is string")
     cert_cube = _bundle_certificate(cube_p, lam_cube)
     if cert_cube is None:
         raise StructureContradiction("string cube summand lacks a bundle certificate")

@@ -384,7 +384,7 @@ def test_criterion_11_small_covers():
     checks = [
         (product(polygon(4), polygon(3)), QUAD_TRI_MOD2),
         (product(simplex(1), simplex(2)), INTERVAL_TRI_MOD2),
-        (simplex_product((1, 3, 4))[0], tower_mod2()),
+        (simplex_product((1, 3, 4)), tower_mod2()),
     ]
     for p, lam in checks:
         assert validate_mod2(p, lam), p.name

@@ -8,7 +8,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qtm import charmat, intlin
+from qtm import charmat, intlin, polytope
 from qtm.charmat import (
     CharMatrix,
     CharMatrixError,
@@ -100,13 +100,13 @@ def test_validate_agrees_on_a_refined_matrix(data):
 
 
 def test_minor_plans_are_cached_per_vertices_and_base(monkeypatch):
-    monkeypatch.setattr(charmat, "_PLANS", {})
-    monkeypatch.setattr(charmat, "_PLAN_CACHE_SIZE", 2)
+    monkeypatch.setattr(polytope, "_CACHE", {})
+    monkeypatch.setattr(polytope, "_CACHE_SIZE", 2)
     lam = CharMatrix(
         [[1, 0, 0, 1, 0, 0], [0, 1, 0, 0, 1, 0], [0, 0, 1, 0, 0, 1]], refined_at=(1, 2, 3)
     )
     assert validate(cube(3), lam) == (True, None)
-    plan = charmat._PLANS[(CUBE3.vertices, (1, 2, 3))]
+    plan = polytope._CACHE[("plan", CUBE3.vertices, (1, 2, 3))]
     # an equal polytope built again reuses the one plan; the base vertex
     # has no minor, and every other vertex keeps its place
     assert validate(cube(3), lam) == (True, None)
@@ -114,15 +114,15 @@ def test_minor_plans_are_cached_per_vertices_and_base(monkeypatch):
     assert [v for v, _ks, _js in plan] == [v for v in CUBE3.vertices if v != (1, 2, 3)]
     # (1, 5, 6) keeps B_1 = 1, so its minor takes rows 2, 3 and columns 5, 6
     assert dict((v, (ks, js)) for v, ks, js in plan)[(1, 5, 6)] == ((1, 2), (4, 5))
-    assert list(charmat._PLANS) == [(CUBE3.vertices, (1, 2, 3))]
+    assert list(polytope._CACHE) == [("plan", CUBE3.vertices, (1, 2, 3))]
     validate(PENTAGON, PENTAGON_LAM)
-    assert len(charmat._PLANS) == 2
+    assert len(polytope._CACHE) == 2
     # a third key finds the cache full: it is cleared, then holds the new plan
     validate(TRIANGLE, cp2_matrix(1, 1))
-    assert list(charmat._PLANS) == [(TRIANGLE.vertices, (1, 2))]
+    assert list(polytope._CACHE) == [("plan", TRIANGLE.vertices, (1, 2))]
     # an unrefined matrix builds no plan
     validate(PENTAGON, CharMatrix(PENTAGON_LAM.rows))
-    assert list(charmat._PLANS) == [(TRIANGLE.vertices, (1, 2))]
+    assert list(polytope._CACHE) == [("plan", TRIANGLE.vertices, (1, 2))]
 
 
 def test_validate_names_the_first_bad_vertex_of_a_refined_matrix():

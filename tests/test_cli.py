@@ -511,6 +511,31 @@ REPLY_PINS = {
     ),
 }
 
+# claim -> (exit code, sha256 of the `qtm verify <claim>` reply with no
+# parameter and no cap), masked as above: every default is pinned
+DEFAULT_CLAIM_PINS = {
+    "c5xc5-not-spin": (0, "fd93b318f7c456dfee80b2be9eafc66df4f5a9e13af540580cc50a6d9f9f9177"),
+    "cube-connsum": (0, "0f81d5ae3163df9fb8c7d9f9f4a824a0061169acbc278560a8f3b64b893a6659"),
+    "cube-string-is-bott": (0, "7899fd4295cafb298176d20afc3560830e407468be23868806fc116e16211624"),
+    "cyclic-identities": (0, "277da02360ba439ba002437e9f3f0be5a8910aa94ef9bc44511575ef2a21bf18"),
+    "odd-gon-not-spin": (0, "32bc7c26194bfba2984ce4b519f9c2217bfbb37de761de311017aa73e9f36c86"),
+    "polygon-bordism-parity": (
+        0, "5847f941e39eca6b0247c2a1baf545eeeb99a3f19003fbe952d7d235e3bb7de4"
+    ),
+    "polygon-parity": (0, "acb7374f2332eda53f3209f0feb12492838893a67bf86ad34cf6687ed010ac61"),
+    "prism-decompose": (0, "527ca35452d11169344974e23e17dfeef0f3bc04dfa47f6a43d8262ebabbab84"),
+    "product-simplices-obstruction": (
+        0, "92b5181cbb56f754d497d37e095b6ae43ba03bb43672747f9f3a57147a8e2d97"
+    ),
+    "smallcover-simplex-products": (
+        0, "5637b32add546bd4ec2fad73eb4e6f9b33f0a3eac902a14e4c252d019d75ab1e"
+    ),
+}
+REPLY_PINS.update({
+    f"verify-{claim}-defaults": (["verify", claim], None, code, digest)
+    for claim, (code, digest) in DEFAULT_CLAIM_PINS.items()
+})
+
 
 @pytest.mark.parametrize("case", sorted(REPLY_PINS))
 def test_reply_bytes_are_pinned(tmp_path, monkeypatch, capsys, case):
@@ -523,6 +548,23 @@ def test_reply_bytes_are_pinned(tmp_path, monkeypatch, capsys, case):
     for version, mask in ((platform.python_version(), "<python>"), (qtm.__version__, "<qtm>")):
         text = text.replace(json.dumps(version), json.dumps(mask))
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_default_claim_pins_cover_every_claim():
+    assert sorted(DEFAULT_CLAIM_PINS) == sorted(harness.CLAIM_IDS)
+
+
+def test_verify_simplex_products_reports_a_contradiction_and_exits_1(monkeypatch, capsys):
+    # a search that finds no string cover over the 3-simplex, where the
+    # parity criterion says one exists, refutes the criterion
+    monkeypatch.setattr(harness, "enumerate_matrices", lambda spec: ([], {}))
+    code, d = _run(capsys, ["verify", "smallcover-simplex-products", "--ns", "3"])
+    assert code == 1
+    assert (d["verdict"], d["statistics"]) == ("counterexample", {"ns": [3]})
+    assert d["witnesses"] == [{
+        "error": "exhaustive search over (3,) contradicts the parity criterion: "
+        "found=False, expected=True"
+    }]
 
 
 def test_smallcover_hexagon_coloring(tmp_path, capsys):

@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qtm import cohomology, intlin
+from qtm import cohomology, intlin, polytope
 from qtm.charmat import CharMatrix, ColumnSignFlip, RowBasisChange, _moved, refine, validate
 from qtm.cohomology import (
     CohomologyError,
@@ -223,7 +223,7 @@ def test_template_keeps_its_checks(monkeypatch):
     with pytest.raises(CohomologyError, match="direct summand"):
         p1_vanishes(t, (None, (1, 0), (0, 1), (2, 0), (0, 2)))
     # a quotient rank off h_2 raises when the template is built
-    monkeypatch.setattr(cohomology, "_TEMPLATES", {})
+    monkeypatch.setattr(polytope, "_CACHE", {})
     # a fresh square with a cached h-vector whose h_2 is 2, not 1
     fake = SimplePolytope(2, 4, SQUARE.vertices)
     fake._h_vector = (1, 2, 2)
@@ -231,7 +231,7 @@ def test_template_keeps_its_checks(monkeypatch):
         relation_template(fake, (1, 2))
     with pytest.raises(CohomologyError, match="h_2"):
         presentation_deg4(fake, SQUARE_LAM)
-    assert cohomology._TEMPLATES == {}
+    assert polytope._CACHE == {}
 
 
 def test_presentation_requires_refined():
@@ -258,7 +258,6 @@ def test_presentation_keeps_its_quotient_map():
 def _hand_presentation(relations):
     gens = ((1, 1), (1, 2))
     return DegreeFourPresentation(
-        free=(1, 2),
         generators=gens,
         quotient_rank=len(gens) - len(relations),
         quotient_map=_certified_quotient_map(relations, len(gens)),
@@ -609,7 +608,6 @@ def test_greedy_walk_without_a_unit_entry(monkeypatch, images, basis):
     # y[k:] is primitive with no +-1 entry, so the xgcd chain runs
     gens = ((1, 1), (1, 2), (1, 3), (2, 2), (2, 3), (3, 3))
     pres = DegreeFourPresentation(
-        free=(1, 2, 3),
         generators=gens,
         quotient_rank=len(images[0]),
         quotient_map=images,
@@ -678,7 +676,6 @@ def _live_path(p, lam):
 
 def _with_map(pres, q):
     return DegreeFourPresentation(
-        free=pres.free,
         generators=pres.generators,
         quotient_rank=pres.quotient_rank,
         quotient_map=q,

@@ -26,7 +26,7 @@ from qtm.harness import (
     enumerate_matrices,
     verify_claim,
 )
-from qtm.polytope import PolytopeError, cube, polygon, prism, product
+from qtm.polytope import PolytopeError, SimplePolytope, cube, polygon, prism, product
 from qtm.smallcover import (
     _refined,
     _refined_verdicts,
@@ -345,7 +345,7 @@ def brute_force_mod2(p, filt):
     "poly",
     # the simplex product is there for its string rejects: 4 orientable
     # leaves, none string
-    [polygon(5), prism(3), simplex_product((2, 3))[0]],
+    [polygon(5), prism(3), simplex_product((2, 3))],
     ids=["pentagon", "triangle-prism", "simplex2xsimplex3"],
 )
 def test_mod2_walk_matches_brute_force(poly, filt):
@@ -390,7 +390,7 @@ PINNED_SEARCHES = {
     ),
     "mod2-simplex-223-string": (
         SearchSpec(
-            simplex_product((2, 2, 3))[0], 1, "signs", "string", mod2_only=True
+            simplex_product((2, 2, 3)), 1, "signs", "string", mod2_only=True
         ),
         {
             "nodes": 8256, "pruned": 8128, "candidates": 112,
@@ -500,6 +500,39 @@ def test_the_time_cap_counts_the_table_setup(monkeypatch):
         enumerate_matrices(SearchSpec(cube(3), 1, max_nodes=10, max_seconds=0.1))
     assert exc.value.stats["nodes"] == 1
     assert exc.value.stats["elapsed"] >= 0.2
+
+
+def test_a_time_cap_stops_the_search_before_the_string_template(monkeypatch):
+    # the string test's template is built at the first leaf it reaches,
+    # so a cap that fires at node 1 never pays for it, however large the
+    # polytope: prism(2000)'s template takes seconds and hundreds of MB
+    built = []
+    real = harness.relation_template
+
+    def recording(p, base):
+        built.append(p.num_facets)
+        return real(p, base)
+
+    monkeypatch.setattr(harness, "relation_template", recording)
+    rep = verify_claim("prism-decompose", {"k": 1000, "bound": 1}, max_seconds=0)
+    assert rep.verdict == "resource-capped"
+    assert rep.statistics["nodes"] == 1
+    assert built == []
+    # a search that reaches its leaves builds it once, at the first
+    enumerate_matrices(SearchSpec(prism(6), 1, "signs", "string"))
+    assert built == [8]
+
+
+@pytest.mark.parametrize("mod2", [False, True])
+def test_a_string_search_refuses_a_non_sphere_before_any_node(mod2):
+    # the 7-vertex torus passes the ridge check, but its h-vector is not
+    # palindromic: the string search refuses it before the node cap fires
+    torus = SimplePolytope(3, 7, [
+        tuple(sorted((i + d) % 7 + 1 for d in shape))
+        for i in range(7) for shape in ((0, 1, 3), (0, 2, 3))
+    ])
+    with pytest.raises(PolytopeError, match="palindromic"):
+        enumerate_matrices(SearchSpec(torus, 1, "signs", "string", mod2_only=mod2, max_nodes=0))
 
 
 def test_search_refuses_a_value_table_past_the_limit():

@@ -316,7 +316,7 @@ def _glue_edge(p, q):
 
 
 def _fresh(glue, p, q):
-    polytope._GLUINGS.clear()
+    polytope._CACHE.clear()
     return glue(p, q)
 
 
@@ -355,7 +355,7 @@ def test_cached_gluing_keys_on_names():
     named = cube(3)
     unnamed = SimplePolytope(3, 6, named.vertices)
     assert named == unnamed
-    polytope._GLUINGS.clear()
+    polytope._CACHE.clear()
     for _ in range(2):
         a, _, _ = connected_sum(named, (4, 5, 6), named, (1, 2, 3))
         b, _, _ = connected_sum(unnamed, (4, 5, 6), named, (1, 2, 3))
@@ -378,7 +378,7 @@ def test_gluing_builds_once_per_key(monkeypatch):
         built.append(args[2])
         real(self, *args, **kwargs)
 
-    polytope._GLUINGS.clear()
+    polytope._CACHE.clear()
     monkeypatch.setattr(SimplePolytope, "__init__", counting)
     for _ in range(3):
         _glue_vertex(cube(3), prism(4))
@@ -399,16 +399,16 @@ def test_gluing_builds_once_per_key(monkeypatch):
 
 
 def test_gluing_cache_is_cleared_when_full(monkeypatch):
-    monkeypatch.setattr(polytope, "_GLUING_CACHE_SIZE", 2)
-    polytope._GLUINGS.clear()
+    monkeypatch.setattr(polytope, "_CACHE_SIZE", 2)
+    polytope._CACHE.clear()
     first, _, _ = _glue_vertex(cube(3), prism(4))
     _glue_edge(prism(4), prism(4))
-    assert len(polytope._GLUINGS) == 2
+    assert len(polytope._CACHE) == 2
     connected_sum(cube(3), (4, 5, 6), prism(4), (1, 2, 3))
-    assert len(polytope._GLUINGS) == 1
+    assert len(polytope._CACHE) == 1
     again, _, _ = _glue_vertex(cube(3), prism(4))
     assert again == first and again is not first
-    assert len(polytope._GLUINGS) == 2
+    assert len(polytope._CACHE) == 2
 
 
 def test_edge_cut():

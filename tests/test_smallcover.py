@@ -70,6 +70,13 @@ INTERVAL_TRI = CharMatrix(
 )
 
 
+def simplex_blocks(ns):
+    """The facets of each factor of simplex_product(ns): factor i has
+    ns[i] + 1 consecutive labels."""
+    starts = itertools.accumulate((n + 1 for n in ns), initial=1)
+    return tuple(tuple(range(a, a + n + 1)) for a, n in zip(starts, ns))
+
+
 def interval_simplex_tower_matrix():
     """String structure over interval x 3-simplex x 4-simplex."""
     cols = {
@@ -168,7 +175,7 @@ def _mod2_cases():
     vertex, and walk survivors over C4 x C4 and the 3-cube."""
     cases = [
         (product(polygon(4), polygon(3)), QUAD_TRI),
-        (simplex_product((1, 3, 4))[0], interval_simplex_tower_matrix()),
+        (simplex_product((1, 3, 4)), interval_simplex_tower_matrix()),
         (polygon(3), CharMatrix([[1, 0, 1], [0, 1, 0]])),
     ]
     rng = random.Random(17)
@@ -222,8 +229,14 @@ def test_interval_triangle_is_string():
 
 def test_interval_simplex_tower_is_string():
     # worked example over interval x 3-simplex x 4-simplex
-    p, blocks = simplex_product((1, 3, 4))
+    p = simplex_product((1, 3, 4))
+    blocks = simplex_blocks((1, 3, 4))
     assert blocks == ((1, 2), (3, 4, 5, 6), (7, 8, 9, 10, 11))
+    # the factors' facets are labeled consecutively: each vertex omits
+    # one facet of every block, and every such choice is a vertex
+    assert sorted(p.vertices) == sorted(
+        tuple(sorted(set(range(1, 12)) - set(omit))) for omit in itertools.product(*blocks)
+    )
     lam = interval_simplex_tower_matrix()
     assert is_orientable(p, lam)
     assert is_string_cover(p, lam)
@@ -353,9 +366,9 @@ MOD2_WALKS = {
     "prism5": (lambda: prism(5), 65, 5),
     "polygon6": (lambda: polygon(6), 11, 1),
     "D3": (lambda: simplex(3), 1, 1),
-    "D3xD3": (lambda: simplex_product((3, 3))[0], 15, 1),
-    "D2xD3": (lambda: simplex_product((2, 3))[0], 11, 0),
-    "D2^3": (lambda: simplex_product((2, 2, 2))[0], 289, 0),
+    "D3xD3": (lambda: simplex_product((3, 3)), 15, 1),
+    "D2xD3": (lambda: simplex_product((2, 3)), 11, 0),
+    "D2^3": (lambda: simplex_product((2, 2, 2)), 289, 0),
 }
 
 
@@ -452,7 +465,7 @@ def test_mod2_string_walk_eliminates_once_per_leaf(monkeypatch, ns):
     # the vertex test's f2_normal runs one elimination per distinct set of
     # columns; every other elimination is a leaf's, and only survivors
     # become matrices
-    p, _blocks = simplex_product(ns)
+    p = simplex_product(ns)
     echelons, normals, built = [], [], []
     echelon, normal, init = intlin._f2_echelon, intlin.f2_normal, CharMatrix.__init__
     monkeypatch.setattr(
@@ -553,7 +566,7 @@ def old_cross_bit_criterion(ns):
     the vertex omitting the last facet of every block, each factor's
     free column all-ones on its own rows, every cross-factor bit
     enumerated, each matrix validated and string-tested outright."""
-    poly, blocks = simplex_product(ns)
+    poly, blocks = simplex_product(ns), simplex_blocks(ns)
     n, m = poly.dim, poly.num_facets
     row_of = {}
     for blk in blocks:

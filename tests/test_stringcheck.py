@@ -61,7 +61,8 @@ from qtm.stringcheck import (
     _cube_closed_form,
     _prism_closed_form,
     _prism_normal_form,
-    _refined_verdict,
+    _refined_string,
+    _spin,
     refined_pair,
     cube_basis,
     cyclic_identities,
@@ -72,7 +73,6 @@ from qtm.stringcheck import (
     prism_basis,
     q_prism_polytope,
     random_cyclic_instance,
-    string_verdict,
 )
 
 # hexagonal prism with a string structure; facet 1 top, 2..7 sides, 8 bottom
@@ -171,7 +171,7 @@ def test_public_string_tests_validate_their_input():
     # vertex (3, 4) has determinant 2; the search hands its leaves to a
     # core that skips this check, the public entry points keep it
     singular = CharMatrix([[1, 0, 1, 0], [0, 1, 0, 2]])
-    for test in (is_spin, is_string, string_verdict):
+    for test in (is_spin, is_string):
         with pytest.raises(StringCheckError):
             test(polygon(4), singular)
         with pytest.raises(CharMatrixError):
@@ -624,13 +624,13 @@ def test_template_verdicts_match_the_dense_presentation_on_every_leaf(monkeypatc
         assert len(leaves) == count, label
         del stuck[:]
         monkeypatch.setattr(cohomology, "_transposed_quotient_map", counting)
-        verdicts = [_refined_verdict(p, lam) for lam in leaves]
+        verdicts = [_refined_string(p, lam) for lam in leaves]
         monkeypatch.setattr(cohomology, "_transposed_quotient_map", real)
         fallbacks[label] = len(stuck)
-        assert sum(v.string for v in verdicts) == strings, label
-        for lam, v in zip(leaves, verdicts):
-            assert v.spin
-            assert v.string == _dense_verdict(p, lam), (label, lam.rows)
+        assert sum(verdicts) == strings, label
+        for lam, string in zip(leaves, verdicts):
+            assert _spin(p, lam)
+            assert string == _dense_verdict(p, lam), (label, lam.rows)
     # the unit-pivot reduction of the live rows gets stuck on some double
     # cube leaves, so the certified stepwise fallback decides those
     assert fallbacks["double cube bound 2"] >= 1
@@ -670,7 +670,7 @@ def _move_pool():
 @given(st.data())
 def test_template_verdict_matches_the_engine_under_random_moves(data):
     p, lam = data.draw(st.sampled_from(_move_pool()))
-    before = _refined_verdict(p, lam)
+    before = (_spin(p, lam), _refined_string(p, lam))
     autos = p.automorphisms()
     for _ in range(data.draw(st.integers(0, 6))):
         kind = data.draw(st.sampled_from(("row", "sign", "relabel")))
@@ -687,17 +687,16 @@ def test_template_verdict_matches_the_engine_under_random_moves(data):
             move = FacetPermutation(data.draw(st.sampled_from(autos)))
         lam = _moved(p, lam, move)
     rl = refine(p, lam, data.draw(st.sampled_from(p.vertices)))
-    after = _refined_verdict(p, rl)
-    assert after.string == (after.spin and _dense_verdict(p, rl))
+    after = (_spin(p, rl), _refined_string(p, rl))
+    assert after[1] == (after[0] and _dense_verdict(p, rl))
     # spin and string are invariants of the pair
-    assert (after.spin, after.string) == (before.spin, before.string)
+    assert after == before
 
 
 def test_identity_columns_off_a_vertex_are_refined_first():
     # columns 1 and 3 of the square are the identity, but {1, 3} is no
     # vertex; the verdict refines at the first vertex instead
     lam = CharMatrix([[1, 1, 0, 1], [0, 1, 1, 1]], refined_at=(1, 3))
-    verdict = string_verdict(polygon(4), lam)
-    assert verdict.refined.refined_at == (1, 2)
-    assert verdict.spin == is_spin(polygon(4), CharMatrix(lam.rows))
-    assert verdict.string == is_string(polygon(4), CharMatrix(lam.rows))
+    assert refined_pair(polygon(4), lam).refined_at == (1, 2)
+    assert is_spin(polygon(4), lam) == is_spin(polygon(4), CharMatrix(lam.rows))
+    assert is_string(polygon(4), lam) == is_string(polygon(4), CharMatrix(lam.rows))

@@ -1110,13 +1110,13 @@ def test_campaigns_decide_no_verdict_on_a_walk_survivor(monkeypatch):
     # every verdict the decompositions decide is on a piece or a
     # remainder, never on the searched polytope itself
     decided = []
-    real = structure._refined_verdict
+    real = structure._refined_string
 
     def recording(p, rl):
         decided.append(p.num_facets)
         return real(p, rl)
 
-    monkeypatch.setattr(structure, "_refined_verdict", recording)
+    monkeypatch.setattr(structure, "_refined_string", recording)
     rep = harness.verify_claim("prism-decompose", {"k": 3, "bound": 1})
     assert rep.verdict == "verified" and rep.statistics["checked"] > 0
     assert decided and set(decided) == {6}
@@ -1191,7 +1191,7 @@ def test_decompositions_build_each_gluing_once(monkeypatch):
         built.append(num_facets)
         real(self, dim, num_facets, vertices, name)
 
-    polytope._GLUINGS.clear()
+    polytope._CACHE.clear()
     monkeypatch.setattr(SimplePolytope, "__init__", counting)
     first = decompose_cube_connsum(big, biglam)
     again = decompose_cube_connsum(big, biglam)
