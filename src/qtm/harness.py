@@ -88,9 +88,9 @@ polytope's relation template at the base vertex
 and the parity filter has made every column sum odd, so the leaf is
 spin.  The template is built at the first leaf the test reaches, so a
 node or time cap that fires first never pays for it; the h-vector it
-is checked against is taken before the walk (once per vertex tuple, in
-the package cache), so a complex that is not a sphere is refused before
-any node.  A `CharMatrix` is built only for
+is checked against is taken before the walk (kept, as the template is,
+in the package cache), so a complex that is not a sphere is refused
+before any node.  A `CharMatrix` is built only for
 a leaf that opens a class under automorphisms or survives.
 
 The field is chosen once, in one block before the walk.  It sets the
@@ -146,7 +146,6 @@ from .charmat import CharMatrix, refine
 from .cohomology import p1_vanishes, relation_template
 from .polytope import (
     SimplePolytope,
-    _cached,
     connected_sum,
     cube,
     key_obstruction,
@@ -199,6 +198,20 @@ _CAP_DEFAULTS = {"max_nodes": 10**9, "max_seconds": 3600.0}
 MAX_COLUMN_VALUES = 2**18
 
 
+def _check_integer_bound(bound: int, dim: int) -> None:
+    """Refuse an integer entry bound below 1, or one whose column values
+    in dimension dim are past MAX_COLUMN_VALUES; it needs no polytope, so
+    a campaign runs it before building its own."""
+    if bound < 1:
+        raise HarnessError("entry bound must be at least 1")
+    if (2 * bound + 1) ** dim > MAX_COLUMN_VALUES:
+        raise HarnessError(
+            f"entry bound {bound} in dimension {dim} gives "
+            f"{(2 * bound + 1) ** dim} column values, over "
+            f"the limit of {MAX_COLUMN_VALUES}"
+        )
+
+
 def _check_caps(max_nodes: int, max_seconds: float) -> None:
     if math.isnan(max_seconds):
         # every comparison with NaN is false, so the time cap never fires
@@ -233,14 +246,8 @@ class SearchSpec:
             # the GF(2) walk never reads the bound: its entries are 0 and 1
             if self.bound != 1:
                 raise HarnessError(f"mod-2 enumeration takes bound 1 only, got {self.bound}")
-        elif self.bound < 1:
-            raise HarnessError("entry bound must be at least 1")
-        elif (2 * self.bound + 1) ** self.polytope.dim > MAX_COLUMN_VALUES:
-            raise HarnessError(
-                f"entry bound {self.bound} in dimension {self.polytope.dim} gives "
-                f"{(2 * self.bound + 1) ** self.polytope.dim} column values, over "
-                f"the limit of {MAX_COLUMN_VALUES}"
-            )
+        else:
+            _check_integer_bound(self.bound, self.polytope.dim)
         _check_caps(self.max_nodes, self.max_seconds)
         if self.filter not in ("valid", "spin", "string"):
             raise HarnessError(f"unknown filter {self.filter!r}")
@@ -457,11 +464,11 @@ def enumerate_matrices(spec: SearchSpec):
     seen = set()
     # the string test's template is built at the first leaf it reaches,
     # so a cap can stop the search before that cost; the h-vector it is
-    # checked against is taken now, once per vertex tuple as the template
-    # is, so a complex that is not a sphere is still refused before any node
+    # checked against is taken now, so a complex that is not a sphere is
+    # still refused before any node
     template = None
     if spec.filter == "string":
-        _cached(("h-vector", p.vertices), p.h_vector)
+        p.h_vector()
 
     def capped(reason: str) -> ResourceCapExceeded:
         stats["elapsed"] = time.monotonic() - started
@@ -622,6 +629,8 @@ def _claim_cube_string_is_bott(caps, n, bound):
             return None
         return {**lam.to_dict(), "witness": form.witness}
 
+    # cube(n) has 2**n vertices: refuse its value table before building it
+    _check_integer_bound(bound, n)
     return _search_campaign(SearchSpec(cube(n), bound, "signs", "string", **caps), witness)
 
 

@@ -15,7 +15,6 @@ kept as a bitmask (bit f-1 for facet f) for fast face queries.
 
 from __future__ import annotations
 
-import functools
 from itertools import combinations
 
 from . import intlin
@@ -42,6 +41,38 @@ def _mask(facets) -> int:
     return m
 
 
+# ---------------------------------------------------------------------------
+# the package's memo cache
+#
+# One cache serves every module.  It holds the family polytopes (key
+# ("cube", n) and so on, below), each polytope's derived data, keyed by
+# kind and vertex tuple (("faces", vertices), "nonface-pairs",
+# "h-vector", "automorphisms", "splits"), the relation templates of
+# `cohomology` (("template", vertices, base)), the minor plans of
+# `charmat` (("plan", vertices, base)) and the gluings below and in
+# `structure`.  The vertex tuple fixes a polytope's dimension and facet
+# count, and no derived datum reads its name, so equal polytopes share
+# one entry whichever instance a caller holds.  A value depends on its
+# key alone and is never mutated, so every caller may share it.  At most
+# _CACHE_SIZE keys are held; the cache is cleared when it fills up.
+# Python does not cache a tuple's hash, so each lookup hashes the whole
+# vertex tuple: a loop fetches what it needs once.
+
+_CACHE: dict = {}
+_CACHE_SIZE = 1024
+
+
+def _cached(key, build):
+    """build(), run once per key while the key stays cached."""
+    out = _CACHE.get(key)
+    if out is None:
+        out = build()
+        if len(_CACHE) >= _CACHE_SIZE:
+            _CACHE.clear()
+        _CACHE[key] = out
+    return out
+
+
 class SimplePolytope:
     """Immutable combinatorial simple polytope.
 
@@ -49,11 +80,14 @@ class SimplePolytope:
     num_facets: m
     vertices  : sorted tuple of sorted n-tuples of facet indices
     name      : optional human-readable tag set by the constructors
+
+    An instance holds only these and its vertex bitmasks.  The data
+    derived from it (faces, nonface pairs, h-vector, automorphisms,
+    product splits) are built on first use and kept in the package cache
+    under its vertex tuple, so equal instances share them.
     """
 
-    __slots__ = ("dim", "num_facets", "vertices", "name", "_vmasks", "_vmask_set",
-                 "_faces", "_nonface_pairs", "_auts", "_degrees",
-                 "_face_counts", "_h_vector", "_splits")
+    __slots__ = ("dim", "num_facets", "vertices", "name", "_vmasks", "_vmask_set")
 
     def __init__(self, dim: int, num_facets: int, vertices, name: str = ""):
         n, m = dim, num_facets
@@ -106,13 +140,6 @@ class SimplePolytope:
         self.name = name
         self._vmasks = tuple(_mask(v) for v in vs)
         self._vmask_set = frozenset(self._vmasks)
-        self._faces = None
-        self._nonface_pairs = None
-        self._auts = None
-        self._degrees = None
-        self._face_counts = None
-        self._h_vector = None
-        self._splits = None
 
     # -- basic queries ------------------------------------------------------
 
@@ -135,17 +162,19 @@ class SimplePolytope:
     def _face_set(self) -> frozenset[int]:
         """The bitmask of every face: every subset of every vertex.
 
-        Built on first use; it answers every face query of the polytope.
+        It answers every face query of the polytope; fetch it once for
+        many queries (see the cache above).
         """
-        if self._faces is None:
-            faces = {0}
-            for vm in self._vmasks:
-                sub = vm
-                while sub:
-                    faces.add(sub)
-                    sub = (sub - 1) & vm
-            self._faces = frozenset(faces)
-        return self._faces
+        return _cached(("faces", self.vertices), self._build_face_set)
+
+    def _build_face_set(self) -> frozenset[int]:
+        faces = {0}
+        for vm in self._vmasks:
+            sub = vm
+            while sub:
+                faces.add(sub)
+                sub = (sub - 1) & vm
+        return frozenset(faces)
 
     def is_face(self, facets) -> bool:
         """Is this set of facet indices a face (contained in some vertex)?"""
@@ -154,42 +183,42 @@ class SimplePolytope:
     @property
     def facet_degrees(self) -> tuple[int, ...]:
         """Number of vertices on each facet, indexed by facet-1."""
-        if self._degrees is None:
-            deg = [0] * self.num_facets
-            for v in self.vertices:
-                for f in v:
-                    deg[f - 1] += 1
-            self._degrees = tuple(deg)
-        return self._degrees
+        deg = [0] * self.num_facets
+        for v in self.vertices:
+            for f in v:
+                deg[f - 1] += 1
+        return tuple(deg)
 
     def nonface_pairs(self) -> list[tuple[int, int]]:
-        """Sorted list of facet pairs {a, b} that are not faces."""
-        if self._nonface_pairs is None:
-            self._nonface_pairs = [
-                (a, b)
-                for a, b in combinations(range(1, self.num_facets + 1), 2)
-                if not self.is_face((a, b))
-            ]
-        return self._nonface_pairs
+        """Sorted list of facet pairs {a, b} that are not faces; a fresh
+        list per call."""
+        return list(_cached(("nonface-pairs", self.vertices), self._build_nonface_pairs))
+
+    def _build_nonface_pairs(self) -> tuple[tuple[int, int], ...]:
+        faces = self._face_set()
+        return tuple(
+            (a, b)
+            for a, b in combinations(range(1, self.num_facets + 1), 2)
+            if (1 << (a - 1) | 1 << (b - 1)) not in faces
+        )
 
     # -- face numbers -------------------------------------------------------
 
     def face_counts(self) -> tuple[int, ...]:
         """c_j = number of j-subsets of facets that are faces, j = 0..n."""
-        if self._face_counts is None:
-            counts = [0] * (self.dim + 1)
-            for face in self._face_set():
-                counts[face.bit_count()] += 1
-            self._face_counts = tuple(counts)
-        return self._face_counts
+        counts = [0] * (self.dim + 1)
+        for face in self._face_set():
+            counts[face.bit_count()] += 1
+        return tuple(counts)
 
     def h_vector(self) -> tuple[int, ...]:
         """(h_0, ..., h_n) from expanding sum_j c_j (s-1)^(n-j).
 
         Cached once known to be palindromic; otherwise every call raises.
         """
-        if self._h_vector is not None:
-            return self._h_vector
+        return _cached(("h-vector", self.vertices), self._build_h_vector)
+
+    def _build_h_vector(self) -> tuple[int, ...]:
         n = self.dim
         c = self.face_counts()
         poly = [0] * (n + 1)  # coefficients of s^0..s^n
@@ -204,7 +233,6 @@ class SimplePolytope:
         h = tuple(poly[n - k] for k in range(n + 1))
         if any(x != h[len(h) - 1 - i] for i, x in enumerate(h)):
             raise PolytopeError(f"h-vector {h} is not palindromic")
-        self._h_vector = h
         return h
 
     # -- automorphisms and isomorphisms --------------------------------------
@@ -226,9 +254,7 @@ class SimplePolytope:
         p[f] = image of facet f.  Brute-force backtracking; guarded to
         m <= BRUTE_FORCE_FACETS.
         """
-        if self._auts is None:
-            self._auts = find_isomorphisms(self, self)
-        return self._auts
+        return _cached(("automorphisms", self.vertices), lambda: find_isomorphisms(self, self))
 
     # -- serialization -------------------------------------------------------
 
@@ -268,12 +294,12 @@ def find_isomorphisms(p: SimplePolytope, q: SimplePolytope):
     m = p.num_facets
     if m > BRUTE_FORCE_FACETS:
         raise PolytopeError(brute_force_refusal("isomorphism search", m))
-    if sorted(p.facet_degrees) != sorted(q.facet_degrees):
+    deg_p = p.facet_degrees
+    deg_q = q.facet_degrees
+    if sorted(deg_p) != sorted(deg_q):
         return []
     adj_p = p._adjacency()
     adj_q = q._adjacency()
-    deg_p = p.facet_degrees
-    deg_q = q.facet_degrees
     # order source facets: rarest degree first to cut branching
     from collections import Counter
 
@@ -315,64 +341,56 @@ def find_isomorphisms(p: SimplePolytope, q: SimplePolytope):
 # ---------------------------------------------------------------------------
 # constructors
 #
-# The family constructors are memoized: each shape is built once per
-# process and every caller gets the same instance, with its cached
-# faces, h-vector and automorphisms.  A shared instance must not be
-# mutated; nothing in the package assigns to a polytope after __init__.
+# The family constructors build each shape once per key of the package
+# cache (("cube", n) and so on) and hand every caller that instance, so
+# the constructor's checks run once per shape.  A shared instance must
+# not be mutated; nothing in the package assigns to a polytope after
+# __init__.
 
 
-@functools.lru_cache(maxsize=None)
 def simplex(n: int) -> SimplePolytope:
-    """The n-simplex: n+1 facets, every n-subset a vertex.
-
-    Shared per n like the other family constructors: do not mutate it.
-    """
+    """The n-simplex: n+1 facets, every n-subset a vertex."""
     if n < 1:
         raise PolytopeError(f"simplex needs dimension n >= 1, got {n}")
-    vs = list(combinations(range(1, n + 2), n))
-    return SimplePolytope(n, n + 1, vs, name=f"simplex-{n}")
+    return _cached(("simplex", n), lambda: SimplePolytope(
+        n, n + 1, combinations(range(1, n + 2), n), name=f"simplex-{n}"))
 
 
-@functools.lru_cache(maxsize=None)
 def polygon(m: int) -> SimplePolytope:
-    """The m-gon with edges labeled cyclically 1..m.
-
-    Shared per m like the other family constructors: do not mutate it.
-    """
+    """The m-gon with edges labeled cyclically 1..m."""
     if m < 3:
         raise PolytopeError("polygon needs at least 3 edges")
-    vs = [(i, i + 1) for i in range(1, m)] + [(1, m)]
-    return SimplePolytope(2, m, vs, name=f"polygon-{m}")
+    return _cached(("polygon", m), lambda: SimplePolytope(
+        2, m, [(i, i + 1) for i in range(1, m)] + [(1, m)], name=f"polygon-{m}"))
 
 
-@functools.lru_cache(maxsize=None)
 def cube(n: int) -> SimplePolytope:
-    """The n-cube: facet i opposite facet n+i.
-
-    Shared per n like the other family constructors: do not mutate it.
-    """
+    """The n-cube: facet i opposite facet n+i."""
     if n < 1:
         raise PolytopeError(f"cube needs dimension n >= 1, got {n}")
-    vs = []
-    for bits in range(1 << n):
-        vs.append(tuple(sorted((i + 1) + (n if bits >> i & 1 else 0) for i in range(n))))
-    return SimplePolytope(n, 2 * n, vs, name=f"cube-{n}")
+
+    def build():
+        vs = [tuple(sorted((i + 1) + (n if bits >> i & 1 else 0) for i in range(n)))
+              for bits in range(1 << n)]
+        return SimplePolytope(n, 2 * n, vs, name=f"cube-{n}")
+
+    return _cached(("cube", n), build)
 
 
-@functools.lru_cache(maxsize=None)
 def prism(s: int) -> SimplePolytope:
-    """Prism over an s-gon: facet 1 top, 2..s+1 sides (cyclic), s+2 bottom.
-
-    Shared per s like the other family constructors: do not mutate it.
-    """
+    """Prism over an s-gon: facet 1 top, 2..s+1 sides (cyclic), s+2 bottom."""
     if s < 3:
         raise PolytopeError("prism needs an s-gon with s >= 3")
-    vs = []
-    for i in range(2, s + 2):
-        j = i + 1 if i < s + 1 else 2
-        vs.append((1, i, j))
-        vs.append((i, j, s + 2))
-    return SimplePolytope(3, s + 2, vs, name=f"prism-{s}")
+
+    def build():
+        vs = []
+        for i in range(2, s + 2):
+            j = i + 1 if i < s + 1 else 2
+            vs.append((1, i, j))
+            vs.append((i, j, s + 2))
+        return SimplePolytope(3, s + 2, vs, name=f"prism-{s}")
+
+    return _cached(("prism", s), build)
 
 
 _Q_VERTICES = [
@@ -392,40 +410,14 @@ def q_polytope() -> SimplePolytope:
 
 
 # ---------------------------------------------------------------------------
-# the package's memo cache
-#
-# One cache serves every module: the relation templates of `cohomology`
-# (key ("template", vertices, base)), the minor plans of `charmat`
-# (("plan", vertices, base)), the h-vector a string search checks first
-# (("h-vector", vertices), `harness`) and the gluings below and in
-# `structure`.  A value depends on its key alone and is never mutated,
-# so every caller may share it.  At most _CACHE_SIZE keys are held; the
-# cache is cleared when it fills up.
-
-_CACHE: dict = {}
-_CACHE_SIZE = 1024
-
-
-def _cached(key, build):
-    """build(), run once per key while the key stays cached."""
-    out = _CACHE.get(key)
-    if out is None:
-        out = build()
-        if len(_CACHE) >= _CACHE_SIZE:
-            _CACHE.clear()
-        _CACHE[key] = out
-    return out
-
-
-# ---------------------------------------------------------------------------
 # operations
 #
 # The gluings are cached as well: `connected_sum`, `edge_connected_sum`
 # and the far side of a cube connected sum (`structure`) each build
 # their polytope once per key and hand every later caller the same
-# instance, with its cached faces and product splits.  A key holds
-# everything the result depends on: the kind of gluing, each input's
-# vertex tuple and the glued faces in the order given, and, for
+# instance.  A key holds everything the result depends on: the kind of
+# gluing, each input's vertex tuple and the glued faces in the order
+# given, and, for
 # `connected_sum`, which names its result after its inputs, both input
 # names (`SimplePolytope` equality ignores names).  So the constructor's
 # checks run once per key; the checks on the inputs run on every call,
@@ -457,10 +449,12 @@ def product_splits(p: SimplePolytope) -> list[tuple[tuple[int, ...], tuple[int, 
     components of the hypergraph of minimal nonfaces, and the splits
     are the unions of components that hold facet 1 but not every facet,
     in ascending order of the A-part's bitmask.  Computed once per
-    polytope; every call gets a fresh list.
+    vertex tuple; every call gets a fresh list.
     """
-    if p._splits is not None:
-        return list(p._splits)
+    return list(_cached(("splits", p.vertices), lambda: _build_splits(p)))
+
+
+def _build_splits(p: SimplePolytope) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
     m = p.num_facets
     faces = p._face_set()
     components = [1 << f for f in range(m)]
@@ -484,19 +478,16 @@ def product_splits(p: SimplePolytope) -> list[tuple[tuple[int, ...], tuple[int, 
     # the largest union is every facet, which splits nothing off
     amasks = sorted(amasks)[:-1]
     facets = range(1, m + 1)
-    out = [(tuple(f for f in facets if a >> (f - 1) & 1),
-            tuple(f for f in facets if not a >> (f - 1) & 1)) for a in amasks]
-    p._splits = tuple(out)
-    return out
+    return tuple((tuple(f for f in facets if a >> (f - 1) & 1),
+                  tuple(f for f in facets if not a >> (f - 1) & 1)) for a in amasks)
 
 
-def connected_sum(p: SimplePolytope, vp, q: SimplePolytope, vq, matching: dict[int, int] | None = None):
+def connected_sum(p: SimplePolytope, vp, q: SimplePolytope, vq):
     """Vertex connected sum: delete vertex vp of p and vq of q, glue facets.
 
-    matching maps each facet of vp to its partner in vq; by default the
-    sorted orders are matched.  New facet order: p's free facets
-    (ascending), the n merged facets (in sorted vp order), q's free
-    facets (ascending).  Returns (polytope, p_map, q_map) with the old
+    The facets of vp and vq are matched in sorted order.  New facet
+    order: p's free facets (ascending), the n merged facets (in sorted
+    vp order), q's free facets (ascending).  Returns (polytope, p_map, q_map) with the old
     facet -> new facet dictionaries.  The polytope is cached per key
     (above) and shared, so do not mutate it; the maps are new per call.
     """
@@ -507,11 +498,6 @@ def connected_sum(p: SimplePolytope, vp, q: SimplePolytope, vq, matching: dict[i
     vq = tuple(sorted(vq))
     if not p.is_vertex(vp) or not q.is_vertex(vq):
         raise PolytopeError("connected sum must glue at vertices")
-    if matching is None:
-        matching = dict(zip(vp, vq))
-    if sorted(matching.keys()) != list(vp) or sorted(matching.values()) != list(vq):
-        raise PolytopeError("matching must pair the two glued vertices' facets")
-    partners = tuple(matching[f] for f in vp)
 
     def build():
         p_free = [f for f in range(1, p.num_facets + 1) if f not in set(vp)]
@@ -520,7 +506,7 @@ def connected_sum(p: SimplePolytope, vp, q: SimplePolytope, vq, matching: dict[i
         base = len(p_free)
         for i, f in enumerate(vp):
             p_map[f] = base + i + 1
-        q_map = {g: p_map[f] for f, g in zip(vp, partners)}
+        q_map = {g: p_map[f] for f, g in zip(vp, vq)}
         base2 = base + n
         for i, f in enumerate(q_free):
             q_map[f] = base2 + i + 1
@@ -530,7 +516,7 @@ def connected_sum(p: SimplePolytope, vp, q: SimplePolytope, vq, matching: dict[i
         out = SimplePolytope(n, p.num_facets + q.num_facets - n, vs, name=name)
         return out, p_map, q_map
 
-    key = ("vertex", p.vertices, p.name, vp, q.vertices, q.name, partners)
+    key = ("vertex", p.vertices, p.name, vp, q.vertices, q.name, vq)
     out, p_map, q_map = _cached(key, build)
     return out, dict(p_map), dict(q_map)
 
@@ -624,11 +610,12 @@ def key_obstruction(p: SimplePolytope) -> tuple[tuple[int, ...], int] | None:
     characteristic matrix over p gives a string manifold.  Returns the
     lexicographically first such (v, f), or None.
     """
-    for v in p.vertices:
-        vset = set(v)
+    faces = p._face_set()
+    for v, vm in zip(p.vertices, p._vmasks):
         for f in range(1, p.num_facets + 1):
-            if f in vset:
+            bit = 1 << (f - 1)
+            if bit & vm:
                 continue
-            if all(p.is_face((f, g)) for g in v):
+            if all((bit | 1 << (g - 1)) in faces for g in v):
                 return v, f
     return None

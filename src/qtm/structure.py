@@ -52,8 +52,8 @@ mirror's or Bott's facet relabeling -- is one call of
   faces, and for the vertex sum both names).  They live in the package's
   one memo cache, ``polytope._cached``, beside the relation templates
   and minor plans, so the ``SimplePolytope`` checks run once per key and
-  equal inputs share one instance with its faces and product splits.
-  Every request still gets its own facet maps.
+  equal inputs share one instance.  Every request still gets its own
+  facet maps.
 
 Every ``_forced`` relation, every glued-matrix ``validate`` and every
 reassembly comparison still runs on every call.
@@ -294,6 +294,9 @@ def bott_triangularize(n: int, lam: CharMatrix) -> BottForm:
     witness: a pair of opposite-facet entries multiplying to 2, a failing
     principal minor, or the determinant -1 cycle.
     """
+    if lam.n != n or lam.m != 2 * n:
+        # before cube(n) is built: it has 2**n vertices
+        raise CharMatrixError(f"shape {lam.n}x{lam.m} does not match dim {n}, facets {2 * n}")
     p = cube(n)
     _checked_pair(p, lam)
     initial = tuple(range(1, n + 1))

@@ -105,12 +105,15 @@ def test_minor_plans_are_cached_per_vertices_and_base(monkeypatch):
     lam = CharMatrix(
         [[1, 0, 0, 1, 0, 0], [0, 1, 0, 0, 1, 0], [0, 0, 1, 0, 0, 1]], refined_at=(1, 2, 3)
     )
-    assert validate(cube(3), lam) == (True, None)
+    # the polytopes are built before the cache is emptied, so it holds
+    # the plans alone
+    assert validate(CUBE3, lam) == (True, None)
     plan = polytope._CACHE[("plan", CUBE3.vertices, (1, 2, 3))]
     # an equal polytope built again reuses the one plan; the base vertex
     # has no minor, and every other vertex keeps its place
-    assert validate(cube(3), lam) == (True, None)
-    assert charmat._minor_plan(cube(3), (1, 2, 3)) is plan
+    again = polytope.SimplePolytope(3, 6, CUBE3.vertices)
+    assert validate(again, lam) == (True, None)
+    assert charmat._minor_plan(again, (1, 2, 3)) is plan
     assert [v for v, _ks, _js in plan] == [v for v in CUBE3.vertices if v != (1, 2, 3)]
     # (1, 5, 6) keeps B_1 = 1, so its minor takes rows 2, 3 and columns 5, 6
     assert dict((v, (ks, js)) for v, ks, js in plan)[(1, 5, 6)] == ((1, 2), (4, 5))

@@ -315,10 +315,9 @@ def test_check_string_closed_form_validates_once(tmp_path, capsys, monkeypatch, 
     expected = _closed_form_reference(family, p, rows)
     pf = _write(tmp_path, "p.json", p.to_dict())
     mf = _write(tmp_path, "m.json", {"rows": rows})
-    # the family constructors are memoized: empty their caches so the
+    # the family polytopes live in the package cache: empty it so the
     # request builds its family polytope whatever ran before
-    for make in (polytope.simplex, polytope.polygon, polytope.cube, polytope.prism):
-        make.cache_clear()
+    monkeypatch.setattr(polytope, "_CACHE", {})
     calls = {"validate": 0, "polytope": 0}
     validate = charmat.validate
 

@@ -224,14 +224,13 @@ def test_template_keeps_its_checks(monkeypatch):
         p1_vanishes(t, (None, (1, 0), (0, 1), (2, 0), (0, 2)))
     # a quotient rank off h_2 raises when the template is built
     monkeypatch.setattr(polytope, "_CACHE", {})
-    # a fresh square with a cached h-vector whose h_2 is 2, not 1
-    fake = SimplePolytope(2, 4, SQUARE.vertices)
-    fake._h_vector = (1, 2, 2)
+    # a square whose cached h-vector has h_2 = 2, not 1
+    polytope._CACHE[("h-vector", SQUARE.vertices)] = (1, 2, 2)
     with pytest.raises(CohomologyError, match="h_2"):
-        relation_template(fake, (1, 2))
+        relation_template(SQUARE, (1, 2))
     with pytest.raises(CohomologyError, match="h_2"):
-        presentation_deg4(fake, SQUARE_LAM)
-    assert polytope._CACHE == {}
+        presentation_deg4(SQUARE, SQUARE_LAM)
+    assert not [key for key in polytope._CACHE if key[0] == "template"]
 
 
 def test_presentation_requires_refined():

@@ -16,8 +16,8 @@ import time
 
 import pytest
 
-from qtm import harness, intlin
-from qtm.charmat import CharMatrix, validate
+from qtm import harness, intlin, polytope
+from qtm.charmat import CharMatrix, CharMatrixError, validate
 from qtm.harness import (
     CLAIM_IDS,
     HarnessError,
@@ -34,6 +34,7 @@ from qtm.smallcover import (
     validate_mod2,
 )
 from qtm.stringcheck import is_spin, is_string
+from qtm.structure import bott_triangularize
 from key_oracle import canonical_key
 
 
@@ -552,6 +553,30 @@ def test_search_refuses_a_value_table_past_the_limit():
     SearchSpec(cube(4), 10)  # 21**4 = 194,481 values
     with pytest.raises(HarnessError, match="gives 279841 column values"):
         SearchSpec(cube(4), 11)
+
+
+def test_cube_claim_refuses_before_building_anything(monkeypatch):
+    # cube(n) has 2**n vertices, so the value table and the matrix shape
+    # are refused before it is built
+    built = []
+    real = SimplePolytope.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(polytope, "_CACHE", {})
+    monkeypatch.setattr(SimplePolytope, "__init__", counting)
+    with pytest.raises(
+        HarnessError,
+        match="^entry bound 2 in dimension 12 gives 244140625 column values, "
+        "over the limit of 262144$",
+    ):
+        verify_claim("cube-string-is-bott", {"n": 12})
+    lam = CharMatrix([[1, 0, 0, 1, 0, 0], [0, 1, 0, 0, 1, 0], [0, 0, 1, 0, 0, 1]])
+    with pytest.raises(CharMatrixError, match="^shape 3x6 does not match dim 12, facets 24$"):
+        bott_triangularize(12, lam)
+    assert built == []
 
 
 # --- named campaigns -------------------------------------------------------

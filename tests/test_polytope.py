@@ -166,6 +166,33 @@ def test_euler_and_h_sum():
         assert p.h_vector()[1] == p.num_facets - p.dim
 
 
+def test_equal_polytopes_share_derived_data(monkeypatch):
+    # derived data are cached per vertex tuple, not per instance: two
+    # distinct equal polytopes build each datum once between them
+    calls = {"isomorphisms": 0, "faces": 0}
+    find, build_faces = polytope.find_isomorphisms, SimplePolytope._build_face_set
+
+    def counting_find(p, q):
+        calls["isomorphisms"] += 1
+        return find(p, q)
+
+    def counting_faces(self):
+        calls["faces"] += 1
+        return build_faces(self)
+
+    monkeypatch.setattr(polytope, "find_isomorphisms", counting_find)
+    monkeypatch.setattr(SimplePolytope, "_build_face_set", counting_faces)
+    monkeypatch.setattr(polytope, "_CACHE", {})
+    a, b = (SimplePolytope(3, 6, cube(3).vertices) for _ in range(2))
+    assert a is not b
+    for p in (a, b):
+        assert len(p.automorphisms()) == 48
+        assert p.h_vector() == (1, 3, 3, 1)
+        assert p.nonface_pairs() == [(1, 4), (2, 5), (3, 6)]
+        assert len(product_splits(p)) == 3
+    assert calls == {"isomorphisms": 1, "faces": 1}
+
+
 def test_h_vector_is_cached_only_when_palindromic():
     p = prism(5)
     assert p.h_vector() is p.h_vector()
@@ -308,7 +335,7 @@ def test_edge_connected_sum():
 
 
 def _glue_vertex(p, q):
-    return connected_sum(p, (4, 5, 6), q, (1, 2, 3), matching={4: 3, 5: 1, 6: 2})
+    return connected_sum(p, (4, 5, 6), q, (1, 2, 3))
 
 
 def _glue_edge(p, q):
@@ -379,34 +406,36 @@ def test_gluing_builds_once_per_key(monkeypatch):
         real(self, *args, **kwargs)
 
     polytope._CACHE.clear()
+    # the family shapes are cached too: build them before counting
+    c3, p4 = cube(3), prism(4)
     monkeypatch.setattr(SimplePolytope, "__init__", counting)
     for _ in range(3):
-        _glue_vertex(cube(3), prism(4))
-        _glue_edge(prism(4), prism(4))
+        _glue_vertex(c3, p4)
+        _glue_edge(p4, p4)
     assert len(built) == 2
-    # a different matching or glued edge is a different key
-    connected_sum(cube(3), (4, 5, 6), prism(4), (1, 2, 3))
-    edge_connected_sum(prism(4), (4, 5), (1, 6), prism(4), (2, 3), (1, 6))
+    # a different glued vertex or edge is a different key
+    connected_sum(c3, (4, 5, 6), p4, (2, 3, 6))
+    edge_connected_sum(p4, (4, 5), (1, 6), p4, (2, 3), (1, 6))
     assert len(built) == 4
     # the checks on the inputs run on every call, cached key or not
     with pytest.raises(PolytopeError, match="must glue at vertices"):
-        connected_sum(cube(3), (1, 2, 4), prism(4), (1, 2, 3))
-    with pytest.raises(PolytopeError, match="matching must pair"):
-        connected_sum(cube(3), (4, 5, 6), prism(4), (1, 2, 3), matching={4: 1, 5: 1, 6: 3})
+        connected_sum(c3, (1, 2, 4), p4, (1, 2, 3))
     with pytest.raises(PolytopeError, match="not an edge"):
-        edge_connected_sum(prism(4), (2, 4), (1, 6), prism(4), (3, 2), (1, 6))
+        edge_connected_sum(p4, (2, 4), (1, 6), p4, (3, 2), (1, 6))
     assert len(built) == 4
 
 
 def test_gluing_cache_is_cleared_when_full(monkeypatch):
     monkeypatch.setattr(polytope, "_CACHE_SIZE", 2)
+    # built before the cache is emptied, so it holds the gluings alone
+    c3, p4 = cube(3), prism(4)
     polytope._CACHE.clear()
-    first, _, _ = _glue_vertex(cube(3), prism(4))
-    _glue_edge(prism(4), prism(4))
+    first, _, _ = _glue_vertex(c3, p4)
+    _glue_edge(p4, p4)
     assert len(polytope._CACHE) == 2
-    connected_sum(cube(3), (4, 5, 6), prism(4), (1, 2, 3))
+    connected_sum(c3, (4, 5, 6), p4, (2, 3, 6))
     assert len(polytope._CACHE) == 1
-    again, _, _ = _glue_vertex(cube(3), prism(4))
+    again, _, _ = _glue_vertex(c3, p4)
     assert again == first and again is not first
     assert len(polytope._CACHE) == 2
 

@@ -1192,6 +1192,8 @@ def test_decompositions_build_each_gluing_once(monkeypatch):
         real(self, dim, num_facets, vertices, name)
 
     polytope._CACHE.clear()
+    # the family shapes are cached too: build them before counting
+    cube(3), prism(4), prism(6)
     monkeypatch.setattr(SimplePolytope, "__init__", counting)
     first = decompose_cube_connsum(big, biglam)
     again = decompose_cube_connsum(big, biglam)
