@@ -15,8 +15,11 @@ flips, and facet relabelings by automorphisms of the polytope.  None of
 them changes a vertex |det|, so the private `_moved` and
 `_normalizing_moves` do not validate: the decompositions and the closed
 forms run them on pairs they have validated.  A pair is *refined* at a
-vertex v when the columns of v form the identity in sorted-v order;
-`refine` produces that form for any vertex.  `validate` reads a refined
+vertex v when the columns of v form the identity in sorted-v order.
+Every refine over Z is one call of `_normalizing_moves`: one inverse of
+the vertex submatrix, one product that also makes the listed unit
+entries +1, one new matrix, and the moves recorded in that order;
+`refine` is the call that lists no unit entry.  `validate` reads a refined
 matrix through that identity block: a vertex determinant there is, up
 to sign, a minor at most as wide as the number of facets the vertex
 does not share with the refining vertex.  Which rows and columns each
@@ -34,6 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
+from operator import mul
 
 from . import intlin
 from .polytope import SimplePolytope, _cached
@@ -184,14 +188,10 @@ def refine(p: SimplePolytope, lam: CharMatrix, v) -> CharMatrix:
 
     The transformation is the exact inverse of the vertex submatrix, so
     the result represents the same pair with refined_at = v.  A matrix
-    already refined at v is returned as it is.
+    already refined at v is returned as it is.  This is
+    `_normalizing_moves` with no unit entries to normalize.
     """
-    _check_shape(p, lam)
-    v = tuple(sorted(v))
-    if lam.refined_at == v and p.is_vertex(v):
-        return lam
-    u = weights_at_vertex(p, lam, v)
-    return CharMatrix(intlin.mat_mul(u, [list(r) for r in lam.rows]), refined_at=v)
+    return _normalizing_moves(p, lam, v)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -259,56 +259,49 @@ def _moved(p: SimplePolytope, lam: CharMatrix, move) -> CharMatrix:
     return CharMatrix(rows, refined_at=keep if keep and _refined_vertex_ok(rows, keep) else None)
 
 
-def _normalizing_moves(p: SimplePolytope, lam: CharMatrix, vertex, units, error):
+def _normalizing_moves(p: SimplePolytope, lam: CharMatrix, vertex, units=(), error=CharMatrixError):
     """Refine at the vertex, then flip columns until each listed unit
     entry is +1; returns (moves, normalized matrix) with the moves in
-    the order applied.
+    the order applied: RowBasisChange(u) when u is not the identity,
+    then one ColumnSignFlip per flipped column.  The one refine over Z.
 
-    The row move goes through `_moved`, so nothing is validated again.
-    A matrix already refined at the vertex takes no row move and no
-    inverse.  A listed entry that is not a unit raises ``error``; the
-    callers list entries that are units by validity, in distinct free
-    columns, so the flips commute, leave the identity block alone and
-    are applied in one pass that builds one matrix.
+    u, the weights at the vertex, is the inverse of its submatrix, taken
+    once; it is unimodular by construction and is not checked again, and
+    nothing is validated: no equivalence move changes a vertex |det|.  A
+    matrix already refined at the vertex takes no inverse.  A listed
+    entry that is not a unit raises ``error``; the callers list entries
+    that are units by validity, in distinct free columns, so the flips
+    commute and leave the identity block alone.  Each listed entry is
+    read off u and its column before the product.  A column flip
+    commutes with the row move, so the flips are applied to the rows the
+    product reads, and one new matrix is built; a matrix that needs
+    neither is returned as it is.
     """
+    _check_shape(p, lam)
     v = tuple(sorted(vertex))
-    moves = []
-    cur = lam
-    if cur.refined_at != v:
-        u = weights_at_vertex(p, cur, v)
-        if u != intlin.identity(p.dim):
-            mv = RowBasisChange(tuple(tuple(r) for r in u))
-            cur = _moved(p, cur, mv)
-            moves.append(mv)
-        cur = CharMatrix(cur.rows, refined_at=v)
-    flips = set()
+    if not p.is_vertex(v):
+        raise CharMatrixError(f"{v} is not a vertex")
+    u = None
+    if lam.refined_at != v:
+        try:
+            u = intlin.inverse_unimodular(lam.submatrix(v))
+        except ValueError:
+            raise CharMatrixError(f"vertex {v} has non-unit determinant") from None
+        if u == intlin.identity(lam.n):
+            u = None
+    moves = [RowBasisChange(tuple(map(tuple, u)))] if u else []
+    signs = [1] * lam.m
     for r, c in units:
-        e = cur.entry(r, c)
+        col = lam.column(c)
+        e = col[r - 1] if u is None else sum(map(mul, u[r - 1], col))
         if abs(e) != 1:
             raise error(f"entry ({r},{c}) = {e} should be a unit")
         if e == -1:
-            flips.add(c - 1)
+            signs[c - 1] = -1
             moves.append(ColumnSignFlip(c))
-    if flips:
-        rows = [[-x if j in flips else x for j, x in enumerate(r)] for r in cur.rows]
-        cur = CharMatrix(rows, refined_at=v)
-    return moves, cur
-
-
-# ---------------------------------------------------------------------------
-# weights
-
-
-def weights_at_vertex(p: SimplePolytope, lam: CharMatrix, v) -> list[list[int]]:
-    """The n weight vectors at a fixed point: rows of the inverse of the
-    vertex submatrix, ordered by sorted v.  Their pairing with the
-    columns of v is the identity."""
-    _check_shape(p, lam)
-    v = tuple(sorted(v))
-    if not p.is_vertex(v):
-        raise CharMatrixError(f"{v} is not a vertex")
-    try:
-        inv = intlin.inverse_unimodular(lam.submatrix(v))
-    except ValueError:
-        raise CharMatrixError(f"vertex {v} has non-unit determinant") from None
-    return inv
+    if not moves and lam.refined_at == v:
+        return moves, lam
+    rows = lam.rows
+    if -1 in signs:
+        rows = [[s * x for s, x in zip(signs, r)] for r in rows]
+    return moves, CharMatrix(rows if u is None else intlin.mat_mul(u, rows), refined_at=v)

@@ -26,6 +26,9 @@ from .charmat import CharMatrix, CharMatrixError, validate
 from .cohomology import basis_coefficients, p1_vector, presentation_deg4
 from .harness import (
     _CAP_DEFAULTS,
+    _CLAIMS,
+    _DEDUP_GROUPS,
+    _FILTERS,
     ResourceCapExceeded,
     SearchSpec,
     enumerate_matrices,
@@ -229,17 +232,23 @@ def _cmd_smallcover(args) -> int:
     return 0 if string else 1
 
 
+# every parameter some claim reads, with its default, in `_CLAIMS` order:
+# one flag each, an int or, for a tuple default, a comma-separated list
+_CLAIM_PARAMS = {k: v for _, defaults, _ in _CLAIMS.values() for k, v in defaults.items()}
+
+
 def _cmd_verify(args) -> int:
     params = {}
-    for key in ("bound", "trials", "m", "n", "k"):
-        val = getattr(args, key)
-        if val is not None:
-            params[key] = val
-    if args.ns is not None:
-        try:
-            params["ns"] = [int(x) for x in args.ns.split(",") if x]
-        except ValueError:
-            raise UsageError(f"--ns wants comma-separated integers, got {args.ns!r}")
+    for name, default in _CLAIM_PARAMS.items():
+        val = getattr(args, name)
+        if val is None:
+            continue
+        if isinstance(default, tuple):
+            try:
+                val = [int(x) for x in val.split(",") if x]
+            except ValueError:
+                raise UsageError(f"--{name} wants comma-separated integers, got {val!r}")
+        params[name] = val
     rep = verify_claim(
         args.claim, params, max_nodes=args.max_nodes, max_seconds=args.max_seconds
     )
@@ -294,8 +303,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("enumerate", help="bounded search over characteristic matrices")
     sp.add_argument("-p", "--polytope", required=True)
     sp.add_argument("--bound", type=int, default=1)
-    sp.add_argument("--filter", choices=["valid", "spin", "string"], default="valid")
-    sp.add_argument("--dedup", choices=["signs", "signs+automorphisms"], default="signs")
+    sp.add_argument("--filter", choices=_FILTERS, default="valid")
+    sp.add_argument("--dedup", choices=_DEDUP_GROUPS, default="signs")
     sp.add_argument("--mod2", action="store_true", help="enumerate over GF(2)")
     sp.add_argument("--max-nodes", type=int, default=_CAP_DEFAULTS["max_nodes"])
     sp.add_argument("--max-seconds", type=float, default=_CAP_DEFAULTS["max_seconds"])
@@ -325,12 +334,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify", help="run a named verification campaign")
     sp.add_argument("claim")
-    sp.add_argument("--bound", type=int)
-    sp.add_argument("--trials", type=int)
-    sp.add_argument("--m", type=int)
-    sp.add_argument("--n", type=int)
-    sp.add_argument("--k", type=int)
-    sp.add_argument("--ns", help="comma-separated simplex dimensions, e.g. 2,3")
+    for name, default in _CLAIM_PARAMS.items():
+        if isinstance(default, tuple):
+            sp.add_argument(f"--{name}", help="comma-separated integers, e.g. 2,3")
+        else:
+            sp.add_argument(f"--{name}", type=int)
     sp.add_argument("--max-nodes", type=int, default=_CAP_DEFAULTS["max_nodes"])
     sp.add_argument("--max-seconds", type=float, default=_CAP_DEFAULTS["max_seconds"])
     add_out(sp)

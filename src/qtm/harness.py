@@ -196,6 +196,10 @@ _CAP_DEFAULTS = {"max_nodes": 10**9, "max_seconds": 3600.0}
 # the most integer column values (2 * bound + 1) ** dim a search may
 # tabulate: the tables are built before any cap is read
 MAX_COLUMN_VALUES = 2**18
+# the filters and dedup groups a search takes, which the command line
+# offers as they are
+_FILTERS = ("valid", "spin", "string")
+_DEDUP_GROUPS = ("signs", "signs+automorphisms")
 
 
 def _check_integer_bound(bound: int, dim: int) -> None:
@@ -204,11 +208,15 @@ def _check_integer_bound(bound: int, dim: int) -> None:
     a campaign runs it before building its own."""
     if bound < 1:
         raise HarnessError("entry bound must be at least 1")
-    if (2 * bound + 1) ** dim > MAX_COLUMN_VALUES:
+    base = 2 * bound + 1
+    # base >= 3 has bit length >= 2, so past 64 bits here the count is
+    # over 2 ** 32: it is refused as a power, neither formed nor printed
+    huge = dim * base.bit_length() > 64
+    if huge or base**dim > MAX_COLUMN_VALUES:
+        count = f"(2 * {bound} + 1) ** {dim}" if huge else base**dim
         raise HarnessError(
-            f"entry bound {bound} in dimension {dim} gives "
-            f"{(2 * bound + 1) ** dim} column values, over "
-            f"the limit of {MAX_COLUMN_VALUES}"
+            f"entry bound {bound} in dimension {dim} gives {count} column values, "
+            f"over the limit of {MAX_COLUMN_VALUES}"
         )
 
 
@@ -249,9 +257,9 @@ class SearchSpec:
         else:
             _check_integer_bound(self.bound, self.polytope.dim)
         _check_caps(self.max_nodes, self.max_seconds)
-        if self.filter not in ("valid", "spin", "string"):
+        if self.filter not in _FILTERS:
             raise HarnessError(f"unknown filter {self.filter!r}")
-        if self.dedup not in ("signs", "signs+automorphisms"):
+        if self.dedup not in _DEDUP_GROUPS:
             raise HarnessError(f"unknown dedup group {self.dedup!r}")
         if self.mod2_only and self.dedup != "signs":
             raise HarnessError("mod-2 enumeration takes dedup 'signs' only")

@@ -193,11 +193,13 @@ def polygon_parity_criterion(lam: CharMatrix) -> bool:
 # prism over an even polygon: facet 1 top, 2..2k+1 sides, 2k+2 bottom
 
 
-def _prism_normal_form(p: SimplePolytope, k: int, lam: CharMatrix) -> CharMatrix:
-    """A pair already valid over p = prism(2k), refined at the top vertex
-    {1,2,3} with its units sign-normalized."""
+def _prism_normal_form(p: SimplePolytope, k: int, lam: CharMatrix, error=StringCheckError):
+    """(moves, normal form) of a pair already valid over p = prism(2k):
+    refined at the top vertex {1,2,3}, with the units at (2,4),
+    (3,2k+1) and (1,2k+2) made +1.  A listed entry that is not a unit
+    raises error."""
     units = ((2, 4), (3, 2 * k + 1), (1, 2 * k + 2))
-    return _normalizing_moves(p, lam, (1, 2, 3), units, StringCheckError)[1]
+    return _normalizing_moves(p, lam, (1, 2, 3), units, error)
 
 
 def _prism_closed_form(k: int, lam: CharMatrix) -> dict:
@@ -304,7 +306,7 @@ def _closed_form_coefficients(p: SimplePolytope, lam: CharMatrix, rl: CharMatrix
         return [{"monomial": list(b), "coeff": c[b]} for b in cube_basis(n)]
     if n == 3 and m >= 6 and m % 2 == 0 and p.vertices == prism(m - 2).vertices:
         k = (m - 2) // 2
-        c = _prism_closed_form(k, _prism_normal_form(p, k, rl))
+        c = _prism_closed_form(k, _prism_normal_form(p, k, rl)[1])
         return [{"monomial": list(b), "coeff": c[b]} for b in prism_basis(k)]
     return None
 

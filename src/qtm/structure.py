@@ -32,17 +32,23 @@ Each public entry point (``bott_triangularize``,
 to a private core that does not validate it again.  The edge connected
 sum and the bundle certificate have no public entry: the prism and cube
 decompositions run their cores on pairs they have validated.  The cores
-move pairs with ``charmat._moved``, which skips validation: no
+relabel pairs with ``charmat._moved``, which skips validation: no
 equivalence move changes a vertex |det|, so a valid pair stays valid.
 Every recorded normalization -- of the input, and again after the prism
-mirror's or Bott's facet relabeling -- is one call of
-``charmat._normalizing_moves``.  What is checked once:
+mirror's or Bott's facet relabeling -- is one call of a normal form
+written once: ``stringcheck._prism_normal_form`` (refined at {1,2,3},
+units (2,4), (3,2k+1), (1,2k+2) made +1) or ``_cube_corner`` (refined
+at {1..n}, each (i, n+i) made +1, with its seam block).  Both are one
+call of ``charmat._normalizing_moves``, the one refine over Z: one
+inverse, one product with the sign flips, one new matrix.  What is
+checked once:
 
 * every new pair -- each piece and each glued result -- is validated
   once, right after it is built;
 * each string verdict is decided once, by ``stringcheck._refined_string``
   (a bool) on a pair already refined: the input on its normal form
-  (unless the caller, such as a string search, has decided it already),
+  (unless the caller, such as a string search, has decided it already;
+  Bott's triangularization decides it only for a pair with a witness),
   each split-off piece, and a prism remainder inside its own recursive
   call;
 * each glued polytope is built once per key, not once per request: the
@@ -90,7 +96,7 @@ from .polytope import (
     prism,
     product_splits,
 )
-from .stringcheck import _refined_string
+from .stringcheck import _prism_normal_form, _refined_string
 
 
 class StructureError(ValueError):
@@ -299,11 +305,7 @@ def bott_triangularize(n: int, lam: CharMatrix) -> BottForm:
         raise CharMatrixError(f"shape {lam.n}x{lam.m} does not match dim {n}, facets {2 * n}")
     p = cube(n)
     _checked_pair(p, lam)
-    initial = tuple(range(1, n + 1))
-    diag = tuple((i, n + i) for i in range(1, n + 1))
-    moves, cur = _normalizing_moves(p, lam, initial, diag, StructureContradiction)
-    string_input = _refined_string(p, cur)
-    a = [[cur.entry(i, n + j) for j in range(1, n + 1)] for i in range(1, n + 1)]
+    moves, cur, a = _cube_corner(p, n, lam)
     form = dobrinskaya_normalize(a)
     if form.verdict == "cycle":
         witness = {"kind": "cycle", "order": form.order, "entries": form.cycle}
@@ -324,27 +326,33 @@ def bott_triangularize(n: int, lam: CharMatrix) -> BottForm:
     else:
         witness = None
     if witness is not None:
-        if string_input:
+        # decided here alone: a triangular pair needs no verdict
+        if _refined_string(p, cur):
             raise StructureContradiction(
                 f"string cube pair failed to triangularize: {witness}"
             )
         return BottForm("witness", None, tuple(moves), witness)
-    order = form.order
-    if order != initial:
+    if form.order != tuple(range(1, n + 1)):
         perm = [0] * (2 * n + 1)
-        for t, i in enumerate(order, start=1):
+        for t, i in enumerate(form.order, start=1):
             perm[i] = t
             perm[n + i] = n + t
         mv = FacetPermutation(tuple(perm))
-        extra, cur = _normalizing_moves(
-            p, _moved(p, cur, mv), initial, (), StructureContradiction
-        )
+        # the relabeled diagonal entries are the old ones, all +1
+        extra, cur, a = _cube_corner(p, n, _moved(p, cur, mv))
         moves += [mv] + extra
-    final = tuple(
-        tuple(cur.entry(i, n + j) for j in range(1, n + 1)) for i in range(1, n + 1)
-    )
-    _forced(final == form.normalized, "replayed moves match the normalized form")
+    _forced(a == form.normalized, "replayed moves match the normalized form")
     return BottForm("triangular", cur, tuple(moves), None)
+
+
+def _cube_corner(p: SimplePolytope, n: int, lam: CharMatrix):
+    """(moves, normalized matrix, seam block) of a pair already valid
+    over p, whose facets i and n+i face each other at the corner
+    {1..n}: refined there, each diagonal entry (i, n+i) made +1, and the
+    block of columns n+1..2n read off as row tuples."""
+    diag = tuple((i, n + i) for i in range(1, n + 1))
+    moves, cur = _normalizing_moves(p, lam, range(1, n + 1), diag, StructureContradiction)
+    return moves, cur, tuple(r[n:2 * n] for r in cur.rows)
 
 
 # ---------------------------------------------------------------------------
@@ -536,10 +544,11 @@ def _jsonable(obj):
 
 def _prism_mirror(p, k, nf):
     """Reflect the prism across the plane through side facets 2|3, fixing
-    top and bottom, then refine at {1,2,3} again: the inverse of the
+    top and bottom, then take the normal form again: the inverse of the
     reflected corner is the swap of rows 2 and 3.  The reflection
     exchanges the roles of the two side corners 4 and 2k+1 and of rows 2
-    and 3 while keeping every unit entry at +1."""
+    and 3 while keeping every unit entry at +1, so no sign flip is
+    recorded."""
     m = 2 * k + 2
     perm = [0] * (m + 1)
     perm[1] = 1
@@ -547,11 +556,9 @@ def _prism_mirror(p, k, nf):
     for x in range(2, m):
         perm[x] = (3 - x) % (2 * k) + 2
     mv = FacetPermutation(tuple(perm))
-    moves, cur = _normalizing_moves(
-        p, _moved(p, nf, mv), (1, 2, 3), (), StructureContradiction
-    )
-    for r, c in ((2, 4), (3, m - 1), (1, m)):
-        _forced(cur.entry(r, c) == 1, "reflection keeps the unit normalization")
+    moves, cur = _prism_normal_form(p, k, _moved(p, nf, mv), StructureContradiction)
+    swap = RowBasisChange(((1, 0, 0), (0, 0, 1), (0, 1, 0)))
+    _forced(moves == [swap], "reflection keeps the unit normalization")
     return [mv] + moves, cur
 
 
@@ -594,9 +601,7 @@ def _decompose_prism(
     relation instead.
     """
     m = 2 * k + 2
-    moves, nf = _normalizing_moves(
-        p, lam, (1, 2, 3), ((2, 4), (3, m - 1), (1, m)), StructureContradiction
-    )
+    moves, nf = _prism_normal_form(p, k, lam, StructureContradiction)
     if string is None:
         string = _refined_string(p, nf)
         if remainder:
@@ -782,9 +787,7 @@ def _decompose_cube_connsum(
         raise StructureError(f"far side is not a simple polytope: {exc}") from None
 
     initial = tuple(range(1, n + 1))
-    diag = tuple((i, n + i) for i in range(1, n + 1))
-    moves, cur = _normalizing_moves(p, lam, initial, diag, StructureContradiction)
-    a = [[cur.entry(i, n + j) for j in range(1, n + 1)] for i in range(1, n + 1)]
+    moves, cur, a = _cube_corner(p, n, lam)
     detail = {"seam_det": intlin.det(a)}
     if string is None:
         string = _refined_string(p, cur)

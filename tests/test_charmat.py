@@ -16,9 +16,9 @@ from qtm.charmat import (
     FacetPermutation,
     RowBasisChange,
     _moved,
+    _normalizing_moves,
     refine,
     validate,
-    weights_at_vertex,
 )
 from qtm.harness import SearchSpec, _orbit_leaders, enumerate_matrices
 from qtm.polytope import cube, polygon, prism, product, q_polytope, simplex
@@ -198,14 +198,14 @@ def test_refine_checks_the_shape_first():
 
 
 def test_refine_and_weights_reject_too_few_rows():
-    # two rows over the 3-cube: refine raised IndexError, and
-    # weights_at_vertex returned a 2 x 3 "inverse"
+    # two rows over the 3-cube: refine raised IndexError, and the
+    # weights at the vertex came out as a 2 x 3 "inverse"
     p = cube(3)
     lam = CharMatrix([[1, 0, 0, 1, 0, 0], [0, 1, 0, 0, 1, 0]])
     with pytest.raises(CharMatrixError, match="shape 2x6"):
         refine(p, lam, p.vertices[0])
     with pytest.raises(CharMatrixError, match="shape 2x6"):
-        weights_at_vertex(p, lam, p.vertices[0])
+        _normalizing_moves(p, lam, p.vertices[0])
     # refined at (1, 2) and missing a column: no early return
     short = CharMatrix([[1, 0, 1], [0, 1, 1]], refined_at=(1, 2))
     with pytest.raises(CharMatrixError, match="shape 2x3"):
@@ -305,13 +305,26 @@ def test_canonical_key_separates():
     assert k1 != k2
 
 
+def _weights(p, lam, v):
+    """The weights at v: the row basis change a refine there records,
+    the standard basis when it records none; checked against `refine`."""
+    moves, rl = _normalizing_moves(p, lam, v)
+    assert rl == refine(p, lam, v) and rl.refined_at == tuple(sorted(v))
+    assert all(isinstance(mv, RowBasisChange) for mv in moves) and len(moves) <= 1
+    return [list(r) for r in moves[0].u] if moves else intlin.identity(p.dim)
+
+
 def test_weights_at_vertex():
-    w = weights_at_vertex(TRIANGLE, cp2_matrix(1, 1), (2, 3))
+    w = _weights(TRIANGLE, cp2_matrix(1, 1), (2, 3))
     assert w == [[-1, 1], [1, 0]]
-    w = weights_at_vertex(TRIANGLE, cp2_matrix(-1, -1), (2, 3))
+    w = _weights(TRIANGLE, cp2_matrix(-1, -1), (2, 3))
     assert w == [[-1, 1], [-1, 0]]
-    # at a refined vertex the weights are the standard basis
-    assert weights_at_vertex(TRIANGLE, cp2_matrix(1, 1), (1, 2)) == [[1, 0], [0, 1]]
+    # at a refined vertex the weights are the standard basis: no row
+    # move is recorded and the matrix comes back as it is
+    lam = cp2_matrix(1, 1)
+    assert _normalizing_moves(TRIANGLE, lam, (1, 2)) == ([], lam)
+    assert refine(TRIANGLE, lam, (1, 2)) is lam
+    assert _weights(TRIANGLE, lam, (1, 2)) == [[1, 0], [0, 1]]
     rng = random.Random(5)
     for _ in range(20):
         lam = PENTAGON_LAM
@@ -319,8 +332,10 @@ def test_weights_at_vertex():
             lam = _moved(PENTAGON, lam, RowBasisChange(random_unimodular(rng, 2)))
         assert validate(PENTAGON, lam)[0]
         for v in PENTAGON.vertices:
-            w = weights_at_vertex(PENTAGON, lam, v)
+            w = _weights(PENTAGON, lam, v)
             assert intlin.mat_mul(w, lam.submatrix(v)) == intlin.identity(2)
+            rows = intlin.mat_mul(w, [list(r) for r in lam.rows])
+            assert refine(PENTAGON, lam, v).rows == tuple(map(tuple, rows))
 
 
 def test_serialization():

@@ -8,6 +8,7 @@ tested here is the plumbing: file parsing, output shape, exit codes.
 """
 
 import hashlib
+import itertools
 import json
 import os
 import platform
@@ -18,7 +19,7 @@ from pathlib import Path
 import pytest
 
 import qtm
-from qtm import charmat, harness, polytope, stringcheck
+from qtm import charmat, cli, harness, polytope, stringcheck
 from qtm.charmat import CharMatrix
 from qtm.cli import main
 from qtm.polytope import connected_sum, cube, polygon, prism, product
@@ -305,7 +306,7 @@ def _closed_form_reference(family, p, rows):
     if family == "cube":
         c = stringcheck._cube_closed_form(3, charmat.refine(p, lam, (1, 2, 3)))
         return [{"monomial": list(b), "coeff": c[b]} for b in stringcheck.cube_basis(3)]
-    c = stringcheck._prism_closed_form(3, stringcheck._prism_normal_form(p, 3, lam))
+    c = stringcheck._prism_closed_form(3, stringcheck._prism_normal_form(p, 3, lam)[1])
     return [{"monomial": list(b), "coeff": c[b]} for b in stringcheck.prism_basis(3)]
 
 
@@ -409,6 +410,16 @@ def test_enumerate_refuses_a_value_table_past_the_limit(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: ") and "over the limit of 262144" in captured.err
     assert "Traceback" not in captured.err
+
+
+def test_verify_refuses_a_dimension_past_the_printable_count(capsys):
+    # 5**7000 column values: the message printed the count itself and
+    # failed on Python's limit of 4300 digits for int-to-str conversion
+    assert main(["verify", "cube-string-is-bott", "--n", "7000"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: entry bound 2 in dimension 7000 ")
+    assert "Exceeds the limit" not in captured.err and "Traceback" not in captured.err
 
 
 def test_enumerate_time_cap_of_zero_exits_3(tmp_path, capsys):
@@ -647,6 +658,19 @@ def test_verify_report_carries_the_versions_that_made_it(capsys):
     assert (d["qtm_version"], d["python_version"]) == (
         qtm.__version__, platform.python_version()
     )
+
+
+def test_verify_flags_and_search_choices_come_from_the_harness():
+    # one flag per claim parameter, as `_CLAIMS` declares it, and the
+    # filters and dedup groups `SearchSpec` checks
+    parser = cli._build_parser()
+    names = {name for _, defaults, _ in harness._CLAIMS.values() for name in defaults}
+    args = vars(parser.parse_args(["verify", "c5xc5-not-spin"]))
+    assert names == {"bound", "trials", "m", "n", "k", "ns"} and names <= set(args)
+    assert all(args[name] is None for name in names)
+    for f, d in itertools.product(harness._FILTERS, harness._DEDUP_GROUPS):
+        args = parser.parse_args(["enumerate", "-p", "x.json", "--filter", f, "--dedup", d])
+        assert (args.filter, args.dedup) == (f, d)
 
 
 def test_verify_ns_parameter(tmp_path, capsys):

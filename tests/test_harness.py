@@ -579,6 +579,25 @@ def test_cube_claim_refuses_before_building_anything(monkeypatch):
     assert built == []
 
 
+def test_value_table_past_the_printable_count_is_refused_as_a_power():
+    # 5**7000 has 4,893 digits, past the limit of int-to-str conversion:
+    # the count was formed and printed, and the message failed with it
+    with pytest.raises(
+        HarnessError,
+        match=r"^entry bound 2 in dimension 7000 gives \(2 \* 2 \+ 1\) \*\* 7000 "
+        "column values, over the limit of 262144$",
+    ):
+        verify_claim("cube-string-is-bott", {"n": 7000})
+    # the largest exact counts still print in full: 5**20 and 3**32
+    # have at most 64 bits
+    with pytest.raises(HarnessError, match=" gives 95367431640625 column values, "):
+        harness._check_integer_bound(2, 20)
+    with pytest.raises(HarnessError, match=" gives 1853020188851841 column values, "):
+        harness._check_integer_bound(1, 32)
+    with pytest.raises(HarnessError, match=r" gives \(2 \* 1 \+ 1\) \*\* 33 column values, "):
+        harness._check_integer_bound(1, 33)
+
+
 # --- named campaigns -------------------------------------------------------
 
 

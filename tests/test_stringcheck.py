@@ -362,12 +362,36 @@ def test_prism_normal_form():
     flipped = _moved(p, HEX_PRISM_LAM, ColumnSignFlip(4))
     _checked(p, flipped)
     assert flipped.entry(2, 4) == -1
-    nf = _prism_normal_form(p, 3, flipped)
+    moves, nf = _prism_normal_form(p, 3, flipped)
     assert nf == HEX_PRISM_LAM and nf.refined_at == (1, 2, 3)
+    assert moves == [ColumnSignFlip(4)]
 
     bare = CharMatrix([list(r) for r in HEX_PRISM_LAM.rows])
     _checked(p, bare)
-    assert _prism_normal_form(p, 3, bare) == HEX_PRISM_LAM
+    assert _prism_normal_form(p, 3, bare)[1] == HEX_PRISM_LAM
+
+
+def test_prism_normal_form_builds_one_matrix(monkeypatch):
+    # a scrambled pair that needs a row move and a sign flip: one
+    # inverse, one product with the flip, one new matrix (the row move
+    # through `_moved`, the refined copy and the flipped copy made 3)
+    p = prism(6)
+    shear = ((1, 1, 0), (0, 1, 0), (0, 0, 1))
+    flipped = _moved(p, HEX_PRISM_LAM, ColumnSignFlip(4))
+    scrambled = CharMatrix(_moved(p, flipped, RowBasisChange(shear)).rows)
+    _checked(p, scrambled)
+    built = []
+    real = CharMatrix.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(CharMatrix, "__init__", counting)
+    moves, nf = _prism_normal_form(p, 3, scrambled)
+    assert len(built) == 1
+    assert nf == HEX_PRISM_LAM and nf.refined_at == (1, 2, 3)
+    assert moves == [RowBasisChange(((1, -1, 0), (0, 1, 0), (0, 0, 1))), ColumnSignFlip(4)]
 
 
 # ---------------------------------------------------------------------------

@@ -364,6 +364,31 @@ def test_bott_replays_moves_to_normal_form():
     assert cur.rows == form.normalized.rows
 
 
+def test_bott_decides_a_verdict_only_for_a_witness(monkeypatch):
+    # a triangular pair needs no string verdict; a witness does, to
+    # tell a non-string pair from a contradiction
+    decided = []
+    real = structure._refined_string
+
+    def recording(p, rl):
+        decided.append(rl.rows)
+        return real(p, rl)
+
+    monkeypatch.setattr(structure, "_refined_string", recording)
+    p = cube(3)
+    lam = CharMatrix(
+        [[1, 0, 0, 1, 2, 2], [0, 1, 0, 0, 1, 2], [0, 0, 1, 0, 0, 1]],
+        refined_at=(1, 2, 3),
+    )
+    shuffled = CharMatrix(_moved(p, lam, FacetPermutation((0, 3, 2, 1, 6, 5, 4))).rows)
+    for given in (lam, shuffled):
+        assert bott_triangularize(3, given).verdict == "triangular"
+    assert decided == []
+    witness = CharMatrix([[1, 0, 1, 1], [0, 1, 2, 1]], refined_at=(1, 2))
+    assert bott_triangularize(2, witness).verdict == "witness"
+    assert decided == [witness.rows]
+
+
 def test_bott_cycle_witness():
     # free block with determinant -1: the obstruction is the cycle
     lam = CharMatrix([[1, 0, 1, 1], [0, 1, 2, 1]], refined_at=(1, 2))
@@ -1028,12 +1053,17 @@ def test_decompose_cube_connsum_validates_each_pair_once(validated):
 
 
 def test_decompositions_reject_invalid_input_before_any_move(monkeypatch):
-    # a decomposition moves its pair through `_moved` (row basis changes,
-    # relabelings) and `_normalizing_moves` (every refine and sign flip)
+    # a decomposition relabels its pair through `_moved` and refines it
+    # through `_normalizing_moves` (every refine, row move and sign flip)
     p6 = prism(6)
     flipped = _moved(p6, HEX_PRISM_LAM, ColumnSignFlip(4))
     sheared = _moved(p6, HEX_PRISM_LAM, RowBasisChange(((1, 1, 0), (0, 1, 0), (0, 0, 1))))
     assert validate(p6, flipped)[0] and validate(p6, sheared)[0]
+    c3 = cube(3)
+    big, biglam = equivariant_connected_sum(
+        c3, CUBE_SUMMAND_A, (4, 5, 6), c3, CUBE_SUMMAND_B, (1, 2, 3)
+    )
+    broken = CharMatrix([list(biglam.rows[0])] * 2 + [list(biglam.rows[2])])
     moves, normalized = [], []
 
     def moving(real):
@@ -1043,9 +1073,9 @@ def test_decompositions_reject_invalid_input_before_any_move(monkeypatch):
         return recording
 
     def normalizing(real):
-        def recording(p, lam, vertex, units, error):
-            normalized.append((vertex, units))
-            return real(p, lam, vertex, units, error)
+        def recording(p, lam, vertex, units=(), *rest):
+            normalized.append((tuple(vertex), units))
+            return real(p, lam, vertex, units, *rest)
         return recording
 
     _patch_everywhere(monkeypatch, "_moved", moving)
@@ -1053,22 +1083,18 @@ def test_decompositions_reject_invalid_input_before_any_move(monkeypatch):
     singular = SINGULAR_HEX_PRISM
     with pytest.raises(StructureError, match="singular"):
         decompose_prism(3, singular)
-    c3 = cube(3)
-    big, biglam = equivariant_connected_sum(
-        c3, CUBE_SUMMAND_A, (4, 5, 6), c3, CUBE_SUMMAND_B, (1, 2, 3)
-    )
-    broken = CharMatrix([list(biglam.rows[0])] * 2 + [list(biglam.rows[2])])
     with pytest.raises(StructureError, match="singular"):
         decompose_cube_connsum(big, broken)
     assert moves == [] and normalized == []
-    # normalizing a valid pair does go through the unvalidated moves: a
-    # sign flip in one pass, a row basis change through `_moved`
+    # normalizing a valid pair records its sign flip and its row basis
+    # change in the one pass of `_normalizing_moves`, neither through
+    # `_moved`
     rep = decompose_prism(3, CharMatrix(flipped.rows))
     assert rep.moves == (ColumnSignFlip(4),) and ColumnSignFlip(4) not in moves
     assert normalized[0] == ((1, 2, 3), ((2, 4), (3, 7), (1, 8)))
     del moves[:], normalized[:]
     rep = decompose_prism(3, CharMatrix(sheared.rows))
-    assert isinstance(rep.moves[0], RowBasisChange) and moves[0] == rep.moves[0]
+    assert isinstance(rep.moves[0], RowBasisChange) and moves == []
     assert normalized[0] == ((1, 2, 3), ((2, 4), (3, 7), (1, 8)))
 
 
