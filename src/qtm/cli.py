@@ -12,6 +12,12 @@ cap.  When stdout is closed before the result is written (`qtm verify
 ... | head -5`), the command exits 141, the status a shell reports for
 a process that SIGPIPE ended, with no traceback: the answer was lost,
 so none of 0-3 would be true.
+
+Every reply is exactly the text of `json.dumps(obj, indent=2)`, which
+scripts and the pinned reply digests read byte for byte.  `_emit` does
+not call it: with `indent`, the stdlib skips its C encoder and runs the
+pure-Python one, about a tenth of a check-string request.  `_dumps`
+writes the same text for less, strings through the C string escaper.
 """
 
 from __future__ import annotations
@@ -45,19 +51,26 @@ class UsageError(ValueError):
 
 
 def _load_json(path: str) -> dict:
+    # read as bytes and decoded in one call: a text-mode file object
+    # costs more than the small files read per request
     try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
+        with open(path, "rb", buffering=0) as fh:
+            data = fh.read()
     except FileNotFoundError:
         raise UsageError(f"no such file: {path}") from None
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc.strerror or exc}") from None
+    try:
+        d = json.loads(data.decode("utf-8"))
     except UnicodeDecodeError as exc:
         raise UsageError(f"{path} is not UTF-8 text: {exc}") from None
-    try:
-        d = json.loads(text)
+    except RecursionError:
+        raise UsageError(f"{path} nests its JSON too deeply to read") from None
     except json.JSONDecodeError as exc:
-        raise UsageError(f"{path} is not valid JSON: {exc}")
+        raise UsageError(f"{path} is not valid JSON: {exc}") from None
+    except ValueError as exc:
+        # an integer past Python's digit limit for int(str)
+        raise UsageError(f"{path} holds a number too long to read: {exc}") from None
     if not isinstance(d, dict):
         raise UsageError(f"{path} does not hold a JSON object")
     return d
@@ -88,8 +101,56 @@ def _load_matrix_mod2(path: str) -> CharMatrix:
     return _load(path, "rows_mod2", "mod-2 matrix", from_dict, CharMatrixError)
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+_LITERALS = {None: "null", True: "true", False: "false"}
+
+
+def _dumps(obj) -> str:
+    """json.dumps(obj, indent=2), byte for byte (module docstring)."""
+    parts: list[str] = []
+    _write(obj, "\n", parts)
+    return "".join(parts)
+
+
+def _write(obj, nl: str, parts: list) -> None:
+    """Append the text of obj at the indent that ends `nl`.  What this
+    does not write itself (floats, empty containers, dicts with a
+    non-str key, types JSON has no form for) it takes from json.dumps,
+    indented to match: a newline in that text is always layout, since
+    strings escape theirs."""
+    if isinstance(obj, str):
+        parts.append(_encode_str(obj))
+    elif obj is None or obj is True or obj is False:
+        parts.append(_LITERALS[obj])
+    elif isinstance(obj, int):
+        parts.append(int.__repr__(obj))
+    elif isinstance(obj, (list, tuple)) and obj:
+        inner = nl + "  "
+        sep = "[" + inner
+        for item in obj:
+            parts.append(sep)
+            _write(item, inner, parts)
+            sep = "," + inner
+        parts.append(nl + "]")
+    elif isinstance(obj, dict) and obj:
+        start = len(parts)
+        inner = nl + "  "
+        sep = "{" + inner
+        for key, value in obj.items():
+            if not isinstance(key, str):
+                del parts[start:]
+                parts.append(json.dumps(obj, indent=2).replace("\n", nl))
+                return
+            parts.append(sep + _encode_str(key) + ": ")
+            _write(value, inner, parts)
+            sep = "," + inner
+        parts.append(nl + "}")
+    else:
+        parts.append(json.dumps(obj, indent=2).replace("\n", nl))
+
+
 def _emit(obj: dict, out: str | None) -> None:
-    text = json.dumps(obj, indent=2)
+    text = _dumps(obj)
     if out:
         try:
             with open(out, "w", encoding="utf-8") as fh:

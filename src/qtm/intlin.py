@@ -17,15 +17,15 @@ arguments unless the docstring says so.
 
 from __future__ import annotations
 
+from itertools import chain
 from math import gcd
 
 
 def is_int_rows(obj) -> bool:
     """Is obj a list of lists of ints, bools excluded, as JSON gives a
     matrix or a vertex list?"""
-    return isinstance(obj, list) and all(
-        isinstance(r, list) and all(type(x) is int for x in r) for r in obj
-    )
+    return (isinstance(obj, list) and all(isinstance(r, list) for r in obj)
+            and set(map(type, chain.from_iterable(obj))) <= {int})
 
 
 def copy_rows(rows: list[list[int]]) -> list[list[int]]:

@@ -4,7 +4,7 @@ A combinatorial simple n-polytope with m facets is stored as the set of
 its vertices, each vertex being the n-subset of facet indices (1..m)
 whose facets meet there.  A subset of facet indices is a *face* when it
 is contained in some vertex.  Construction validates the simple-polytope
-invariants: every vertex has exactly n facets, every facet occurs,
+invariants: every vertex has exactly n distinct facets, every facet occurs,
 every (n-1)-subset of a vertex lies in exactly two vertices (the closed
 pseudomanifold condition), and those shared ridges connect all the
 vertices, so malformed complexes fail fast.
@@ -15,7 +15,9 @@ kept as a bitmask (bit f-1 for facet f) for fast face queries.
 
 from __future__ import annotations
 
+from functools import reduce
 from itertools import combinations
+from operator import or_
 
 from . import intlin
 
@@ -93,7 +95,7 @@ class SimplePolytope:
         n, m = dim, num_facets
         if n < 1 or m < n + 1:
             raise PolytopeError(f"impossible dimensions: dim={n}, facets={m}")
-        vs = sorted(tuple(sorted(v)) for v in vertices)
+        vs = sorted(map(tuple, map(sorted, vertices)))
         if len(set(vs)) != len(vs):
             raise PolytopeError("duplicate vertices")
         # checked first, so no later step costs more than the vertex list
@@ -104,26 +106,32 @@ class SimplePolytope:
                 raise PolytopeError(f"vertex {v} does not have {n} facets")
             if v[0] < 1 or v[-1] > m:
                 raise PolytopeError(f"vertex {v} uses facet outside 1..{m}")
-        used = set()
-        for v in vs:
-            used.update(v)
-        if len(used) != m:
-            unused = [f for f in range(1, m + 1) if f not in used]
+        masks = tuple(map(_mask, vs))
+        if sum(map(int.bit_count, masks)) != n * len(vs):
+            v = next(v for v, vm in zip(vs, masks) if vm.bit_count() != n)
+            raise PolytopeError(f"vertex {v} repeats a facet")
+        used = reduce(or_, masks)
+        if used != (1 << m) - 1:
+            unused = [f for f in range(1, m + 1) if not used >> (f - 1) & 1]
             more = f" and {len(unused) - 10} more" if len(unused) > 10 else ""
             raise PolytopeError(f"facets {unused[:10]}{more} unused")
         # every ridge (an (n-1)-subset of a vertex) must be shared by exactly
         # two vertices; this is what makes the dual complex a closed sphere-like
         # pseudomanifold and rules out boundaries and branching.  The two
         # vertices of a ridge are the ends of an edge, and the edge graph
-        # of a polytope is connected.
-        ridge_owners: dict[tuple, list[int]] = {}
+        # of a polytope is connected.  A ridge is keyed by its bitmask, the
+        # vertex's with one facet cleared; dropping the facets last to
+        # first meets the ridges in the order of combinations(v, n - 1).
+        ridge_owners: dict[int, list[int]] = {}
         for i, v in enumerate(vs):
-            for r in combinations(v, n - 1):
-                ridge_owners.setdefault(r, []).append(i)
+            vm = masks[i]
+            for f in reversed(v):
+                ridge_owners.setdefault(vm ^ (1 << (f - 1)), []).append(i)
         parent = list(range(len(vs)))
         for r, owners in ridge_owners.items():
             if len(owners) != 2:
-                raise PolytopeError(f"ridge {r} lies in {len(owners)} vertices, expected 2")
+                ridge = tuple(f for f in vs[owners[0]] if r >> (f - 1) & 1)
+                raise PolytopeError(f"ridge {ridge} lies in {len(owners)} vertices, expected 2")
             # union-find with path halving, inline: it runs once per ridge
             a, b = owners
             while parent[a] != a:
@@ -138,8 +146,8 @@ class SimplePolytope:
         self.num_facets = m
         self.vertices = tuple(vs)
         self.name = name
-        self._vmasks = tuple(_mask(v) for v in vs)
-        self._vmask_set = frozenset(self._vmasks)
+        self._vmasks = masks
+        self._vmask_set = frozenset(masks)
 
     # -- basic queries ------------------------------------------------------
 

@@ -17,6 +17,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import qtm
 from qtm import charmat, cli, harness, polytope, stringcheck
@@ -560,6 +561,80 @@ def test_reply_bytes_are_pinned(tmp_path, monkeypatch, capsys, case):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+# JSON trees with every kind of value a reply could hold, and some it
+# never does: the writer must agree with json.dumps on all of them
+_JSON_SCALARS = (
+    st.none() | st.booleans() | st.integers(min_value=-10**30, max_value=10**30)
+    | st.floats() | st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0])
+    | st.text(max_size=8)
+    | st.sampled_from(["é", "ü\u2028", "\x00\x1f\n\t\"\\", "\U0001f600", "\ud800"])
+)
+_JSON_TREES = st.recursive(_JSON_SCALARS, lambda kids: (
+    st.lists(kids, max_size=4)
+    | st.lists(kids, max_size=4).map(tuple)
+    | st.dictionaries(st.text(max_size=4), kids, max_size=4)
+    | st.dictionaries(st.integers(-5, 5) | st.text(max_size=2), kids, max_size=3)
+), max_leaves=25)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_JSON_TREES)
+def test_reply_writer_equals_indented_json_dumps(obj):
+    assert cli._dumps(obj) == json.dumps(obj, indent=2)
+
+
+def test_reply_writer_falls_back_inside_nested_values():
+    # a float, an empty container and an int-keyed dict, two levels in
+    obj = {"a": [{"x": 1.5, "y": [], "z": {}}, {1: [True, None], "k": "v"}], "b": (2, -0.0)}
+    assert cli._dumps(obj) == json.dumps(obj, indent=2)
+    with pytest.raises(TypeError):
+        cli._dumps({"a": [object()]})
+
+
+# one request per subcommand reply: (argv, polytope, matrix file content)
+SUBCOMMAND_REPLIES = {
+    "construct": (["construct", "prism", "4"], None, None),
+    "validate": (["validate", "-p", "{p}", "-m", "{m}"], polygon(4), {"rows": SQUARE_TWIST}),
+    "validate-mod2": (["validate", "--mod2", "-p", "{p}", "-m", "{m}"], polygon(6),
+                      {"rows_mod2": [[1, 0, 1, 0, 1, 0], [0, 1, 0, 1, 0, 1]]}),
+    "classes": (["classes", "-p", "{p}", "-m", "{m}"], polygon(4), {"rows": SQUARE_TWIST}),
+    "check-string": (["check-string", "-p", "{p}", "-m", "{m}"], polygon(3), {"rows": CP2}),
+    "enumerate": (["enumerate", "-p", "{p}"], polygon(4), None),
+    "enumerate-capped": (["enumerate", "-p", "{p}", "--max-nodes", "2"], polygon(5), None),
+    "decompose-prism": (["decompose", "prism", "-k", "3", "-m", "{m}"], None,
+                        {"rows": HEX_PRISM_LAM}),
+    "decompose-cube-connsum": (["decompose", "cube-connsum", "-p", "{p}", "-m", "{m}"],
+                               DOUBLE_CUBE, {"rows": CONNSUM_STRING}),
+    "smallcover": (["smallcover", "-p", "{p}", "-m", "{m}"], polygon(6),
+                   {"rows_mod2": [[1, 0, 1, 0, 1, 0], [0, 1, 0, 1, 0, 1]]}),
+    "verify": (["verify", "c5xc5-not-spin"], None, None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SUBCOMMAND_REPLIES))
+def test_every_reply_is_indented_json_dumps(tmp_path, monkeypatch, capsys, case):
+    argv, poly, matrix = SUBCOMMAND_REPLIES[case]
+    p = _write(tmp_path, "p.json", poly.to_dict() if poly else {})
+    m = _write(tmp_path, "m.json", matrix or {})
+    out = str(tmp_path / "out.json")
+    replies = []
+    dumps = cli._dumps
+
+    def recording(obj):
+        replies.append(obj)
+        return dumps(obj)
+
+    monkeypatch.setattr(cli, "_dumps", recording)
+    assert main([a.format(p=p, m=m) for a in argv] + ["--out", out]) in (0, 1, 3)
+    [obj] = replies
+    expected = json.dumps(obj, indent=2) + "\n"
+    assert capsys.readouterr().out == expected
+    assert Path(out).read_text(encoding="utf-8") == expected
+    if case.startswith("enumerate"):
+        # the search statistics carry a float
+        assert type(obj["statistics"]["elapsed"]) is float
+
+
 def test_default_claim_pins_cover_every_claim():
     assert sorted(DEFAULT_CLAIM_PINS) == sorted(harness.CLAIM_IDS)
 
@@ -826,6 +901,8 @@ def test_unreadable_input_and_unwritable_out_exit_2(tmp_path, capsys, case):
         ("matrix", {"rows": [[1, 0, "1"], [0, 1, 1]]}),
         ("matrix", {"rows": [[1, 0, True], [0, 1, 1]]}),
         ("mod2", {"rows_mod2": [1, 0, 1]}),
+        ("polytope", {"dim": 2, "num_facets": 3, "vertices": [[1, 2], [2, 3], [True, 3]]}),
+        ("polytope", {"dim": 2, "num_facets": 3, "vertices": [[1, 2], [2, 3], [1.0, 3]]}),
     ],
 )
 def test_malformed_schema_exits_2(tmp_path, capsys, kind, bad):
@@ -876,6 +953,25 @@ def test_disconnected_complex_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "2 disconnected parts" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("case", ["deep-nesting", "long-integer"])
+def test_unreadable_json_names_the_file_and_exits_2(tmp_path, capsys, case):
+    # json.loads raises RecursionError on the first and Python's own
+    # digit-limit ValueError on the second; both are the file's fault
+    if case == "deep-nesting":
+        text = '{"vertices": ' + "[" * 100_000 + "]" * 100_000 + "}"
+        named = "nests its JSON too deeply"
+    else:
+        text = '{"dim": ' + "7" * 5000 + ', "num_facets": 3, "vertices": []}'
+        named = "holds a number too long to read"
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    good_m = _write(tmp_path, "m.json", {"rows": CP2})
+    assert main(["check-string", "-p", str(bad), "-m", good_m]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad} {named}")
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_huge_declared_facet_count_exits_2_quickly(tmp_path, capsys):

@@ -8,7 +8,8 @@ a raw permutation filter written independently of the search code.
 from itertools import combinations, permutations
 
 import pytest
-from polytope_oracle import edge_cut_3d, isomorphic, three_belts
+from hypothesis import assume, given, settings, strategies as st
+from polytope_oracle import edge_cut_3d, isomorphic, ridge_verdict, three_belts
 
 import qtm.polytope as polytope
 from qtm.polytope import (
@@ -499,6 +500,33 @@ def test_serialization():
         d = p.to_dict()
         back = SimplePolytope.from_dict(d)
         assert back == p and back.name == p.name
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_ridge_check_agrees_with_a_tuple_keyed_oracle(data):
+    # the ridges are keyed by bitmask; the verdict and the ridge a
+    # message names must be those of the check on facet tuples
+    n = data.draw(st.integers(1, 3))
+    m = data.draw(st.integers(n + 1, n + 3))
+    cells = list(combinations(range(1, m + 1), n))
+    vertices = data.draw(st.lists(st.sampled_from(cells), min_size=1, unique=True))
+    assume({f for v in vertices for f in v} == set(range(1, m + 1)))
+    expected = ridge_verdict(n, vertices)
+    if expected is None:
+        assert SimplePolytope(n, m, vertices).vertices == tuple(sorted(vertices))
+    else:
+        with pytest.raises(PolytopeError) as info:
+            SimplePolytope(n, m, vertices)
+        assert str(info.value) == expected
+
+
+def test_a_vertex_that_repeats_a_facet_is_refused():
+    # a square whose vertex (1, 2) is written (1, 1): every vertex has
+    # two entries and every facet is used
+    with pytest.raises(PolytopeError, match=r"^vertex \(1, 1\) repeats a facet$"):
+        SimplePolytope.from_dict({"dim": 2, "num_facets": 4,
+                                  "vertices": [[1, 1], [2, 3], [3, 4], [1, 4]]})
 
 
 def test_unused_facets_message_is_capped():
