@@ -18,13 +18,25 @@ the new column: det = +-c.x, with c the cofactor vector of those
 columns (`intlin.cofactors`; over GF(2) the normal mask
 `intlin.f2_normal`, and det = parity(c & x)).  Once per node the walk
 looks up, for each such vertex, the mask of column values x with
-|c.x| = 1, ANDs the masks, and then tests one bit per value.  Both
-lookups are memoized for the life of the search: the mask by the
-tuple of the vertex's other columns, so c is computed once per
-distinct tuple rather than once per node, and behind it the mask by
-c alone (a dependent set of columns gives c = 0 and the empty mask).
-Values are still counted one by one, so the node and time caps and
-every counter read as with a determinant per value.
+|c.x| = 1, and ANDs the masks with the mask of the values the lex
+table leaves open.  Both lookups are memoized for the life of the
+search: the mask by the tuple of the vertex's other columns, so c is
+computed once per distinct tuple rather than once per node, and behind
+it the mask by c alone (a dependent set of columns gives c = 0 and the
+empty mask).
+
+The loop at a node then runs once per set bit of that mask, an
+admissible value, and once more after the last.  Each open value is
+still one node, in table order: the open values between two admissible
+ones form a run of pruned nodes, whose length is the popcount of the
+open mask below the next admissible bit less the values already
+visited, and `nodes` and `pruned` advance by it in one step.  A cap
+reads the same within a run as it did value by value: the node cap
+fires at node max_nodes + 1 with every value before it counted pruned,
+and the clock is read at every node index of the run that is 1 mod
+4096, with `nodes` set to that index if it fires.  So every counter,
+the node at which a cap fires and the stats it reports are those of a
+loop that visits each value in turn.
 
 Over the integers each free column only takes values whose first
 nonzero entry is negative: one member of each column sign orbit.
@@ -103,10 +115,15 @@ is trivial), so its table marks no pattern.  Its columns stay
 bitmasks, bit i for row i: its column-tuple memo is keyed by masks,
 its normal is a mask and a vertex determinant one popcount parity,
 where integer cofactors of 0/1 columns would cost an elimination per
-minor.  Its string test reads the degree-2 class off those masks
-through the same relation template (`smallcover._w2_vanishes`, one
-GF(2) elimination per leaf), and a `CharMatrix` is built only for a
-survivor, by the same checked constructor as over Z.
+minor.  The parity of c & x is the XOR, over the set bits r of c, of
+bit r of x; so with row_bits[r] the mask of the values whose bit r is
+set, built once before the walk, the admissible mask of a normal c is
+the XOR of row_bits[r] over those r: at most n big-integer XORs rather
+than a popcount per value.  Its string test reads the degree-2 class
+off those masks through the same relation template
+(`smallcover._w2_vanishes`, one GF(2) elimination per leaf), and a
+`CharMatrix` is built only for a survivor, by the same checked
+constructor as over Z.
 It does not dedup: two leaves differ in some free column, so every
 leaf has its own rows and dedup_hits is 0 by construction.
 
@@ -407,12 +424,16 @@ def enumerate_matrices(spec: SearchSpec):
         def normal(cols):
             return intlin.f2_normal(cols, n)
 
+        # row_bits[r]: the table indices of the values with bit r set
+        row_bits = [sum(1 << i for i, x in enumerate(values) if x >> r & 1) for r in range(n)]
+
         def admissible_mask(c) -> int:
-            # det = parity(c & x) over GF(2)
+            # det = parity(c & x) over GF(2): the XOR over the bits r of
+            # c of bit r of x
             mask = 0
-            for i, x in enumerate(values):
-                if (c & x).bit_count() & 1:
-                    mask |= 1 << i
+            for r in range(n):
+                if c >> r & 1:
+                    mask ^= row_bits[r]
             return mask
 
         # the parity filter made a string-walk leaf orientable, so only
@@ -449,13 +470,13 @@ def enumerate_matrices(spec: SearchSpec):
         def rows():
             return list(zip(*col[1:]))
     parity_cut = len(vectors) - len(values)
-    every_value = (1 << len(table)) - 1
     for k, f in enumerate(base):
         col[f] = identity[k]
-    # tied mask -> the (table index, value, child's tied mask) triples it
-    # does not prune; a tied mask is the stabilizer of the prefix, a
-    # subgroup, so few occur
-    options: dict[int, list] = {}
+    # tied mask -> the mask of the table indices it does not prune, and
+    # the (value, child's tied mask) pair of each of them in table order;
+    # a tied mask is the stabilizer of the prefix, a subgroup, so few occur
+    options: dict[int, tuple] = {}
+    max_nodes, max_seconds = spec.max_nodes, spec.max_seconds
 
     stats = {
         "nodes": 0,
@@ -525,36 +546,61 @@ def enumerate_matrices(spec: SearchSpec):
         if t == len(free):
             emit()
             return
-        opts = options.get(tied)
-        if opts is None:
-            opts = options[tied] = [
-                (i, val, tied & equal)
-                for i, (val, below, equal) in enumerate(table)
-                if not tied & below
-            ]
+        entry = options.get(tied)
+        if entry is None:
+            open_mask, opts = 0, []
+            for i, (val, below, equal) in enumerate(table):
+                if not tied & below:
+                    open_mask |= 1 << i
+                    opts.append((val, tied & equal))
+            entry = options[tied] = (open_mask, opts)
+        open_mask, opts = entry
         stats["lex_prunes"] += len(table) - len(opts)
         stats["parity_prunes"] += parity_cut
         # every vertex this column completes has its other n - 1 columns
         # fixed, so its determinant is linear in the column: one cofactor
         # per vertex decides every value at once
-        ok = every_value
+        ok = open_mask
         for gs in schedule[t]:
             ok &= vertex_values(gs)
             if not ok:
                 break
         f = free[t]
-        for i, val, still_tied in opts:
-            stats["nodes"] += 1
-            if stats["nodes"] > spec.max_nodes:
-                raise capped("node")
-            if stats["nodes"] % 4096 == 1:
-                if time.monotonic() - started > spec.max_seconds:
-                    raise capped("time")
-            if ok >> i & 1:
-                col[f] = val
-                walk(t + 1, still_tied)
+        done = 0  # the open values this node has visited
+        while True:
+            # the next admissible value is open value number k; past the
+            # last one, k is the count of open values and nothing is hit
+            if ok:
+                low = ok & -ok
+                k = (open_mask & (low - 1)).bit_count()
             else:
-                stats["pruned"] += 1
+                k = len(opts)
+            # visit nodes start + 1 .. end as the pruned open values
+            # done .. k - 1, then node reach for the hit, if any, reading
+            # both caps at the node indices a loop over each value reads
+            start = stats["nodes"]
+            end = start + k - done
+            reach = end + 1 if ok else end
+            # the first node index past start that is 1 mod 4096
+            tick = start + 1 + -start % 4096
+            while tick <= reach and tick <= max_nodes:
+                if time.monotonic() - started > max_seconds:
+                    stats["pruned"] += tick - 1 - start
+                    stats["nodes"] = tick
+                    raise capped("time")
+                tick += 4096
+            if reach > max_nodes:
+                stats["pruned"] += max_nodes - start
+                stats["nodes"] = max_nodes + 1
+                raise capped("node")
+            stats["pruned"] += end - start
+            stats["nodes"] = reach
+            if not ok:
+                return
+            col[f], still_tied = opts[k]
+            walk(t + 1, still_tied)
+            done = k + 1
+            ok ^= low
 
     try:
         walk(0, every_pattern)

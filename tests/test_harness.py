@@ -366,10 +366,11 @@ def survivor_digest(survivors):
     return hashlib.sha256(json.dumps(rows).encode()).hexdigest()
 
 
-# every counter and the survivor rows, in order, of four searches; the
-# figures are those of the walk that ran one determinant per value, and
-# the automorphism search's those of the walk that took a canonical key
-# at every leaf
+# every counter and the survivor rows, in order, of six searches; the
+# figures are those of the walk that ran one determinant per value, the
+# automorphism search's those of the walk that took a canonical key at
+# every leaf, and the last two's those of the walk that visited each
+# column value in turn
 PINNED_SEARCHES = {
     "criterion-04": (
         SearchSpec(prism(6), 2, "signs", "string"),
@@ -408,6 +409,24 @@ PINNED_SEARCHES = {
             "lex_prunes": 54, "parity_prunes": 0,
         },
         "e72c46abed47046e4e95888feb43687618b947db063f4f518052f1a24b015646",
+    ),
+    "tesseract-b2-string": (
+        SearchSpec(cube(4), 2, "signs", "string"),
+        {
+            "nodes": 547136, "pruned": 543212, "candidates": 12573,
+            "survivors": 329, "string_rejects": 12244, "dedup_hits": 0,
+            "lex_prunes": 13840, "parity_prunes": 560976,
+        },
+        "465bac9d67fa00f879574c3e02f4a860cfed58d63b4c77a349353cf1aa081bb0",
+    ),
+    "mod2-c5xc5-spin": (
+        SearchSpec(product(polygon(5), polygon(5)), 1, "signs", "spin", mod2_only=True),
+        {
+            "nodes": 1728, "pruned": 1513, "candidates": 0,
+            "survivors": 0, "string_rejects": 0, "dedup_hits": 0,
+            "lex_prunes": 0, "parity_prunes": 1728,
+        },
+        "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
     ),
 }
 
@@ -456,6 +475,184 @@ def test_node_budget_raises_with_partial_stats():
     with pytest.raises(ResourceCapExceeded) as exc:
         enumerate_matrices(SearchSpec(polygon(6), 1, max_nodes=0))
     assert exc.value.stats["nodes"] == 1
+
+
+# the partial stats of node-capped searches whose cap lands inside a
+# run of pruned values, as the walk that visited each value in turn
+# left them: the cap fires at node max_nodes + 1, with every value
+# before it counted
+NODE_CAPPED_SEARCHES = {
+    "cube-b2-cap-100": (
+        SearchSpec(cube(3), 2, "signs", "valid", max_nodes=100),
+        {"nodes": 101, "pruned": 95, "candidates": 3, "survivors": 3, "lex_prunes": 36},
+    ),
+    "cube-b2-cap-1000": (
+        SearchSpec(cube(3), 2, "signs", "valid", max_nodes=1000),
+        {"nodes": 1001, "pruned": 939, "candidates": 44, "survivors": 44, "lex_prunes": 36},
+    ),
+    # one free column whose 10,200 open values are tried at one node
+    "triangle-b100-cap-5000": (
+        SearchSpec(polygon(3), 100, "signs", "valid", max_nodes=5000),
+        {"nodes": 5001, "pruned": 5000, "lex_prunes": 10000},
+    ),
+    # the cap lands on the last value, past the one admissible value
+    "triangle-b100-cap-10199": (
+        SearchSpec(polygon(3), 100, "signs", "valid", max_nodes=10199),
+        {"nodes": 10200, "pruned": 10198, "candidates": 1, "survivors": 1, "lex_prunes": 10000},
+    ),
+    "mod2-simplex-222-cap-500": (
+        SearchSpec(simplex_product((2, 2, 2)), 1, "signs", "string", mod2_only=True, max_nodes=500),
+        {"nodes": 501, "pruned": 484, "parity_prunes": 544},
+    ),
+    "mod2-c5xc5-cap-1000": (
+        SearchSpec(product(polygon(5), polygon(5)), 1, "signs", "spin", mod2_only=True, max_nodes=1000),
+        {"nodes": 1001, "pruned": 873, "parity_prunes": 1024},
+    ),
+}
+
+_ZERO_STATS = {
+    "nodes": 0, "pruned": 0, "candidates": 0, "survivors": 0,
+    "string_rejects": 0, "dedup_hits": 0, "lex_prunes": 0, "parity_prunes": 0,
+}
+
+
+@pytest.mark.parametrize("name", sorted(NODE_CAPPED_SEARCHES))
+def test_a_node_cap_inside_a_skipped_run_keeps_every_counter(name):
+    spec, pinned = NODE_CAPPED_SEARCHES[name]
+    with pytest.raises(ResourceCapExceeded, match="^node budget exhausted$") as exc:
+        enumerate_matrices(spec)
+    stats = dict(exc.value.stats)
+    assert stats.pop("elapsed") >= 0.0
+    assert stats == {**_ZERO_STATS, **pinned}
+
+
+# (search, the sha256 of the JSON list of partial stats, elapsed left
+# out, at every node cap from 0 to one below the search's node count),
+# as the walk that visited each column value in turn left them
+NODE_CAP_SWEEPS = {
+    "pentagon-b2-automorphisms": (
+        SearchSpec(polygon(5), 2, "signs+automorphisms", "valid"),
+        "6e17d5287bdab28227eb9e50e7ad327d1d6ea9d8a8d9778a80b498d240d3e5d4",
+    ),
+    "cube-b1-string": (
+        SearchSpec(cube(3), 1, "signs", "string"),
+        "e1a28c700cf6c53fafcf022b9eaeacd831f2e09b8c57312ca57ac83f35fd05aa",
+    ),
+    "mod2-simplex-222-string": (
+        SearchSpec(simplex_product((2, 2, 2)), 1, "signs", "string", mod2_only=True),
+        "579d64d77871d6df35e7115df90b34e9fc60febe9ee6b75ad7d31d9fb8b5d9f2",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NODE_CAP_SWEEPS))
+def test_a_node_cap_at_every_node_keeps_every_counter(name):
+    spec, digest = NODE_CAP_SWEEPS[name]
+    _survivors, full = enumerate_matrices(spec)
+    partial = []
+    for cap in range(full["nodes"]):
+        capped = SearchSpec(
+            spec.polytope, spec.bound, spec.dedup, spec.filter, spec.mod2_only, max_nodes=cap
+        )
+        with pytest.raises(ResourceCapExceeded) as exc:
+            enumerate_matrices(capped)
+        stats = dict(exc.value.stats)
+        del stats["elapsed"]
+        partial.append(stats)
+    assert hashlib.sha256(json.dumps(partial).encode()).hexdigest() == digest
+
+
+class _CountingClock:
+    """A stand-in for the time module whose clock passes every cap at
+    the walk's k-th read; read 0 is the search's start."""
+
+    def __init__(self, k: int):
+        self.k, self.reads = k, 0
+
+    def monotonic(self) -> float:
+        read, self.reads = self.reads, self.reads + 1
+        return 10.0 if read >= self.k else 0.0
+
+
+# (spec, k, partial stats), as the walk that visited each column value
+# in turn left them: the clock is read at node 1 and every 4096 nodes
+# after, so its k-th read fires the cap at node 4096 * (k - 1) + 1
+TIME_CAPPED_SEARCHES = {
+    # the triangle's 10,200 open values are one run at one node, with
+    # 10,199 of them pruned: reads 2 and 3 both fall inside that run
+    "triangle-b100-read-1": (
+        SearchSpec(polygon(3), 100, "signs", "valid", max_seconds=1.0), 1,
+        {"nodes": 1, "lex_prunes": 10000},
+    ),
+    "triangle-b100-read-2": (
+        SearchSpec(polygon(3), 100, "signs", "valid", max_seconds=1.0), 2,
+        {"nodes": 4097, "pruned": 4096, "lex_prunes": 10000},
+    ),
+    "triangle-b100-read-3": (
+        SearchSpec(polygon(3), 100, "signs", "valid", max_seconds=1.0), 3,
+        {"nodes": 8193, "pruned": 8192, "lex_prunes": 10000},
+    ),
+    "tesseract-b2-string-read-2": (
+        SearchSpec(cube(4), 2, "signs", "string", max_seconds=1.0), 2,
+        {
+            "nodes": 4097, "pruned": 4068, "candidates": 38, "string_rejects": 38,
+            "lex_prunes": 116, "parity_prunes": 4524,
+        },
+    ),
+    "tesseract-b2-string-read-5": (
+        SearchSpec(cube(4), 2, "signs", "string", max_seconds=1.0), 5,
+        {
+            "nodes": 16385, "pruned": 16277, "candidates": 188, "survivors": 1,
+            "string_rejects": 187, "lex_prunes": 116, "parity_prunes": 16692,
+        },
+    ),
+    "mod2-simplex-223-read-2": (
+        SearchSpec(simplex_product((2, 2, 3)), 1, "signs", "string", mod2_only=True, max_seconds=1.0),
+        2,
+        {
+            "nodes": 4097, "pruned": 4032, "candidates": 60, "string_rejects": 60,
+            "parity_prunes": 4160,
+        },
+    ),
+    "mod2-simplex-223-read-3": (
+        SearchSpec(simplex_product((2, 2, 3)), 1, "signs", "string", mod2_only=True, max_seconds=1.0),
+        3,
+        {
+            "nodes": 8193, "pruned": 8064, "candidates": 112, "string_rejects": 112,
+            "parity_prunes": 8256,
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TIME_CAPPED_SEARCHES))
+def test_the_clock_is_read_at_node_one_and_every_4096_nodes(name, monkeypatch):
+    spec, k, pinned = TIME_CAPPED_SEARCHES[name]
+    clock = _CountingClock(k)
+    monkeypatch.setattr(harness, "time", clock)
+    with pytest.raises(ResourceCapExceeded, match="^time budget exhausted$") as exc:
+        enumerate_matrices(spec)
+    stats = dict(exc.value.stats)
+    assert stats["nodes"] == 4096 * (k - 1) + 1
+    assert stats.pop("elapsed") == 10.0
+    assert stats == {**_ZERO_STATS, **pinned}
+    # the start, k reads in the walk, and the elapsed time of the report
+    assert clock.reads == k + 2
+
+
+@pytest.mark.parametrize("mod2", [False, True])
+def test_a_finished_search_reads_the_clock_once_per_4096_nodes(mod2, monkeypatch):
+    # polygon(3) at bound 100 visits 10,200 nodes, simplex (2, 2, 3) 8,256:
+    # the walk reads the clock at nodes 1, 4097 and 8193
+    spec = (
+        SearchSpec(simplex_product((2, 2, 3)), 1, "signs", "string", mod2_only=True)
+        if mod2
+        else SearchSpec(polygon(3), 100, "signs", "valid")
+    )
+    clock = _CountingClock(10**9)
+    monkeypatch.setattr(harness, "time", clock)
+    enumerate_matrices(spec)
+    assert clock.reads == 1 + 3 + 1
 
 
 def test_automorphism_dedup_is_refused_before_the_walk():
