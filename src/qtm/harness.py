@@ -58,41 +58,62 @@ What is left of the `signs` group on these leaves are the row sign
 patterns s with s_0 = +1 (negating every row fixes every normalized
 column), each followed by flipping the identity columns back: a free
 column x whose first nonzero entry sits in row f maps to s_f * (s o x).
-The action is column by column, so the walk compares each prefix with
-its image under every pattern still tied with it (tables built once
-per search: for each value, the patterns that map it below itself and
-those that fix it).  A value whose image under a tied pattern is
-smaller is skipped, with its whole subtree (a lex prune); a pattern
-whose image is larger is satisfied for good.  Every leaf that is
-reached is thus the lex-least member of its sign orbit (a lex leader),
-and the first leaf of a class in walk order is exactly that member, so
-it is never pruned: the survivors, their order and their rows stay
-those of the unrestricted walk.  Under `signs` every leaf reached is
-its own class, so nothing is remembered.
+The action is column by column, and one step, `_sign_images`, gives a
+column's images under every pattern, the identity first.  The walk
+compares each prefix with its image under every pattern still tied
+with it (tables built once per search from those images: for each
+value, the patterns that map it below itself and those that fix it).
+A value whose image under a tied pattern is smaller is skipped, with
+its whole subtree (a lex prune); a pattern whose image is larger is
+satisfied for good.  Every leaf that is reached is thus the lex-least
+member of its sign orbit (a lex leader), and the first leaf of a class
+in walk order is exactly that member, so it is never pruned: the
+survivors, their order and their rows stay those of the unrestricted
+walk.  Under `signs` every leaf reached is its own class, so nothing is
+remembered.
 
 Under `signs+automorphisms` a class is remembered by its orbit
 leaders.  When a leaf L opens a new class, each automorphism sigma of
 the polytope gives the pair sigma(L); its walk form is its free-column
 sequence refined at the base vertex, each free column flipped to first
 nonzero entry negative, least over the row sign patterns above
-(`_orbit_leaders`, one `refine` per source vertex).  Every walk form
-goes into `seen`, and a later leaf is one set lookup of its own free
-columns.  This drops exactly the leaves of earlier classes.  A later
-leaf L' of the class of L is g.L, with g a row basis change, column
-sign flips and an automorphism sigma.  A row basis change between two
-pairs refined at the base maps the identity block to a signed identity
-block, so it is a row sign pattern; g.L and sigma(L) thus differ by a
-row sign pattern and column flips, and have the same walk form.  L' is
-refined at the base, its free columns have first nonzero entry
-negative, and it is the lex leader of its sign orbit, so it is its own
-walk form: L' equals the walk form of sigma(L), which is in `seen`.
-Conversely every sequence in `seen` is the free columns of a pair in
-an earlier class, so no leaf of a new class is dropped.
-The walk and its order do not change, so the first leaf of each class
-is still the one emitted, in first-encounter order.  The leaders go
-into `seen` before the string test, so a string-rejected class is
-remembered too: being string is an invariant of the class, so no class
-is tested twice.
+(`_orbit_leaders`).  Every walk form goes into `seen`, and a later leaf
+is one set lookup of its own free columns.  This drops exactly the
+leaves of earlier classes.  A later leaf L' of the class of L is g.L,
+with g a row basis change, column sign flips and an automorphism
+sigma.  A row basis change between two pairs refined at the base maps
+the identity block to a signed identity block, so it is a row sign
+pattern; g.L and sigma(L) thus differ by a row sign pattern and column
+flips, and have the same walk form.  L' is refined at the base, its
+free columns have first nonzero entry negative, and it is the lex
+leader of its sign orbit, so it is its own walk form: L' equals the
+walk form of sigma(L), which is in `seen`.  Conversely every sequence
+in `seen` is the free columns of a pair in an earlier class, so no
+leaf of a new class is dropped.  The walk and its order do not change,
+so the first leaf of each class is still the one emitted, in
+first-encounter order.  The leaders go into `seen` before the string
+test, so a string-rejected class is remembered too: being string is an
+invariant of the class, so no class is tested twice.
+
+`_orbit_leaders` reads L off the walk's columns and builds no matrix.
+sigma(L) refined at the base is L refined at the source vertex
+w = sigma^-1(base), its columns relabelled by sigma and its rows put in
+base order, so one refine per source vertex serves every automorphism.
+Refining at w is the row basis change u = A_w^-1, with A_w the matrix
+whose columns are those of w: the refined pair has column u c_j for
+each column c_j of L, and `charmat.refine` returns the rows of that
+same product (or L itself when w is the base, where A_w and u are the
+identity).  So one `intlin.inverse_unimodular` of A_w and one
+`intlin.mat_vec` per column give the refined columns unchanged; the
+inverse raises on a block that is not unimodular, which no leaf has.
+The walk form is unchanged too.  A dict, filled on first use and kept
+for the search, maps each normalized column x to `_sign_images(x)`,
+its image under pattern k at position k.  With images_t those of the
+t-th free column, zip(*images) yields for each pattern k the tuple of
+the k-th images of every free column: the whole free-column sequence
+under pattern k.  So min(zip(*images)) is the least sequence over the
+patterns, which is the walk form.  Only the columns met this way get
+images, never the whole value range.
 
 The string test at a leaf reads p_1 off the leaf's columns through the
 polytope's relation template at the base vertex
@@ -102,8 +123,7 @@ spin.  The template is built at the first leaf the test reaches, so a
 node or time cap that fires first never pays for it; the h-vector it
 is checked against is taken before the walk (kept, as the template is,
 in the package cache), so a complex that is not a sphere is refused
-before any node.  A `CharMatrix` is built only for
-a leaf that opens a class under automorphisms or survives.
+before any node.  A `CharMatrix` is built only for a survivor.
 
 The field is chosen once, in one block before the walk.  It sets the
 column values, the lex table, the base columns, the normal vector, the
@@ -134,10 +154,11 @@ so a negative campaign only ever says "none with entries up to B".
 the command line: each claim re-checks its witnesses through the core
 modules and reports verified / counterexample / resource-capped with
 reproducible statistics.  `_CLAIMS` is the one place a claim's
-parameters and their defaults are written: `verify_claim` converts each
-to the type of its default (an int, or a tuple of ints for `ns`) and
-hands the campaign all of them by name.  Next to them it lists the caps
-each claim reads: every claim that searches hands the node and time
+parameters and their defaults are written: `verify_claim` takes each
+value as given when it has the type of its default (an int, or a list
+or tuple of ints for `ns`), refuses any other, a bool or a float
+included, and hands the campaign all of them by name.  Next to them
+it lists the caps each claim reads: every claim that searches hands the node and time
 caps to its search, `cyclic-identities` checks the time cap between its
 trials, and `product-simplices-obstruction` reads neither.  The cap
 defaults are written once, in `_CAP_DEFAULTS`, which `SearchSpec`,
@@ -146,7 +167,11 @@ default that the claim does not read is refused before anything runs,
 and so is a NaN or negative cap, by the check `SearchSpec` uses.  The
 claims that check each survivor of a search share one driver,
 `_search_campaign`: such a claim is verified exactly when no survivor
-yields a counterexample record.
+yields a counterexample record.  A search survivor is valid and
+refined at the base by construction, so `odd-gon-not-spin`,
+`polygon-bordism-parity`, `prism-decompose` and `cube-connsum` hand
+theirs to cores that do not validate again (`_spin`,
+`_polygon_closed_form`, `_decompose_prism`, `_decompose_cube_connsum`).
 """
 
 from __future__ import annotations
@@ -159,7 +184,7 @@ import time
 from dataclasses import asdict, dataclass, field
 
 from . import __version__, intlin
-from .charmat import CharMatrix, refine
+from .charmat import CharMatrix
 from .cohomology import p1_vanishes, relation_template
 from .polytope import (
     SimplePolytope,
@@ -177,10 +202,10 @@ from .smallcover import (
     SmallCoverError,
 )
 from .stringcheck import (
+    _polygon_closed_form,
+    _spin,
     cyclic_identities,
-    is_spin,
     is_string,
-    polygon_closed_form,
     polygon_parity_criterion,
     random_cyclic_instance,
 )
@@ -267,6 +292,8 @@ class SearchSpec:
     max_seconds: float = _CAP_DEFAULTS["max_seconds"]
 
     def __post_init__(self):
+        if type(self.bound) is not int:
+            raise HarnessError(f"entry bound must be an int, got {self.bound!r}")
         if self.mod2_only:
             # the GF(2) walk never reads the bound: its entries are 0 and 1
             if self.bound != 1:
@@ -302,17 +329,18 @@ def _sign_patterns(n: int) -> list[list[int]]:
     """The row sign patterns s with s_0 = +1, the identity first.
 
     Under s a column x whose first nonzero entry sits in row f maps to
-    s_f * (s o x) (`_sign_image`), which keeps the first nonzero entry's
+    s_f * (s o x) (`_sign_images`), which keeps the first nonzero entry's
     sign; negating every row fixes every column, so these patterns are
     the whole sign group on the walk's columns.
     """
     return [[-1 if pattern >> i & 1 else 1 for i in range(n)] for pattern in range(0, 1 << n, 2)]
 
 
-def _sign_image(s, x, f: int) -> tuple:
-    """Column x, first nonzero entry in row f, under row sign pattern s."""
-    sf = s[f]
-    return tuple([sf * si * t for si, t in zip(s, x)])
+def _sign_images(x, patterns) -> tuple:
+    """Column x under each row sign pattern of patterns, in their order:
+    with f the row of its first nonzero entry, x maps to s_f * (s o x)."""
+    f = next(i for i, t in enumerate(x) if t)
+    return tuple([tuple([s[f] * si * t for si, t in zip(s, x)]) for s in patterns])
 
 
 def _lex_table(values, n: int):
@@ -323,57 +351,63 @@ def _lex_table(values, n: int):
     `_sign_patterns`; `below` marks the patterns whose image of x is
     lexicographically smaller than x, `equal` those that fix x.
     """
-    patterns = _sign_patterns(n)[1:]
+    patterns = _sign_patterns(n)
     table = []
     for x in values:
-        f = next(i for i, t in enumerate(x) if t)
         below = equal = 0
-        for k, s in enumerate(patterns):
-            image = _sign_image(s, x, f)
+        for k, image in enumerate(_sign_images(x, patterns)[1:]):
             if image < x:
                 below |= 1 << k
             elif image == x:
                 equal |= 1 << k
         table.append((x, below, equal))
-    return (1 << len(patterns)) - 1, table
+    return (1 << (len(patterns) - 1)) - 1, table
 
 
-def _orbit_leaders(p: SimplePolytope, lam: CharMatrix, automorphisms) -> set:
-    """The walk form of every automorphism image of lam, a pair refined
-    at p's first vertex: each image's free-column sequence, refined at
-    that vertex, every column with its first nonzero entry negative,
-    least over the row sign patterns.
+def _orbit_leaders(p: SimplePolytope, col, automorphisms, memo: dict) -> set:
+    """The walk form of every automorphism image of the pair whose
+    column f is col[f], refined at p's first vertex: each image's
+    free-column sequence, refined at that vertex, every column with its
+    first nonzero entry negative, least over the row sign patterns.
 
-    The image under perm refined at the base is lam refined at the
+    The image under perm refined at the base is the pair refined at the
     source vertex w = perm^-1(base), with its columns relabelled by perm
-    and its rows reordered to follow the base; so `refine` runs once
-    per source vertex, not once per automorphism.
+    and its rows reordered to follow the base; so the inverse u of the
+    columns of w is taken once per source vertex, not once per
+    automorphism, and column j refined at w is u col[j].  memo maps a
+    normalized column to its `_sign_images`, the identity first; it is
+    filled on first use and shared by every call of a search.
     """
     base = p.vertices[0]
     m = p.num_facets
     free = [f for f in range(1, m + 1) if f not in base]
     patterns = _sign_patterns(p.dim)
-    columns: dict[tuple, list] = {}  # source vertex -> lam's columns refined there
+    refined: dict[tuple, list] = {}  # source vertex -> the columns refined there
     leaders = set()
     for perm in automorphisms:
         inv = [0] * (m + 1)
         for f in range(1, m + 1):
             inv[perm[f]] = f
         w = tuple(sorted(inv[f] for f in base))
-        cols = columns.get(w)
+        cols = refined.get(w)
         if cols is None:
-            cols = columns[w] = list(zip(*refine(p, lam, w).rows))
+            # raises on a block that is not unimodular, which no valid
+            # pair has
+            u = intlin.inverse_unimodular(list(zip(*map(col.__getitem__, w))))
+            cols = refined[w] = [intlin.mat_vec(u, c) for c in col[1:]]
         # row k of the image is the row of identity column inv[base[k]]
         order = [w.index(inv[f]) for f in base]
-        xs = []
+        images = []
         for f in free:
             c = cols[inv[f] - 1]
-            x = [c[i] for i in order]
-            first = next(i for i, t in enumerate(x) if t)
-            if x[first] > 0:
-                x = [-t for t in x]
-            xs.append((x, first))
-        leaders.add(min(tuple(_sign_image(s, x, first) for x, first in xs) for s in patterns))
+            x = tuple([c[i] for i in order])
+            if next(t for t in x if t) > 0:
+                x = tuple([-t for t in x])
+            if x not in memo:
+                memo[x] = _sign_images(x, patterns)
+            images.append(memo[x])
+        # zip regroups the images per pattern: one free-column sequence each
+        leaders.add(min(zip(*images)))
     return leaders
 
 
@@ -509,6 +543,9 @@ def enumerate_matrices(spec: SearchSpec):
     # a vertex's other columns -> their admissible values; lives as long
     # as the search
     by_columns: dict = {}
+    # a normalized column -> its images under the row sign patterns, for
+    # `_orbit_leaders`; filled on first use, never tabulated up front
+    sign_images: dict = {}
 
     def vertex_values(gs) -> int:
         cols = tuple(map(col.__getitem__, gs))
@@ -524,13 +561,11 @@ def enumerate_matrices(spec: SearchSpec):
     def emit() -> None:
         nonlocal template
         stats["candidates"] += 1
-        lam = None
         if automorphisms is not None:
             if tuple(map(col.__getitem__, free)) in seen:
                 stats["dedup_hits"] += 1
                 return
-            lam = CharMatrix(rows(), refined_at=base)
-            seen.update(_orbit_leaders(p, lam, automorphisms))
+            seen.update(_orbit_leaders(p, col, automorphisms, sign_images))
         if spec.filter == "string":
             if template is None:
                 template = relation_template(p, base)
@@ -538,8 +573,7 @@ def enumerate_matrices(spec: SearchSpec):
                 stats["pruned"] += 1
                 stats["string_rejects"] += 1
                 return
-        # a CharMatrix is never falsy: a class opener is built only once
-        survivors.append(lam or CharMatrix(rows(), refined_at=base))
+        survivors.append(CharMatrix(rows(), refined_at=base))
         stats["survivors"] += 1
 
     def walk(t: int, tied: int) -> None:
@@ -649,8 +683,9 @@ def _claim_odd_gon_not_spin(caps, m, bound):
     spec = SearchSpec(p, bound, "signs", "spin", **caps)
     survivors, stats = enumerate_matrices(spec)
     # anything the column-parity filter lets through gets a second
-    # opinion from the characteristic-class engine
-    witnesses = [{**lam.to_dict(), "spin": is_spin(p, lam)} for lam in survivors]
+    # opinion from the characteristic-class engine; a survivor is valid
+    # and refined at the base, so it goes to the engine's core
+    witnesses = [{**lam.to_dict(), "spin": _spin(p, lam)} for lam in survivors]
     verdict = "verified" if not survivors else "counterexample"
     return verdict, stats, witnesses
 
@@ -669,7 +704,8 @@ def _claim_polygon_parity(caps, m, bound):
 
 def _claim_polygon_bordism_parity(caps, m, bound):
     def witness(lam):
-        _ls, total = polygon_closed_form(lam)
+        # a survivor is valid over the m-gon: the closed form's core
+        _ls, total = _polygon_closed_form(lam)
         return None if total % 2 == m % 2 else {**lam.to_dict(), "total": total}
 
     spec = SearchSpec(polygon(m), bound, "signs", "valid", **caps)
@@ -818,8 +854,9 @@ def verify_claim(
     echoes one that played no part in it; so is a NaN or negative cap,
     and a cap other than its default that the claim does not read.  The
     campaign is handed only the caps it reads, and every parameter it
-    reads: the value given, else its default in `_CLAIMS`, as the type
-    of that default.
+    reads: the value given, else its default in `_CLAIMS`.  A value is
+    never converted: one that is not an int (a bool or a float is not),
+    or for a tuple default not a list or tuple of ints, is refused.
     """
     if claim_id not in _CLAIMS:
         raise HarnessError(
@@ -847,7 +884,14 @@ def verify_claim(
     args = {}
     for name, default in defaults.items():
         value = params.get(name, default)
-        args[name] = tuple(map(int, value)) if isinstance(default, tuple) else int(value)
+        # taken as given, never converted: a bool or a float is refused
+        if isinstance(default, tuple):
+            if not isinstance(value, (list, tuple)) or any(type(x) is not int for x in value):
+                raise HarnessError(f"parameter {name!r} must be a list of ints, got {value!r}")
+            value = tuple(value)
+        elif type(value) is not int:
+            raise HarnessError(f"parameter {name!r} must be an int, got {value!r}")
+        args[name] = value
     try:
         verdict, stats, witnesses = campaign(caps, **args)
     except ResourceCapExceeded as exc:

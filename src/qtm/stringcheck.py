@@ -99,10 +99,6 @@ def _refined_string(p: SimplePolytope, rl: CharMatrix) -> bool:
     return _spin(p, rl) and p1_vanishes(relation_template(p, rl.refined_at), columns(rl))
 
 
-def is_spin(p: SimplePolytope, lam: CharMatrix) -> bool:
-    return _spin(p, refined_pair(p, lam))
-
-
 def is_string(p: SimplePolytope, lam: CharMatrix) -> bool:
     return _refined_string(p, refined_pair(p, lam))
 

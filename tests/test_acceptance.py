@@ -31,7 +31,6 @@ from qtm.smallcover import (
     verify_simplex_product_criterion,
 )
 from qtm.stringcheck import (
-    is_spin,
     is_string,
     polygon_closed_form,
     q_prism_polytope,
@@ -40,6 +39,7 @@ from qtm.structure import decompose_cube_connsum, decompose_prism
 from closed_form_oracle import q_prism_closed_form
 from dj_oracle import substituted_relations
 from smith_oracle import smith_invariant_factors
+from spin_check import is_spin
 
 
 def _pass(num: int, detail: str) -> None:

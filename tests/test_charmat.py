@@ -384,12 +384,72 @@ KEY_SEARCHES = (
 )
 
 
+def refined_orbit_leaders(p, lam, automorphisms):
+    """The orbit leaders taken through `refine`: lam refined at each
+    source vertex as a CharMatrix, and for each automorphism the least
+    over the row sign patterns of the normalized free-column tuples,
+    built one pattern and one column at a time."""
+    base = p.vertices[0]
+    m = p.num_facets
+    free = [f for f in range(1, m + 1) if f not in base]
+    patterns = [
+        [-1 if pattern >> i & 1 else 1 for i in range(p.dim)]
+        for pattern in range(0, 1 << p.dim, 2)
+    ]
+    columns = {}
+    leaders = set()
+    for perm in automorphisms:
+        inv = [0] * (m + 1)
+        for f in range(1, m + 1):
+            inv[perm[f]] = f
+        w = tuple(sorted(inv[f] for f in base))
+        cols = columns.get(w)
+        if cols is None:
+            cols = columns[w] = list(zip(*refine(p, lam, w).rows))
+        order = [w.index(inv[f]) for f in base]
+        xs = []
+        for f in free:
+            c = cols[inv[f] - 1]
+            x = [c[i] for i in order]
+            first = next(i for i, t in enumerate(x) if t)
+            if x[first] > 0:
+                x = [-t for t in x]
+            xs.append((x, first))
+        leaders.add(min(
+            tuple(tuple(s[first] * si * t for si, t in zip(s, x)) for x, first in xs)
+            for s in patterns
+        ))
+    return leaders
+
+
+# (polytope, bound, filter, stride): every stride-th sign class is
+# checked; the tesseract's 1,245 classes at 384 automorphisms each would
+# take the slow side about 24 s, so every eighth is
+@pytest.mark.parametrize(
+    "p, bound, filt, stride",
+    [
+        (polygon(8), 2, "valid", 1),
+        (prism(6), 1, "string", 1),
+        (cube(3), 2, "spin", 1),
+        (cube(4), 1, "valid", 8),
+    ],
+    ids=["octagon-b2", "hex-prism-b1-string", "cube-b2-spin", "tesseract-b1"],
+)
+def test_orbit_leaders_from_columns_equal_those_through_refine(p, bound, filt, stride):
+    survivors, _stats = enumerate_matrices(SearchSpec(p, bound, "signs", filt))
+    autos = p.automorphisms()
+    memo = {}  # one memo for every class, as a search keeps it
+    for lam in survivors[::stride]:
+        leaders = _orbit_leaders(p, [0, *zip(*lam.rows)], autos, memo)
+        assert leaders == refined_orbit_leaders(p, lam, autos)
+
+
 def test_orbit_leaders_hold_every_moved_pair():
     rng = random.Random(11)
     for p, bound in KEY_SEARCHES:
         survivors, _stats = enumerate_matrices(SearchSpec(p, bound, "signs", "valid"))
         for lam in rng.sample(survivors, min(6, len(survivors))):
-            leaders = _orbit_leaders(p, lam, p.automorphisms())
+            leaders = _orbit_leaders(p, [0, *zip(*lam.rows)], p.automorphisms(), {})
             assert walk_form(p, lam) in leaders
             cur = lam
             for _ in range(5):
@@ -413,7 +473,7 @@ def test_orbit_leaders_split_the_survivors_into_classes():
         classes, _stats = enumerate_matrices(
             SearchSpec(p, bound, "signs+automorphisms", "valid")
         )
-        leaders = [_orbit_leaders(p, lam, autos) for lam in classes]
+        leaders = [_orbit_leaders(p, [0, *zip(*lam.rows)], autos, {}) for lam in classes]
         keys = [canonical_key(p, lam, "signs+automorphisms") for lam in classes]
         assert len(set(keys)) == len(keys)
         for i, j in itertools.combinations(range(len(classes)), 2):

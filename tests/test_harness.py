@@ -16,7 +16,7 @@ import time
 
 import pytest
 
-from qtm import harness, intlin, polytope
+from qtm import charmat, harness, intlin, polytope, stringcheck
 from qtm.charmat import CharMatrix, CharMatrixError, validate
 from qtm.harness import (
     CLAIM_IDS,
@@ -33,9 +33,10 @@ from qtm.smallcover import (
     simplex_product,
     validate_mod2,
 )
-from qtm.stringcheck import is_spin, is_string
+from qtm.stringcheck import is_string
 from qtm.structure import bott_triangularize
 from key_oracle import canonical_key
+from spin_check import is_spin
 
 
 # direct-scan oracle counts, by (polytope, bound, filter, dedup)
@@ -366,11 +367,13 @@ def survivor_digest(survivors):
     return hashlib.sha256(json.dumps(rows).encode()).hexdigest()
 
 
-# every counter and the survivor rows, in order, of six searches; the
+# every counter and the survivor rows, in order, of eight searches; the
 # figures are those of the walk that ran one determinant per value, the
-# automorphism search's those of the walk that took a canonical key at
-# every leaf, and the last two's those of the walk that visited each
-# column value in turn
+# octagon's those of the walk that took a canonical key at every leaf,
+# the tesseract-b2 and mod-2 c5xc5 searches' those of the walk that
+# visited each column value in turn, and the two "-automorphisms"
+# entries' those of the walk that refined a CharMatrix per source
+# vertex to take its orbit leaders
 PINNED_SEARCHES = {
     "criterion-04": (
         SearchSpec(prism(6), 2, "signs", "string"),
@@ -410,6 +413,24 @@ PINNED_SEARCHES = {
         },
         "e72c46abed47046e4e95888feb43687618b947db063f4f518052f1a24b015646",
     ),
+    "criterion-04-automorphisms": (
+        SearchSpec(prism(6), 2, "signs+automorphisms", "string"),
+        {
+            "nodes": 70213, "pruned": 65944, "candidates": 2581,
+            "survivors": 160, "string_rejects": 592, "dedup_hits": 1829,
+            "lex_prunes": 498, "parity_prunes": 70711,
+        },
+        "476b736efbc2d9642a3bc9438e3d101a71cbf541d7735c4effd21af2494ea5ab",
+    ),
+    "tesseract-b1-automorphisms": (
+        SearchSpec(cube(4), 1, "signs+automorphisms", "valid"),
+        {
+            "nodes": 17632, "pruned": 15908, "candidates": 1245,
+            "survivors": 44, "string_rejects": 0, "dedup_hits": 1201,
+            "lex_prunes": 1568, "parity_prunes": 0,
+        },
+        "d7f1bf1a9887cc321841d52002ed6861134929719837e7793110e5e10a154fbe",
+    ),
     "tesseract-b2-string": (
         SearchSpec(cube(4), 2, "signs", "string"),
         {
@@ -438,6 +459,24 @@ def test_pinned_search_stats_and_survivors(name):
     assert stats.pop("elapsed") >= 0.0
     assert stats == pinned
     assert survivor_digest(survivors) == digest
+
+
+def test_a_search_builds_a_char_matrix_for_each_survivor_only(monkeypatch):
+    # the orbit leaders read the walk's own columns, so neither a class
+    # opener that the string test rejects nor a source vertex builds one
+    built = []
+    real = CharMatrix.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(1)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(CharMatrix, "__init__", counted)
+    survivors, stats = enumerate_matrices(
+        SearchSpec(prism(6), 1, "signs+automorphisms", "string")
+    )
+    assert stats["string_rejects"] > 0
+    assert len(built) == stats["survivors"] == len(survivors)
 
 
 def test_vertex_test_takes_one_cofactor_per_vertex_per_node(monkeypatch):
@@ -916,6 +955,56 @@ def test_verify_claim_refuses_parameters_it_does_not_read(monkeypatch, claim, pa
     with pytest.raises(HarnessError) as exc:
         verify_claim(claim, params)
     assert named in str(exc.value)
+
+
+@pytest.mark.parametrize(
+    "claim, params, named",
+    [
+        ("polygon-parity", {"m": 4.7, "bound": 1}, "'m' must be an int, got 4.7"),
+        ("polygon-parity", {"m": "5"}, "'m' must be an int, got '5'"),
+        ("polygon-bordism-parity", {"bound": True}, "'bound' must be an int, got True"),
+        ("product-simplices-obstruction", {"ns": [2.9]}, "'ns' must be a list of ints"),
+        ("product-simplices-obstruction", {"ns": [2, False]}, "'ns' must be a list of ints"),
+        ("smallcover-simplex-products", {"ns": "3"}, "'ns' must be a list of ints"),
+        ("smallcover-simplex-products", {"ns": 3}, "'ns' must be a list of ints"),
+    ],
+    ids=["float", "str", "bool", "float-in-list", "bool-in-list", "str-list", "int-list"],
+)
+def test_verify_claim_refuses_parameters_that_are_not_ints(
+    no_campaign_runs, claim, params, named
+):
+    # each was converted by int(), run as the truncated value and echoed
+    # as given: m = 4.7 ran the square and reported {"m": 4.7} verified
+    with pytest.raises(HarnessError, match=named):
+        verify_claim(claim, params)
+
+
+def test_search_spec_refuses_a_bound_that_is_not_an_int():
+    # 1.5 reached int.bit_length in the value-count check
+    for bound in (1.5, True, "2"):
+        with pytest.raises(HarnessError, match="entry bound must be an int"):
+            SearchSpec(polygon(4), bound)
+    with pytest.raises(HarnessError, match="entry bound must be an int"):
+        SearchSpec(polygon(4), 1.0, mod2_only=True)
+
+
+def test_polygon_witnesses_are_not_validated_again(monkeypatch):
+    # a walk survivor is valid and refined at the base by construction,
+    # so the campaigns hand it straight to the engine's cores
+    calls = []
+
+    def counted(p, lam):
+        calls.append(lam)
+        return validate(p, lam)
+
+    monkeypatch.setattr(charmat, "validate", counted)
+    monkeypatch.setattr(stringcheck, "validate", counted)
+    rep = verify_claim("odd-gon-not-spin", {"m": 5, "bound": 2})
+    assert rep.verdict == "verified"
+    rep = verify_claim("polygon-bordism-parity", {"m": 5, "bound": 2})
+    assert rep.verdict == "verified"
+    assert rep.statistics["checked"] == PENTAGON_B2_VALID_SIGNS
+    assert calls == []
 
 
 def test_claim_resource_cap_gives_capped_verdict():

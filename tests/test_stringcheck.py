@@ -24,6 +24,7 @@ from closed_form_oracle import (
     q_prism_normal_form,
     q_prism_units,
 )
+from spin_check import is_spin
 from test_charmat import VALIDATE_POOL, draw_matrix
 from test_cohomology import is_zero_in_h4
 
@@ -66,7 +67,6 @@ from qtm.stringcheck import (
     refined_pair,
     cube_basis,
     cyclic_identities,
-    is_spin,
     is_string,
     polygon_closed_form,
     polygon_parity_criterion,

@@ -38,7 +38,7 @@ from qtm.polytope import (
     polygon,
     prism,
 )
-from qtm.stringcheck import is_spin, is_string
+from qtm.stringcheck import is_string
 from qtm.structure import (
     BottForm,
     DobrinskayaForm,
@@ -54,6 +54,7 @@ from qtm.structure import (
     equivariant_connected_sum,
 )
 from key_oracle import canonical_key
+from spin_check import is_spin
 
 # string structure on the hexagonal prism; facet 1 top, 2..7 sides, 8 bottom
 HEX_PRISM_LAM = CharMatrix(
