@@ -95,25 +95,31 @@ first-encounter order.  The leaders go into `seen` before the string
 test, so a string-rejected class is remembered too: being string is an
 invariant of the class, so no class is tested twice.
 
-`_orbit_leaders` reads L off the walk's columns and builds no matrix.
 sigma(L) refined at the base is L refined at the source vertex
 w = sigma^-1(base), its columns relabelled by sigma and its rows put in
-base order, so one refine per source vertex serves every automorphism.
-Refining at w is the row basis change u = A_w^-1, with A_w the matrix
-whose columns are those of w: the refined pair has column u c_j for
-each column c_j of L, and `charmat.refine` returns the rows of that
-same product (or L itself when w is the base, where A_w and u are the
-identity).  So one `intlin.inverse_unimodular` of A_w and one
+base order.  Which w, which relabelling and which row order depend on
+sigma and the polytope alone, so the search builds them once, with the
+sign patterns, before the walk: `_image_plan` groups the automorphisms
+by w, and keeps for each its row order and the facet of L whose column
+becomes each free column of sigma(L).  `_orbit_leaders` reads L off the
+walk's columns and builds no matrix.  Refining at w is the row basis
+change u = A_w^-1, with A_w the matrix whose columns are those of w:
+the refined pair has column u c_j for each column c_j of L, and
+`charmat.refine` returns the rows of that same product (or L itself
+when w is the base, where A_w and u are the identity).  So per class,
+one `intlin.inverse_unimodular` of A_w per source vertex and one
 `intlin.mat_vec` per column give the refined columns unchanged; the
 inverse raises on a block that is not unimodular, which no leaf has.
-The walk form is unchanged too.  A dict, filled on first use and kept
-for the search, maps each normalized column x to `_sign_images(x)`,
-its image under pattern k at position k.  With images_t those of the
-t-th free column, zip(*images) yields for each pattern k the tuple of
-the k-th images of every free column: the whole free-column sequence
-under pattern k.  So min(zip(*images)) is the least sequence over the
-patterns, which is the walk form.  Only the columns met this way get
-images, never the whole value range.
+Per automorphism only column work is left: permute each free column's
+rows, flip it to first nonzero entry negative, and look up its images.
+A dict, filled on first use and kept for the search, maps each
+normalized column x to `_sign_images(x)`, its image under pattern k at
+position k.  With images_t those of the t-th free column, zip(*images)
+yields for each pattern k the tuple of the k-th images of every free
+column: the whole free-column sequence under pattern k.  So
+min(zip(*images)) is the least sequence over the patterns, which is
+the walk form.  Only the columns met this way get images, never the
+whole value range.
 
 The string test at a leaf reads p_1 off the leaf's columns through the
 polytope's relation template at the base vertex
@@ -169,9 +175,10 @@ claims that check each survivor of a search share one driver,
 `_search_campaign`: such a claim is verified exactly when no survivor
 yields a counterexample record.  A search survivor is valid and
 refined at the base by construction, so `odd-gon-not-spin`,
-`polygon-bordism-parity`, `prism-decompose` and `cube-connsum` hand
-theirs to cores that do not validate again (`_spin`,
-`_polygon_closed_form`, `_decompose_prism`, `_decompose_cube_connsum`).
+`polygon-bordism-parity`, `cube-string-is-bott`, `prism-decompose` and
+`cube-connsum` hand theirs to cores that do not validate again
+(`_spin`, `_polygon_closed_form`, `_bott_triangularize`,
+`_decompose_prism`, `_decompose_cube_connsum`).
 """
 
 from __future__ import annotations
@@ -196,10 +203,10 @@ from .polytope import (
     product,
 )
 from .smallcover import (
+    CriterionContradiction,
     _w2_vanishes,
     simplex_product,
     verify_simplex_product_criterion,
-    SmallCoverError,
 )
 from .stringcheck import (
     _polygon_closed_form,
@@ -209,11 +216,7 @@ from .stringcheck import (
     polygon_parity_criterion,
     random_cyclic_instance,
 )
-from .structure import (
-    _decompose_cube_connsum,
-    _decompose_prism,
-    bott_triangularize,
-)
+from .structure import _bott_triangularize, _decompose_cube_connsum, _decompose_prism
 
 
 class HarnessError(ValueError):
@@ -343,7 +346,7 @@ def _sign_images(x, patterns) -> tuple:
     return tuple([tuple([s[f] * si * t for si, t in zip(s, x)]) for s in patterns])
 
 
-def _lex_table(values, n: int):
+def _lex_table(values, patterns):
     """The mask of every pattern, and (value, below, equal) for each
     integer column value.
 
@@ -351,7 +354,6 @@ def _lex_table(values, n: int):
     `_sign_patterns`; `below` marks the patterns whose image of x is
     lexicographically smaller than x, `equal` those that fix x.
     """
-    patterns = _sign_patterns(n)
     table = []
     for x in values:
         below = equal = 0
@@ -364,50 +366,56 @@ def _lex_table(values, n: int):
     return (1 << (len(patterns) - 1)) - 1, table
 
 
-def _orbit_leaders(p: SimplePolytope, col, automorphisms, memo: dict) -> set:
+def _image_plan(base, free, automorphisms) -> dict:
+    """The automorphisms grouped by source vertex w = perm^-1(base), for
+    `_orbit_leaders`: w maps to one (order, sources) per automorphism
+    with that source vertex.  Row k of its image is row order[k] of the
+    pair refined at w, and the image's t-th free column is that pair's
+    column sources[t] + 1.  It depends on the polytope alone, so a
+    search builds it once.
+    """
+    plan: dict[tuple, list] = {}
+    for perm in automorphisms:
+        # perm[0] = 0, so inv[perm[f]] = f for every facet f
+        inv = sorted(range(len(perm)), key=perm.__getitem__)
+        w = tuple(sorted(inv[f] for f in base))
+        # row k of the image is the row of identity column inv[base[k]]
+        order = [w.index(inv[f]) for f in base]
+        plan.setdefault(w, []).append((order, [inv[f] - 1 for f in free]))
+    return plan
+
+
+def _orbit_leaders(col, plan, patterns, memo: dict) -> set:
     """The walk form of every automorphism image of the pair whose
-    column f is col[f], refined at p's first vertex: each image's
+    column f is col[f], refined at the base vertex: each image's
     free-column sequence, refined at that vertex, every column with its
     first nonzero entry negative, least over the row sign patterns.
 
-    The image under perm refined at the base is the pair refined at the
-    source vertex w = perm^-1(base), with its columns relabelled by perm
-    and its rows reordered to follow the base; so the inverse u of the
-    columns of w is taken once per source vertex, not once per
-    automorphism, and column j refined at w is u col[j].  memo maps a
-    normalized column to its `_sign_images`, the identity first; it is
-    filled on first use and shared by every call of a search.
+    plan is the search's `_image_plan`.  The image under an automorphism
+    refined at the base is the pair refined at its source vertex w, with
+    its columns relabelled and its rows reordered to follow the base; so
+    the inverse u of the columns of w is taken once per source vertex,
+    and column j refined there is u col[j].  memo maps a normalized
+    column to its `_sign_images` under patterns, the identity first; it
+    is filled on first use and shared by every call of a search.
     """
-    base = p.vertices[0]
-    m = p.num_facets
-    free = [f for f in range(1, m + 1) if f not in base]
-    patterns = _sign_patterns(p.dim)
-    refined: dict[tuple, list] = {}  # source vertex -> the columns refined there
     leaders = set()
-    for perm in automorphisms:
-        inv = [0] * (m + 1)
-        for f in range(1, m + 1):
-            inv[perm[f]] = f
-        w = tuple(sorted(inv[f] for f in base))
-        cols = refined.get(w)
-        if cols is None:
-            # raises on a block that is not unimodular, which no valid
-            # pair has
-            u = intlin.inverse_unimodular(list(zip(*map(col.__getitem__, w))))
-            cols = refined[w] = [intlin.mat_vec(u, c) for c in col[1:]]
-        # row k of the image is the row of identity column inv[base[k]]
-        order = [w.index(inv[f]) for f in base]
-        images = []
-        for f in free:
-            c = cols[inv[f] - 1]
-            x = tuple([c[i] for i in order])
-            if next(t for t in x if t) > 0:
-                x = tuple([-t for t in x])
-            if x not in memo:
-                memo[x] = _sign_images(x, patterns)
-            images.append(memo[x])
-        # zip regroups the images per pattern: one free-column sequence each
-        leaders.add(min(zip(*images)))
+    for w, images_of in plan.items():
+        # raises on a block that is not unimodular, which no valid pair has
+        u = intlin.inverse_unimodular(list(zip(*map(col.__getitem__, w))))
+        cols = [intlin.mat_vec(u, c) for c in col[1:]]
+        for order, sources in images_of:
+            images = []
+            for j in sources:
+                c = cols[j]
+                x = tuple([c[i] for i in order])
+                if next(t for t in x if t) > 0:
+                    x = tuple([-t for t in x])
+                if x not in memo:
+                    memo[x] = _sign_images(x, patterns)
+                images.append(memo[x])
+            # zip regroups the images per pattern: one free-column sequence each
+            leaders.add(min(zip(*images)))
     return leaders
 
 
@@ -436,7 +444,9 @@ def enumerate_matrices(spec: SearchSpec):
     schedule = _completion_schedule(p, base, free)
     # fetched before the walk, so a polytope too large for the
     # automorphism search is refused before any node is visited
-    automorphisms = p.automorphisms() if spec.dedup == "signs+automorphisms" else None
+    plan = None
+    if spec.dedup == "signs+automorphisms":
+        plan = _image_plan(base, free, p.automorphisms())
 
     def odd_sums(vectors) -> list:
         # the spin and string filters keep only odd column sums
@@ -485,7 +495,8 @@ def enumerate_matrices(spec: SearchSpec):
             if next((x for x in v if x), 0) < 0
         ]
         values = odd_sums(vectors)
-        every_pattern, table = _lex_table(values, n)
+        patterns = _sign_patterns(n)
+        every_pattern, table = _lex_table(values, patterns)
         identity = [tuple(int(i == k) for i in range(n)) for k in range(n)]
         # the columns of a vertex as rows: the transpose has the same det
         normal = intlin.cofactors
@@ -561,11 +572,11 @@ def enumerate_matrices(spec: SearchSpec):
     def emit() -> None:
         nonlocal template
         stats["candidates"] += 1
-        if automorphisms is not None:
+        if plan is not None:
             if tuple(map(col.__getitem__, free)) in seen:
                 stats["dedup_hits"] += 1
                 return
-            seen.update(_orbit_leaders(p, col, automorphisms, sign_images))
+            seen.update(_orbit_leaders(col, plan, patterns, sign_images))
         if spec.filter == "string":
             if template is None:
                 template = relation_template(p, base)
@@ -713,15 +724,18 @@ def _claim_polygon_bordism_parity(caps, m, bound):
 
 
 def _claim_cube_string_is_bott(caps, n, bound):
+    # cube(n) has 2**n vertices: refuse its value table before building it
+    _check_integer_bound(bound, n)
+    p = cube(n)
+
     def witness(lam):
-        form = bott_triangularize(n, lam)
+        # a survivor is valid over cube(n): Bott's core
+        form = _bott_triangularize(p, n, lam)
         if form.verdict == "triangular":
             return None
         return {**lam.to_dict(), "witness": form.witness}
 
-    # cube(n) has 2**n vertices: refuse its value table before building it
-    _check_integer_bound(bound, n)
-    return _search_campaign(SearchSpec(cube(n), bound, "signs", "string", **caps), witness)
+    return _search_campaign(SearchSpec(p, bound, "signs", "string", **caps), witness)
 
 
 def _claim_cyclic_identities(caps, k, trials, bound):
@@ -801,10 +815,8 @@ def _claim_product_simplices_obstruction(caps, ns):
 def _claim_smallcover_simplex_products(caps, ns):
     try:
         found = verify_simplex_product_criterion(ns, **caps)
-    except SmallCoverError as exc:
-        if "contradicts" in str(exc):
-            return "counterexample", {"ns": list(ns)}, [{"error": str(exc)}]
-        raise
+    except CriterionContradiction as exc:
+        return "counterexample", {"ns": list(ns)}, [{"error": str(exc)}]
     # the criterion returns only when the search agrees with the parity rule
     stats = {"ns": list(ns), "exists": found, "expected": found}
     return "verified", stats, []

@@ -60,6 +60,11 @@ class SmallCoverError(ValueError):
     pass
 
 
+class CriterionContradiction(SmallCoverError):
+    """The exhaustive mod-2 search disagrees with the simplex-product
+    parity criterion: a counterexample to it, not a bad input."""
+
+
 def validate_mod2(p: SimplePolytope, lam: CharMatrix) -> bool:
     """Is every vertex's column submatrix invertible over GF(2)?"""
     _check_shape(p, lam)
@@ -219,7 +224,7 @@ def verify_simplex_product_criterion(ns, **caps) -> bool:
     found = bool(survivors)
     expected = all(x % 2 == 1 for x in ns) and any(x % 4 == 3 for x in ns)
     if found != expected:
-        raise SmallCoverError(
+        raise CriterionContradiction(
             f"exhaustive search over {ns} contradicts the parity criterion: "
             f"found={found}, expected={expected}"
         )

@@ -8,7 +8,7 @@ Four constructions live here:
   chordless cycle whose off-diagonal entries multiply to +-2 (determinant
   -1).  The permutation is found by topological sorting the off-diagonal
   support, which doubles as a check that no third shape can occur.
-* ``bott_triangularize``: over the n-cube, a string pair always admits
+* ``_bott_triangularize``: over the n-cube, a string pair always admits
   equivalence moves (column sign flips, an opposite-pair-preserving facet
   permutation, row basis changes) bringing the free half of the matrix to
   unipotent upper triangular form.  The moves are recorded and replayed.
@@ -26,14 +26,16 @@ Four constructions live here:
   principal minors.  Both reports serialize through ``_jsonable``, field
   by field.
 
-Each public entry point (``bott_triangularize``,
-``equivariant_connected_sum``, ``decompose_prism`` and
-``decompose_cube_connsum``) validates its input pair once and hands it
-to a private core that does not validate it again.  The edge connected
-sum and the bundle certificate have no public entry: the prism and cube
-decompositions run their cores on pairs they have validated.  The cores
-relabel pairs with ``charmat._moved``, which skips validation: no
-equivalence move changes a vertex |det|, so a valid pair stays valid.
+Each public entry point (``equivariant_connected_sum``,
+``decompose_prism`` and ``decompose_cube_connsum``) validates its input
+pair once and hands it to a private core that does not validate it
+again.  The edge connected sum and the bundle certificate have no public
+entry: the prism and cube decompositions run their cores on pairs they
+have validated.  Nor has Bott's triangularization: its one caller, the
+``cube-string-is-bott`` campaign, hands it search survivors, which are
+valid by construction.  The cores relabel pairs with ``charmat._moved``,
+which skips validation: no equivalence move changes a vertex |det|, so
+a valid pair stays valid.
 Every recorded normalization -- of the input, and again after the prism
 mirror's or Bott's facet relabeling -- is one call of a normal form
 written once: ``stringcheck._prism_normal_form`` (refined at {1,2,3},
@@ -278,7 +280,7 @@ def dobrinskaya_normalize(a) -> DobrinskayaForm:
 
 @dataclass(frozen=True)
 class BottForm:
-    """Outcome of ``bott_triangularize``.
+    """Outcome of ``_bott_triangularize``.
 
     verdict    : "triangular" | "witness"
     normalized : refined matrix with unipotent upper triangular free half
@@ -292,19 +294,15 @@ class BottForm:
     witness: dict | None
 
 
-def bott_triangularize(n: int, lam: CharMatrix) -> BottForm:
-    """Bring a cube pair to the form [I | unipotent upper triangular].
+def _bott_triangularize(p: SimplePolytope, n: int, lam: CharMatrix) -> BottForm:
+    """Bring a pair already valid over p = cube(n) to the form
+    [I | unipotent upper triangular].
 
     String pairs always succeed (anything else raises
     ``StructureContradiction``).  Non-string pairs may instead get a
     witness: a pair of opposite-facet entries multiplying to 2, a failing
     principal minor, or the determinant -1 cycle.
     """
-    if lam.n != n or lam.m != 2 * n:
-        # before cube(n) is built: it has 2**n vertices
-        raise CharMatrixError(f"shape {lam.n}x{lam.m} does not match dim {n}, facets {2 * n}")
-    p = cube(n)
-    _checked_pair(p, lam)
     moves, cur, a = _cube_corner(p, n, lam)
     form = dobrinskaya_normalize(a)
     if form.verdict == "cycle":

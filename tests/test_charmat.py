@@ -20,7 +20,13 @@ from qtm.charmat import (
     refine,
     validate,
 )
-from qtm.harness import SearchSpec, _orbit_leaders, enumerate_matrices
+from qtm.harness import (
+    SearchSpec,
+    _image_plan,
+    _orbit_leaders,
+    _sign_patterns,
+    enumerate_matrices,
+)
 from qtm.polytope import cube, polygon, prism, product, q_polytope, simplex
 from key_oracle import canonical_key
 
@@ -422,6 +428,13 @@ def refined_orbit_leaders(p, lam, automorphisms):
     return leaders
 
 
+def search_plan(p, automorphisms):
+    """The image plan and the sign patterns a search over p builds."""
+    base = p.vertices[0]
+    free = [f for f in range(1, p.num_facets + 1) if f not in base]
+    return _image_plan(base, free, automorphisms), _sign_patterns(p.dim)
+
+
 # (polytope, bound, filter, stride): every stride-th sign class is
 # checked; the tesseract's 1,245 classes at 384 automorphisms each would
 # take the slow side about 24 s, so every eighth is
@@ -438,9 +451,10 @@ def refined_orbit_leaders(p, lam, automorphisms):
 def test_orbit_leaders_from_columns_equal_those_through_refine(p, bound, filt, stride):
     survivors, _stats = enumerate_matrices(SearchSpec(p, bound, "signs", filt))
     autos = p.automorphisms()
-    memo = {}  # one memo for every class, as a search keeps it
+    plan, patterns = search_plan(p, autos)
+    memo = {}  # one plan and one memo for every class, as a search keeps them
     for lam in survivors[::stride]:
-        leaders = _orbit_leaders(p, [0, *zip(*lam.rows)], autos, memo)
+        leaders = _orbit_leaders([0, *zip(*lam.rows)], plan, patterns, memo)
         assert leaders == refined_orbit_leaders(p, lam, autos)
 
 
@@ -448,8 +462,9 @@ def test_orbit_leaders_hold_every_moved_pair():
     rng = random.Random(11)
     for p, bound in KEY_SEARCHES:
         survivors, _stats = enumerate_matrices(SearchSpec(p, bound, "signs", "valid"))
+        plan, patterns = search_plan(p, p.automorphisms())
         for lam in rng.sample(survivors, min(6, len(survivors))):
-            leaders = _orbit_leaders(p, [0, *zip(*lam.rows)], p.automorphisms(), {})
+            leaders = _orbit_leaders([0, *zip(*lam.rows)], plan, patterns, {})
             assert walk_form(p, lam) in leaders
             cur = lam
             for _ in range(5):
@@ -473,7 +488,8 @@ def test_orbit_leaders_split_the_survivors_into_classes():
         classes, _stats = enumerate_matrices(
             SearchSpec(p, bound, "signs+automorphisms", "valid")
         )
-        leaders = [_orbit_leaders(p, [0, *zip(*lam.rows)], autos, {}) for lam in classes]
+        plan, patterns = search_plan(p, autos)
+        leaders = [_orbit_leaders([0, *zip(*lam.rows)], plan, patterns, {}) for lam in classes]
         keys = [canonical_key(p, lam, "signs+automorphisms") for lam in classes]
         assert len(set(keys)) == len(keys)
         for i, j in itertools.combinations(range(len(classes)), 2):

@@ -16,7 +16,7 @@ import time
 
 import pytest
 
-from qtm import charmat, harness, intlin, polytope, stringcheck
+from qtm import charmat, harness, intlin, polytope, stringcheck, structure
 from qtm.charmat import CharMatrix, CharMatrixError, validate
 from qtm.harness import (
     CLAIM_IDS,
@@ -28,13 +28,15 @@ from qtm.harness import (
 )
 from qtm.polytope import PolytopeError, SimplePolytope, cube, polygon, prism, product
 from qtm.smallcover import (
+    CriterionContradiction,
+    SmallCoverError,
     _refined,
     _refined_verdicts,
     simplex_product,
     validate_mod2,
 )
 from qtm.stringcheck import is_string
-from qtm.structure import bott_triangularize
+from bott_check import bott_triangularize
 from key_oracle import canonical_key
 from spin_check import is_spin
 
@@ -479,6 +481,32 @@ def test_a_search_builds_a_char_matrix_for_each_survivor_only(monkeypatch):
     assert len(built) == stats["survivors"] == len(survivors)
 
 
+def test_a_search_builds_its_image_plan_and_sign_patterns_once(monkeypatch):
+    # both depend on the polytope alone; each class opener used to take
+    # the patterns again, and every automorphism's inverse permutation,
+    # source vertex and row order
+    calls = {"_sign_patterns": 0, "_image_plan": 0}
+
+    def counting(name):
+        real = getattr(harness, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(harness, name, counting(name))
+    _survivors, stats = enumerate_matrices(
+        SearchSpec(prism(6), 1, "signs+automorphisms", "string")
+    )
+    assert stats["candidates"] - stats["dedup_hits"] == 15  # classes expanded
+    assert calls == {"_sign_patterns": 1, "_image_plan": 1}
+    enumerate_matrices(SearchSpec(prism(6), 1, "signs", "string"))
+    assert calls == {"_sign_patterns": 2, "_image_plan": 1}
+
+
 def test_vertex_test_takes_one_cofactor_per_vertex_per_node(monkeypatch):
     calls = {"det": 0, "f2_rank": 0}
     det, f2_rank = intlin.det, intlin.f2_rank
@@ -728,9 +756,9 @@ def test_the_time_cap_counts_the_table_setup(monkeypatch):
     # outlasts the cap stops the walk at node 1, and elapsed covers it
     real = harness._lex_table
 
-    def slow(values, n):
+    def slow(values, patterns):
         time.sleep(0.2)
-        return real(values, n)
+        return real(values, patterns)
 
     monkeypatch.setattr(harness, "_lex_table", slow)
     with pytest.raises(ResourceCapExceeded, match="^time budget exhausted$") as exc:
@@ -934,6 +962,27 @@ def test_claim_smallcover_simplex_products():
     assert rep.statistics["exists"] is False
 
 
+def test_smallcover_counterexample_is_the_contradiction_alone(monkeypatch):
+    # the verdict read the message: any SmallCoverError that said
+    # "contradicts" was reported as a counterexample to the criterion
+    def raising(error):
+        def criterion(ns, **caps):
+            raise error
+
+        return criterion
+
+    unrelated = SmallCoverError("an input that contradicts itself")
+    monkeypatch.setattr(harness, "verify_simplex_product_criterion", raising(unrelated))
+    with pytest.raises(SmallCoverError) as exc:
+        verify_claim("smallcover-simplex-products", {"ns": [3]})
+    assert exc.value is unrelated
+    found = CriterionContradiction("the search found none")
+    monkeypatch.setattr(harness, "verify_simplex_product_criterion", raising(found))
+    rep = verify_claim("smallcover-simplex-products", {"ns": [3]})
+    assert rep.verdict == "counterexample"
+    assert rep.witnesses == [{"error": "the search found none"}]
+
+
 @pytest.mark.parametrize(
     "claim, params, named",
     [
@@ -990,20 +1039,23 @@ def test_search_spec_refuses_a_bound_that_is_not_an_int():
 
 def test_polygon_witnesses_are_not_validated_again(monkeypatch):
     # a walk survivor is valid and refined at the base by construction,
-    # so the campaigns hand it straight to the engine's cores
+    # so the campaigns hand it straight to the engine's and Bott's cores
     calls = []
 
     def counted(p, lam):
         calls.append(lam)
         return validate(p, lam)
 
-    monkeypatch.setattr(charmat, "validate", counted)
-    monkeypatch.setattr(stringcheck, "validate", counted)
+    for module in (charmat, stringcheck, structure):
+        monkeypatch.setattr(module, "validate", counted)
     rep = verify_claim("odd-gon-not-spin", {"m": 5, "bound": 2})
     assert rep.verdict == "verified"
     rep = verify_claim("polygon-bordism-parity", {"m": 5, "bound": 2})
     assert rep.verdict == "verified"
     assert rep.statistics["checked"] == PENTAGON_B2_VALID_SIGNS
+    rep = verify_claim("cube-string-is-bott", {"n": 3, "bound": 1})
+    assert rep.verdict == "verified"
+    assert rep.statistics["checked"] == CUBE_B1_STRING_CLASSES
     assert calls == []
 
 

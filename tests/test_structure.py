@@ -47,12 +47,12 @@ from qtm.structure import (
     _bundle_certificate,
     _equivariant_edge_connected_sum,
     _split_blocks,
-    bott_triangularize,
     decompose_cube_connsum,
     decompose_prism,
     dobrinskaya_normalize,
     equivariant_connected_sum,
 )
+from bott_check import bott_triangularize
 from key_oracle import canonical_key
 from spin_check import is_spin
 
