@@ -60,12 +60,16 @@ rank equals h_2 by counting alone; see above.)
 
 The certified quotient map of a set of rows comes from
 `intlin.unit_pivot_reduce`, which pivots only on +-1 entries and leaves
-the rows in echelon form.  When it succeeds, `_read_off_quotient_map`
-substitutes back in reverse pivot order.  That leaves an identity block
-in the pivot columns, and for a fixed set of pivots the basis of a
-lattice with that block is unique.  So the rows are a basis of a direct
-summand of their rank and q is read off them: q(e_j) = e_j for the
-non-pivot columns j and q(e_p) = -(row of pivot p) on them.  When it
+the rows in echelon form.  Substituting back in reverse pivot order
+would leave an identity block in the pivot columns, and for a fixed set
+of pivots the basis of a lattice with that block is unique.  So the rows
+are a basis of a direct summand of their rank and q is read off that
+basis: q(e_j) = e_j for the non-pivot columns j and q(e_p) = minus the
+basis row of pivot p on them.  `_read_off_quotient_map` carries only
+the non-pivot columns through the back substitution (quotient-rank
+entries a row, 1 on every polygon): each row of that basis is 0 at
+every pivot but its own, so the coefficient of each later pivot is the
+echelon row's own entry there.  When the reduction
 gets stuck (no unit entry left) the lattice may still be a direct
 summand, so q comes from a unimodular u with u @ [the k rows]^T =
 [I_k; 0] instead, grown from u = I one row at a time by
@@ -96,7 +100,10 @@ basis images, so the pivot choice changes neither the basis nor the
 coefficients.
 
 Degree-4 classes are sparse dicts {(i, j): coefficient} with i <= j
-both free; degree-2 classes are dicts {i: coefficient}.
+both free; degree-2 classes are dicts {i: coefficient}.  A class goes
+through q as it is, term by term: `DegreeFourPresentation.sparse_vector`
+adds its coefficients up per generator, and no dense vector over the
+generators is built.
 """
 
 from __future__ import annotations
@@ -220,7 +227,7 @@ def p1_vanishes(t: RelationTemplate, cols) -> bool:
     pivots = intlin.unit_pivot_reduce(rows)
     if pivots is None:
         q = _transposed_quotient_map(rows, nlive)
-        return not any(_image(q, nlive - len(rows), rest))
+        return not any(_image(q, nlive - len(rows), enumerate(rest)))
     # in pivot order each row is 1 at its pivot and 0 at the pivots before
     # it, so it clears its pivot and keeps the earlier ones clear; what is
     # left is 0 at every pivot, and in the row lattice only if it is 0
@@ -240,14 +247,17 @@ class DegreeFourPresentation:
     quotient_map: tuple = field(repr=False)  # q(e_g) in Z^quotient_rank, generator order; 0 when dead
     _gen_index: dict = field(repr=False)
 
-    def to_vector(self, expr: dict) -> list[int]:
-        vec = [0] * len(self.generators)
+    def sparse_vector(self, expr: dict) -> dict:
+        """{generator index: coefficient} of expr, the coefficients of a
+        monomial written as (i, j) and as (j, i) added up."""
+        vec: dict = {}
         for mono, coef in expr.items():
             i, j = mono
             key = (i, j) if i <= j else (j, i)
-            if key not in self._gen_index:
+            g = self._gen_index.get(key)
+            if g is None:
                 raise CohomologyError(f"monomial {key} uses a non-free facet")
-            vec[self._gen_index[key]] += coef
+            vec[g] = vec.get(g, 0) + coef
         return vec
 
 
@@ -319,13 +329,19 @@ def p1_vector(p: SimplePolytope, lam: CharMatrix) -> dict[tuple, int]:
     return out
 
 
-def _image(q: tuple, rank: int, vec: list) -> list:
-    """q(vec) in Z^rank for a vector over the generators."""
-    target = [0] * rank
-    for x, img in zip(vec, q):
+def _image(q: tuple, rank: int, terms) -> list:
+    """q(x) in Z^rank for x given by its (generator index, coefficient)
+    terms: `enumerate` of a dense vector, or a sparse vector's items.
+    Entry s is the sum of x * q(e_g)[s] over the nonzero terms, in their
+    order."""
+    images, coefs = [], []
+    for g, x in terms:
         if x:
-            target = [t + x * y for t, y in zip(target, img)]
-    return target
+            images.append(q[g])
+            coefs.append(x)
+    if not images:
+        return [0] * rank
+    return [sum(map(mul, coefs, col)) for col in zip(*images)]
 
 
 def _transposed_quotient_map(relations: list, ngen: int) -> tuple:
@@ -347,32 +363,31 @@ def _transposed_quotient_map(relations: list, ngen: int) -> tuple:
 def _read_off_quotient_map(pivot_row: dict, ngen: int) -> tuple:
     """q from the rows {pivot column: row} of `intlin.unit_pivot_reduce`,
     in pivot order, each 1 at its own pivot and 0 at the pivots before
-    it.  Back substitution in reverse pivot order clears each row at the
-    pivots after it as well, which leaves the one basis of their lattice
-    with an identity block in the pivot columns.  q is then the identity
-    on the non-pivot columns, and each pivot column goes to minus its
-    row there, so every row maps to 0 and q(x) is what is left of x
-    after subtracting x_p times the row of each pivot p."""
-    jordan: dict = {}
+    it.  Back substitution in reverse pivot order would clear each row
+    at the pivots after it as well, leaving the one basis J of their
+    lattice with an identity block in the pivot columns.  q is the
+    identity on the non-pivot ("rest") columns, and each pivot column c
+    goes to -J_c on them, so every row maps to 0.
+
+    Only the rest columns are carried.  Each J_p is 0 at every pivot but
+    its own, so taking it off row c changes no other pivot entry of the
+    row: the coefficient of a later pivot p is row c's own entry
+    row_c[p].  So J_c = row_c - sum_p row_c[p] J_p over the pivots p
+    after c, on the rest columns, and q(e_c) = -J_c there."""
+    rest = [j for j in range(ngen) if j not in pivot_row]
+    images: dict = {}
     for c in reversed(pivot_row):
         row = pivot_row[c]
-        for p, later in jordan.items():
+        img = [-row[j] for j in rest]
+        for p, later in images.items():
             x = row[p]
             if x:
-                row = [a - x * b for a, b in zip(row, later)]
-        jordan[c] = row
-    rest = [j for j in range(ngen) if j not in jordan]
-    unit = {j: t for t, j in enumerate(rest)}
-    images = []
-    for j in range(ngen):
-        row = jordan.get(j)
-        if row is None:
-            img = [0] * len(rest)
-            img[unit[j]] = 1
-            images.append(tuple(img))
-        else:
-            images.append(tuple(-row[c] for c in rest))
-    return tuple(images)
+                img = [a - x * b for a, b in zip(img, later)]
+        images[c] = tuple(img)
+    r = len(rest)
+    for t, j in enumerate(rest):
+        images[j] = (0,) * t + (1,) + (0,) * (r - 1 - t)
+    return tuple(map(images.__getitem__, range(ngen)))
 
 
 def reduce_to_basis(pres: DegreeFourPresentation, expr: dict, basis) -> list[int]:
@@ -400,10 +415,10 @@ def reduce_to_basis(pres: DegreeFourPresentation, expr: dict, basis) -> list[int
             raise CohomologyError(
                 f"basis {basis} is not independent and primitive over the relations"
             )
-    vec = pres.to_vector(expr)
-    if any(x % 1 for x in vec):
+    vec = pres.sparse_vector(expr)
+    if any(x % 1 for x in vec.values()):
         raise CohomologyError("expression is not integral over the basis")
-    y = intlin.mat_vec(u, _image(q, d, vec))
+    y = intlin.mat_vec(u, _image(q, d, vec.items()))
     if any(y[k:]):
         raise CohomologyError("expression is outside the span of the basis")
     return y[:k]
@@ -435,7 +450,7 @@ def basis_coefficients(pres: DegreeFourPresentation, expr: dict) -> tuple:
     c = u q(expr), the unique solution of c . Q_S = q(expr).
     """
     basis, u = _greedy(pres)
-    target = _image(pres.quotient_map, pres.quotient_rank, pres.to_vector(expr))
+    target = _image(pres.quotient_map, pres.quotient_rank, pres.sparse_vector(expr).items())
     return basis, intlin.mat_vec(u, target)
 
 

@@ -189,6 +189,7 @@ import platform
 import random
 import time
 from dataclasses import asdict, dataclass, field
+from operator import mul
 
 from . import __version__, intlin
 from .charmat import CharMatrix
@@ -504,7 +505,7 @@ def enumerate_matrices(spec: SearchSpec):
         def admissible_mask(c) -> int:
             mask = 0
             for i, x in enumerate(values):
-                if abs(sum(a * b for a, b in zip(c, x))) == 1:
+                if abs(sum(map(mul, c, x))) == 1:
                     mask |= 1 << i
             return mask
 

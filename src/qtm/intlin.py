@@ -8,8 +8,10 @@ transform: it decides whether a vector extends a basis of a direct
 summand and, if it does, adds it.  Unimodular inverses, the fallback
 quotient maps and the basis coefficients of `cohomology` all take that
 step.  Every elimination over Z takes the same xgcd two-row step,
-`xgcd_rows`.  Python integers never overflow, so there is no precision
-story to worry about.
+`xgcd_rows`; the unit-pivot clear of `unit_pivot_reduce` is that
+step's divisible case (a pivot of 1 divides every entry), written
+inline as one row subtraction.  Python integers never overflow, so
+there is no precision story to worry about.
 
 Matrices are plain lists of row lists.  Nothing here mutates its
 arguments unless the docstring says so.
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 from itertools import chain
 from math import gcd
+from operator import mul
 
 
 def is_int_rows(obj) -> bool:
@@ -52,7 +55,7 @@ def mat_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
 
 
 def mat_vec(a: list[list[int]], v: list[int]) -> list[int]:
-    return [sum(x * y for x, y in zip(row, v)) for row in a]
+    return [sum(map(mul, row, v)) for row in a]
 
 
 def det(rows: list[list[int]]) -> int:
@@ -185,15 +188,17 @@ def unit_pivot_reduce(rows: list[list[int]]) -> dict[int, list[int]] | None:
     rows spanning the same lattice as the input, one per input row, each
     +1 at its own pivot column and 0 at the pivot columns chosen before
     it.  A row is taken as the next pivot row once it has a unit entry,
-    and it pivots on its first unit entry; the rows still pending are
-    then cleared in that column by the divisible branch of `xgcd_rows`,
-    and the pivot rows already taken are left as they are.  Rows of this
+    and it pivots on its first unit entry, made +1; each row still
+    pending is then cleared in that column in one step, other - other[c]
+    * row (the divisible branch of `xgcd_rows`, written inline), and the
+    pivot rows already taken are left as they are.  Rows of this
     shape are a basis of a rank-len(rows) direct summand of Z^N: a
     lattice vector that is 0 at every pivot column has coefficient 0 on
     the first pivot row, then on the second, and so on.  Back
-    substitution in reverse pivot order turns them into the unique basis
-    with an identity block in the pivot columns
-    (`cohomology._read_off_quotient_map`).  Returns None when no row
+    substitution in reverse pivot order would turn them into the unique
+    basis with an identity block in the pivot columns;
+    `cohomology._read_off_quotient_map` reads the quotient map off that
+    basis on the non-pivot columns alone.  Returns None when no row
     left has a unit entry, which includes a row that vanished; the
     lattice may still be a direct summand then.
     """
@@ -215,8 +220,9 @@ def unit_pivot_reduce(rows: list[list[int]]) -> dict[int, list[int]] | None:
         if row[c] < 0:
             row = [-x for x in row]
         for k, other in enumerate(pending):
-            if other[c]:
-                pending[k] = xgcd_rows(row, other, 1, other[c])[1]
+            x = other[c]
+            if x:
+                pending[k] = [a - x * b for a, b in zip(other, row)]
         pivots[c] = row
     return pivots
 

@@ -173,10 +173,20 @@ def polygon_closed_form(lam: CharMatrix):
 
 
 def _polygon_closed_form(lam: CharMatrix):
-    """polygon_closed_form for a pair already valid over the m-gon."""
-    m = lam.m
-    l = ClosedFormContext(lam).cycle_l(tuple(range(1, m + 1)))
-    ls = [l[i] for i in range(1, m + 1)]
+    """polygon_closed_form for a pair already valid over the m-gon.
+
+    Read off the cyclic minors of the two rows directly: with
+    d_i = det(c_i, c_{i+1}), l_i = d_{i-1} d_i det(c_{i+1}, c_{i-1}),
+    as `ClosedFormContext.cycle_l` gives it over the facet cycle 1..m.
+    """
+    x, y = lam.rows
+    xn, yn = x[1:] + x[:1], y[1:] + y[:1]  # column i + 1
+    xp, yp = x[-1:] + x[:-1], y[-1:] + y[:-1]  # column i - 1
+    d = [a * bn - an * b for a, b, an, bn in zip(x, y, xn, yn)]
+    ls = [
+        dp * di * (an * bp - ap * bn)
+        for dp, di, an, bn, ap, bp in zip(d[-1:] + d[:-1], d, xn, yn, xp, yp)
+    ]
     return ls, sum(ls)
 
 

@@ -14,7 +14,7 @@ from operator import mul
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qtm import cohomology, intlin, polytope
 from qtm.charmat import CharMatrix, ColumnSignFlip, RowBasisChange, _moved, refine, validate
@@ -39,6 +39,7 @@ from qtm.stringcheck import q_prism_polytope, refined_pair
 from dj_oracle import substituted_relations
 from hnf_oracle import hermite_form, hermite_form_with_transform
 from smith_oracle import spans_unit_summand
+from unit_pivot_oracle import full_row_read_off, xgcd_unit_pivot_reduce
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 import workloads  # noqa: E402  (bench/workloads.py, the pair-check pool)
@@ -46,7 +47,8 @@ import workloads  # noqa: E402  (bench/workloads.py, the pair-check pool)
 
 def is_zero_in_h4(pres, expr) -> bool:
     """Is the class zero in the degree-4 quotient, i.e. q(expr) = 0?"""
-    return not any(cohomology._image(pres.quotient_map, pres.quotient_rank, pres.to_vector(expr)))
+    terms = pres.sparse_vector(expr).items()
+    return not any(cohomology._image(pres.quotient_map, pres.quotient_rank, terms))
 
 
 TRIANGLE = simplex(2)
@@ -302,7 +304,8 @@ def test_quotient_map_kernel_is_the_relation_lattice():
         pres = presentation_deg4(p, rl)
         relations = substituted_relations(p, rl)[1]
         for rel in relations:
-            assert not any(cohomology._image(pres.quotient_map, pres.quotient_rank, rel))
+            image = cohomology._image(pres.quotient_map, pres.quotient_rank, enumerate(rel))
+            assert not any(image)
         _assert_onto_with_relation_kernel(pres, relations)
 
 
@@ -347,6 +350,29 @@ def test_reduce_keeps_its_errors():
         reduce_to_basis(pres, {(1, 4): 1}, [(4, 5)])
 
 
+def test_reduce_adds_split_coefficients_up_before_the_integrality_check():
+    pres = presentation_deg4(CUBE3, cube_family(0, 0))
+    half = Fraction(1, 2)
+    # (4, 5) and (5, 4) name one generator: two halves make it integral,
+    # and the coefficients come out as the exact Fractions they sum to
+    out = reduce_to_basis(pres, {(4, 5): half, (5, 4): half}, [(4, 5)])
+    assert out == [1] and all(type(x) is Fraction for x in out)
+    out = reduce_to_basis(pres, {(4, 5): 3 * half, (5, 4): half, (5, 6): 2}, [(4, 5), (5, 6)])
+    assert out == [2, 2] and all(type(x) is Fraction for x in out)
+    # with several faults, the first check in order names one: the
+    # basis, then the monomials, then integrality, then the span
+    for expr, basis, message in (
+        ({(1, 4): 1, (4, 5): half}, [(1, 1)], "not a generator"),
+        ({(4, 5): half}, [(4, 5), (4, 5)], "not independent"),
+        ({(4, 5): half, (1, 4): 1}, [(4, 5)], "non-free"),
+        ({(1, 4): 1, (4, 5): half}, [(4, 5)], "non-free"),
+        ({(5, 6): half}, [(4, 5)], "not integral"),
+        ({(5, 6): 1, (4, 5): half}, [(4, 5)], "not integral"),
+    ):
+        with pytest.raises(CohomologyError, match=message):
+            reduce_to_basis(pres, expr, basis)
+
+
 # The stack-HNF versions the quotient map replaced: each stacks the
 # relations with unit rows and reduces the whole stack, with the Smith
 # form of the test oracle deciding the direct-summand test.
@@ -382,7 +408,9 @@ def _stack_reduce_to_basis(pres, relations, expr, basis):
     if not spans_unit_summand(stack):
         raise CohomologyError("basis is not independent and primitive")
     h, u = hermite_form_with_transform(stack)
-    v = pres.to_vector(expr)
+    v = [0] * len(pres.generators)
+    for g, x in pres.sparse_vector(expr).items():
+        v[g] = x
     mult = [0] * h.rank
     for t, (row, (c, piv)) in enumerate(zip(h.rows, h.pivots)):
         if v[c] % piv:
@@ -735,6 +763,48 @@ def test_read_off_quotient_map_kernel_is_the_relation_lattice():
     # the search corpora never get stuck; 68 of the 124 polygon(7)
     # refinements send their live rows to the transposed fallback
     assert paths == {True: 391, False: 68}
+
+
+def _in_order(pivots):
+    return None if pivots is None else list(pivots.items())
+
+
+def test_read_off_and_unit_pivots_equal_their_full_row_oracles():
+    # on the live rows and on the substituted relation rows of every
+    # pair the certificate searches and cube(4) at bound 1 reach: the
+    # inline clear gives the pivots, their order and the rows of the
+    # xgcd step, and the read-off on the rest columns gives the map of
+    # the back substitution on whole rows, element for element
+    unit_paths = 0
+    for p, lam in _search_pairs(CERTIFICATE_SEARCHES + ((cube(4), 1, "valid"),)):
+        t, live = _live_rows_of(p, lam)
+        relations = substituted_relations(p, lam)[1]
+        for rows, ngen in ((live, len(t.live)), (relations, len(t.generators))):
+            pivots = intlin.unit_pivot_reduce(rows)
+            assert _in_order(pivots) == _in_order(xgcd_unit_pivot_reduce(rows))
+            if pivots is not None:
+                unit_paths += 1
+                assert _read_off_quotient_map(pivots, ngen) == full_row_read_off(pivots, ngen)
+    assert unit_paths == 2 * (335 + 1245)
+
+
+@given(
+    st.integers(1, 6).flatmap(
+        lambda ncols: st.lists(
+            st.lists(st.integers(-3, 3), min_size=ncols, max_size=ncols), max_size=5
+        )
+    )
+)
+# rows left with no unit entry, at once or after a clear: both get stuck
+@example([[2, 3]])
+@example([[1, 0], [1, 0]])
+@example([[1, 2, 0], [3, 4, 2]])
+def test_unit_pivot_reduce_equals_the_xgcd_oracle(rows):
+    pivots = intlin.unit_pivot_reduce(rows)
+    assert _in_order(pivots) == _in_order(xgcd_unit_pivot_reduce(rows))
+    if pivots is not None:
+        ngen = len(rows[0]) if rows else 0
+        assert _read_off_quotient_map(pivots, ngen) == full_row_read_off(pivots, ngen)
 
 
 def _dead_generators(p, pres):

@@ -56,10 +56,12 @@ from qtm.polytope import (
     simplex,
 )
 from qtm.stringcheck import (
+    ClosedFormContext,
     StringCheckError,
     _checked,
     _closed_form_coefficients,
     _cube_closed_form,
+    _polygon_closed_form,
     _prism_closed_form,
     _prism_normal_form,
     _refined_string,
@@ -303,6 +305,32 @@ def test_polygon_closed_form_matches_engine():
             assert total % 2 == m % 2
             assert is_string(p, lam) == (is_spin(p, lam) and total == 0)
             assert polygon_parity_criterion(lam) == is_string(p, lam)
+
+
+def test_polygon_closed_form_reads_the_cycle_minors_of_any_valid_pair():
+    # the direct read of the cyclic minors equals cycle_l over the facet
+    # cycle, per edge and in total: on every valid polygon(m) class at
+    # bound 2, refined, and on a scrambled copy of it (a row move, then
+    # sign flips) that arrives as a file gives it, with no refinement
+    rng = random.Random(35)
+    pairs = 0
+    for m in range(3, 9):
+        p = polygon(m)
+        survivors, _stats = harness.enumerate_matrices(harness.SearchSpec(p, 2, "signs", "valid"))
+        for lam in survivors:
+            scrambled = _moved(p, lam, random_row_move(2, rng))
+            for j in rng.sample(range(1, m + 1), 2):
+                scrambled = _moved(p, scrambled, ColumnSignFlip(j))
+            scrambled = CharMatrix(scrambled.rows)
+            assert validate(p, scrambled)[0] and scrambled.rows != lam.rows
+            for pair in (lam, scrambled):
+                l = ClosedFormContext(pair).cycle_l(tuple(range(1, m + 1)))
+                ls, total = _polygon_closed_form(pair)
+                assert ls == [l[i] for i in range(1, m + 1)]
+                assert total == sum(l.values())
+                assert polygon_closed_form(pair) == (ls, total)
+                pairs += 1
+    assert pairs == 2 * (1 + 7 + 18 + 79 + 260 + 1003)
 
 
 def test_polygon_closed_form_rejects():
